@@ -18,6 +18,7 @@ Reports are deterministic for a fixed seed: no timestamps, sorted keys.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys as _sys
@@ -30,18 +31,16 @@ from . import __version__
 from .errors import BlowUp, ConfigError, ConstraintViolation, SheafSysError
 from .interval_sheaf import Trajectory, write_csv
 from .ode_behavior import OdeBehavior, membership_residual
+from .port_diagram import closed_behavior
 from .port_hamiltonian import (
     build_ph_diagram,
-    closed_behavior,
     dissipation_margin,
-    embed_closed,
     closed_energy_drift,
     ph_iso_machine,
     power_balance,
 )
 from .metriplectic import (
     build_metriplectic_diagram,
-    closed_metriplectic_behavior,
     degeneracy_audit,
     noninteraction_residuals,
     port_metriplectic_machine,
@@ -105,12 +104,8 @@ def _node_guard(length: float, step: float) -> int:
 
 
 def _closed_behavior_for(bundle: SystemBundle, step: float) -> OdeBehavior:
-    if bundle.kind == "ph":
+    if bundle.kind in ("ph", "mp"):
         return closed_behavior(bundle.instance, step, bundle.residual_tolerance)
-    if bundle.kind == "mp":
-        return closed_metriplectic_behavior(
-            bundle.instance, step, bundle.residual_tolerance
-        )
     return OdeBehavior(
         bundle.instance, step, bundle.residual_tolerance,
         tuple(f"x{i}" for i in range(bundle.instance.dimension)),
@@ -202,7 +197,6 @@ def _drive_audit(config: RunConfig, bundle: SystemBundle) -> int:
             closed_energy_drift(bundle.instance, closed_run)
         )
         passed = residuals["power_balance_defect"] <= config.tolerance
-        _write_trajectory(config, "run.csv", run)
     elif bundle.kind == "mp":
         run = _driven_mp_run(bundle, config)
         residuals = {k: float(v) for k, v in rate_audit(bundle.instance, run).items()}
@@ -220,7 +214,6 @@ def _drive_audit(config: RunConfig, bundle: SystemBundle) -> int:
             and worst_side <= 1e-8
             and audit["entropy_rate_min"] >= -1e-8
         )
-        _write_trajectory(config, "run.csv", run)
     else:
         behavior = _closed_behavior_for(bundle, config.step)
         try:
@@ -231,7 +224,7 @@ def _drive_audit(config: RunConfig, bundle: SystemBundle) -> int:
         residual = float(membership_residual(behavior.field, run))
         residuals = {"membership": residual}
         passed = residual <= bundle.residual_tolerance
-        _write_trajectory(config, "run.csv", run)
+    _write_trajectory(config, "run.csv", run)
     _write_report(config, bundle.name, passed, residuals, notes)
     return 0 if passed else 1
 
@@ -284,20 +277,10 @@ def _drive_verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
         behavior.sample(x0, config.length)
         for x0 in seeded_initial_states(config.seed, 5, dimension)
     ]
-    if bundle.kind == "ph":
-        report = build_ph_diagram(
-            bundle.instance,
-            probes,
-            config.tolerance,
-            residual_tolerance=bundle.residual_tolerance,
-        )
-    else:
-        report = build_metriplectic_diagram(
-            bundle.instance,
-            probes,
-            config.tolerance,
-            residual_tolerance=bundle.residual_tolerance,
-        )
+    build = build_ph_diagram if bundle.kind == "ph" else build_metriplectic_diagram
+    report = build(
+        bundle.instance, probes, config.tolerance, residual_tolerance=bundle.residual_tolerance
+    )
     for i, e in enumerate(probes):
         _write_trajectory(config, f"probe_{i}.csv", e)
     doc = report.to_dict()
@@ -407,16 +390,7 @@ def run(config: RunConfig) -> int:
     """Execute a resolved invocation; returns the process exit code."""
     bundle = _resolve_bundle(config)
     if config.length <= 0:
-        config = RunConfig(
-            config.command,
-            config.system_ref,
-            bundle.default_length,
-            config.step,
-            config.tolerance,
-            config.seed,
-            config.output_dir,
-            config.config_path,
-        )
+        config = dataclasses.replace(config, length=bundle.default_length)
     if config.command.startswith("ph ") and bundle.kind != "ph":
         raise ConfigError(
             f"system {bundle.name!r} is kind {bundle.kind!r}; ph commands need a port system"

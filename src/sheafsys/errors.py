@@ -5,14 +5,6 @@ class SheafSysError(Exception):
     """Base class for all library errors."""
 
 
-class DomainMismatch(SheafSysError):
-    """Composition of interval morphisms whose endpoints do not meet."""
-
-
-class EmptyHom(SheafSysError):
-    """Requested interval morphism does not exist (empty hom set)."""
-
-
 class OutOfRange(SheafSysError):
     """Restriction window exceeds the trajectory domain."""
 

@@ -3,7 +3,8 @@
 The base category has the nonnegative reals as objects and translations as
 morphisms: the morphisms from a to b form the interval [0, b - a] (empty when
 b < a) and compose by adding offsets.  A behavior assigns to each interval
-length a set of trajectories and to each morphism a restriction map.  On a
+length a set of trajectories and to each morphism a restriction map; here a
+morphism is the (new_length, offset) pair that :func:`restrict` takes.  On a
 uniform grid both sheaf axioms (separation and gluing) reduce to index
 arithmetic on the sample arrays, so the laws can be tested bit-exactly
 instead of approximately.
@@ -15,14 +16,12 @@ and junction tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .errors import (
-    DomainMismatch,
-    EmptyHom,
     GridMismatch,
     JunctionMismatch,
     MisalignedOffset,
@@ -42,67 +41,7 @@ DEFAULT_STEP = 1e-3
 
 
 # ---------------------------------------------------------------------------
-# the interval category
-
-
-@dataclass(frozen=True)
-class IntObject:
-    """An interval [0, length] with length >= 0."""
-
-    length: float
-
-    def __post_init__(self):
-        if not (self.length >= 0.0):
-            raise EmptyHom(f"interval length must be nonnegative, got {self.length}")
-
-
-@dataclass(frozen=True)
-class IntMorphism:
-    """A translation placing [0, source.length] inside [0, target.length].
-
-    The offset must satisfy 0 <= offset <= target.length - source.length;
-    otherwise the hom set contains no such morphism.
-    """
-
-    source: IntObject
-    target: IntObject
-    offset: float
-
-    def __post_init__(self):
-        room = self.target.length - self.source.length
-        if room < -GRID_ALIGN_RTOL * max(1.0, self.target.length):
-            raise EmptyHom(
-                f"no morphisms from length {self.source.length} "
-                f"into length {self.target.length}"
-            )
-        if self.offset < -GRID_ALIGN_RTOL or self.offset > room + GRID_ALIGN_RTOL * max(1.0, room):
-            raise EmptyHom(
-                f"offset {self.offset} outside [0, {room}] for this hom set"
-            )
-
-
-def identity_int(obj: IntObject) -> IntMorphism:
-    return IntMorphism(obj, obj, 0.0)
-
-
-def compose_int(outer: IntMorphism, inner: IntMorphism) -> IntMorphism:
-    """Compose two interval morphisms (offsets add)."""
-    if inner.target != outer.source:
-        raise DomainMismatch(
-            f"inner target {inner.target} does not match outer source {outer.source}"
-        )
-    return IntMorphism(inner.source, outer.target, outer.offset + inner.offset)
-
-
-# ---------------------------------------------------------------------------
 # trajectories
-
-
-@dataclass(frozen=True)
-class Token:
-    """Value carried by a zero-dimensional trajectory of a constant sheaf."""
-
-    label: int
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -117,7 +56,7 @@ class Trajectory:
     ----------
     values : array, shape (num_nodes, n)
         One state vector per grid node 0, h, 2h, ..., length.  The array is
-        copied and frozen; n = 0 is allowed (token trajectories).
+        copied and frozen; n = 0 is allowed.
     grid_step : float
         Uniform node spacing h > 0.
     shift : float
@@ -126,9 +65,8 @@ class Trajectory:
     labels : tuple of str
         Channel names, one per state component.
     aux : optional
-        Extra metadata that rides along restriction and gluing unchanged:
-        a Token for constant sheaves, or auxiliary-energy tags for extended
-        behaviors.
+        Extra metadata that rides along restriction and gluing unchanged,
+        such as the auxiliary-energy tags of extended behaviors.
 
     The interval length is derived from the node count, so restriction and
     glue round trips reproduce lengths bit-exactly.
@@ -302,7 +240,7 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
 
     The right piece must start where the left piece ends, both in value
     (within ``tolerance``) and in shift bookkeeping: right.shift must equal
-    left.shift - left.length.
+    left.shift - left.length.  A non-finite junction never matches.
     """
     if left.grid_step != right.grid_step:
         raise GridMismatch(
@@ -324,7 +262,7 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
         junction = float(np.max(np.abs(left.values[-1] - right.values[0])))
     else:
         junction = 0.0
-    if junction > tolerance:
+    if not junction <= tolerance:
         raise JunctionMismatch(f"junction defect {junction:.3e} exceeds {tolerance:.3e}")
     values = np.concatenate([left.values, right.values[1:]], axis=0)
     return Trajectory(values, left.grid_step, left.shift, left.labels, left.aux)
@@ -428,44 +366,6 @@ def check_sheaf_axioms(
     return AxiomReport(tuple(checks), sheaf.tolerance)
 
 
-def token_trajectory(
-    label: int,
-    length: float,
-    grid_step: float = DEFAULT_STEP,
-    shift: float = 0.0,
-) -> Trajectory:
-    """Zero-dimensional trajectory carrying a token."""
-    nodes = _aligned_count(length, grid_step, "length") + 1
-    return Trajectory(
-        np.empty((nodes, 0)), grid_step, shift, (), Token(int(label))
-    )
-
-
-def constant_sheaf(value_set_size: int, grid_step: float = DEFAULT_STEP) -> BehaviorSheaf:
-    """The sheaf assigning the same finite token set to every interval.
-
-    Restriction is the identity on tokens; with one token this is the
-    one-point sheaf that constant machine legs land in.
-    """
-    if value_set_size < 1:
-        raise OutOfRange("value_set_size must be a positive integer")
-
-    def membership(e: Trajectory) -> float:
-        ok = (
-            e.dimension == 0
-            and isinstance(e.aux, Token)
-            and 0 <= e.aux.label < value_set_size
-        )
-        return 0.0 if ok else float("inf")
-
-    def sampler(label: int, length: float, shift: float = 0.0) -> Trajectory:
-        if not 0 <= int(label) < value_set_size:
-            raise OutOfRange(f"token {label} outside range({value_set_size})")
-        return token_trajectory(label, length, grid_step, shift)
-
-    return BehaviorSheaf(membership=membership, sampler=sampler)
-
-
 # ---------------------------------------------------------------------------
 # trajectory file format
 
@@ -495,6 +395,4 @@ def read_csv(path) -> Trajectory:
         labels = fh.readline().strip().split(",")[1:]
         rows = [line.strip().split(",") for line in fh if line.strip()]
     values = np.array([[float(v) for v in row[1:]] for row in rows], dtype=float)
-    if values.size == 0:
-        values = np.empty((len(rows), 0))
     return Trajectory(values, step, shift, tuple(labels))

@@ -13,12 +13,15 @@ Composites follow the evident parity rule: two swaps straighten out.
 ``verify_port_control_diagram`` checks the whole port-control picture: a
 closed system embeds into an extended one, the extended one maps onto an
 open interconnection port, and the triangle of behavior maps commutes on a
-probe set, with every map injective as far as the probes can tell.
+probe set, with every map injective as far as the probes can tell.  The
+systems that build this picture share one construction, in
+:mod:`sheafsys.port_diagram`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,7 +33,7 @@ from .interval_sheaf import (
     restrict,
     sup_distance,
 )
-from .ode_behavior import VectorField, integrate, membership_residual
+from .ode_behavior import VectorField, grid_derivative, integrate, worst_defect
 
 LEG_COMMUTE_TOL = 1e-9
 
@@ -131,14 +134,20 @@ def iso_machine(
     input_labels: Optional[tuple] = None,
     output_labels: Optional[tuple] = None,
     name: str = "iso",
+    side_residuals: Callable[[Trajectory], dict] = lambda e: {},
 ) -> Machine:
     """Machine of a controlled system x' = f(t, x, u), y = g(t, x, u).
 
     Members are (n + m)-channel trajectories holding state and input
     samples together.  The input leg extracts the input channels; the
-    output leg evaluates the readout node-wise.  The sampler integrates the
-    dynamics for a given input curve (a callable of absolute time, so the
-    integrator can evaluate it between nodes).
+    output leg evaluates the readout node-wise.  ``side_residuals`` maps a
+    member to named (residual, node) pairs of algebraic conditions that
+    membership must meet as well (none by default).
+
+    The sampler is ``sampler(x0, curve, ..., length, shift=0.0)``: the input
+    at absolute time t is the concatenation of the curves' values, one curve
+    per input group (callables of time, so the integrator can evaluate them
+    between nodes).
     """
     n = dynamics.dimension
     m = int(num_inputs)
@@ -155,15 +164,15 @@ def iso_machine(
     def membership(e: Trajectory) -> float:
         if e.labels != member_labels:
             return float("inf")
-        from .ode_behavior import grid_derivative
-
         x, u = split(e)
         d = grid_derivative(x, e.grid_step)
-        worst = 0.0
-        for i, t in enumerate(e.absolute_times):
-            defect = np.max(np.abs(d[i] - dynamics.rhs_with_input(t, x[i], u[i])))
-            worst = max(worst, float(defect))
-        return worst
+        worst = worst_defect(
+            [
+                np.max(np.abs(d[i] - dynamics.rhs_with_input(t, x[i], u[i])))
+                for i, t in enumerate(e.absolute_times)
+            ]
+        )
+        return max([worst, *(v for v, _ in side_residuals(e).values())])
 
     def a_leg(e: Trajectory) -> Trajectory:
         _, u = split(e)
@@ -179,7 +188,12 @@ def iso_machine(
         )
         return Trajectory(y, e.grid_step, e.shift, output_labels)
 
-    def sampler(x0, input_curve, length: float, shift: float = 0.0) -> Trajectory:
+    def sampler(x0, *curves_and_length, shift: float = 0.0) -> Trajectory:
+        *curves, length = curves_and_length
+        if len(curves) == 1:
+            input_curve = curves[0]
+        else:
+            input_curve = lambda t: np.concatenate([np.atleast_1d(c(t)) for c in curves])
         closed = VectorField(
             n,
             lambda t, x: dynamics.rhs_with_input(t, x, np.atleast_1d(input_curve(t))),
@@ -364,6 +378,18 @@ def _min_separation(probes: Sequence[Trajectory]) -> float:
     return min(finite) if finite else 1.0
 
 
+def _once(fn: Callable[[Trajectory], Trajectory]) -> Callable[[Trajectory], Trajectory]:
+    """``fn`` evaluated once per argument; trajectories are keyed by identity."""
+    cache = {}
+
+    def call(e: Trajectory) -> Trajectory:
+        if e not in cache:
+            cache[e] = fn(e)
+        return cache[e]
+
+    return call
+
+
 def verify_port_control_diagram(
     closed: Machine,
     enclosing: Machine,
@@ -379,16 +405,22 @@ def verify_port_control_diagram(
     The three maps are psi: closed -> port, xi: port -> enclosing and
     a_phi: closed -> enclosing; the triangle asserts a_phi = xi . psi.
     Probes must be members of the closed behavior, and the closed machine's
-    output leg must land in a constant sheaf: node-constant values,
+    output leg must land in the one-point sheaf: node-constant values,
     identical across all probes (raises NotClosed otherwise).
 
     Checks performed, all reported as named worst-case defects:
 
-    - membership of each probe (precondition, raises NotAMember);
+    - membership of each probe and of each psi image in its source behavior
+      (preconditions, raise NotAMember);
     - leg squares of each of the three morphisms;
     - the triangle on behaviors, beta legs compared pointwise;
     - the triangle on the two leg sides against the composite variant;
-    - injectivity probes for all three behavior maps.
+    - injectivity probes for all three behavior maps;
+    - membership of each a_phi and xi image in the enclosing behavior.  An
+      image outside it raises NotAMember when every other check passes;
+      when the diagram fails anyway, a note names the image instead.
+
+    Each image, leg and membership test the checks share is evaluated once.
     """
     notes = []
     for i, e in enumerate(probes):
@@ -397,6 +429,11 @@ def verify_port_control_diagram(
             raise NotAMember(
                 f"probe {i} not in the closed behavior (residual {res:.3e})"
             )
+    closed, port, enclosing = (
+        Machine(m.behavior, _once(m.a_leg), _once(m.e_leg), m.a_labels, m.e_labels, m.name)
+        for m in (closed, port, enclosing)
+    )
+    psi, xi, a_phi = (dataclasses.replace(phi, beta=_once(phi.beta)) for phi in (psi, xi, a_phi))
     # closedness: the output leg must be constant in time and across probes
     leg_values = []
     for i, e in enumerate(probes):
@@ -416,19 +453,19 @@ def verify_port_control_diagram(
                 f"closed machine output differs between probes 0 and {i} "
                 f"(gap {gap:.3e})"
             )
-
-    defects = {}
-    psi_images = [psi.beta(e) for e in probes]
-    defects["psi legs"] = morphism_defect(psi, closed, port, probes)
-    defects["xi legs"] = morphism_defect(xi, port, enclosing, psi_images)
-    defects["a_phi legs"] = morphism_defect(a_phi, closed, enclosing, probes)
-
     composite = compose_morphisms(xi, psi)
     if composite.variant != a_phi.variant:
         raise StructureViolation(
             f"composite variant {composite.variant} does not match "
             f"a_phi variant {a_phi.variant}"
         )
+
+    psi_images = [psi.beta(e) for e in probes]
+    defects = {
+        "psi legs": morphism_defect(psi, closed, port, probes, check_membership=False),
+        "xi legs": morphism_defect(xi, port, enclosing, psi_images),
+        "a_phi legs": morphism_defect(a_phi, closed, enclosing, probes, check_membership=False),
+    }
     tri_beta = 0.0
     tri_eta = 0.0
     tri_alpha = 0.0
@@ -454,6 +491,18 @@ def verify_port_control_diagram(
     passed = all(v <= tolerance for v in defects.values()) and all(
         r.injective_on_probes for r in collisions.values()
     )
+    target = enclosing.behavior
+    for label, phi, sources in (("a_phi", a_phi, probes), ("xi", xi, psi_images)):
+        for i, e in enumerate(sources):
+            res = target.membership(phi.beta(e))
+            if res > target.tolerance:
+                stray = (
+                    f"image of probe {i} under {label} not in the enclosing "
+                    f"behavior (residual {res:.3e})"
+                )
+                if passed:
+                    raise NotAMember(stray)
+                notes.append(stray)
     if len(probes) < 2:
         notes.append("fewer than two probes: injectivity evidence is vacuous")
     return DiagramReport(tolerance, defects, collisions, passed, tuple(notes))

@@ -22,7 +22,10 @@ auxiliary energies (one for H, one for S) and the coupling blocks
 
 The zeta rate that makes embedded trajectories members is
 -B^T grad H + A^T grad S + Jt u + Gt tau (the signs the extended blocks
-produce), and the port output is exactly its negative.
+produce), and the port output is exactly its negative.  The port signals
+are (u, tau_in); :class:`MetriplecticSystem` supplies these node formulas
+and the side conditions to :mod:`sheafsys.port_diagram`, which builds the
+machines, the embedding and the diagram.
 """
 
 from __future__ import annotations
@@ -32,45 +35,41 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConstraintViolation,
-    DimensionMismatch,
-    MissingAuxTag,
-    NoninteractionViolation,
-    NotAMember,
-    StructureViolation,
-)
-from .interval_sheaf import (
-    DEFAULT_STEP,
-    BehaviorSheaf,
-    Trajectory,
-    restrict,
-)
-from .machine import Machine, MachineMorphism, verify_port_control_diagram
-from .ode_behavior import (
-    DEFAULT_RESIDUAL_TOL,
-    OdeBehavior,
-    VectorField,
-    grid_derivative,
-    membership_residual,
+from .errors import DimensionMismatch, MissingAuxTag, NoninteractionViolation
+from .interval_sheaf import DEFAULT_STEP, Trajectory
+from .machine import DiagramReport, Machine
+from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative
+from . import port_diagram
+from .port_diagram import (
+    SIDE_CONDITION_TOL,
+    Builders,
+    ExtendedBehavior,
+    PortSystem,
+    assert_conditions,
+    build_diagram,
+    closed_behavior as closed_metriplectic_behavior,
+    extended_behavior,
+    extended_sheaf as extended_metriplectic_sheaf,
 )
 from .port_hamiltonian import (
     MATRIX_TOL,
     AuxHamiltonian,
     SampledCurve,
     as_matrix_field,
+    aux_gradient,
     aux_linear,
     aux_zero,
-    cumulative_trapezoid,
     default_probe_points,
     fd_gradient,
+    require_antisymmetric,
+    require_gradient,
+    require_psd,
+    require_symmetric,
 )
-
-SIDE_CONDITION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class MetriplecticSystem:
+class MetriplecticSystem(PortSystem):
     """Two-generator system with ports.
 
     Parameters
@@ -91,6 +90,9 @@ class MetriplecticSystem:
     grad_energy, grad_entropy : callable
         Their gradients.
     state_labels : tuple of str
+
+    The port signals are s = (u, tau_in), read from and stored in a pair of
+    auxiliary energies, one for H and one for S.
     """
 
     n: int
@@ -108,34 +110,77 @@ class MetriplecticSystem:
     state_labels: tuple = ()
 
     @property
-    def zeta_labels(self) -> tuple:
-        return tuple(f"zeta{i}" for i in range(self.m))
-
-    @property
-    def input_labels(self) -> tuple:
-        return tuple(f"u{i}" for i in range(self.m))
-
-    @property
     def tau_labels(self) -> tuple:
         # the input curve the source text overloads with the interval
         # length symbol; renamed throughout
         return tuple(f"tau_in{i}" for i in range(self.m))
 
     @property
-    def output_labels(self) -> tuple:
-        return tuple(f"y{i}" for i in range(self.m))
+    def signal_labels(self) -> tuple:
+        return self.input_labels + self.tau_labels
 
     def grad_h(self, x) -> np.ndarray:
-        out = np.asarray(self.grad_energy(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.n,):
-            raise DimensionMismatch(f"grad H shape {out.shape}")
-        return out
+        return self.gradient(self.grad_energy, x, "H")
 
     def grad_s(self, x) -> np.ndarray:
-        out = np.asarray(self.grad_entropy(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.n,):
-            raise DimensionMismatch(f"grad S shape {out.shape}")
-        return out
+        return self.gradient(self.grad_entropy, x, "S")
+
+    # node formulas of the port diagram
+
+    def check(self, points: Optional[Sequence] = None) -> None:
+        check_metriplectic_structure(self, points)
+
+    def closed_rhs(self, x) -> np.ndarray:
+        return self.poisson(x) @ self.grad_h(x) + self.friction(x) @ self.grad_s(x)
+
+    def port_rhs(self, x, s) -> np.ndarray:
+        u, tau = s[: self.m], s[self.m :]
+        return self.closed_rhs(x) + self.energy_port(x) @ u + self.entropy_port(x) @ tau
+
+    def zeta_rate(self, x, s) -> np.ndarray:
+        """-B^T grad H + A^T grad S + Jt u + Gt tau, the zeta row of the
+        extended dynamics."""
+        u, tau = s[: self.m], s[self.m :]
+        return (
+            -self.energy_port(x).T @ self.grad_h(x)
+            + self.entropy_port(x).T @ self.grad_s(x)
+            + self.port_poisson(x) @ u
+            + self.port_friction(x) @ tau
+        )
+
+    def signal_reader(self, tag):
+        if not (isinstance(tag, tuple) and len(tag) == 2):
+            raise MissingAuxTag("extended metriplectic member needs a pair of auxiliary energies")
+        read_h, read_s = (aux_gradient(aux, self.m) for aux in tag)
+        return lambda t, zeta: np.concatenate([read_h(t, zeta), read_s(t, zeta)])
+
+    def signal_tag(self, start: float, step: float, signals: np.ndarray):
+        return (
+            aux_linear(SampledCurve(start, step, signals[:, : self.m]), self.m),
+            aux_linear(SampledCurve(start, step, signals[:, self.m :]), self.m),
+        )
+
+    def zero_tag(self):
+        return (aux_zero(self.m), aux_zero(self.m))
+
+    def port_side_residuals(self, e: Trajectory) -> dict:
+        return side_condition_residuals(self, e)
+
+    def extended_side_residuals(self, tag, e: Trajectory) -> dict:
+        """Jt grad_zeta H_aux and Gt grad_zeta S_aux at every node."""
+        aux_h, aux_s = tag
+        zeta = e.channels(self.zeta_labels)
+        x = e.channels(self.state_labels)
+        return _worst_per_condition(
+            ("Jt grad aux H", "Gt grad aux S"),
+            (
+                (
+                    self.port_poisson(x[i]) @ aux_h.gradient(t, zeta[i]),
+                    self.port_friction(x[i]) @ aux_s.gradient(t, zeta[i]),
+                )
+                for i, t in enumerate(e.absolute_times)
+            ),
+        )
 
 
 def metriplectic_system(
@@ -190,18 +235,13 @@ def noninteraction_residuals(sys: MetriplecticSystem, points: Optional[Sequence]
     """Worst probe-point residuals of J grad S and G grad H."""
     if points is None:
         points = default_probe_points(sys.n)
-    worst_js = 0.0
-    worst_gh = 0.0
-    at_js = at_gh = None
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        js = float(np.max(np.abs(sys.poisson(x) @ sys.grad_s(x))))
-        gh = float(np.max(np.abs(sys.friction(x) @ sys.grad_h(x))))
-        if js > worst_js:
-            worst_js, at_js = js, x
-        if gh > worst_gh:
-            worst_gh, at_gh = gh, x
-    return worst_js, worst_gh, at_js, at_gh
+    points = [np.asarray(x, dtype=float) for x in points]
+    worst = _worst_per_condition(
+        ("J gradS", "G gradH"),
+        ((sys.poisson(x) @ sys.grad_s(x), sys.friction(x) @ sys.grad_h(x)) for x in points),
+    )
+    (js, i), (gh, j) = worst["J gradS"], worst["G gradH"]
+    return js, gh, points[i] if js > 0 else None, points[j] if gh > 0 else None
 
 
 def check_metriplectic_structure(
@@ -214,29 +254,14 @@ def check_metriplectic_structure(
     fd_s = fd_gradient(sys.entropy, sys.n)
     for x in points:
         x = np.asarray(x, dtype=float)
-        J = sys.poisson(x)
-        if np.max(np.abs(J + J.T)) > MATRIX_TOL:
-            raise StructureViolation(f"J(x) not antisymmetric at x = {x.tolist()}")
-        Jt = sys.port_poisson(x)
-        if np.max(np.abs(Jt + Jt.T)) > MATRIX_TOL:
-            raise StructureViolation(f"Jt(x) not antisymmetric at x = {x.tolist()}")
+        require_antisymmetric("J(x)", sys.poisson(x), x)
+        require_antisymmetric("Jt(x)", sys.port_poisson(x), x)
         G = sys.friction(x)
-        if np.max(np.abs(G - G.T)) > MATRIX_TOL:
-            raise StructureViolation(f"G(x) not symmetric at x = {x.tolist()}")
-        if np.linalg.eigvalsh(0.5 * (G + G.T)).min() < -MATRIX_TOL:
-            raise StructureViolation(f"G(x) not positive semidefinite at x = {x.tolist()}")
-        block = extended_friction_block(sys, x)
-        if np.linalg.eigvalsh(0.5 * (block + block.T)).min() < -MATRIX_TOL:
-            raise StructureViolation(
-                f"[[G, A], [A^T, Gt]] not positive semidefinite at x = {x.tolist()}"
-            )
-        for grad, fd, tag in ((sys.grad_h, fd_h, "H"), (sys.grad_s, fd_s, "S")):
-            reference = fd(x)
-            gap = np.max(np.abs(grad(x) - reference))
-            if gap > 1e-5 * max(1.0, float(np.max(np.abs(reference)))):
-                raise StructureViolation(
-                    f"grad {tag} inconsistent with finite differences at x = {x.tolist()}"
-                )
+        require_symmetric("G(x)", G, x)
+        require_psd("G(x)", G, x)
+        require_psd("[[G, A], [A^T, Gt]]", extended_friction_block(sys, x), x)
+        require_gradient("H", sys.grad_h, fd_h, x)
+        require_gradient("S", sys.grad_s, fd_s, x)
     worst_js, worst_gh, at_js, at_gh = noninteraction_residuals(sys, points)
     if worst_js > MATRIX_TOL:
         raise NoninteractionViolation(
@@ -248,48 +273,8 @@ def check_metriplectic_structure(
         )
 
 
-def closed_metriplectic_field(sys: MetriplecticSystem) -> VectorField:
-    def rhs(t, x):
-        return sys.poisson(x) @ sys.grad_h(x) + sys.friction(x) @ sys.grad_s(x)
-
-    return VectorField(sys.n, rhs, "closed metriplectic flow")
-
-
-def closed_metriplectic_behavior(
-    sys: MetriplecticSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-    check_points: Optional[Sequence] = None,
-) -> OdeBehavior:
-    check_metriplectic_structure(sys, check_points)
-    return OdeBehavior(
-        closed_metriplectic_field(sys), grid_step, residual_tolerance, sys.state_labels
-    )
-
-
-def extended_metriplectic_structure(sys: MetriplecticSystem):
-    """Extended matrix fields [[J, B], [-B^T, Jt]] and [[G, A], [A^T, Gt]]."""
-    n, m = sys.n, sys.m
-
-    def j_ext(xi):
-        xi = np.asarray(xi, dtype=float)
-        x = xi[:n]
-        out = np.zeros((n + m, n + m))
-        out[:n, :n] = sys.poisson(x)
-        B = sys.energy_port(x)
-        out[:n, n:] = B
-        out[n:, :n] = -B.T
-        out[n:, n:] = sys.port_poisson(x)
-        return out
-
-    def g_ext(xi):
-        return extended_friction_block(sys, np.asarray(xi, dtype=float)[:n])
-
-    return j_ext, g_ext
-
-
 # ---------------------------------------------------------------------------
-# shared node-wise formulas
+# node-wise formulas, side conditions and the extended behavior
 
 
 def zeta_rate_along(
@@ -298,76 +283,52 @@ def zeta_rate_along(
     u_nodes: np.ndarray,
     tau_nodes: np.ndarray,
 ) -> np.ndarray:
-    """-B^T grad H + A^T grad S + Jt u + Gt tau at every node.
-
-    This is the zeta row of the extended dynamics; the embedding and the
-    port-to-extended map both integrate exactly this array, which is what
-    makes the diagram triangle close bit-exactly.
-    """
-    rows = []
-    for i, x in enumerate(states):
-        rows.append(
-            -sys.energy_port(x).T @ sys.grad_h(x)
-            + sys.entropy_port(x).T @ sys.grad_s(x)
-            + sys.port_poisson(x) @ u_nodes[i]
-            + sys.port_friction(x) @ tau_nodes[i]
-        )
-    return np.stack(rows)
+    """-B^T grad H + A^T grad S + Jt u + Gt tau at every node."""
+    signals = np.concatenate([u_nodes, tau_nodes], axis=1)
+    return port_diagram.zeta_rate_along(sys, states, signals)
 
 
-def port_output_along(
-    sys: MetriplecticSystem,
-    states: np.ndarray,
-    u_nodes: np.ndarray,
-    tau_nodes: np.ndarray,
-) -> np.ndarray:
-    """B^T grad H - A^T grad S - Jt u - Gt tau at every node (this is
-    minus the zeta rate)."""
-    return -zeta_rate_along(sys, states, u_nodes, tau_nodes)
+SIDE_CONDITIONS = ("J gradS", "G gradH", "B tau", "A u", "B^T gradS", "A^T gradH", "Jt tau", "Gt u")
+
+
+def _worst_per_condition(names: tuple, node_values) -> dict:
+    """(worst residual, node) of each named condition; ``node_values``
+    yields, for every node, one array per name."""
+    worst = {name: (0.0, 0) for name in names}
+    for node, values in enumerate(node_values):
+        for name, value in zip(names, values):
+            value = float(np.max(np.abs(value))) if np.size(value) else 0.0
+            if value > worst[name][0]:
+                worst[name] = (value, node)
+    return worst
 
 
 def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
     """Worst node residual of each algebraic side condition on a port run.
 
-    Returns a dict mapping condition names to (residual, node) pairs; the
-    conditions are J gradS, G gradH, B tau, A u, B^T gradS, A^T gradH,
-    Jt tau, Gt u.
+    Returns a dict mapping the names in SIDE_CONDITIONS to (residual, node)
+    pairs.
     """
     x = e.channels(sys.state_labels)
     u = e.channels(sys.input_labels)
     tau = e.channels(sys.tau_labels)
-    worst = {
-        name: (0.0, 0)
-        for name in (
-            "J gradS",
-            "G gradH",
-            "B tau",
-            "A u",
-            "B^T gradS",
-            "A^T gradH",
-            "Jt tau",
-            "Gt u",
-        )
-    }
 
-    def update(name, value, node):
-        value = float(np.max(np.abs(value))) if np.size(value) else 0.0
-        if value > worst[name][0]:
-            worst[name] = (value, node)
+    def node_values():
+        for i, xi in enumerate(x):
+            gh = sys.grad_h(xi)
+            gs = sys.grad_s(xi)
+            yield (
+                sys.poisson(xi) @ gs,
+                sys.friction(xi) @ gh,
+                sys.energy_port(xi) @ tau[i],
+                sys.entropy_port(xi) @ u[i],
+                sys.energy_port(xi).T @ gs,
+                sys.entropy_port(xi).T @ gh,
+                sys.port_poisson(xi) @ tau[i],
+                sys.port_friction(xi) @ u[i],
+            )
 
-    for i in range(e.num_nodes):
-        xi = x[i]
-        gh = sys.grad_h(xi)
-        gs = sys.grad_s(xi)
-        update("J gradS", sys.poisson(xi) @ gs, i)
-        update("G gradH", sys.friction(xi) @ gh, i)
-        update("B tau", sys.energy_port(xi) @ tau[i], i)
-        update("A u", sys.entropy_port(xi) @ u[i], i)
-        update("B^T gradS", sys.energy_port(xi).T @ gs, i)
-        update("A^T gradH", sys.entropy_port(xi).T @ gh, i)
-        update("Jt tau", sys.port_poisson(xi) @ tau[i], i)
-        update("Gt u", sys.port_friction(xi) @ u[i], i)
-    return worst
+    return _worst_per_condition(SIDE_CONDITIONS, node_values())
 
 
 def assert_side_conditions(
@@ -376,114 +337,7 @@ def assert_side_conditions(
     tolerance: float = SIDE_CONDITION_TOL,
 ) -> None:
     """Raise ConstraintViolation naming the first condition that fails."""
-    for name, (residual, node) in side_condition_residuals(sys, e).items():
-        if residual > tolerance:
-            raise ConstraintViolation(name, node, residual)
-
-
-# ---------------------------------------------------------------------------
-# extended behavior with paired auxiliary energies
-
-
-def extended_metriplectic_field(
-    sys: MetriplecticSystem, aux_h: AuxHamiltonian, aux_s: AuxHamiltonian
-) -> VectorField:
-    if aux_h.m != sys.m or aux_s.m != sys.m:
-        raise DimensionMismatch("aux port dimensions do not match the system")
-    j_ext, g_ext = extended_metriplectic_structure(sys)
-    n = sys.n
-
-    def rhs(t, xi):
-        zeta = xi[n:]
-        grad_total_h = np.concatenate([sys.grad_h(xi[:n]), aux_h.gradient(t, zeta)])
-        grad_total_s = np.concatenate([sys.grad_s(xi[:n]), aux_s.gradient(t, zeta)])
-        return j_ext(xi) @ grad_total_h + g_ext(xi) @ grad_total_s
-
-    return VectorField(sys.n + sys.m, rhs, "extended metriplectic flow")
-
-
-def _resolve_aux_pair(sys: MetriplecticSystem, tag):
-    if tag is None:
-        return aux_zero(sys.m), aux_zero(sys.m)
-    if (
-        isinstance(tag, tuple)
-        and len(tag) == 2
-        and all(isinstance(a, AuxHamiltonian) for a in tag)
-    ):
-        return tag
-    raise MissingAuxTag(
-        "extended metriplectic member needs a pair of auxiliary energies"
-    )
-
-
-@dataclass(frozen=True)
-class ExtendedMetriplecticBehavior:
-    """Extended behavior for one fixed pair of auxiliary energies.
-
-    Membership is the (n + m)-channel dynamics residual together with the
-    algebraic side conditions Jt grad_zeta H_aux and Gt grad_zeta S_aux
-    evaluated at every node.
-    """
-
-    sys: MetriplecticSystem
-    aux_h: AuxHamiltonian
-    aux_s: AuxHamiltonian
-    grid_step: float = DEFAULT_STEP
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL
-
-    @property
-    def labels(self) -> tuple:
-        return self.sys.state_labels + self.sys.zeta_labels
-
-    def sample(self, x0_ext, length: float, shift: float = 0.0) -> Trajectory:
-        from .ode_behavior import integrate
-
-        return integrate(
-            extended_metriplectic_field(self.sys, self.aux_h, self.aux_s),
-            x0_ext,
-            length,
-            self.grid_step,
-            shift,
-            self.labels,
-            (self.aux_h, self.aux_s),
-        )
-
-    def side_residuals(self, e: Trajectory) -> dict:
-        zeta = e.channels(self.sys.zeta_labels)
-        x = e.channels(self.sys.state_labels)
-        worst = {"Jt grad aux H": (0.0, 0), "Gt grad aux S": (0.0, 0)}
-        for i, t in enumerate(e.absolute_times):
-            jt = np.max(np.abs(self.sys.port_poisson(x[i]) @ self.aux_h.gradient(t, zeta[i])))
-            gt = np.max(np.abs(self.sys.port_friction(x[i]) @ self.aux_s.gradient(t, zeta[i])))
-            if jt > worst["Jt grad aux H"][0]:
-                worst["Jt grad aux H"] = (float(jt), i)
-            if gt > worst["Gt grad aux S"][0]:
-                worst["Gt grad aux S"] = (float(gt), i)
-        return worst
-
-    def assert_conditions(self, e: Trajectory, tolerance: float = SIDE_CONDITION_TOL):
-        for name, (residual, node) in self.side_residuals(e).items():
-            if residual > tolerance:
-                raise ConstraintViolation(name, node, residual)
-
-    def membership(self, e: Trajectory) -> float:
-        if e.labels != self.labels or e.aux != (self.aux_h, self.aux_s):
-            return float("inf")
-        dynamics = membership_residual(
-            extended_metriplectic_field(self.sys, self.aux_h, self.aux_s),
-            e,
-            self.grid_step,
-        )
-        side = max(v for v, _ in self.side_residuals(e).values())
-        return max(dynamics, side)
-
-    def as_behavior_sheaf(self) -> BehaviorSheaf:
-        return BehaviorSheaf(
-            membership=self.membership,
-            restrict=restrict,
-            sampler=self.sample,
-            tolerance=self.residual_tolerance,
-        )
+    assert_conditions(side_condition_residuals(sys, e), tolerance)
 
 
 def extended_metriplectic_behavior(
@@ -492,78 +346,29 @@ def extended_metriplectic_behavior(
     aux_s: AuxHamiltonian,
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> ExtendedMetriplecticBehavior:
-    check_metriplectic_structure(sys)
-    return ExtendedMetriplecticBehavior(sys, aux_h, aux_s, grid_step, residual_tolerance)
-
-
-def extended_metriplectic_sheaf(
-    sys: MetriplecticSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> BehaviorSheaf:
-    """Enclosing behavior: members carry their own (H, S) aux pair."""
-    labels = sys.state_labels + sys.zeta_labels
-
-    def membership(e: Trajectory) -> float:
-        if e.labels != labels:
-            return float("inf")
-        aux_h, aux_s = _resolve_aux_pair(sys, e.aux)
-        fixed = ExtendedMetriplecticBehavior(
-            sys, aux_h, aux_s, grid_step, residual_tolerance
-        )
-        if e.aux is None:
-            e = e.replace_aux((aux_h, aux_s))
-        return fixed.membership(e)
-
-    def sampler(x0_ext, length, shift=0.0, aux_h=None, aux_s=None):
-        fixed = ExtendedMetriplecticBehavior(
-            sys,
-            aux_h if aux_h is not None else aux_zero(sys.m),
-            aux_s if aux_s is not None else aux_zero(sys.m),
-            grid_step,
-            residual_tolerance,
-        )
-        return fixed.sample(x0_ext, length, shift)
-
-    return BehaviorSheaf(
-        membership=membership,
-        restrict=restrict,
-        sampler=sampler,
-        tolerance=residual_tolerance,
-    )
+) -> ExtendedBehavior:
+    """Extended behavior for one fixed pair of auxiliary energies; membership
+    includes the side conditions Jt grad_zeta H_aux and Gt grad_zeta S_aux."""
+    return extended_behavior(sys, (aux_h, aux_s), grid_step, residual_tolerance)
 
 
 def embed_metriplectic(
-    sys: MetriplecticSystem,
-    e: Trajectory,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: MetriplecticSystem, e: Trajectory, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Trajectory:
-    """Embed a closed member into the extended behavior with zero aux pair.
-
-    The zeta channels integrate the shared zeta-rate formula with zero port
-    signals; zeta(0) = 0.
-    """
-    residual = membership_residual(closed_metriplectic_field(sys), e)
-    if residual > residual_tolerance:
-        raise NotAMember(
-            f"trajectory is not a closed metriplectic member (residual {residual:.3e})"
-        )
-    zeros = np.zeros((e.num_nodes, sys.m))
-    zeta = cumulative_trapezoid(
-        zeta_rate_along(sys, e.values, zeros, zeros), e.grid_step
-    )
-    return Trajectory(
-        np.concatenate([e.values, zeta], axis=1),
-        e.grid_step,
-        e.shift,
-        e.labels + sys.zeta_labels,
-        (aux_zero(sys.m), aux_zero(sys.m)),
-    )
+    """Embed a closed member into the extended behavior with zero aux pair:
+    zeta integrates the zeta rate with zero port signals from zeta(0) = 0."""
+    return port_diagram.embed(sys, e, residual_tolerance)
 
 
 # ---------------------------------------------------------------------------
 # audits
+
+
+def _generator_rates(sys: MetriplecticSystem, x: np.ndarray, h: float):
+    """H at every node, and dH/dt and dS/dt by the grid stencils."""
+    energy = np.array([sys.energy(xi) for xi in x])[:, np.newaxis]
+    entropy = np.array([sys.entropy(xi) for xi in x])[:, np.newaxis]
+    return energy[:, 0], grid_derivative(energy, h)[:, 0], grid_derivative(entropy, h)[:, 0]
 
 
 def degeneracy_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
@@ -573,14 +378,11 @@ def degeneracy_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
     max |H(x(t)) - H(x(0))|.
     """
     x = e.channels(sys.state_labels) if e.labels != sys.state_labels else e.values
-    energy = np.array([sys.energy(xi) for xi in x])[:, np.newaxis]
-    entropy = np.array([sys.entropy(xi) for xi in x])[:, np.newaxis]
-    h_rate = grid_derivative(energy, e.grid_step)[:, 0]
-    s_rate = grid_derivative(entropy, e.grid_step)[:, 0]
+    energy, h_rate, s_rate = _generator_rates(sys, x, e.grid_step)
     return {
         "energy_rate_max": float(np.max(np.abs(h_rate))),
         "entropy_rate_min": float(np.min(s_rate)),
-        "energy_drift": float(np.max(np.abs(energy[:, 0] - energy[0, 0]))),
+        "energy_drift": float(np.max(np.abs(energy - energy[0]))),
     }
 
 
@@ -594,10 +396,7 @@ def rate_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
     x = e.channels(sys.state_labels)
     u = e.channels(sys.input_labels)
     tau = e.channels(sys.tau_labels)
-    energy = np.array([sys.energy(xi) for xi in x])[:, np.newaxis]
-    entropy = np.array([sys.entropy(xi) for xi in x])[:, np.newaxis]
-    h_rate = grid_derivative(energy, e.grid_step)[:, 0]
-    s_rate = grid_derivative(entropy, e.grid_step)[:, 0]
+    _, h_rate, s_rate = _generator_rates(sys, x, e.grid_step)
     worst_h = 0.0
     worst_s = 0.0
     for i in range(e.num_nodes):
@@ -625,246 +424,33 @@ def extended_psd_min(sys: MetriplecticSystem, states: np.ndarray) -> float:
 
 
 def port_metriplectic_machine(
-    sys: MetriplecticSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: MetriplecticSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Machine:
     """The open port machine of the two-generator system.
 
     Members pack (x, u, tau_in) as n + 2m channels; membership is the
     dynamics residual on the state channels together with every algebraic
     side condition.  The output leg evaluates
-    B^T grad H - A^T grad S - Jt u - Gt tau node-wise.
+    B^T grad H - A^T grad S - Jt u - Gt tau node-wise.  The sampler is
+    ``sampler(x0, u_curve, tau_curve, length, shift=0.0)``.
     """
-    check_metriplectic_structure(sys)
-    member_labels = sys.state_labels + sys.input_labels + sys.tau_labels
-    signal_labels = sys.input_labels + sys.tau_labels
-
-    def split(e: Trajectory):
-        return (
-            e.channels(sys.state_labels),
-            e.channels(sys.input_labels),
-            e.channels(sys.tau_labels),
-        )
-
-    def membership(e: Trajectory) -> float:
-        if e.labels != member_labels:
-            return float("inf")
-        x, u, tau = split(e)
-        d = grid_derivative(x, e.grid_step)
-        worst = 0.0
-        for i in range(e.num_nodes):
-            xi = x[i]
-            rhs = (
-                sys.poisson(xi) @ sys.grad_h(xi)
-                + sys.friction(xi) @ sys.grad_s(xi)
-                + sys.energy_port(xi) @ u[i]
-                + sys.entropy_port(xi) @ tau[i]
-            )
-            worst = max(worst, float(np.max(np.abs(d[i] - rhs))))
-        side = max(v for v, _ in side_condition_residuals(sys, e).values())
-        return max(worst, side)
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(
-            e.channels(signal_labels), e.grid_step, e.shift, signal_labels
-        )
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        x, u, tau = split(e)
-        return Trajectory(
-            port_output_along(sys, x, u, tau),
-            e.grid_step,
-            e.shift,
-            sys.output_labels,
-        )
-
-    def sampler(x0, u_curve, tau_curve, length, shift=0.0):
-        from .ode_behavior import integrate
-
-        def rhs(t, x):
-            return (
-                sys.poisson(x) @ sys.grad_h(x)
-                + sys.friction(x) @ sys.grad_s(x)
-                + sys.energy_port(x) @ np.atleast_1d(u_curve(t))
-                + sys.entropy_port(x) @ np.atleast_1d(tau_curve(t))
-            )
-
-        state = integrate(
-            VectorField(sys.n, rhs, "driven metriplectic flow"),
-            x0,
-            length,
-            grid_step,
-            shift,
-            sys.state_labels,
-        )
-        u_nodes = np.stack([np.atleast_1d(u_curve(t)) for t in state.absolute_times])
-        tau_nodes = np.stack([np.atleast_1d(tau_curve(t)) for t in state.absolute_times])
-        return Trajectory(
-            np.concatenate([state.values, u_nodes, tau_nodes], axis=1),
-            grid_step,
-            shift,
-            member_labels,
-        )
-
-    behavior = BehaviorSheaf(
-        membership=membership,
-        restrict=restrict,
-        sampler=sampler,
-        tolerance=residual_tolerance,
-    )
-    return Machine(
-        behavior, a_leg, e_leg, signal_labels, sys.output_labels, "port"
-    )
+    return port_diagram.port_machine(sys, grid_step, residual_tolerance)
 
 
 def closed_metriplectic_machine(
-    sys: MetriplecticSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: MetriplecticSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Machine:
     """Closed system as a machine: port-leg B^T grad H - A^T grad S,
     constant-leg 2m zero channels."""
-    behavior = closed_metriplectic_behavior(sys, grid_step, residual_tolerance)
-    constant_labels = tuple(f"o{i}" for i in range(2 * sys.m))
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        zeros = np.zeros((e.num_nodes, sys.m))
-        return Trajectory(
-            port_output_along(sys, e.values, zeros, zeros),
-            e.grid_step,
-            e.shift,
-            sys.output_labels,
-        )
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(
-            np.zeros((e.num_nodes, 2 * sys.m)), e.grid_step, e.shift, constant_labels
-        )
-
-    probes = []
-    try:
-        probes.append(behavior.sample(0.3 * np.ones(sys.n), 32 * grid_step))
-    except Exception:
-        pass
-    return Machine(
-        behavior.as_behavior_sheaf(),
-        a_leg,
-        e_leg,
-        sys.output_labels,
-        constant_labels,
-        "closed",
-        check_probes=probes,
-    )
+    return port_diagram.closed_machine(sys, grid_step, residual_tolerance)
 
 
 def enclosing_metriplectic_machine(
-    sys: MetriplecticSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: MetriplecticSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Machine:
     """Extended behavior with the paired-gradient input leg (2m channels)
     and the node-local port-output leg."""
-    sheaf = extended_metriplectic_sheaf(sys, grid_step, residual_tolerance)
-    signal_labels = sys.input_labels + sys.tau_labels
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        aux_h, aux_s = _resolve_aux_pair(sys, e.aux)
-        zeta = e.channels(sys.zeta_labels)
-        values = np.stack(
-            [
-                np.concatenate(
-                    [aux_h.gradient(t, zeta[i]), aux_s.gradient(t, zeta[i])]
-                )
-                for i, t in enumerate(e.absolute_times)
-            ]
-        )
-        return Trajectory(values, e.grid_step, e.shift, signal_labels)
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        aux_h, aux_s = _resolve_aux_pair(sys, e.aux)
-        x = e.channels(sys.state_labels)
-        zeta = e.channels(sys.zeta_labels)
-        u_nodes = np.stack(
-            [aux_h.gradient(t, zeta[i]) for i, t in enumerate(e.absolute_times)]
-        )
-        tau_nodes = np.stack(
-            [aux_s.gradient(t, zeta[i]) for i, t in enumerate(e.absolute_times)]
-        )
-        return Trajectory(
-            port_output_along(sys, x, u_nodes, tau_nodes),
-            e.grid_step,
-            e.shift,
-            sys.output_labels,
-        )
-
-    probes = []
-    try:
-        probes.append(sheaf.sampler(0.3 * np.ones(sys.n + sys.m), 32 * grid_step))
-    except Exception:
-        pass
-    return Machine(
-        sheaf,
-        a_leg,
-        e_leg,
-        signal_labels,
-        sys.output_labels,
-        "enclosing",
-        check_probes=probes,
-    )
-
-
-def closed_to_port_morphism(sys: MetriplecticSystem) -> MachineMorphism:
-    """Include the closed system into the port machine with zero signals."""
-
-    def beta(e: Trajectory) -> Trajectory:
-        zeros = np.zeros((e.num_nodes, 2 * sys.m))
-        return Trajectory(
-            np.concatenate([e.values, zeros], axis=1),
-            e.grid_step,
-            e.shift,
-            e.labels + sys.input_labels + sys.tau_labels,
-        )
-
-    ident = lambda e: e
-    return MachineMorphism(beta, ident, ident, "swapped", "closed into port")
-
-
-def port_to_extended_morphism(
-    sys: MetriplecticSystem, integral_sign: float = 1.0
-) -> MachineMorphism:
-    """Map a port run (x, u, tau) to the extended member (x, zeta) with the
-    paired linear aux tags carrying the sampled signals."""
-
-    def beta(e: Trajectory) -> Trajectory:
-        x = e.channels(sys.state_labels)
-        u = e.channels(sys.input_labels)
-        tau = e.channels(sys.tau_labels)
-        zeta = integral_sign * cumulative_trapezoid(
-            zeta_rate_along(sys, x, u, tau), e.grid_step
-        )
-        aux_pair = (
-            aux_linear(SampledCurve(-e.shift, e.grid_step, u), sys.m),
-            aux_linear(SampledCurve(-e.shift, e.grid_step, tau), sys.m),
-        )
-        return Trajectory(
-            np.concatenate([x, zeta], axis=1),
-            e.grid_step,
-            e.shift,
-            sys.state_labels + sys.zeta_labels,
-            aux_pair,
-        )
-
-    ident = lambda e: e
-    return MachineMorphism(beta, ident, ident, "straight", "port into extended")
-
-
-def embedding_morphism(sys: MetriplecticSystem) -> MachineMorphism:
-    def beta(e: Trajectory) -> Trajectory:
-        return embed_metriplectic(sys, e)
-
-    ident = lambda e: e
-    return MachineMorphism(beta, ident, ident, "swapped", "closed into extended")
+    return port_diagram.enclosing_machine(sys, grid_step, residual_tolerance)
 
 
 def build_metriplectic_diagram(
@@ -874,21 +460,15 @@ def build_metriplectic_diagram(
     grid_step: Optional[float] = None,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
     integral_sign: float = 1.0,
-):
-    """Assemble the metriplectic triangle and hand it to the verifier."""
-    if not probes:
-        raise NotAMember("need at least one closed-system probe")
-    h = grid_step if grid_step is not None else probes[0].grid_step
-    closed = closed_metriplectic_machine(sys, h, residual_tolerance)
-    port = port_metriplectic_machine(sys, h, residual_tolerance)
-    enclosing = enclosing_metriplectic_machine(sys, h, residual_tolerance)
-    return verify_port_control_diagram(
-        closed,
-        enclosing,
-        port,
-        closed_to_port_morphism(sys),
-        port_to_extended_morphism(sys, integral_sign),
-        embedding_morphism(sys),
-        probes,
-        tolerance,
+) -> DiagramReport:
+    """Assemble the metriplectic triangle and verify it; see
+    :func:`sheafsys.port_diagram.build_diagram`."""
+    builders = Builders(
+        closed_metriplectic_machine,
+        port_metriplectic_machine,
+        enclosing_metriplectic_machine,
+        embed_metriplectic,
+    )
+    return build_diagram(
+        sys, builders, probes, tolerance, grid_step, residual_tolerance, integral_sign
     )

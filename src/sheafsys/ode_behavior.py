@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUp, DimensionMismatch, GridMismatch, OutOfRange
+from .errors import BlowUp, DimensionMismatch, GridMismatch
 from .interval_sheaf import (
     DEFAULT_STEP,
     BehaviorSheaf,
@@ -133,6 +133,15 @@ def integrate(
     return Trajectory(nodes, h, shift, labels, aux)
 
 
+def worst_defect(defects) -> float:
+    """The largest of some nonnegative node defects, and inf as soon as one
+    of them is not finite, so a NaN never passes for a small number."""
+    defects = np.asarray(defects, dtype=float)
+    if not np.all(np.isfinite(defects)):
+        return float("inf")
+    return float(np.max(defects, initial=0.0))
+
+
 def membership_residual(
     field: VectorField,
     e: Trajectory,
@@ -141,8 +150,9 @@ def membership_residual(
     """Worst-node defect between the sampled derivative and the field.
 
     Computes max_i || D(e)_i - f(t_i - shift, e_i) ||_inf with D the grid
-    stencils.  When the behavior's own step is given, the trajectory may be
-    sampled on it or on any integer multiple of it.
+    stencils; a non-finite defect at any node gives inf.  When the
+    behavior's own step is given, the trajectory may be sampled on it or on
+    any integer multiple of it.
     """
     if e.dimension != field.dimension:
         raise DimensionMismatch(
@@ -157,38 +167,9 @@ def membership_residual(
     if e.num_nodes < 2:
         raise GridMismatch("need at least two nodes to test membership")
     d = grid_derivative(e.values, e.grid_step)
-    worst = 0.0
-    for i, t in enumerate(e.absolute_times):
-        defect = np.max(np.abs(d[i] - field(t, e.values[i])))
-        if defect > worst:
-            worst = float(defect)
-    return worst
-
-
-def lipschitz_estimate(
-    field: VectorField,
-    center,
-    radius: float = 1.0,
-    t: float = 0.0,
-    samples: int = 64,
-    seed: int = 0,
-) -> float:
-    """Crude sampled bound on the Lipschitz constant near a point.
-
-    For report context only; nothing downstream depends on its accuracy.
-    """
-    rng = np.random.default_rng(seed)
-    center = np.asarray(center, dtype=float)
-    worst = 0.0
-    for _ in range(samples):
-        a = center + rng.uniform(-radius, radius, size=field.dimension)
-        b = center + rng.uniform(-radius, radius, size=field.dimension)
-        gap = np.max(np.abs(a - b))
-        if gap < 1e-12:
-            continue
-        ratio = float(np.max(np.abs(field(t, a) - field(t, b))) / gap)
-        worst = max(worst, ratio)
-    return worst
+    return worst_defect(
+        [np.max(np.abs(d[i] - field(t, e.values[i]))) for i, t in enumerate(e.absolute_times)]
+    )
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ port B turns it into the input-state-output system
 The same open system embeds into a closed one on the extended space
 (x, zeta): an auxiliary energy H_aux(t, zeta) supplies the drive through
 the extended antisymmetric block [[J, B], [-B^T, 0]], and the port variable
-zeta integrates -B^T grad H.  This module builds all three machines (closed,
-port, extended) and the three behavior maps between them, and hands the
-triangle to the diagram verifier.
+zeta integrates -B^T grad H.  :class:`PHSystem` supplies these node formulas
+to :mod:`sheafsys.port_diagram`, which builds the three machines (closed,
+port, extended) and the three behavior maps between them and hands the
+triangle to the diagram verifier.  This module adds the structure check,
+the auxiliary energies and the energy audits.
 
 Leg maps are computed node-locally from the trajectory channels and the aux
 tag, so they commute with restriction bit-exactly; the finite-difference
@@ -25,30 +27,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MissingAuxTag,
-    NotAMember,
-    StructureViolation,
-)
-from .interval_sheaf import (
-    DEFAULT_STEP,
-    BehaviorSheaf,
-    Trajectory,
-    restrict,
-)
-from .machine import (
-    ControlledField,
-    Machine,
-    MachineMorphism,
-    iso_machine,
-)
-from .ode_behavior import (
-    DEFAULT_RESIDUAL_TOL,
-    OdeBehavior,
-    VectorField,
-    grid_derivative,
-    membership_residual,
+from .errors import DimensionMismatch, MissingAuxTag, StructureViolation
+from .interval_sheaf import DEFAULT_STEP, Trajectory
+from .machine import DiagramReport, Machine
+from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative
+from . import port_diagram
+from .port_diagram import (
+    Builders,
+    PortSystem,
+    build_diagram,
+    closed_behavior,
+    enclosing_legs as projections,
+    extended_behavior,
+    extended_sheaf,
 )
 
 MATRIX_TOL = 1e-10
@@ -97,7 +88,7 @@ def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.nda
 
 
 @dataclass(frozen=True)
-class PHSystem:
+class PHSystem(PortSystem):
     """A port-Hamiltonian system in coordinates.
 
     Parameters
@@ -116,6 +107,9 @@ class PHSystem:
         x -> (n,) gradient of H; supply a closed form when available.
     state_labels : tuple of str
         Channel names for the state.
+
+    The port signals are the inputs u, read from and stored in one
+    auxiliary energy whose gradient is the input.
     """
 
     n: int
@@ -127,27 +121,35 @@ class PHSystem:
     grad_hamiltonian: Callable[[np.ndarray], np.ndarray]
     state_labels: tuple = ()
 
-    @property
-    def zeta_labels(self) -> tuple:
-        return tuple(f"zeta{i}" for i in range(self.m))
-
-    @property
-    def input_labels(self) -> tuple:
-        return tuple(f"u{i}" for i in range(self.m))
-
-    @property
-    def output_labels(self) -> tuple:
-        return tuple(f"y{i}" for i in range(self.m))
-
     def grad(self, x) -> np.ndarray:
-        out = np.asarray(self.grad_hamiltonian(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.n,):
-            raise DimensionMismatch(f"gradient shape {out.shape}, expected ({self.n},)")
-        return out
+        return self.gradient(self.grad_hamiltonian, x, "H")
 
     def port_output(self, x) -> np.ndarray:
         """The natural port output B(x)^T grad H(x)."""
         return self.port_map(x).T @ self.grad(x)
+
+    # node formulas of the port diagram
+
+    def check(self, points: Optional[Sequence] = None) -> None:
+        check_structure(self, points)
+
+    def closed_rhs(self, x) -> np.ndarray:
+        return (self.interconnection(x) - self.dissipation(x)) @ self.grad(x)
+
+    def port_rhs(self, x, s) -> np.ndarray:
+        return (self.interconnection(x) - self.dissipation(x)) @ self.grad(x) + self.port_map(x) @ s
+
+    def zeta_rate(self, x, s) -> np.ndarray:
+        return -self.port_output(x)
+
+    def signal_reader(self, tag):
+        return aux_gradient(tag, self.m)
+
+    def signal_tag(self, start: float, step: float, signals: np.ndarray):
+        return aux_linear(SampledCurve(start, step, signals), self.m)
+
+    def zero_tag(self):
+        return aux_zero(self.m)
 
 
 def ph_system(
@@ -190,6 +192,33 @@ def default_probe_points(n: int) -> list:
     return points
 
 
+def require_antisymmetric(name: str, M: np.ndarray, x: np.ndarray) -> None:
+    if np.max(np.abs(M + M.T)) > MATRIX_TOL:
+        raise StructureViolation(f"{name} not antisymmetric at x = {x.tolist()}")
+
+
+def require_symmetric(name: str, M: np.ndarray, x: np.ndarray) -> None:
+    if np.max(np.abs(M - M.T)) > MATRIX_TOL:
+        raise StructureViolation(f"{name} not symmetric at x = {x.tolist()}")
+
+
+def require_psd(name: str, M: np.ndarray, x: np.ndarray) -> None:
+    """Positive semidefinite symmetric part; symmetry itself is not checked."""
+    if np.linalg.eigvalsh(0.5 * (M + M.T)).min() < -MATRIX_TOL:
+        raise StructureViolation(f"{name} not positive semidefinite at x = {x.tolist()}")
+
+
+def require_gradient(name: str, grad, fd, x: np.ndarray) -> None:
+    """The gradient agrees with central differences to GRAD_CONSISTENCY_RTOL."""
+    reference = fd(x)
+    gap = np.max(np.abs(grad(x) - reference))
+    if gap > GRAD_CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(reference)))):
+        raise StructureViolation(
+            f"grad {name} inconsistent with finite differences at x = {x.tolist()} "
+            f"(gap {gap:.3e})"
+        )
+
+
 def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
     """Verify antisymmetry of J, symmetric PSD R, gradient consistency.
 
@@ -200,66 +229,11 @@ def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
     fd = fd_gradient(sys.hamiltonian, sys.n)
     for x in points:
         x = np.asarray(x, dtype=float)
-        J = sys.interconnection(x)
-        if np.max(np.abs(J + J.T)) > MATRIX_TOL:
-            raise StructureViolation(f"J(x) not antisymmetric at x = {x.tolist()}")
+        require_antisymmetric("J(x)", sys.interconnection(x), x)
         R = sys.dissipation(x)
-        if np.max(np.abs(R - R.T)) > MATRIX_TOL:
-            raise StructureViolation(f"R(x) not symmetric at x = {x.tolist()}")
-        if np.linalg.eigvalsh(0.5 * (R + R.T)).min() < -MATRIX_TOL:
-            raise StructureViolation(f"R(x) not positive semidefinite at x = {x.tolist()}")
-        reference = fd(x)
-        gap = np.max(np.abs(sys.grad(x) - reference))
-        if gap > GRAD_CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(reference)))):
-            raise StructureViolation(
-                f"grad H inconsistent with finite differences at x = {x.tolist()} "
-                f"(gap {gap:.3e})"
-            )
-
-
-def closed_field(sys: PHSystem) -> VectorField:
-    """The closed dissipative dynamics x' = (J - R) grad H."""
-
-    def rhs(t, x):
-        return (sys.interconnection(x) - sys.dissipation(x)) @ sys.grad(x)
-
-    return VectorField(sys.n, rhs, "closed dissipative Hamiltonian flow")
-
-
-def closed_behavior(
-    sys: PHSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-    check_points: Optional[Sequence] = None,
-) -> OdeBehavior:
-    check_structure(sys, check_points)
-    return OdeBehavior(
-        closed_field(sys), grid_step, residual_tolerance, sys.state_labels
-    )
-
-
-def extended_structure(sys: PHSystem):
-    """Extended matrix fields over (x, zeta): [[J, B], [-B^T, 0]] and
-    [[R, 0], [0, 0]].  Antisymmetry / PSD hold by construction."""
-    n, m = sys.n, sys.m
-
-    def j_ext(xi):
-        xi = np.asarray(xi, dtype=float)
-        x = xi[:n]
-        out = np.zeros((n + m, n + m))
-        out[:n, :n] = sys.interconnection(x)
-        B = sys.port_map(x)
-        out[:n, n:] = B
-        out[n:, :n] = -B.T
-        return out
-
-    def r_ext(xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros((n + m, n + m))
-        out[:n, :n] = sys.dissipation(xi[:n])
-        return out
-
-    return j_ext, r_ext
+        require_symmetric("R(x)", R, x)
+        require_psd("R(x)", R, x)
+        require_gradient("H", sys.grad, fd, x)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +353,16 @@ class AuxHamiltonian:
         return hash((self.kind, self.m))
 
 
+def aux_gradient(tag, m: int) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The gradient of an auxiliary energy on m port variables; raises
+    MissingAuxTag when ``tag`` is not an auxiliary energy."""
+    if not isinstance(tag, AuxHamiltonian):
+        raise MissingAuxTag(f"expected an auxiliary-energy tag, found {type(tag).__name__}")
+    if tag.m != m:
+        raise DimensionMismatch(f"aux port dimension {tag.m}, system has {m}")
+    return tag.gradient
+
+
 def aux_zero(m: int) -> AuxHamiltonian:
     return AuxHamiltonian("zero", m)
 
@@ -396,154 +380,16 @@ def aux_quadratic(kappa, quad) -> AuxHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# the extended behavior
-
-
-def extended_field(sys: PHSystem, aux: AuxHamiltonian) -> VectorField:
-    """Dynamics on (x, zeta) driven by the total energy H + H_aux."""
-    if aux.m != sys.m:
-        raise DimensionMismatch(f"aux port dimension {aux.m}, system has {sys.m}")
-    j_ext, r_ext = extended_structure(sys)
-    n = sys.n
-
-    def rhs(t, xi):
-        grad = np.concatenate([sys.grad(xi[:n]), aux.gradient(t, xi[n:])])
-        return (j_ext(xi) - r_ext(xi)) @ grad
-
-    return VectorField(sys.n + sys.m, rhs, "extended port-Hamiltonian flow")
-
-
-def extended_behavior(
-    sys: PHSystem,
-    aux: AuxHamiltonian,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> OdeBehavior:
-    """The (n + m)-dimensional behavior for one fixed auxiliary energy."""
-    check_structure(sys)
-    return OdeBehavior(
-        extended_field(sys, aux),
-        grid_step,
-        residual_tolerance,
-        sys.state_labels + sys.zeta_labels,
-        aux,
-    )
-
-
-def extended_sheaf(
-    sys: PHSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> BehaviorSheaf:
-    """The enclosing behavior: members carry their own auxiliary energy.
-
-    Membership reads the aux tag from the trajectory (untagged members count
-    as aux zero) and measures the full (n + m)-channel residual against the
-    extended dynamics for that tag.
-    """
-    labels = sys.state_labels + sys.zeta_labels
-
-    def resolve_aux(e: Trajectory) -> AuxHamiltonian:
-        if e.aux is None:
-            return aux_zero(sys.m)
-        if isinstance(e.aux, AuxHamiltonian):
-            return e.aux
-        raise MissingAuxTag(f"expected an auxiliary-energy tag, found {type(e.aux).__name__}")
-
-    def membership(e: Trajectory) -> float:
-        if e.labels != labels:
-            return float("inf")
-        aux = resolve_aux(e)
-        return membership_residual(extended_field(sys, aux), e, grid_step)
-
-    def sampler(x0_ext, length, shift=0.0, aux: Optional[AuxHamiltonian] = None):
-        aux = aux if aux is not None else aux_zero(sys.m)
-        return extended_behavior(sys, aux, grid_step, residual_tolerance).sample(
-            x0_ext, length, shift
-        )
-
-    return BehaviorSheaf(
-        membership=membership,
-        restrict=restrict,
-        sampler=sampler,
-        tolerance=residual_tolerance,
-    )
-
-
-# ---------------------------------------------------------------------------
-# embedding and projections
-
-
-def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoidal antiderivative on the grid with value 0 at the first node.
-
-    Shared by the closed-system embedding and the port-to-extended map so
-    that the diagram triangle closes bit-exactly on the integrated channels.
-    """
-    w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    out[1:] = np.cumsum(0.5 * h * (w[:-1] + w[1:]), axis=0)
-    return out
-
-
-def port_outputs_along(sys: PHSystem, states: np.ndarray) -> np.ndarray:
-    """B(x)^T grad H(x) at every node of a state array."""
-    return np.stack([sys.port_output(x) for x in states])
+# machines and the embedding
 
 
 def embed_closed(
-    sys: PHSystem,
-    e: Trajectory,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: PHSystem, e: Trajectory, residual_tolerance: float = DEFAULT_RESIDUAL_TOL
 ) -> Trajectory:
-    """Embed a closed-system member into the extended behavior.
-
-    Appends the zeta channels, the trapezoidal antiderivative of
-    -B^T grad H along the trajectory anchored at zeta(0) = 0, and tags the
-    result with the zero auxiliary energy.
-    """
-    residual = membership_residual(closed_field(sys), e)
-    if residual > residual_tolerance:
-        raise NotAMember(
-            f"trajectory is not a closed-system member (residual {residual:.3e})"
-        )
-    zeta = cumulative_trapezoid(-port_outputs_along(sys, e.values), e.grid_step)
-    values = np.concatenate([e.values, zeta], axis=1)
-    return Trajectory(
-        values,
-        e.grid_step,
-        e.shift,
-        e.labels + sys.zeta_labels,
-        aux_zero(sys.m),
-    )
-
-
-def projections(sys: PHSystem):
-    """Leg maps of the enclosing machine.
-
-    The input-side leg evaluates the aux gradient at each node, recovering
-    the generalized input that drives the port.  The output-side leg
-    evaluates B^T grad H on the state channels, the value -zeta' takes on
-    members; computing it node-locally keeps the leg commuting with
-    restriction exactly.  Raises MissingAuxTag on untagged trajectories.
-    """
-    state_labels = sys.state_labels
-    z_labels = sys.zeta_labels
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        if not isinstance(e.aux, AuxHamiltonian):
-            raise MissingAuxTag("extended member carries no auxiliary-energy tag")
-        zeta = e.channels(z_labels)
-        values = np.stack(
-            [e.aux.gradient(t, zeta[i]) for i, t in enumerate(e.absolute_times)]
-        )
-        return Trajectory(values, e.grid_step, e.shift, sys.input_labels)
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        values = port_outputs_along(sys, e.channels(state_labels))
-        return Trajectory(values, e.grid_step, e.shift, sys.output_labels)
-
-    return a_leg, e_leg
+    """Embed a closed-system member into the extended behavior: append zeta,
+    the trapezoidal antiderivative of -B^T grad H anchored at zeta(0) = 0,
+    and tag the result with the zero auxiliary energy."""
+    return port_diagram.embed(sys, e, residual_tolerance)
 
 
 def output_stencil_defect(sys: PHSystem, e: Trajectory) -> float:
@@ -558,119 +404,37 @@ def output_stencil_defect(sys: PHSystem, e: Trajectory) -> float:
     return float(np.max(np.abs(local - stencil)))
 
 
-# ---------------------------------------------------------------------------
-# machines
-
-
-def _construction_probes(behavior, samples) -> list:
-    probes = []
-    for args in samples:
-        try:
-            probes.append(behavior.sampler(*args))
-        except Exception:
-            continue
-    return probes
-
-
 def closed_machine(
-    sys: PHSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: PHSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Machine:
-    """The closed system as a machine: port-leg B^T grad H, constant-leg 0.
-
-    The output slot lands in the one-point sheaf (m zero channels), which is
-    what the diagram verifier checks for closedness.
-    """
-    behavior = closed_behavior(sys, grid_step, residual_tolerance)
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(
-            port_outputs_along(sys, e.values), e.grid_step, e.shift, sys.output_labels
-        )
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(
-            np.zeros((e.num_nodes, sys.m)),
-            e.grid_step,
-            e.shift,
-            tuple(f"o{i}" for i in range(sys.m)),
-        )
-
-    probes = _construction_probes(
-        behavior.as_behavior_sheaf(),
-        [(0.3 * np.ones(sys.n), 32 * grid_step)],
-    )
-    return Machine(
-        behavior.as_behavior_sheaf(),
-        a_leg,
-        e_leg,
-        sys.output_labels,
-        tuple(f"o{i}" for i in range(sys.m)),
-        "closed",
-        check_probes=probes,
-    )
+    """The closed system as a machine: port leg B^T grad H, constant leg m
+    zero channels."""
+    return port_diagram.closed_machine(sys, grid_step, residual_tolerance)
 
 
 def enclosing_machine(
-    sys: PHSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: PHSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Machine:
     """The extended behavior with its aux-gradient and port-output legs."""
-    sheaf = extended_sheaf(sys, grid_step, residual_tolerance)
-    a_leg, e_leg = projections(sys)
-    probes = _construction_probes(
-        sheaf,
-        [(0.3 * np.ones(sys.n + sys.m), 32 * grid_step)],
-    )
-    return Machine(
-        sheaf,
-        a_leg,
-        e_leg,
-        sys.input_labels,
-        sys.output_labels,
-        "enclosing",
-        check_probes=probes,
-    )
+    return port_diagram.enclosing_machine(sys, grid_step, residual_tolerance)
 
 
 def ph_iso_machine(
-    sys: PHSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
+    sys: PHSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
 ) -> Machine:
     """The open port machine: x' = (J - R) grad H + B u, y = B^T grad H."""
-    check_structure(sys)
-
-    def rhs(t, x, u):
-        return (sys.interconnection(x) - sys.dissipation(x)) @ sys.grad(x) + sys.port_map(x) @ u
-
-    def readout(t, x, u):
-        return sys.port_output(x)
-
-    return iso_machine(
-        ControlledField(sys.n, rhs, "port-Hamiltonian dynamics"),
-        readout,
-        sys.m,
-        sys.m,
-        grid_step,
-        residual_tolerance,
-        state_labels=sys.state_labels,
-        input_labels=sys.input_labels,
-        output_labels=sys.output_labels,
-        name="port",
-    )
+    return port_diagram.port_machine(sys, grid_step, residual_tolerance)
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
-def _split_port_run(sys: PHSystem, e: Trajectory):
+def _port_run_rates(sys: PHSystem, e: Trajectory):
+    """State, input and the stencil rate dH/dt along a port run."""
     x = e.channels(sys.state_labels)
-    u = e.channels(sys.input_labels)
-    return x, u
+    energy = np.array([sys.hamiltonian(xi) for xi in x])[:, np.newaxis]
+    return x, e.channels(sys.input_labels), grid_derivative(energy, e.grid_step)[:, 0]
 
 
 def power_balance(sys: PHSystem, e: Trajectory) -> float:
@@ -679,9 +443,7 @@ def power_balance(sys: PHSystem, e: Trajectory) -> float:
     ``e`` is a port-machine member (state and input channels together);
     dH/dt is taken by the grid stencils on the sampled energy.
     """
-    x, u = _split_port_run(sys, e)
-    energy = np.array([sys.hamiltonian(xi) for xi in x])[:, np.newaxis]
-    rate = grid_derivative(energy, e.grid_step)[:, 0]
+    x, u, rate = _port_run_rates(sys, e)
     worst = 0.0
     for i in range(e.num_nodes):
         grad = sys.grad(x[i])
@@ -696,9 +458,7 @@ def dissipation_margin(sys: PHSystem, e: Trajectory) -> float:
 
     Nonpositive (up to stencil error) whenever R is positive semidefinite.
     """
-    x, u = _split_port_run(sys, e)
-    energy = np.array([sys.hamiltonian(xi) for xi in x])[:, np.newaxis]
-    rate = grid_derivative(energy, e.grid_step)[:, 0]
+    x, u, rate = _port_run_rates(sys, e)
     excess = [
         rate[i] - float(sys.port_output(x[i]) @ u[i]) for i in range(e.num_nodes)
     ]
@@ -723,64 +483,6 @@ def extended_energy(sys: PHSystem, aux: AuxHamiltonian, e: Trajectory) -> np.nda
     )
 
 
-# ---------------------------------------------------------------------------
-# the diagram
-
-
-def closed_to_port_morphism(sys: PHSystem) -> MachineMorphism:
-    """Include the closed system into the port machine with input zero.
-
-    Swapped variant: the closed port-leg pairs with the port machine's
-    output and the constant-leg with its (zero) input.
-    """
-
-    def beta(e: Trajectory) -> Trajectory:
-        values = np.concatenate([e.values, np.zeros((e.num_nodes, sys.m))], axis=1)
-        return Trajectory(values, e.grid_step, e.shift, e.labels + sys.input_labels)
-
-    ident = lambda e: e
-    return MachineMorphism(beta, ident, ident, "swapped", "closed into port")
-
-
-def port_to_extended_morphism(sys: PHSystem, integral_sign: float = 1.0) -> MachineMorphism:
-    """Map a port run (x, u) to the extended member (x, zeta) with linear aux.
-
-    zeta is the shared trapezoidal antiderivative of -B^T grad H and the aux
-    tag carries the sampled input curve, so the composite through the port
-    agrees with the direct embedding bit-exactly on channels.
-    ``integral_sign`` exists for violation tests; any value other than 1.0
-    corrupts the quadrature deliberately.
-    """
-
-    def beta(e: Trajectory) -> Trajectory:
-        x, u = _split_port_run(sys, e)
-        zeta = integral_sign * cumulative_trapezoid(
-            -port_outputs_along(sys, x), e.grid_step
-        )
-        values = np.concatenate([x, zeta], axis=1)
-        curve = SampledCurve(-e.shift, e.grid_step, u)
-        return Trajectory(
-            values,
-            e.grid_step,
-            e.shift,
-            sys.state_labels + sys.zeta_labels,
-            aux_linear(curve, sys.m),
-        )
-
-    ident = lambda e: e
-    return MachineMorphism(beta, ident, ident, "straight", "port into extended")
-
-
-def embedding_morphism(sys: PHSystem) -> MachineMorphism:
-    """The closed-into-extended embedding with identity leg maps (swapped)."""
-
-    def beta(e: Trajectory) -> Trajectory:
-        return embed_closed(sys, e)
-
-    ident = lambda e: e
-    return MachineMorphism(beta, ident, ident, "swapped", "closed into extended")
-
-
 def build_ph_diagram(
     sys: PHSystem,
     probes: Sequence[Trajectory],
@@ -788,29 +490,10 @@ def build_ph_diagram(
     grid_step: Optional[float] = None,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
     integral_sign: float = 1.0,
-):
-    """Assemble the three machines and morphisms and verify the triangle.
-
-    Probes must be closed-system members; their grid step fixes the
-    machines' grid unless ``grid_step`` is given.  ``integral_sign`` is
-    passed to the port-to-extended map so violation tests can corrupt the
-    quadrature.
-    """
-    from .machine import verify_port_control_diagram
-
-    if not probes:
-        raise NotAMember("need at least one closed-system probe")
-    h = grid_step if grid_step is not None else probes[0].grid_step
-    closed = closed_machine(sys, h, residual_tolerance)
-    port = ph_iso_machine(sys, h, residual_tolerance)
-    enclosing = enclosing_machine(sys, h, residual_tolerance)
-    return verify_port_control_diagram(
-        closed,
-        enclosing,
-        port,
-        closed_to_port_morphism(sys),
-        port_to_extended_morphism(sys, integral_sign),
-        embedding_morphism(sys),
-        probes,
-        tolerance,
+) -> DiagramReport:
+    """Assemble the port-Hamiltonian triangle and verify it; see
+    :func:`sheafsys.port_diagram.build_diagram`."""
+    builders = Builders(closed_machine, ph_iso_machine, enclosing_machine, embed_closed)
+    return build_diagram(
+        sys, builders, probes, tolerance, grid_step, residual_tolerance, integral_sign
     )

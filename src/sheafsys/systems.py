@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError
 from .ode_behavior import VectorField
 from .port_hamiltonian import PHSystem, ph_system
 from .metriplectic import MetriplecticSystem, metriplectic_system

@@ -4,30 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafsys import (
-    AxiomReport,
     BehaviorSheaf,
-    DomainMismatch,
-    EmptyHom,
     GridMismatch,
-    IntMorphism,
-    IntObject,
     JunctionMismatch,
     MisalignedOffset,
     OutOfRange,
     ShiftMismatch,
-    Token,
     Trajectory,
     check_sheaf_axioms,
     close_members,
-    compose_int,
-    constant_sheaf,
     glue,
     identical,
-    identity_int,
     read_csv,
     restrict,
     sup_distance,
-    token_trajectory,
     write_csv,
 )
 
@@ -37,69 +27,6 @@ H = 2.0 ** -10  # dyadic step: node times are exact floats
 def dyadic_trajectory(num_nodes, dim=2, shift=0.0, seed=0):
     rng = np.random.default_rng(seed)
     return Trajectory(rng.standard_normal((num_nodes, dim)), H, shift)
-
-
-# ---------------------------------------------------------------------------
-# interval category
-
-
-def test_identity_and_compose_offsets_add():
-    a, b, c = IntObject(1.0), IntObject(2.0), IntObject(4.0)
-    f = IntMorphism(a, b, 0.5)
-    g = IntMorphism(b, c, 1.25)
-    h = compose_int(g, f)
-    assert h.offset == 1.75
-    assert h.source == a and h.target == c
-    assert compose_int(f, identity_int(a)).offset == f.offset
-    assert compose_int(identity_int(b), f).offset == f.offset
-
-
-def test_compose_is_associative():
-    a, b, c, d = IntObject(1.0), IntObject(2.0), IntObject(3.0), IntObject(5.0)
-    f = IntMorphism(a, b, 1.0)
-    g = IntMorphism(b, c, 0.5)
-    h = IntMorphism(c, d, 2.0)
-    left = compose_int(h, compose_int(g, f))
-    right = compose_int(compose_int(h, g), f)
-    assert left.offset == right.offset
-    assert left.source == right.source and left.target == right.target
-
-
-def test_empty_hom_when_interval_does_not_fit():
-    with pytest.raises(EmptyHom):
-        IntMorphism(IntObject(3.0), IntObject(2.0), 0.0)
-    with pytest.raises(EmptyHom):
-        IntMorphism(IntObject(1.0), IntObject(2.0), 1.5)
-    with pytest.raises(EmptyHom):
-        IntMorphism(IntObject(1.0), IntObject(2.0), -0.1)
-    with pytest.raises(EmptyHom):
-        IntObject(-1.0)
-
-
-def test_compose_rejects_mismatched_endpoints():
-    f = IntMorphism(IntObject(1.0), IntObject(2.0), 0.0)
-    g = IntMorphism(IntObject(3.0), IntObject(4.0), 0.0)
-    with pytest.raises(DomainMismatch):
-        compose_int(g, f)
-
-
-@given(
-    st.floats(0.0, 4.0),
-    st.floats(0.0, 4.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-)
-def test_composite_offset_stays_in_hom_set(la, room1, t1, t2):
-    # pick offsets inside the valid range by construction
-    lb = la + room1
-    off1 = t1 * room1
-    room2 = 2.0
-    lc = lb + room2
-    off2 = t2 * room2
-    f = IntMorphism(IntObject(la), IntObject(lb), off1)
-    g = IntMorphism(IntObject(lb), IntObject(lc), off2)
-    h = compose_int(g, f)
-    assert 0.0 <= h.offset <= lc - la + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -245,42 +172,32 @@ def test_glue_tolerates_junction_noise_within_tolerance():
     assert np.all(out.values[:11] == left.values)
 
 
+@pytest.mark.parametrize(
+    "side, value", [("left", np.nan), ("right", np.nan), ("left", np.inf), ("right", -np.inf)]
+)
+def test_glue_rejects_non_finite_junctions(side, value):
+    e = dyadic_trajectory(21, seed=9)
+    pieces = {"left": restrict(e, 10 * H, 0.0), "right": restrict(e, 10 * H, 10 * H)}
+    piece = pieces[side]
+    values = np.array(piece.values)
+    values[-1 if side == "left" else 0, 1] = value  # the junction node
+    pieces[side] = Trajectory(values, piece.grid_step, piece.shift, piece.labels, piece.aux)
+    with pytest.raises(JunctionMismatch):
+        glue(pieces["left"], pieces["right"])
+
+
 # ---------------------------------------------------------------------------
-# constant sheaf and tokens
-
-
-def test_constant_sheaf_tokens_restrict_and_glue():
-    sheaf = constant_sheaf(3, H)
-    e = sheaf.sampler(2, 32 * H, shift=4 * H)
-    assert sheaf.membership(e) == 0.0
-    assert e.dimension == 0 and e.aux == Token(2)
-    w = restrict(e, 8 * H, 16 * H)
-    assert sheaf.membership(w) == 0.0 and w.aux == Token(2)
-    left = restrict(e, 16 * H, 0.0)
-    right = restrict(e, 16 * H, 16 * H)
-    assert identical(glue(left, right), e)
-    bad = token_trajectory(7, 8 * H, H)
-    assert sheaf.membership(bad) == np.inf
-    with pytest.raises(OutOfRange):
-        sheaf.sampler(3, 8 * H)
-
-
-def test_constant_sheaf_passes_axiom_check():
-    sheaf = constant_sheaf(2, H)
-    probes = [sheaf.sampler(i % 2, 32 * H) for i in range(4)]
-    report = check_sheaf_axioms(sheaf, probes, [8 * H, 16 * H])
-    assert isinstance(report, AxiomReport)
-    assert report.passed
-    assert report.worst_glue_residual() == 0.0
+# axiom checks
 
 
 def test_axiom_check_rejects_non_members_and_bad_cuts():
-    sheaf = constant_sheaf(2, H)
-    probes = [sheaf.sampler(0, 32 * H)]
-    from sheafsys import NotAMember
+    from sheafsys import NotAMember, OdeBehavior
+    from sheafsys.systems import linear_field
 
+    sheaf = OdeBehavior(linear_field(), H, 1e-4).as_behavior_sheaf()
+    probes = [sheaf.sampler([1.0], 32 * H)]
     with pytest.raises(NotAMember):
-        check_sheaf_axioms(sheaf, [token_trajectory(9, 32 * H, H)], [8 * H])
+        check_sheaf_axioms(sheaf, [Trajectory(np.ones((33, 1)), H)], [8 * H])
     with pytest.raises(OutOfRange):
         check_sheaf_axioms(sheaf, probes, [40 * H])
 

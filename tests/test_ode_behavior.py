@@ -8,13 +8,13 @@ from sheafsys import (
     OdeBehavior,
     Trajectory,
     VectorField,
+    closed_behavior,
     grid_derivative,
     integrate,
-    lipschitz_estimate,
     membership_residual,
     restrict,
 )
-from sheafsys.systems import blowup_field, linear_field
+from sheafsys.systems import blowup_field, linear_field, mass_spring_system
 
 
 def test_vector_field_checks_output_shape():
@@ -134,9 +134,17 @@ def test_time_varying_membership_uses_absolute_time():
     assert membership_residual(field, untagged) > 1e-2
 
 
-def test_lipschitz_estimate_on_linear_field():
-    est = lipschitz_estimate(linear_field(), [0.0], radius=1.0)
-    assert est == pytest.approx(1.0, rel=1e-9)
+@pytest.mark.parametrize(
+    "node, channel, value",
+    [(500, 0, np.nan), (0, 1, np.nan), (1000, 0, np.nan), (250, 1, np.inf), (500, 0, -np.inf)],
+)
+def test_membership_is_infinite_at_a_non_finite_node(node, channel, value):
+    behavior = closed_behavior(mass_spring_system(), 1e-3)
+    e = behavior.sample([1.0, 0.0], 1.0)
+    poisoned = np.array(e.values)
+    poisoned[node, channel] = value
+    bad = Trajectory(poisoned, e.grid_step, e.shift, e.labels)
+    assert behavior.membership(bad) == np.inf
 
 
 def test_as_behavior_sheaf_samples_members():

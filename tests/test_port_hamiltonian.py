@@ -3,6 +3,8 @@ import pytest
 
 from sheafsys import (
     AuxHamiltonian,
+    DimensionMismatch,
+    MachineMorphism,
     MissingAuxTag,
     NotAMember,
     SampledCurve,
@@ -25,8 +27,13 @@ from sheafsys import (
     ph_system,
     power_balance,
     restrict,
+    verify_port_control_diagram,
 )
-from sheafsys.port_hamiltonian import closed_machine, extended_structure, projections
+from sheafsys.port_hamiltonian import (
+    closed_machine,
+    enclosing_machine,
+    projections,
+)
 from sheafsys.systems import mass_spring_system
 
 H = 1e-3
@@ -81,14 +88,14 @@ def test_check_structure_rejects_wrong_gradient():
         check_structure(bad)
 
 
-def test_extended_structure_shapes_and_signs():
-    j_ext, r_ext = extended_structure(mass_spring_system())
-    xi = np.array([1.0, 0.5, 0.2])
-    J = j_ext(xi)
-    R = r_ext(xi)
-    assert J.shape == (3, 3) and R.shape == (3, 3)
-    assert np.max(np.abs(J + J.T)) == 0.0
-    assert np.linalg.eigvalsh(R).min() >= -1e-12
+def test_enclosing_machine_reports_a_port_map_of_the_wrong_shape():
+    bad = ph_system(
+        2, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)),
+        lambda x: np.zeros((2, 2)),  # B(x) must be (2, 1)
+        lambda x: 0.5 * float(x @ x), lambda x: x,
+    )
+    with pytest.raises(DimensionMismatch):
+        enclosing_machine(bad, H)
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +300,43 @@ def test_ph_diagram_passes_and_detects_corruption():
     flipped = build_ph_diagram(ms, probes, tolerance=1e-5, integral_sign=-1.0)
     assert not flipped.passed
     assert flipped.defects["triangle beta"] > 0.1
+    # the corrupted xi images leave the enclosing behavior; the failing
+    # report names them instead of raising
+    assert any("under xi not in the enclosing behavior" in n for n in flipped.notes)
+
+
+def test_ph_diagram_rejects_images_outside_the_enclosing_behavior():
+    # a_phi and xi both double the zeta channels of the true maps: every leg
+    # square and the triangle still commute, but the images no longer solve
+    # the extended dynamics
+    ms = mass_spring_system()
+    beh = closed_behavior(ms, H)
+    probes = [beh.sample(x0, 1.0) for x0 in ([1.0, 0.0], [0.0, 1.0], [-0.5, 0.5])]
+    ident = lambda e: e
+
+    def doubled(ext, aux):
+        values = np.array(ext.values)
+        values[:, ms.n:] *= 2.0
+        return Trajectory(values, ext.grid_step, ext.shift, ext.labels, aux)
+
+    def zero_input(e):
+        values = np.concatenate([e.values, np.zeros((e.num_nodes, 1))], axis=1)
+        return Trajectory(values, e.grid_step, e.shift, e.labels + ("u0",))
+
+    def port_to_extended(p):
+        state = Trajectory(p.values[:, :ms.n], p.grid_step, p.shift, ms.state_labels)
+        curve = SampledCurve(-p.shift, p.grid_step, p.channels(("u0",)))
+        return doubled(embed_closed(ms, state), aux_linear(curve, 1))
+
+    with pytest.raises(NotAMember, match="probe 0 under a_phi"):
+        verify_port_control_diagram(
+            closed_machine(ms, H),
+            enclosing_machine(ms, H),
+            ph_iso_machine(ms, H),
+            MachineMorphism(zero_input, ident, ident, "swapped"),
+            MachineMorphism(port_to_extended, ident, ident, "straight"),
+            MachineMorphism(
+                lambda e: doubled(embed_closed(ms, e), aux_zero(1)), ident, ident, "swapped"
+            ),
+            probes,
+        )
