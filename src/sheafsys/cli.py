@@ -1,15 +1,7 @@
 """Command-line interface.
 
-Commands
---------
-list-examples           show the built-in systems
-simulate                integrate the closed system, write CSV + report
-audit                   run the structure audit suited to the system kind
-check-sheaf             probe separation/gluing laws on seeded members
-verify-diagram          assemble and verify the port-control triangle
-ph simulate|audit-power|verify-diagram
-mp simulate|audit-rates|check-noninteraction|verify-diagram
-
+The commands are ``list-examples`` and the lines of :data:`COMMANDS`, which
+gives each its driver, its default --tol and the system kinds it accepts.
 Flags: --system, --config, --length, --step, --tol, --seed, --out.
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 Reports are deterministic for a fixed seed: no timestamps, sorted keys.
@@ -23,13 +15,13 @@ import json
 import os
 import sys as _sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
-from .errors import BlowUp, ConfigError, ConstraintViolation, SheafSysError
-from .interval_sheaf import Trajectory, write_csv
+from .errors import BlowUp, ConfigError, SheafSysError
+from .interval_sheaf import Trajectory, check_sheaf_axioms, write_csv
 from .ode_behavior import OdeBehavior, membership_residual
 from .port_diagram import closed_behavior
 from .port_hamiltonian import (
@@ -92,19 +84,16 @@ def _resolve_bundle(config: RunConfig) -> SystemBundle:
     return resolve_builtin(config.system_ref)
 
 
-def _node_guard(length: float, step: float) -> int:
-    steps = int(round(length / step))
-    nodes = steps + 1
-    if nodes < MIN_NODES or nodes > MAX_NODES:
+def _node_guard(length: float, step: float) -> None:
+    nodes = int(round(length / step)) + 1
+    if not MIN_NODES <= nodes <= MAX_NODES:
         raise ConfigError(
-            f"run of {nodes} nodes outside [{MIN_NODES}, {MAX_NODES}]; "
-            f"adjust --length/--step"
+            f"run of {nodes} nodes outside [{MIN_NODES}, {MAX_NODES}]; adjust --length/--step"
         )
-    return nodes
 
 
 def _closed_behavior_for(bundle: SystemBundle, step: float) -> OdeBehavior:
-    if bundle.kind in ("ph", "mp"):
+    if bundle.kind in PORTS:
         return closed_behavior(bundle.instance, step, bundle.residual_tolerance)
     return OdeBehavior(
         bundle.instance, step, bundle.residual_tolerance,
@@ -112,7 +101,8 @@ def _closed_behavior_for(bundle: SystemBundle, step: float) -> OdeBehavior:
     )
 
 
-def _write_report(config: RunConfig, bundle_name: str, passed: bool, residuals: dict, notes: list) -> None:
+def _write_report(config: RunConfig, bundle_name: str, passed: bool, residuals: dict, notes: list) -> int:
+    """Write report.json; returns the exit code of its verdict."""
     report = {
         "command": config.command,
         "system": bundle_name,
@@ -133,6 +123,7 @@ def _write_report(config: RunConfig, bundle_name: str, passed: bool, residuals: 
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return 0 if passed else 1
 
 
 def _write_trajectory(config: RunConfig, name: str, e: Trajectory) -> None:
@@ -144,7 +135,7 @@ def _write_trajectory(config: RunConfig, name: str, e: Trajectory) -> None:
 # drivers
 
 
-def _drive_simulate(config: RunConfig, bundle: SystemBundle) -> int:
+def _simulate(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(config.length, config.step)
     behavior = _closed_behavior_for(bundle, config.step)
     notes = []
@@ -156,57 +147,46 @@ def _drive_simulate(config: RunConfig, bundle: SystemBundle) -> int:
         notes.append(f"blow-up after t = {exc.t_star:.6g}; trajectory truncated")
         residuals = {"blow_up_time": float(exc.t_star)}
     _write_trajectory(config, "trajectory.csv", run)
-    _write_report(config, bundle.name, True, residuals, notes)
-    return 0
+    return _write_report(config, bundle.name, True, residuals, notes)
 
 
-def _driven_ph_run(bundle: SystemBundle, config: RunConfig):
-    port = ph_iso_machine(bundle.instance, config.step, bundle.residual_tolerance)
+def _driven_run(bundle: SystemBundle, config: RunConfig) -> Trajectory:
+    """A port run from the bundle's initial state with u = a sin(t) on every
+    input (a = 1 for ph, 0.2 for mp) and every other port signal zero."""
+    system = bundle.instance
+    if bundle.kind == "ph":
+        port, amplitude = ph_iso_machine(system, config.step, bundle.residual_tolerance), 1.0
+    else:
+        port = port_metriplectic_machine(system, config.step, bundle.residual_tolerance)
+        amplitude = 0.2
+    rest = np.zeros(len(system.signal_labels) - system.m)
     return port.behavior.sampler(
         bundle.initial_state,
-        lambda t: np.full(bundle.instance.m, np.sin(t)),
+        lambda t: np.concatenate([np.full(system.m, amplitude * np.sin(t)), rest]),
         config.length,
     )
 
 
-def _driven_mp_run(bundle: SystemBundle, config: RunConfig):
-    port = port_metriplectic_machine(
-        bundle.instance, config.step, bundle.residual_tolerance
-    )
-    return port.behavior.sampler(
-        bundle.initial_state,
-        lambda t: np.full(bundle.instance.m, 0.2 * np.sin(t)),
-        lambda t: np.zeros(bundle.instance.m),
-        config.length,
-    )
-
-
-def _drive_audit(config: RunConfig, bundle: SystemBundle) -> int:
+def _audit(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(config.length, config.step)
+    behavior = _closed_behavior_for(bundle, config.step)
+    system = bundle.instance
     notes = []
     if bundle.kind == "ph":
-        run = _driven_ph_run(bundle, config)
+        run = _driven_run(bundle, config)
         residuals = {
-            "power_balance_defect": float(power_balance(bundle.instance, run)),
-            "dissipation_excess": float(dissipation_margin(bundle.instance, run)),
+            "power_balance_defect": float(power_balance(system, run)),
+            "dissipation_excess": float(dissipation_margin(system, run)),
         }
-        closed_run = _closed_behavior_for(bundle, config.step).sample(
-            bundle.initial_state, config.length
-        )
-        residuals["closed_energy_drift"] = float(
-            closed_energy_drift(bundle.instance, closed_run)
-        )
+        closed_run = behavior.sample(bundle.initial_state, config.length)
+        residuals["closed_energy_drift"] = float(closed_energy_drift(system, closed_run))
         passed = residuals["power_balance_defect"] <= config.tolerance
     elif bundle.kind == "mp":
-        run = _driven_mp_run(bundle, config)
-        residuals = {k: float(v) for k, v in rate_audit(bundle.instance, run).items()}
-        side = side_condition_residuals(bundle.instance, run)
-        worst_side = max(v for v, _ in side.values())
+        run = _driven_run(bundle, config)
+        residuals = {k: float(v) for k, v in rate_audit(system, run).items()}
+        worst_side = max(v for v, _ in side_condition_residuals(system, run).values())
         residuals["side_conditions"] = float(worst_side)
-        closed_run = _closed_behavior_for(bundle, config.step).sample(
-            bundle.initial_state, config.length
-        )
-        audit = degeneracy_audit(bundle.instance, closed_run)
+        audit = degeneracy_audit(system, behavior.sample(bundle.initial_state, config.length))
         residuals.update({k: float(v) for k, v in audit.items()})
         passed = (
             residuals["energy_rate_defect"] <= config.tolerance
@@ -215,7 +195,6 @@ def _drive_audit(config: RunConfig, bundle: SystemBundle) -> int:
             and audit["entropy_rate_min"] >= -1e-8
         )
     else:
-        behavior = _closed_behavior_for(bundle, config.step)
         try:
             run = behavior.sample(bundle.initial_state, config.length)
         except BlowUp as exc:
@@ -225,13 +204,10 @@ def _drive_audit(config: RunConfig, bundle: SystemBundle) -> int:
         residuals = {"membership": residual}
         passed = residual <= bundle.residual_tolerance
     _write_trajectory(config, "run.csv", run)
-    _write_report(config, bundle.name, passed, residuals, notes)
-    return 0 if passed else 1
+    return _write_report(config, bundle.name, passed, residuals, notes)
 
 
-def _drive_check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
-    from .interval_sheaf import check_sheaf_axioms
-
+def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     behavior = _closed_behavior_for(bundle, config.step)
     sheaf = behavior.as_behavior_sheaf()
     steps = min(int(round(config.length / config.step)), 256)
@@ -239,10 +215,9 @@ def _drive_check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
         raise ConfigError("probe windows need at least 8 grid steps")
     probe_length = steps * config.step
     _node_guard(probe_length, config.step)
-    dimension = behavior.field.dimension
     probes = []
     notes = []
-    for x0 in seeded_initial_states(config.seed, 10, dimension):
+    for x0 in seeded_initial_states(config.seed, 10, behavior.field.dimension):
         try:
             probes.append(behavior.sample(x0, probe_length))
         except BlowUp:
@@ -253,29 +228,20 @@ def _drive_check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     residuals = {
         "worst_glue_residual": float(report.worst_glue_residual()),
         "probes": float(len(probes)),
-        "separation_collisions": float(
-            sum(len(c.separation_collisions) for c in report.checks)
-        ),
+        "separation_collisions": float(sum(len(c.separation_collisions) for c in report.checks)),
         "glue_exact_failures": float(sum(not c.glue_exact for c in report.checks)),
     }
     for i, e in enumerate(probes[:3]):
         _write_trajectory(config, f"probe_{i}.csv", e)
-    _write_report(config, bundle.name, report.passed, residuals, notes)
-    return 0 if report.passed else 1
+    return _write_report(config, bundle.name, report.passed, residuals, notes)
 
 
-def _drive_verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
+def _verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(config.length, config.step)
     behavior = _closed_behavior_for(bundle, config.step)
-    if bundle.kind not in ("ph", "mp"):
-        raise ConfigError(
-            f"system {bundle.name!r} has no port structure to verify; "
-            f"use a ph or mp system"
-        )
-    dimension = bundle.instance.n
     probes = [
         behavior.sample(x0, config.length)
-        for x0 in seeded_initial_states(config.seed, 5, dimension)
+        for x0 in seeded_initial_states(config.seed, 5, bundle.instance.n)
     ]
     build = build_ph_diagram if bundle.kind == "ph" else build_metriplectic_diagram
     report = build(
@@ -285,36 +251,28 @@ def _drive_verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
         _write_trajectory(config, f"probe_{i}.csv", e)
     doc = report.to_dict()
     residuals = dict(doc["defects"])
-    residuals["injectivity_collisions"] = float(
-        sum(len(v) for v in doc["collisions"].values())
-    )
-    _write_report(config, bundle.name, report.passed, residuals, list(doc["notes"]))
-    return 0 if report.passed else 1
+    residuals["injectivity_collisions"] = float(sum(map(len, doc["collisions"].values())))
+    return _write_report(config, bundle.name, report.passed, residuals, list(doc["notes"]))
 
 
-def _drive_check_noninteraction(config: RunConfig, bundle: SystemBundle) -> int:
-    if bundle.kind != "mp":
-        raise ConfigError("check-noninteraction needs a two-generator (mp) system")
+def _noninteraction(config: RunConfig, bundle: SystemBundle) -> int:
     points = seeded_initial_states(config.seed, 100, bundle.instance.n)
     worst_js, worst_gh, _, _ = noninteraction_residuals(bundle.instance, points)
     residuals = {"J_gradS": float(worst_js), "G_gradH": float(worst_gh)}
     passed = worst_js <= config.tolerance and worst_gh <= config.tolerance
-    _write_report(config, bundle.name, passed, residuals, [])
-    return 0 if passed else 1
+    return _write_report(config, bundle.name, passed, residuals, [])
 
 
-def _drive_list_examples() -> int:
+def _list_examples() -> int:
     lines = ["built-in systems:"]
     for name in sorted(BUILTIN_SYSTEMS):
         bundle = resolve_builtin(name)
-        defaults = {
-            k: v for k, v in bundle.parameters.items() if not isinstance(v, (list, tuple))
-        }
-        shown = ", ".join(f"{k}={v:g}" for k, v in sorted(defaults.items()))
-        x0 = np.asarray(bundle.initial_state).tolist()
-        lines.append(
-            f"  {name:<12} [{bundle.kind}] {bundle.description}"
+        shown = ", ".join(
+            f"{k}={v:g}" for k, v in sorted(bundle.parameters.items())
+            if not isinstance(v, (list, tuple))
         )
+        x0 = np.asarray(bundle.initial_state).tolist()
+        lines.append(f"  {name:<12} [{bundle.kind}] {bundle.description}")
         lines.append(
             f"  {'':<12} defaults: {shown or 'none'}; x0 = {x0}; length = {bundle.default_length:g}"
         )
@@ -323,94 +281,88 @@ def _drive_list_examples() -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and argument parsing
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+class Command(NamedTuple):
+    """A command line's driver, default --tol, accepted system kinds and help."""
+
+    drive: Callable[[RunConfig, SystemBundle], int]
+    tolerance: float
+    kinds: tuple
+    help: str
+
+
+PORTS = ("ph", "mp")
+ANY = ("ode", *PORTS)
+
+#: every command that runs on a system, by command line
+COMMANDS = {
+    "simulate": Command(_simulate, 1e-4, ANY, "integrate the closed system"),
+    "audit": Command(_audit, 1e-5, ANY, "run the audit suited to the system kind"),
+    "check-sheaf": Command(_check_sheaf, 1e-4, ANY, "probe the sheaf laws on seeded members"),
+    "verify-diagram": Command(_verify_diagram, 1e-5, PORTS, "verify the port-control diagram"),
+    "ph simulate": Command(_simulate, 1e-4, ("ph",), "integrate the closed system"),
+    "ph audit-power": Command(_audit, 1e-5, ("ph",), "audit the power balance"),
+    "ph verify-diagram": Command(_verify_diagram, 1e-5, ("ph",), "verify the port-control diagram"),
+    "mp simulate": Command(_simulate, 1e-4, ("mp",), "integrate the closed system"),
+    "mp audit-rates": Command(_audit, 1e-5, ("mp",), "audit the energy and entropy rates"),
+    "mp check-noninteraction": Command(_noninteraction, 1e-10, ("mp",), "check noninteraction"),
+    "mp verify-diagram": Command(_verify_diagram, 1e-5, ("mp",), "verify the port-control diagram"),
+}
+
+#: the system a command group runs when neither --system nor --config is given
+GROUP_SYSTEMS = {"ph": "mass_spring", "mp": "rigid_body"}
+
+
+def _add_common_flags(parser: argparse.ArgumentParser, tolerance: float) -> None:
     parser.add_argument("--system", default=None, help="built-in system name")
     parser.add_argument("--config", default=None, help="JSON system configuration")
     parser.add_argument("--length", type=float, default=None, help="interval length")
     parser.add_argument("--step", type=float, default=1e-3, help="grid step")
-    parser.add_argument("--tol", type=float, default=None, help="check tolerance")
+    parser.add_argument("--tol", type=float, default=tolerance, help="check tolerance")
     parser.add_argument("--seed", type=int, default=0, help="probe seed")
     parser.add_argument("--out", default="sheafsys_out", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser of ``list-examples`` and every COMMANDS line; a parsed command
+    line is in ``line`` (None for ``list-examples`` or a bare group)."""
     parser = argparse.ArgumentParser(
         prog="sheafsys",
         description="Behavior sheaves, machines, and port-control diagrams.",
     )
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("list-examples", help="show the built-in systems")
-    for name, help_text in (
-        ("simulate", "integrate the closed system"),
-        ("audit", "run the structure audit for the system kind"),
-        ("check-sheaf", "probe separation and gluing on seeded members"),
-        ("verify-diagram", "verify the port-control triangle"),
-    ):
-        _add_common_flags(sub.add_parser(name, help=help_text))
-    ph = sub.add_parser("ph", help="port-system commands")
-    ph_sub = ph.add_subparsers(dest="subcommand")
-    for name in ("simulate", "audit-power", "verify-diagram"):
-        _add_common_flags(ph_sub.add_parser(name))
-    mp = sub.add_parser("mp", help="two-generator system commands")
-    mp_sub = mp.add_subparsers(dest="subcommand")
-    for name in ("simulate", "audit-rates", "check-noninteraction", "verify-diagram"):
-        _add_common_flags(mp_sub.add_parser(name))
+    parser.set_defaults(line=None)
+    top = parser.add_subparsers(dest="command")
+    top.add_parser("list-examples", help="show the built-in systems")
+    parsers = {"": top}
+    for line, command in COMMANDS.items():
+        group, _, name = line.rpartition(" ")
+        if group not in parsers:
+            help_text = f"{group} system commands (default --system {GROUP_SYSTEMS[group]})"
+            parsers[group] = top.add_parser(group, help=help_text).add_subparsers(dest="subcommand")
+        leaf = parsers[group].add_parser(name, help=command.help)
+        _add_common_flags(leaf, command.tolerance)
+        leaf.set_defaults(line=line)
     return parser
-
-
-_DEFAULT_TOLERANCES = {
-    "audit": 1e-5,
-    "verify-diagram": 1e-5,
-    "check-sheaf": 1e-4,
-    "simulate": 1e-4,
-    "check-noninteraction": 1e-10,
-}
-
-
-def _config_from_args(args, command: str) -> RunConfig:
-    tolerance = args.tol if args.tol is not None else _DEFAULT_TOLERANCES.get(
-        command.split()[-1], 1e-5
-    )
-    return RunConfig(
-        command=command,
-        system_ref=args.system or "",
-        length=args.length if args.length is not None else -1.0,
-        step=_positive(args.step, "step"),
-        tolerance=_positive(tolerance, "tolerance"),
-        seed=int(args.seed),
-        output_dir=args.out,
-        config_path=args.config,
-    )
 
 
 def run(config: RunConfig) -> int:
     """Execute a resolved invocation; returns the process exit code."""
+    command = COMMANDS.get(config.command)
+    if command is None:
+        raise ConfigError(f"unknown command {config.command!r}")
     bundle = _resolve_bundle(config)
     if config.length <= 0:
         config = dataclasses.replace(config, length=bundle.default_length)
-    if config.command.startswith("ph ") and bundle.kind != "ph":
+    if bundle.kind not in command.kinds:
+        group, _, name = config.command.rpartition(" ")
+        needs = f"{group} commands need" if group else f"{name} needs"
         raise ConfigError(
-            f"system {bundle.name!r} is kind {bundle.kind!r}; ph commands need a port system"
+            f"system {bundle.name!r} is kind {bundle.kind!r}; {needs} a port structure "
+            f"of kind {' or '.join(command.kinds)}"
         )
-    if config.command.startswith("mp ") and bundle.kind != "mp":
-        raise ConfigError(
-            f"system {bundle.name!r} is kind {bundle.kind!r}; mp commands need a two-generator system"
-        )
-    base = config.command.split()[-1]
-    if base == "simulate":
-        return _drive_simulate(config, bundle)
-    if base in ("audit", "audit-power", "audit-rates"):
-        return _drive_audit(config, bundle)
-    if base == "check-sheaf":
-        return _drive_check_sheaf(config, bundle)
-    if base == "verify-diagram":
-        return _drive_verify_diagram(config, bundle)
-    if base == "check-noninteraction":
-        return _drive_check_noninteraction(config, bundle)
-    raise ConfigError(f"unknown command {config.command!r}")
+    return command.drive(config, bundle)
 
 
 def main(argv=None) -> int:
@@ -420,26 +372,24 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     if args.command == "list-examples":
-        return _drive_list_examples()
-    command = args.command
-    if command in ("ph", "mp"):
-        if getattr(args, "subcommand", None) is None:
-            print(f"error: {command} needs a subcommand", file=_sys.stderr)
-            return 2
-        command = f"{command} {args.subcommand}"
-        if args.system is None and args.config is None:
-            args.system = "mass_spring" if command.startswith("ph") else "rigid_body"
+        return _list_examples()
+    if args.line is None:
+        print(f"error: {args.command} needs a subcommand", file=_sys.stderr)
+        return 2
+    if args.system is None and args.config is None:
+        args.system = GROUP_SYSTEMS.get(args.command)
     try:
-        return run(_config_from_args(args, command))
+        return run(RunConfig(
+            args.line, args.system or "", args.length if args.length is not None else -1.0,
+            _positive(args.step, "step"), _positive(args.tol, "tolerance"), int(args.seed),
+            args.out, args.config,
+        ))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return 2
-    except ConstraintViolation as exc:
-        print(f"check failed: {exc}", file=_sys.stderr)
-        return 1
     except SheafSysError as exc:
         print(f"check failed: {exc}", file=_sys.stderr)
         return 1

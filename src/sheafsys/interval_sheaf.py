@@ -186,22 +186,13 @@ def _aligned_count(x: float, h: float, what: str) -> int:
     return k
 
 
-def restrict(
-    e: Trajectory,
-    new_length: float,
-    offset: float,
-    interpolate: bool = False,
-) -> Trajectory:
+def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
     """Restriction map: drop the first `offset` of the domain, keep `new_length`.
 
     The shift decreases by the offset, so the absolute times seen by the
-    dynamics are preserved.  Offsets must sit on the grid; misaligned
-    restriction is an error unless ``interpolate`` is set, in which case the
-    values are resampled with a cubic spline (and the bit-exact laws no
-    longer apply).
+    dynamics are preserved.  Offset and length must sit on the grid
+    (MisalignedOffset otherwise).
     """
-    if interpolate:
-        return _restrict_interpolating(e, new_length, offset)
     k = _aligned_count(offset, e.grid_step, "offset")
     m = _aligned_count(new_length, e.grid_step, "new length")
     if k + m > e.num_nodes - 1:
@@ -214,24 +205,6 @@ def restrict(
         e.shift - k * e.grid_step,
         e.labels,
         e.aux,
-    )
-
-
-def _restrict_interpolating(e: Trajectory, new_length: float, offset: float) -> Trajectory:
-    from scipy.interpolate import CubicSpline
-
-    if offset < 0 or new_length < 0 or offset + new_length > e.length + GRID_ALIGN_RTOL:
-        raise OutOfRange(
-            f"window offset {offset} + length {new_length} exceeds domain {e.length}"
-        )
-    if e.num_nodes < 4:
-        raise OutOfRange("cubic resampling needs at least 4 nodes")
-    m = int(round(new_length / e.grid_step))
-    spline = CubicSpline(e.times, e.values, axis=0)
-    new_times = offset + np.arange(m + 1) * e.grid_step
-    new_times = np.minimum(new_times, e.length)  # guard the last node against roundoff
-    return Trajectory(
-        spline(new_times), e.grid_step, e.shift - offset, e.labels, e.aux
     )
 
 
@@ -371,7 +344,13 @@ def check_sheaf_axioms(
 
 
 def write_csv(e: Trajectory, path) -> None:
-    """Write the trajectory with 17 significant digits (bit-exact round trip)."""
+    """Write the trajectory with 17 significant digits (bit-exact round trip).
+
+    The format has no place for an aux tag, so a tagged trajectory raises
+    GridMismatch before the file is opened.
+    """
+    if e.aux is not None:
+        raise GridMismatch(f"cannot write the aux tag of {e!r} to CSV")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# shift={e.shift:.17g} step={e.grid_step:.17g}\n")
         fh.write(",".join(["t", *e.labels]) + "\n")

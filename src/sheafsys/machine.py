@@ -92,9 +92,10 @@ def leg_restriction_defect(m: Machine, probes: Sequence[Trajectory]) -> float:
     """Worst disagreement between restrict-then-leg and leg-then-restrict.
 
     Uses halves and an interior window of each probe.  Membership is not
-    required of the probes; the leg laws are about the maps alone.
+    required of the probes; the leg laws are about the maps alone.  A
+    non-finite disagreement gives inf.
     """
-    worst = 0.0
+    gaps = []
     for e in probes:
         for leg, which in ((m.a_leg, "input"), (m.e_leg, "output")):
             out = leg(e)
@@ -107,11 +108,11 @@ def leg_restriction_defect(m: Machine, probes: Sequence[Trajectory]) -> float:
                 ((e.num_nodes - 1 - k) * e.grid_step, k * e.grid_step),
                 ((e.num_nodes - 1 - 2 * (k // 2)) * e.grid_step, (k // 2) * e.grid_step),
             ]
-            for length, offset in windows:
-                a = leg(restrict(e, length, offset))
-                b = restrict(out, length, offset)
-                worst = max(worst, sup_distance(a, b))
-    return worst
+            gaps.extend(
+                sup_distance(leg(restrict(e, length, offset)), restrict(out, length, offset))
+                for length, offset in windows
+            )
+    return worst_defect(gaps)[0]
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,13 @@ def iso_machine(
             return float("inf")
         x, u = split(e)
         d = grid_derivative(x, e.grid_step)
-        worst = worst_defect(
+        worst, _ = worst_defect(
             [
                 np.max(np.abs(d[i] - dynamics.rhs_with_input(t, x[i], u[i])))
                 for i, t in enumerate(e.absolute_times)
             ]
         )
-        return max([worst, *(v for v, _ in side_residuals(e).values())])
+        return worst_defect([worst, *(v for v, _ in side_residuals(e).values())])[0]
 
     def a_leg(e: Trajectory) -> Trajectory:
         _, u = split(e)
@@ -259,9 +260,9 @@ def morphism_defect(
     Straight: eta(e_leg(e)) vs e_leg'(beta(e)) and alpha(a_leg(e)) vs
     a_leg'(beta(e)).  Swapped: eta(e_leg(e)) vs a_leg'(beta(e)) and
     alpha(a_leg(e)) vs e_leg'(beta(e)).  Probes must be members of the
-    source behavior (NotAMember otherwise).
+    source behavior (NotAMember otherwise).  A non-finite gap gives inf.
     """
-    worst = 0.0
+    gaps = []
     for i, e in enumerate(probes):
         if check_membership:
             res = source.behavior.membership(e)
@@ -281,9 +282,8 @@ def morphism_defect(
                 (phi.eta(source.e_leg(e)), target.a_leg(image)),
                 (phi.alpha(source.a_leg(e)), target.e_leg(image)),
             )
-        for got, want in pairs:
-            worst = max(worst, sup_distance(got, want))
-    return worst
+        gaps.extend(sup_distance(got, want) for got, want in pairs)
+    return worst_defect(gaps)[0]
 
 
 def compose_morphisms(outer: MachineMorphism, inner: MachineMorphism) -> MachineMorphism:
@@ -321,8 +321,9 @@ def injectivity_probe(
     """Check that distinct probes stay distinct under the map.
 
     Two images collide when their sup distance falls below a thousandth of
-    the probe separation.  Evidence, not proof: only the given probes are
-    examined.
+    the probe separation or is NaN (images on different grids are
+    infinitely far apart and do not).  Evidence, not proof: only the given
+    probes are examined.
     """
     images = [mapping(e) for e in probes]
     threshold = separation * 1e-3
@@ -331,7 +332,7 @@ def injectivity_probe(
         for j in range(i + 1, len(probes)):
             if sup_distance(probes[i], probes[j]) <= threshold:
                 continue
-            if sup_distance(images[i], images[j]) < threshold:
+            if not sup_distance(images[i], images[j]) >= threshold:
                 collisions.append((i, j))
     return ProbeResult(tuple(collisions), separation)
 
@@ -466,21 +467,18 @@ def verify_port_control_diagram(
         "xi legs": morphism_defect(xi, port, enclosing, psi_images),
         "a_phi legs": morphism_defect(a_phi, closed, enclosing, probes, check_membership=False),
     }
-    tri_beta = 0.0
-    tri_eta = 0.0
-    tri_alpha = 0.0
-    for e in probes:
-        tri_beta = max(tri_beta, sup_distance(composite.beta(e), a_phi.beta(e)))
-        tri_eta = max(
-            tri_eta, sup_distance(composite.eta(closed.e_leg(e)), a_phi.eta(closed.e_leg(e)))
-        )
-        tri_alpha = max(
-            tri_alpha,
-            sup_distance(composite.alpha(closed.a_leg(e)), a_phi.alpha(closed.a_leg(e))),
-        )
-    defects["triangle beta"] = tri_beta
-    defects["triangle eta"] = tri_eta
-    defects["triangle alpha"] = tri_alpha
+    triangle = {
+        "triangle beta": [sup_distance(composite.beta(e), a_phi.beta(e)) for e in probes],
+        "triangle eta": [
+            sup_distance(composite.eta(closed.e_leg(e)), a_phi.eta(closed.e_leg(e)))
+            for e in probes
+        ],
+        "triangle alpha": [
+            sup_distance(composite.alpha(closed.a_leg(e)), a_phi.alpha(closed.a_leg(e)))
+            for e in probes
+        ],
+    }
+    defects.update({name: worst_defect(gaps)[0] for name, gaps in triangle.items()})
 
     separation = _min_separation(probes)
     collisions = {

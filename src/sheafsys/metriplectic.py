@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, MissingAuxTag, NoninteractionViolation
 from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import DiagramReport, Machine
-from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative
+from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative, worst_defect
 from . import port_diagram
 from .port_diagram import (
     SIDE_CONDITION_TOL,
@@ -292,15 +292,14 @@ SIDE_CONDITIONS = ("J gradS", "G gradH", "B tau", "A u", "B^T gradS", "A^T gradH
 
 
 def _worst_per_condition(names: tuple, node_values) -> dict:
-    """(worst residual, node) of each named condition; ``node_values``
-    yields, for every node, one array per name."""
-    worst = {name: (0.0, 0) for name in names}
-    for node, values in enumerate(node_values):
-        for name, value in zip(names, values):
-            value = float(np.max(np.abs(value))) if np.size(value) else 0.0
-            if value > worst[name][0]:
-                worst[name] = (value, node)
-    return worst
+    """(worst residual, node) of each named condition, by
+    :func:`~sheafsys.ode_behavior.worst_defect`; ``node_values`` yields, for
+    every node, one array per name."""
+    residuals = np.array(
+        [[np.max(np.abs(v)) if np.size(v) else 0.0 for v in values] for values in node_values],
+        dtype=float,
+    ).reshape(-1, len(names))
+    return {name: worst_defect(residuals[:, k]) for k, name in enumerate(names)}
 
 
 def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
@@ -391,23 +390,25 @@ def rate_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
 
     Checks dH/dt = grad H^T (B u + A tau) and
     dS/dt = grad S^T G grad S + grad S^T (B u + A tau) node-wise, with the
-    left sides taken by the grid stencils.
+    left sides taken by the grid stencils.  A non-finite node defect gives
+    inf.
     """
     x = e.channels(sys.state_labels)
     u = e.channels(sys.input_labels)
     tau = e.channels(sys.tau_labels)
     _, h_rate, s_rate = _generator_rates(sys, x, e.grid_step)
-    worst_h = 0.0
-    worst_s = 0.0
-    for i in range(e.num_nodes):
-        xi = x[i]
+    h_defects, s_defects = [], []
+    for i, xi in enumerate(x):
         drive = sys.energy_port(xi) @ u[i] + sys.entropy_port(xi) @ tau[i]
         gh = sys.grad_h(xi)
         gs = sys.grad_s(xi)
-        worst_h = max(worst_h, abs(h_rate[i] - float(gh @ drive)))
+        h_defects.append(h_rate[i] - float(gh @ drive))
         production = float(gs @ sys.friction(xi) @ gs)
-        worst_s = max(worst_s, abs(s_rate[i] - production - float(gs @ drive)))
-    return {"energy_rate_defect": float(worst_h), "entropy_rate_defect": float(worst_s)}
+        s_defects.append(s_rate[i] - production - float(gs @ drive))
+    return {
+        "energy_rate_defect": worst_defect(np.abs(h_defects))[0],
+        "entropy_rate_defect": worst_defect(np.abs(s_defects))[0],
+    }
 
 
 def extended_psd_min(sys: MetriplecticSystem, states: np.ndarray) -> float:

@@ -133,13 +133,18 @@ def integrate(
     return Trajectory(nodes, h, shift, labels, aux)
 
 
-def worst_defect(defects) -> float:
-    """The largest of some nonnegative node defects, and inf as soon as one
-    of them is not finite, so a NaN never passes for a small number."""
-    defects = np.asarray(defects, dtype=float)
-    if not np.all(np.isfinite(defects)):
-        return float("inf")
-    return float(np.max(defects, initial=0.0))
+def worst_defect(defects) -> tuple[float, int]:
+    """The largest of some nonnegative node defects and its first node; inf
+    at the first non-finite defect, so a NaN never passes for a small
+    number.  No defects give (0.0, 0)."""
+    defects = np.asarray(defects, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(defects))
+    if bad.size:
+        return float("inf"), int(bad[0])
+    if not defects.size:
+        return 0.0, 0
+    node = int(np.argmax(defects))
+    return float(defects[node]), node
 
 
 def membership_residual(
@@ -169,7 +174,7 @@ def membership_residual(
     d = grid_derivative(e.values, e.grid_step)
     return worst_defect(
         [np.max(np.abs(d[i] - field(t, e.values[i]))) for i, t in enumerate(e.absolute_times)]
-    )
+    )[0]
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,13 @@ from .machine import (
     iso_machine,
     verify_port_control_diagram,
 )
-from .ode_behavior import DEFAULT_RESIDUAL_TOL, OdeBehavior, VectorField, membership_residual
+from .ode_behavior import (
+    DEFAULT_RESIDUAL_TOL,
+    OdeBehavior,
+    VectorField,
+    membership_residual,
+    worst_defect,
+)
 
 SIDE_CONDITION_TOL = 1e-8
 
@@ -153,7 +159,7 @@ class ExtendedBehavior(OdeBehavior):
         dynamics = super().membership(e)
         if dynamics == float("inf"):  # wrong tag or layout: no side conditions to read
             return dynamics
-        return max([dynamics, *(v for v, _ in self.side_residuals(e).values())])
+        return worst_defect([dynamics, *(v for v, _ in self.side_residuals(e).values())])[0]
 
 
 def _fixed_tag_behavior(
@@ -437,7 +443,8 @@ def build_diagram(
     port = builders.port(system, h, residual_tolerance)
     enclosing = builders.enclosing(system, h, residual_tolerance)
     embedding = MachineMorphism(
-        lambda e: builders.embed(system, e), _ident, _ident, "swapped", "closed into extended"
+        lambda e: builders.embed(system, e, residual_tolerance),
+        _ident, _ident, "swapped", "closed into extended",
     )
     return verify_port_control_diagram(
         closed,

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, MissingAuxTag, StructureViolation
 from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import DiagramReport, Machine
-from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative
+from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative, worst_defect
 from . import port_diagram
 from .port_diagram import (
     Builders,
@@ -441,16 +441,17 @@ def power_balance(sys: PHSystem, e: Trajectory) -> float:
     """Worst node defect of |dH/dt - (y^T u - grad H^T R grad H)|.
 
     ``e`` is a port-machine member (state and input channels together);
-    dH/dt is taken by the grid stencils on the sampled energy.
+    dH/dt is taken by the grid stencils on the sampled energy.  A
+    non-finite node defect gives inf.
     """
     x, u, rate = _port_run_rates(sys, e)
-    worst = 0.0
+    defects = []
     for i in range(e.num_nodes):
         grad = sys.grad(x[i])
         supply = float(sys.port_output(x[i]) @ u[i])
         dissipated = float(grad @ sys.dissipation(x[i]) @ grad)
-        worst = max(worst, abs(rate[i] - (supply - dissipated)))
-    return worst
+        defects.append(abs(rate[i] - (supply - dissipated)))
+    return worst_defect(defects)[0]
 
 
 def dissipation_margin(sys: PHSystem, e: Trajectory) -> float:

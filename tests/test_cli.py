@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sheafsys.cli import main
+from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, build_parser, main
 from sheafsys.interval_sheaf import read_csv
 
 
@@ -88,16 +89,56 @@ def test_check_sheaf_runs_are_byte_identical(tmp_path):
     assert doc["residuals"]["glue_exact_failures"] == 0.0
 
 
+#: default --tol of every command line
+DEFAULT_TOLERANCES = {
+    "simulate": 1e-4,
+    "audit": 1e-5,
+    "check-sheaf": 1e-4,
+    "verify-diagram": 1e-5,
+    "ph simulate": 1e-4,
+    "ph audit-power": 1e-5,
+    "ph verify-diagram": 1e-5,
+    "mp simulate": 1e-4,
+    "mp audit-rates": 1e-5,
+    "mp check-noninteraction": 1e-10,
+    "mp verify-diagram": 1e-5,
+}
+BUILTIN_OF_KIND = {"ode": "linear", "ph": "mass_spring", "mp": "rigid_body"}
+
+
 def test_group_commands_enforce_the_system_kind(tmp_path, capsys):
-    code = main([
-        "ph", "audit-power", "--system", "rigid_body", "--out", str(tmp_path / "x"),
-    ])
-    assert code == 2
-    assert "ph commands" in capsys.readouterr().err
-    code = main([
-        "mp", "audit-rates", "--system", "linear", "--out", str(tmp_path / "y"),
-    ])
-    assert code == 2
+    assert set(COMMANDS) == set(DEFAULT_TOLERANCES)
+    for line, command in COMMANDS.items():
+        group, _, _ = line.rpartition(" ")
+        accepted = GROUP_SYSTEMS.get(group) or BUILTIN_OF_KIND[command.kinds[0]]
+        system = [] if group else ["--system", accepted]
+        out = tmp_path / line.replace(" ", "_")
+        # the smallest run the node guard admits: 10 nodes
+        code = main([*line.split(), *system, "--length", "0.009", "--out", str(out)])
+        assert code == 0, line
+        doc = report(out)
+        assert doc["command"] == line and doc["system"] == accepted, line
+        assert doc["config"]["tolerance"] == DEFAULT_TOLERANCES[line], line
+        for kind, name in BUILTIN_OF_KIND.items():
+            if kind in command.kinds:
+                continue
+            capsys.readouterr()
+            code = main([*line.split(), "--system", name, "--out", str(tmp_path / "wrong")])
+            assert code == 2, (line, name)
+            err = capsys.readouterr().err
+            assert "port structure" in err and (not group or f"{group} commands" in err)
+    assert not (tmp_path / "wrong").exists()
+
+
+def test_readme_cli_lines_name_table_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("sheafsys ")]
+    assert len(lines) >= 9
+    parser = build_parser()
+    for argv in lines:
+        args = parser.parse_args(argv)
+        assert args.line in COMMANDS or args.command == "list-examples", argv
 
 
 def test_ph_group_defaults_to_the_oscillator(tmp_path):

@@ -114,18 +114,6 @@ def test_restrict_preserves_sampled_solution_values():
     assert np.max(np.abs(w.values[:, 0] - expect)) == 0.0
 
 
-def test_interpolating_restrict_handles_off_grid_offsets():
-    h = 1e-3
-    times = np.arange(101) * h
-    e = Trajectory(np.sin(times), h, 0.0)
-    w = restrict(e, 50 * h, h / 2.0, interpolate=True)
-    expect = np.sin(w.times + h / 2.0)
-    assert np.max(np.abs(w.values[:, 0] - expect)) < 1e-9
-    assert w.shift == pytest.approx(-h / 2.0)
-    with pytest.raises(OutOfRange):
-        restrict(Trajectory(np.zeros(3), h, 0.0), h, h / 2, interpolate=True)
-
-
 # ---------------------------------------------------------------------------
 # gluing
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafsys import (
     ControlledField,
@@ -9,6 +11,7 @@ from sheafsys import (
     NotClosed,
     StructureViolation,
     Trajectory,
+    closed_behavior,
     compose_morphisms,
     identity_morphism,
     injectivity_probe,
@@ -18,6 +21,7 @@ from sheafsys import (
     sup_distance,
     verify_port_control_diagram,
 )
+from sheafsys.systems import mass_spring_system
 
 H = 1e-3
 
@@ -175,6 +179,49 @@ def test_injectivity_probe_flags_collapsed_maps():
     squash = injectivity_probe(lambda e: runs[0], runs, separation)
     assert not squash.injective_on_probes
     assert (0, 1) in squash.collisions
+
+
+def oscillator_probes():
+    """Two closed mass_spring members and a machine whose legs are the identity."""
+    behavior = closed_behavior(mass_spring_system(), H)
+    ident = lambda e: e
+    m = Machine(behavior.as_behavior_sheaf(), ident, ident, name="state")
+    return m, [behavior.sample(x0, 0.05) for x0 in ([1.0, 0.0], [0.0, 1.0])]
+
+
+def nan_at(e, node=None, channel=None):
+    """``e`` with NaN at one node and channel, or everywhere when none is given."""
+    values = np.array(e.values)
+    if node is None:
+        values[:] = np.nan
+    else:
+        values[node, channel] = np.nan
+    return Trajectory(values, e.grid_step, e.shift, e.labels)
+
+
+def test_nan_legs_and_images_never_pass_for_small():
+    m, probes = oscillator_probes()
+    ident = lambda e: e
+    nan_eta = MachineMorphism(beta=ident, eta=nan_at, alpha=ident)
+    assert morphism_defect(nan_eta, m, m, probes) == np.inf
+    assert leg_restriction_defect(Machine(m.behavior, ident, nan_at), probes) == np.inf
+    separation = sup_distance(*probes)
+    assert injectivity_probe(nan_at, probes, separation).collisions == ((0, 1),)
+    # images on different grids are infinitely far apart, not colliding
+    uneven = [probes[0], Trajectory(probes[1].values[:30], H, 0.0, probes[1].labels)]
+    assert injectivity_probe(ident, uneven, separation).collisions == ()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 50), st.integers(0, 1))
+def test_a_nan_in_an_image_gives_an_inf_defect_and_a_collision(node, channel):
+    m, probes = oscillator_probes()
+    ident = lambda e: e
+    poison = lambda e: nan_at(e, node, channel)
+    image_defect = morphism_defect(MachineMorphism(poison, ident, ident), m, m, probes)
+    assert image_defect == np.inf
+    result = injectivity_probe(poison, probes, sup_distance(*probes))
+    assert result.collisions == ((0, 1),)
 
 
 def closed_decay_machine():

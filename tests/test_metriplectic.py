@@ -160,6 +160,20 @@ def test_compliant_driven_run_is_accepted():
     assert audit["entropy_rate_defect"] < 1e-5
 
 
+def test_rate_audit_and_side_conditions_are_infinite_at_a_nan_node():
+    rb = sphere_entropy_system()
+    port = port_metriplectic_machine(rb, H, 1e-3)
+    run = port.behavior.sampler(
+        [1.0, 0.5, 0.5], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 0.5
+    )
+    values = np.array(run.values)
+    values[250, 3] = np.nan  # the u channel
+    poisoned = Trajectory(values, H, run.shift, run.labels)
+    assert rate_audit(rb, poisoned) == {"energy_rate_defect": np.inf, "entropy_rate_defect": np.inf}
+    assert side_condition_residuals(rb, poisoned)["A u"] == (np.inf, 250)
+    assert port.behavior.membership(poisoned) == np.inf
+
+
 def test_entropy_port_drive_outside_kernel_is_rejected():
     rb = sphere_entropy_system()
     port = port_metriplectic_machine(rb, H, 1e-3)
@@ -255,6 +269,15 @@ def test_closed_machine_output_is_constant():
     assert o.dimension == 2 and np.all(o.values == 0.0)
     y = closed.a_leg(run)
     assert y.labels == ("y0",)
+
+
+def test_diagram_embeds_at_its_own_residual_tolerance():
+    rb = sphere_entropy_system()
+    beh = closed_metriplectic_behavior(rb, 0.01, 1e-3)
+    probes = [beh.sample(x0, 0.5) for x0 in ([2.0, 2.0, -2.0], [1.0, 0.5, 0.5])]
+    assert 1e-4 < beh.membership(probes[0]) <= 1e-3  # above the embedding's default
+    report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
+    assert report.passed
 
 
 def test_metriplectic_diagram_passes_and_detects_corruption():

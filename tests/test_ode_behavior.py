@@ -14,6 +14,7 @@ from sheafsys import (
     membership_residual,
     restrict,
 )
+from sheafsys.ode_behavior import worst_defect
 from sheafsys.systems import blowup_field, linear_field, mass_spring_system
 
 
@@ -145,6 +146,12 @@ def test_membership_is_infinite_at_a_non_finite_node(node, channel, value):
     poisoned[node, channel] = value
     bad = Trajectory(poisoned, e.grid_step, e.shift, e.labels)
     assert behavior.membership(bad) == np.inf
+
+
+def test_worst_defect_gives_the_first_worst_node_and_inf_on_non_finite():
+    assert worst_defect([0.1, 0.3, 0.2, 0.3]) == (0.3, 1)
+    assert worst_defect([0.1, np.nan, np.inf]) == (np.inf, 1)
+    assert worst_defect([]) == (0.0, 0)
 
 
 def test_as_behavior_sheaf_samples_members():

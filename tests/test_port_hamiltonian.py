@@ -8,6 +8,7 @@ from sheafsys import (
     MissingAuxTag,
     NotAMember,
     SampledCurve,
+    GridMismatch,
     StructureViolation,
     Trajectory,
     aux_linear,
@@ -28,6 +29,7 @@ from sheafsys import (
     power_balance,
     restrict,
     verify_port_control_diagram,
+    write_csv,
 )
 from sheafsys.port_hamiltonian import (
     closed_machine,
@@ -209,6 +211,15 @@ def test_embed_closed_appends_the_integrated_port_channel():
         embed_closed(ms, Trajectory(np.ones((32, 2)), H, 0.0, ("q", "p")))
 
 
+def test_write_csv_refuses_a_tagged_trajectory(tmp_path):
+    ms = mass_spring_system()
+    run = closed_behavior(ms, H).sample([1.0, 0.0], 0.1)
+    path = tmp_path / "tagged.csv"
+    with pytest.raises(GridMismatch):
+        write_csv(embed_closed(ms, run), path)
+    assert not path.exists()
+
+
 def test_embedding_windows_agree_after_reanchoring():
     # windowing before or after embedding gives the same zeta up to the
     # integration constant zeta(window start)
@@ -249,6 +260,14 @@ def test_power_balance_on_the_driven_oscillator():
     port = ph_iso_machine(ms, H)
     run = port.behavior.sampler([1.0, 0.0], lambda t: np.array([np.sin(t)]), 10.0)
     assert power_balance(ms, run) < 1e-5
+
+
+def test_power_balance_is_infinite_at_a_nan_node():
+    ms = mass_spring_system()
+    run = ph_iso_machine(ms, H).behavior.sampler([1.0, 0.0], lambda t: np.array([np.sin(t)]), 1.0)
+    values = np.array(run.values)
+    values[500, 2] = np.nan  # the input channel
+    assert power_balance(ms, Trajectory(values, H, run.shift, run.labels)) == np.inf
 
 
 def test_damped_run_never_beats_the_supplied_power():
