@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import BlowUp, ConfigError, SheafSysError
 from .interval_sheaf import Trajectory, check_sheaf_axioms, write_csv
-from .ode_behavior import OdeBehavior, membership_residual
+from .ode_behavior import OdeBehavior, batched, membership_residual
 from .port_diagram import closed_behavior
 from .port_hamiltonian import (
     build_ph_diagram,
@@ -159,12 +159,16 @@ def _driven_run(bundle: SystemBundle, config: RunConfig) -> Trajectory:
     else:
         port = port_metriplectic_machine(system, config.step, bundle.residual_tolerance)
         amplitude = 0.2
-    rest = np.zeros(len(system.signal_labels) - system.m)
-    return port.behavior.sampler(
-        bundle.initial_state,
-        lambda t: np.concatenate([np.full(system.m, amplitude * np.sin(t)), rest]),
-        config.length,
-    )
+    signals = len(system.signal_labels)
+
+    @batched
+    def drive(t):
+        t = np.asarray(t)
+        out = np.zeros(t.shape + (signals,))
+        out[..., : system.m] = amplitude * np.sin(t)[..., np.newaxis]
+        return out
+
+    return port.behavior.sampler(bundle.initial_state, drive, config.length)
 
 
 def _audit(config: RunConfig, bundle: SystemBundle) -> int:
@@ -217,11 +221,12 @@ def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(probe_length, config.step)
     probes = []
     notes = []
-    for x0 in seeded_initial_states(config.seed, 10, behavior.field.dimension):
-        try:
-            probes.append(behavior.sample(x0, probe_length))
-        except BlowUp:
+    starts = seeded_initial_states(config.seed, 10, behavior.field.dimension)
+    for x0, run in zip(starts, behavior.sample_batch(starts, probe_length)):
+        if isinstance(run, BlowUp):
             notes.append(f"probe from {np.round(x0, 3).tolist()} blew up; skipped")
+        else:
+            probes.append(run)
     cuts = sorted({(steps // 4) * config.step, (steps // 2) * config.step,
                    (3 * steps // 4) * config.step})
     report = check_sheaf_axioms(sheaf, probes, [c for c in cuts if c > 0])
@@ -239,10 +244,11 @@ def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
 def _verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(config.length, config.step)
     behavior = _closed_behavior_for(bundle, config.step)
-    probes = [
-        behavior.sample(x0, config.length)
-        for x0 in seeded_initial_states(config.seed, 5, bundle.instance.n)
-    ]
+    starts = seeded_initial_states(config.seed, 5, bundle.instance.n)
+    probes = behavior.sample_batch(starts, config.length)
+    for run in probes:
+        if isinstance(run, BlowUp):
+            raise run
     build = build_ph_diagram if bundle.kind == "ph" else build_metriplectic_diagram
     report = build(
         bundle.instance, probes, config.tolerance, residual_tolerance=bundle.residual_tolerance

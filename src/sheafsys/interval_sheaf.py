@@ -39,6 +39,9 @@ DEFAULT_TOLERANCE = 1e-9
 #: default grid step (time units)
 DEFAULT_STEP = 1e-3
 
+#: rows formatted at a time by write_csv, which bounds its memory
+CSV_CHUNK_ROWS = 1024
+
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -351,13 +354,14 @@ def write_csv(e: Trajectory, path) -> None:
     """
     if e.aux is not None:
         raise GridMismatch(f"cannot write the aux tag of {e!r} to CSV")
+    row = ",".join(["%.17g"] * (e.dimension + 1)) + "\n"
+    table = np.column_stack([e.times, e.values])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# shift={e.shift:.17g} step={e.grid_step:.17g}\n")
         fh.write(",".join(["t", *e.labels]) + "\n")
-        times = e.times
-        for i in range(e.num_nodes):
-            row = [f"{times[i]:.17g}"] + [f"{v:.17g}" for v in e.values[i]]
-            fh.write(",".join(row) + "\n")
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[start : start + CSV_CHUNK_ROWS].tolist()
+            fh.writelines(row % tuple(values) for values in chunk)
 
 
 def read_csv(path) -> Trajectory:

@@ -33,7 +33,14 @@ from .interval_sheaf import (
     restrict,
     sup_distance,
 )
-from .ode_behavior import VectorField, grid_derivative, integrate, worst_defect
+from .ode_behavior import (
+    VectorField,
+    grid_derivative,
+    integrate,
+    node_defects,
+    pointwise,
+    worst_defect,
+)
 
 LEG_COMMUTE_TOL = 1e-9
 
@@ -141,14 +148,16 @@ def iso_machine(
 
     Members are (n + m)-channel trajectories holding state and input
     samples together.  The input leg extracts the input channels; the
-    output leg evaluates the readout node-wise.  ``side_residuals`` maps a
+    output leg evaluates the readout at every node.  ``dynamics`` and
+    ``readout`` callables of one node are lifted with
+    :func:`~sheafsys.ode_behavior.pointwise`.  ``side_residuals`` maps a
     member to named (residual, node) pairs of algebraic conditions that
     membership must meet as well (none by default).
 
     The sampler is ``sampler(x0, curve, ..., length, shift=0.0)``: the input
     at absolute time t is the concatenation of the curves' values, one curve
     per input group (callables of time, so the integrator can evaluate them
-    between nodes).
+    between nodes; lifted with :func:`~sheafsys.ode_behavior.pointwise`).
     """
     n = dynamics.dimension
     m = int(num_inputs)
@@ -156,6 +165,8 @@ def iso_machine(
     input_labels = tuple(input_labels) if input_labels else tuple(f"u{i}" for i in range(m))
     output_labels = tuple(output_labels) if output_labels else tuple(f"y{i}" for i in range(num_outputs))
     member_labels = state_labels + input_labels
+    rhs = pointwise(dynamics.rhs_with_input, 0, 1, 1)
+    readout = pointwise(readout, 0, 1, 1)
 
     def split(e: Trajectory):
         x = e.channels(state_labels)
@@ -166,13 +177,8 @@ def iso_machine(
         if e.labels != member_labels:
             return float("inf")
         x, u = split(e)
-        d = grid_derivative(x, e.grid_step)
-        worst, _ = worst_defect(
-            [
-                np.max(np.abs(d[i] - dynamics.rhs_with_input(t, x[i], u[i])))
-                for i, t in enumerate(e.absolute_times)
-            ]
-        )
+        rates = np.asarray(rhs(e.absolute_times, x, u), dtype=float)
+        worst, _ = worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))
         return worst_defect([worst, *(v for v, _ in side_residuals(e).values())])[0]
 
     def a_leg(e: Trajectory) -> Trajectory:
@@ -181,12 +187,7 @@ def iso_machine(
 
     def e_leg(e: Trajectory) -> Trajectory:
         x, u = split(e)
-        y = np.stack(
-            [
-                np.asarray(readout(t, x[i], u[i]), dtype=float)
-                for i, t in enumerate(e.absolute_times)
-            ]
-        )
+        y = np.asarray(readout(e.absolute_times, x, u), dtype=float)
         return Trajectory(y, e.grid_step, e.shift, output_labels)
 
     def sampler(x0, *curves_and_length, shift: float = 0.0) -> Trajectory:
@@ -197,14 +198,12 @@ def iso_machine(
             input_curve = lambda t: np.concatenate([np.atleast_1d(c(t)) for c in curves])
         closed = VectorField(
             n,
-            lambda t, x: dynamics.rhs_with_input(t, x, np.atleast_1d(input_curve(t))),
+            lambda t, x: rhs(t, x, np.atleast_1d(input_curve(t))),
             dynamics.description,
         )
         state = integrate(closed, x0, length, grid_step, shift, state_labels)
-        u_nodes = np.stack(
-            [np.atleast_1d(input_curve(t)) for t in state.absolute_times]
-        )
-        values = np.concatenate([state.values, u_nodes], axis=1)
+        u_nodes = np.asarray(pointwise(input_curve, 0)(state.absolute_times), dtype=float)
+        values = np.concatenate([state.values, u_nodes.reshape(state.num_nodes, -1)], axis=1)
         return Trajectory(values, grid_step, shift, member_labels)
 
     behavior = BehaviorSheaf(
@@ -407,7 +406,8 @@ def verify_port_control_diagram(
     a_phi: closed -> enclosing; the triangle asserts a_phi = xi . psi.
     Probes must be members of the closed behavior, and the closed machine's
     output leg must land in the one-point sheaf: node-constant values,
-    identical across all probes (raises NotClosed otherwise).
+    identical across all probes (raises NotClosed otherwise, and on any
+    non-finite value).
 
     Checks performed, all reported as named worst-case defects:
 
@@ -439,16 +439,15 @@ def verify_port_control_diagram(
     leg_values = []
     for i, e in enumerate(probes):
         out = closed.e_leg(e)
-        if out.dimension and out.num_nodes > 1:
-            wiggle = float(np.max(np.abs(out.values - out.values[0])))
-            if wiggle > tolerance:
-                raise NotClosed(
-                    f"closed machine output varies in time on probe {i} "
-                    f"(wiggle {wiggle:.3e})"
-                )
-        leg_values.append(out.values[0] if out.dimension else np.zeros(0))
+        wiggle = worst_defect(np.abs(out.values - out.values[0]))[0]
+        if wiggle > tolerance:
+            raise NotClosed(
+                f"closed machine output varies in time on probe {i} "
+                f"(wiggle {wiggle:.3e})"
+            )
+        leg_values.append(out.values[0])
     for i in range(1, len(leg_values)):
-        gap = float(np.max(np.abs(leg_values[i] - leg_values[0]))) if leg_values[i].size else 0.0
+        gap = worst_defect(np.abs(leg_values[i] - leg_values[0]))[0]
         if gap > tolerance:
             raise NotClosed(
                 f"closed machine output differs between probes 0 and {i} "

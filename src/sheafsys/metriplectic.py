@@ -38,7 +38,15 @@ import numpy as np
 from .errors import DimensionMismatch, MissingAuxTag, NoninteractionViolation
 from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import DiagramReport, Machine
-from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative, worst_defect
+from .ode_behavior import (
+    DEFAULT_RESIDUAL_TOL,
+    dot,
+    grid_derivative,
+    matvec,
+    pointwise,
+    transpose,
+    worst_defect,
+)
 from . import port_diagram
 from .port_diagram import (
     SIDE_CONDITION_TOL,
@@ -59,12 +67,13 @@ from .port_hamiltonian import (
     aux_gradient,
     aux_linear,
     aux_zero,
-    default_probe_points,
+    antisymmetric,
+    check_points,
+    consistent_gradient,
     fd_gradient,
-    require_antisymmetric,
-    require_gradient,
-    require_psd,
-    require_symmetric,
+    require,
+    semidefinite,
+    symmetric,
 )
 
 
@@ -76,6 +85,11 @@ class MetriplecticSystem(PortSystem):
     ----------
     n, m : int
         State and port dimensions.
+
+    Every callable follows the stack contract of
+    :mod:`sheafsys.ode_behavior` (:func:`metriplectic_system` lifts
+    callables of one node):
+
     poisson : callable
         x -> antisymmetric (n, n) matrix J(x), drives the energy.
     friction : callable
@@ -125,34 +139,42 @@ class MetriplecticSystem(PortSystem):
     def grad_s(self, x) -> np.ndarray:
         return self.gradient(self.grad_entropy, x, "S")
 
+    def energy_at(self, x) -> np.ndarray:
+        return self.scalar(self.energy, x, "H")
+
+    def entropy_at(self, x) -> np.ndarray:
+        return self.scalar(self.entropy, x, "S")
+
     # node formulas of the port diagram
 
     def check(self, points: Optional[Sequence] = None) -> None:
         check_metriplectic_structure(self, points)
 
     def closed_rhs(self, x) -> np.ndarray:
-        return self.poisson(x) @ self.grad_h(x) + self.friction(x) @ self.grad_s(x)
+        return matvec(self.poisson(x), self.grad_h(x)) + matvec(self.friction(x), self.grad_s(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
-        u, tau = s[: self.m], s[self.m :]
-        return self.closed_rhs(x) + self.energy_port(x) @ u + self.entropy_port(x) @ tau
+        u, tau = s[..., : self.m], s[..., self.m :]
+        return (
+            self.closed_rhs(x) + matvec(self.energy_port(x), u) + matvec(self.entropy_port(x), tau)
+        )
 
     def zeta_rate(self, x, s) -> np.ndarray:
         """-B^T grad H + A^T grad S + Jt u + Gt tau, the zeta row of the
         extended dynamics."""
-        u, tau = s[: self.m], s[self.m :]
+        u, tau = s[..., : self.m], s[..., self.m :]
         return (
-            -self.energy_port(x).T @ self.grad_h(x)
-            + self.entropy_port(x).T @ self.grad_s(x)
-            + self.port_poisson(x) @ u
-            + self.port_friction(x) @ tau
+            -matvec(transpose(self.energy_port(x)), self.grad_h(x))
+            + matvec(transpose(self.entropy_port(x)), self.grad_s(x))
+            + matvec(self.port_poisson(x), u)
+            + matvec(self.port_friction(x), tau)
         )
 
     def signal_reader(self, tag):
         if not (isinstance(tag, tuple) and len(tag) == 2):
             raise MissingAuxTag("extended metriplectic member needs a pair of auxiliary energies")
         read_h, read_s = (aux_gradient(aux, self.m) for aux in tag)
-        return lambda t, zeta: np.concatenate([read_h(t, zeta), read_s(t, zeta)])
+        return lambda t, zeta: np.concatenate([read_h(t, zeta), read_s(t, zeta)], axis=-1)
 
     def signal_tag(self, start: float, step: float, signals: np.ndarray):
         return (
@@ -171,14 +193,12 @@ class MetriplecticSystem(PortSystem):
         aux_h, aux_s = tag
         zeta = e.channels(self.zeta_labels)
         x = e.channels(self.state_labels)
+        times = e.absolute_times
         return _worst_per_condition(
             ("Jt grad aux H", "Gt grad aux S"),
             (
-                (
-                    self.port_poisson(x[i]) @ aux_h.gradient(t, zeta[i]),
-                    self.port_friction(x[i]) @ aux_s.gradient(t, zeta[i]),
-                )
-                for i, t in enumerate(e.absolute_times)
+                matvec(self.port_poisson(x), aux_h.gradient(times, zeta)),
+                matvec(self.port_friction(x), aux_s.gradient(times, zeta)),
             ),
         )
 
@@ -198,7 +218,8 @@ def metriplectic_system(
     gradS: Optional[Callable] = None,
     labels: Optional[tuple] = None,
 ) -> MetriplecticSystem:
-    """Assemble a MetriplecticSystem from constants or callables."""
+    """Assemble a MetriplecticSystem from constants or callables; callables
+    of one node are lifted with :func:`~sheafsys.ode_behavior.pointwise`."""
     labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for state dimension {n}")
@@ -211,34 +232,39 @@ def metriplectic_system(
         as_matrix_field(A, n, m, "A"),
         as_matrix_field(Jt, m, m, "Jt"),
         as_matrix_field(Gt, m, m, "Gt"),
-        H,
-        S,
-        gradH if gradH is not None else fd_gradient(H, n),
-        gradS if gradS is not None else fd_gradient(S, n),
+        pointwise(H),
+        pointwise(S),
+        pointwise(gradH) if gradH is not None else fd_gradient(H, n),
+        pointwise(gradS) if gradS is not None else fd_gradient(S, n),
         labels,
     )
 
 
 def extended_friction_block(sys: MetriplecticSystem, x) -> np.ndarray:
-    """The (n+m) x (n+m) block [[G, A], [A^T, Gt]] at a state point."""
+    """The (n+m) x (n+m) block [[G, A], [A^T, Gt]] at a state point or at
+    every point of a stack."""
+    x = np.asarray(x, dtype=float)
     n, m = sys.n, sys.m
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = sys.friction(x)
+    out = np.zeros(x.shape[:-1] + (n + m, n + m))
+    out[..., :n, :n] = sys.friction(x)
     A = sys.entropy_port(x)
-    out[:n, n:] = A
-    out[n:, :n] = A.T
-    out[n:, n:] = sys.port_friction(x)
+    out[..., :n, n:] = A
+    out[..., n:, :n] = transpose(A)
+    out[..., n:, n:] = sys.port_friction(x)
     return out
 
 
 def noninteraction_residuals(sys: MetriplecticSystem, points: Optional[Sequence] = None):
     """Worst probe-point residuals of J grad S and G grad H."""
-    if points is None:
-        points = default_probe_points(sys.n)
-    points = [np.asarray(x, dtype=float) for x in points]
+    points = check_points(sys.n, points)
+    if not len(points):
+        return 0.0, 0.0, None, None
     worst = _worst_per_condition(
         ("J gradS", "G gradH"),
-        ((sys.poisson(x) @ sys.grad_s(x), sys.friction(x) @ sys.grad_h(x)) for x in points),
+        (
+            matvec(sys.poisson(points), sys.grad_s(points)),
+            matvec(sys.friction(points), sys.grad_h(points)),
+        ),
     )
     (js, i), (gh, j) = worst["J gradS"], worst["G gradH"]
     return js, gh, points[i] if js > 0 else None, points[j] if gh > 0 else None
@@ -248,20 +274,20 @@ def check_metriplectic_structure(
     sys: MetriplecticSystem, points: Optional[Sequence] = None
 ) -> None:
     """Verify antisymmetry, PSD blocks, gradient consistency, noninteraction."""
-    if points is None:
-        points = default_probe_points(sys.n)
-    fd_h = fd_gradient(sys.energy, sys.n)
-    fd_s = fd_gradient(sys.entropy, sys.n)
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        require_antisymmetric("J(x)", sys.poisson(x), x)
-        require_antisymmetric("Jt(x)", sys.port_poisson(x), x)
-        G = sys.friction(x)
-        require_symmetric("G(x)", G, x)
-        require_psd("G(x)", G, x)
-        require_psd("[[G, A], [A^T, Gt]]", extended_friction_block(sys, x), x)
-        require_gradient("H", sys.grad_h, fd_h, x)
-        require_gradient("S", sys.grad_s, fd_s, x)
+    points = check_points(sys.n, points)
+    if not len(points):
+        return
+    G = sys.friction(points)
+    require(
+        points,
+        antisymmetric("J(x)", sys.poisson(points), points),
+        antisymmetric("Jt(x)", sys.port_poisson(points), points),
+        symmetric("G(x)", G, points),
+        semidefinite("G(x)", G, points),
+        semidefinite("[[G, A], [A^T, Gt]]", extended_friction_block(sys, points), points),
+        consistent_gradient("H", sys.grad_h, fd_gradient(sys.energy, sys.n), points),
+        consistent_gradient("S", sys.grad_s, fd_gradient(sys.entropy, sys.n), points),
+    )
     worst_js, worst_gh, at_js, at_gh = noninteraction_residuals(sys, points)
     if worst_js > MATRIX_TOL:
         raise NoninteractionViolation(
@@ -291,15 +317,14 @@ def zeta_rate_along(
 SIDE_CONDITIONS = ("J gradS", "G gradH", "B tau", "A u", "B^T gradS", "A^T gradH", "Jt tau", "Gt u")
 
 
-def _worst_per_condition(names: tuple, node_values) -> dict:
+def _worst_per_condition(names: tuple, stacks) -> dict:
     """(worst residual, node) of each named condition, by
-    :func:`~sheafsys.ode_behavior.worst_defect`; ``node_values`` yields, for
-    every node, one array per name."""
-    residuals = np.array(
-        [[np.max(np.abs(v)) if np.size(v) else 0.0 for v in values] for values in node_values],
-        dtype=float,
-    ).reshape(-1, len(names))
-    return {name: worst_defect(residuals[:, k]) for k, name in enumerate(names)}
+    :func:`~sheafsys.ode_behavior.worst_defect`; ``stacks`` holds one (N, k)
+    stack of condition values per name."""
+    return {
+        name: worst_defect(np.max(np.abs(v), axis=-1) if v.shape[-1] else np.zeros(v.shape[:-1]))
+        for name, v in zip(names, stacks)
+    }
 
 
 def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
@@ -311,23 +336,21 @@ def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
     x = e.channels(sys.state_labels)
     u = e.channels(sys.input_labels)
     tau = e.channels(sys.tau_labels)
-
-    def node_values():
-        for i, xi in enumerate(x):
-            gh = sys.grad_h(xi)
-            gs = sys.grad_s(xi)
-            yield (
-                sys.poisson(xi) @ gs,
-                sys.friction(xi) @ gh,
-                sys.energy_port(xi) @ tau[i],
-                sys.entropy_port(xi) @ u[i],
-                sys.energy_port(xi).T @ gs,
-                sys.entropy_port(xi).T @ gh,
-                sys.port_poisson(xi) @ tau[i],
-                sys.port_friction(xi) @ u[i],
-            )
-
-    return _worst_per_condition(SIDE_CONDITIONS, node_values())
+    gh, gs = sys.grad_h(x), sys.grad_s(x)
+    B, A = sys.energy_port(x), sys.entropy_port(x)
+    return _worst_per_condition(
+        SIDE_CONDITIONS,
+        (
+            matvec(sys.poisson(x), gs),
+            matvec(sys.friction(x), gh),
+            matvec(B, tau),
+            matvec(A, u),
+            matvec(transpose(B), gs),
+            matvec(transpose(A), gh),
+            matvec(sys.port_poisson(x), tau),
+            matvec(sys.port_friction(x), u),
+        ),
+    )
 
 
 def assert_side_conditions(
@@ -365,8 +388,8 @@ def embed_metriplectic(
 
 def _generator_rates(sys: MetriplecticSystem, x: np.ndarray, h: float):
     """H at every node, and dH/dt and dS/dt by the grid stencils."""
-    energy = np.array([sys.energy(xi) for xi in x])[:, np.newaxis]
-    entropy = np.array([sys.entropy(xi) for xi in x])[:, np.newaxis]
+    energy = sys.energy_at(x)[:, np.newaxis]
+    entropy = sys.entropy_at(x)[:, np.newaxis]
     return energy[:, 0], grid_derivative(energy, h)[:, 0], grid_derivative(entropy, h)[:, 0]
 
 
@@ -374,14 +397,15 @@ def degeneracy_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
     """Energy and entropy rates along a closed run, by the grid stencils.
 
     Returns max |dH/dt|, min dS/dt, and the total energy drift
-    max |H(x(t)) - H(x(0))|.
+    max |H(x(t)) - H(x(0))|.  A non-finite node gives inf, and -inf for the
+    entropy rate minimum, so the audit fails.
     """
     x = e.channels(sys.state_labels) if e.labels != sys.state_labels else e.values
     energy, h_rate, s_rate = _generator_rates(sys, x, e.grid_step)
     return {
-        "energy_rate_max": float(np.max(np.abs(h_rate))),
-        "entropy_rate_min": float(np.min(s_rate)),
-        "energy_drift": float(np.max(np.abs(energy - energy[0]))),
+        "energy_rate_max": worst_defect(np.abs(h_rate))[0],
+        "entropy_rate_min": -worst_defect(-s_rate)[0],
+        "energy_drift": worst_defect(np.abs(energy - energy[0]))[0],
     }
 
 
@@ -397,27 +421,20 @@ def rate_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
     u = e.channels(sys.input_labels)
     tau = e.channels(sys.tau_labels)
     _, h_rate, s_rate = _generator_rates(sys, x, e.grid_step)
-    h_defects, s_defects = [], []
-    for i, xi in enumerate(x):
-        drive = sys.energy_port(xi) @ u[i] + sys.entropy_port(xi) @ tau[i]
-        gh = sys.grad_h(xi)
-        gs = sys.grad_s(xi)
-        h_defects.append(h_rate[i] - float(gh @ drive))
-        production = float(gs @ sys.friction(xi) @ gs)
-        s_defects.append(s_rate[i] - production - float(gs @ drive))
+    drive = matvec(sys.energy_port(x), u) + matvec(sys.entropy_port(x), tau)
+    gh, gs = sys.grad_h(x), sys.grad_s(x)
+    production = dot(gs, matvec(sys.friction(x), gs))
     return {
-        "energy_rate_defect": worst_defect(np.abs(h_defects))[0],
-        "entropy_rate_defect": worst_defect(np.abs(s_defects))[0],
+        "energy_rate_defect": worst_defect(np.abs(h_rate - dot(gh, drive)))[0],
+        "entropy_rate_defect": worst_defect(np.abs(s_rate - production - dot(gs, drive)))[0],
     }
 
 
 def extended_psd_min(sys: MetriplecticSystem, states: np.ndarray) -> float:
-    """Smallest eigenvalue of [[G, A], [A^T, Gt]] along a state array."""
-    worst = float("inf")
-    for x in states:
-        block = extended_friction_block(sys, x)
-        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (block + block.T)).min()))
-    return worst
+    """Smallest eigenvalue of [[G, A], [A^T, Gt]] along a state array; -inf
+    at a non-finite node."""
+    block = extended_friction_block(sys, states)
+    return -worst_defect(-np.linalg.eigvalsh(0.5 * (block + transpose(block))).min(axis=-1))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,18 @@ are joined by three machine monomorphisms,
 
 and the diagram commutes when a_phi = xi . psi.  The construction is the
 same for port-Hamiltonian and metriplectic systems; a family supplies only
-node formulas, through the :class:`PortSystem` methods, with ``s`` the port
-signals at one node:
+node formulas, through the :class:`PortSystem` methods.  They follow the
+stack contract of :mod:`sheafsys.ode_behavior`: ``x`` is one state or an
+(N, n) stack of them and ``s`` the port signals at the same nodes, so every
+pass over a trajectory is one call:
 
 - ``closed_rhs(x)`` and ``port_rhs(x, s)``, the closed and driven dynamics;
 - ``zeta_rate(x, s)``, the rate of the port variables zeta of the extended
   space; the port output is its negative;
 - ``signal_reader(tag)``, ``signal_tag(start, step, signals)`` and
   ``zero_tag()``: how signals are read from and stored in the
-  auxiliary-energy tag an extended member carries;
+  auxiliary-energy tag an extended member carries (the reader maps
+  absolute times and zeta values to the signals);
 - ``port_side_residuals(e)`` and ``extended_side_residuals(tag, e)``,
   algebraic conditions that membership must meet as well (none by default);
 - ``check(points=None)``, the family's structure check.
@@ -48,6 +51,7 @@ from .ode_behavior import (
     DEFAULT_RESIDUAL_TOL,
     OdeBehavior,
     VectorField,
+    batched,
     membership_residual,
     worst_defect,
 )
@@ -84,10 +88,21 @@ class PortSystem:
         return self.input_labels
 
     def gradient(self, fn, x, name: str) -> np.ndarray:
-        """``fn(x)`` as a float array, checked to have shape (n,)."""
-        out = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (self.n,):
-            raise DimensionMismatch(f"grad {name} shape {out.shape}, expected ({self.n},)")
+        """``fn(x)`` as a float array, checked to have the shape of x."""
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(fn(x), dtype=float)
+        if out.shape != x.shape or x.shape[-1] != self.n:
+            raise DimensionMismatch(
+                f"grad {name} shape {out.shape}, expected {x.shape[:-1] + (self.n,)}"
+            )
+        return out
+
+    def scalar(self, fn, x, name: str) -> np.ndarray:
+        """``fn(x)`` as a float array, checked to hold one value per node."""
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(fn(x), dtype=float)
+        if out.shape != x.shape[:-1]:
+            raise DimensionMismatch(f"{name} shape {out.shape}, expected {x.shape[:-1]}")
         return out
 
     def port_side_residuals(self, e: Trajectory) -> dict:
@@ -115,7 +130,7 @@ def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
 
 def zeta_rate_along(system: PortSystem, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """The zeta rate at every node of a state array and a signal array."""
-    return np.stack([system.zeta_rate(x, signals[i]) for i, x in enumerate(states)])
+    return system.zeta_rate(states, signals)
 
 
 def _zero_signals(system: PortSystem, e: Trajectory) -> np.ndarray:
@@ -127,7 +142,7 @@ def _zero_signals(system: PortSystem, e: Trajectory) -> np.ndarray:
 
 
 def closed_field(system: PortSystem) -> VectorField:
-    return VectorField(system.n, lambda t, x: system.closed_rhs(x), "closed flow")
+    return VectorField(system.n, batched(lambda t, x: system.closed_rhs(x)), "closed flow")
 
 
 def closed_behavior(
@@ -169,10 +184,11 @@ def _fixed_tag_behavior(
     read = system.signal_reader(tag)
     n = system.n
 
+    @batched
     def rhs(t, xi):
-        x = xi[:n]
-        s = read(t, xi[n:])
-        return np.concatenate([system.port_rhs(x, s), system.zeta_rate(x, s)])
+        x = xi[..., :n]
+        s = read(t, xi[..., n:])
+        return np.concatenate([system.port_rhs(x, s), system.zeta_rate(x, s)], axis=-1)
 
     return ExtendedBehavior(
         VectorField(n + system.m, rhs, "extended flow"),
@@ -310,8 +326,8 @@ def port_machine(
     """
     system.check()
     return iso_machine(
-        ControlledField(system.n, lambda t, x, s: system.port_rhs(x, s), "driven flow"),
-        lambda t, x, s: -system.zeta_rate(x, s),
+        ControlledField(system.n, batched(lambda t, x, s: system.port_rhs(x, s)), "driven flow"),
+        batched(lambda t, x, s: -system.zeta_rate(x, s)),
         len(system.signal_labels),
         system.m,
         grid_step,
@@ -335,8 +351,7 @@ def enclosing_legs(system: PortSystem):
 
     def signals(e: Trajectory) -> np.ndarray:
         read = system.signal_reader(e.aux)
-        zeta = e.channels(system.zeta_labels)
-        return np.stack([read(t, zeta[i]) for i, t in enumerate(e.absolute_times)])
+        return read(e.absolute_times, e.channels(system.zeta_labels))
 
     def a_leg(e: Trajectory) -> Trajectory:
         return Trajectory(signals(e), e.grid_step, e.shift, system.signal_labels)

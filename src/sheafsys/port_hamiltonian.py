@@ -30,7 +30,16 @@ import numpy as np
 from .errors import DimensionMismatch, MissingAuxTag, StructureViolation
 from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import DiagramReport, Machine
-from .ode_behavior import DEFAULT_RESIDUAL_TOL, grid_derivative, worst_defect
+from .ode_behavior import (
+    DEFAULT_RESIDUAL_TOL,
+    batched,
+    dot,
+    grid_derivative,
+    matvec,
+    pointwise,
+    transpose,
+    worst_defect,
+)
 from . import port_diagram
 from .port_diagram import (
     Builders,
@@ -45,24 +54,36 @@ from .port_diagram import (
 MATRIX_TOL = 1e-10
 GRAD_CONSISTENCY_RTOL = 1e-5
 
+#: distance, in steps, within which a sampled curve reads a sample exactly
+SAMPLE_ALIGN_TOL = 1e-9
+
 
 def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Turn a constant matrix or a callable into a checked matrix field."""
+    """Turn a constant matrix or a callable into a checked matrix field.
+
+    The field maps a state stack (N, n) to (N, rows, cols), or one state to
+    one matrix; a constant field gives its one matrix, shared by every node
+    of a stack.  A callable of one node is lifted with
+    :func:`~sheafsys.ode_behavior.pointwise`.
+    """
     if callable(value):
-        fn = value
+        fn = pointwise(value)
     else:
         constant = np.array(value, dtype=float)
         if constant.shape != (rows, cols):
             raise DimensionMismatch(
                 f"{name} has shape {constant.shape}, expected ({rows}, {cols})"
             )
+        constant.setflags(write=False)
         fn = lambda x, _c=constant: _c
 
+    @batched
     def field(x):
-        out = np.asarray(fn(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (rows, cols):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(fn(x), dtype=float)
+        if out.shape != (rows, cols) and out.shape != x.shape[:-1] + (rows, cols):
             raise DimensionMismatch(
-                f"{name}(x) has shape {out.shape}, expected ({rows}, {cols})"
+                f"{name}(x) has shape {out.shape}, expected {x.shape[:-1] + (rows, cols)}"
             )
         return out
 
@@ -71,17 +92,19 @@ def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndar
 
 def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], np.ndarray]:
     """Central-difference gradient with step 1e-6 * (1 + |x_i|) per axis."""
+    h_fn = pointwise(h_fn)
 
+    @batched
     def grad(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty(n)
+        out = np.empty(x.shape)
         for i in range(n):
-            step = 1e-6 * (1.0 + abs(x[i]))
+            step = 1e-6 * (1.0 + np.abs(x[..., i]))
             plus = x.copy()
             minus = x.copy()
-            plus[i] += step
-            minus[i] -= step
-            out[i] = (h_fn(plus) - h_fn(minus)) / (2.0 * step)
+            plus[..., i] += step
+            minus[..., i] -= step
+            out[..., i] = (h_fn(plus) - h_fn(minus)) / (2.0 * step)
         return out
 
     return grad
@@ -95,6 +118,11 @@ class PHSystem(PortSystem):
     ----------
     n, m : int
         State and port dimensions.
+
+    Every callable follows the stack contract of
+    :mod:`sheafsys.ode_behavior` (:func:`ph_system` lifts callables of one
+    node):
+
     interconnection : callable
         x -> antisymmetric (n, n) matrix J(x).
     dissipation : callable
@@ -124,9 +152,12 @@ class PHSystem(PortSystem):
     def grad(self, x) -> np.ndarray:
         return self.gradient(self.grad_hamiltonian, x, "H")
 
+    def energy_at(self, x) -> np.ndarray:
+        return self.scalar(self.hamiltonian, x, "H")
+
     def port_output(self, x) -> np.ndarray:
         """The natural port output B(x)^T grad H(x)."""
-        return self.port_map(x).T @ self.grad(x)
+        return matvec(transpose(self.port_map(x)), self.grad(x))
 
     # node formulas of the port diagram
 
@@ -134,10 +165,10 @@ class PHSystem(PortSystem):
         check_structure(self, points)
 
     def closed_rhs(self, x) -> np.ndarray:
-        return (self.interconnection(x) - self.dissipation(x)) @ self.grad(x)
+        return matvec(self.interconnection(x) - self.dissipation(x), self.grad(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
-        return (self.interconnection(x) - self.dissipation(x)) @ self.grad(x) + self.port_map(x) @ s
+        return self.closed_rhs(x) + matvec(self.port_map(x), s)
 
     def zeta_rate(self, x, s) -> np.ndarray:
         return -self.port_output(x)
@@ -163,7 +194,8 @@ def ph_system(
     labels: Optional[tuple] = None,
 ) -> PHSystem:
     """Assemble a PHSystem from constants or callables; gradient falls back
-    to central differences when no closed form is given."""
+    to central differences when no closed form is given.  Callables of one
+    node are lifted with :func:`~sheafsys.ode_behavior.pointwise`."""
     labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for state dimension {n}")
@@ -173,8 +205,8 @@ def ph_system(
         as_matrix_field(J, n, n, "J"),
         as_matrix_field(R, n, n, "R"),
         as_matrix_field(B, n, m, "B"),
-        H,
-        gradH if gradH is not None else fd_gradient(H, n),
+        pointwise(H),
+        pointwise(gradH) if gradH is not None else fd_gradient(H, n),
         labels,
     )
 
@@ -192,31 +224,54 @@ def default_probe_points(n: int) -> list:
     return points
 
 
-def require_antisymmetric(name: str, M: np.ndarray, x: np.ndarray) -> None:
-    if np.max(np.abs(M + M.T)) > MATRIX_TOL:
-        raise StructureViolation(f"{name} not antisymmetric at x = {x.tolist()}")
+def require(points: np.ndarray, *checks) -> None:
+    """Raise StructureViolation for the first of the points that fails a
+    check, and there the first check it fails.  Each check is a (failing,
+    message) pair: ``failing`` a bool per point (or one for all of them),
+    ``message(i)`` the text for point i.
+    """
+    failing = [np.broadcast_to(failing, (len(points),)) for failing, _ in checks]
+    hits = np.argwhere(np.column_stack(failing))
+    if hits.size:
+        point, check = hits[0]
+        raise StructureViolation(checks[check][1](point))
 
 
-def require_symmetric(name: str, M: np.ndarray, x: np.ndarray) -> None:
-    if np.max(np.abs(M - M.T)) > MATRIX_TOL:
-        raise StructureViolation(f"{name} not symmetric at x = {x.tolist()}")
+def antisymmetric(name: str, M: np.ndarray, points: np.ndarray):
+    defect = np.max(np.abs(M + transpose(M)), axis=(-2, -1))
+    return ~(defect <= MATRIX_TOL), lambda i: (
+        f"{name} not antisymmetric at x = {points[i].tolist()}"
+    )
 
 
-def require_psd(name: str, M: np.ndarray, x: np.ndarray) -> None:
+def symmetric(name: str, M: np.ndarray, points: np.ndarray):
+    defect = np.max(np.abs(M - transpose(M)), axis=(-2, -1))
+    return ~(defect <= MATRIX_TOL), lambda i: f"{name} not symmetric at x = {points[i].tolist()}"
+
+
+def semidefinite(name: str, M: np.ndarray, points: np.ndarray):
     """Positive semidefinite symmetric part; symmetry itself is not checked."""
-    if np.linalg.eigvalsh(0.5 * (M + M.T)).min() < -MATRIX_TOL:
-        raise StructureViolation(f"{name} not positive semidefinite at x = {x.tolist()}")
+    lowest = np.linalg.eigvalsh(0.5 * (M + transpose(M))).min(axis=-1)
+    return ~(lowest >= -MATRIX_TOL), lambda i: (
+        f"{name} not positive semidefinite at x = {points[i].tolist()}"
+    )
 
 
-def require_gradient(name: str, grad, fd, x: np.ndarray) -> None:
+def consistent_gradient(name: str, grad, fd, points: np.ndarray):
     """The gradient agrees with central differences to GRAD_CONSISTENCY_RTOL."""
-    reference = fd(x)
-    gap = np.max(np.abs(grad(x) - reference))
-    if gap > GRAD_CONSISTENCY_RTOL * max(1.0, float(np.max(np.abs(reference)))):
-        raise StructureViolation(
-            f"grad {name} inconsistent with finite differences at x = {x.tolist()} "
-            f"(gap {gap:.3e})"
-        )
+    reference = fd(points)
+    gap = np.max(np.abs(grad(points) - reference), axis=-1)
+    bound = GRAD_CONSISTENCY_RTOL * np.maximum(1.0, np.max(np.abs(reference), axis=-1))
+    return ~(gap <= bound), lambda i: (
+        f"grad {name} inconsistent with finite differences at x = {points[i].tolist()} "
+        f"(gap {gap[i]:.3e})"
+    )
+
+
+def check_points(n: int, points: Optional[Sequence]) -> np.ndarray:
+    """The structure-check points as a (P, n) stack; the defaults when None."""
+    points = default_probe_points(n) if points is None else points
+    return np.asarray(points, dtype=float).reshape(len(points), n)
 
 
 def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
@@ -224,16 +279,17 @@ def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
 
     Raises StructureViolation naming the failing probe point.
     """
-    if points is None:
-        points = default_probe_points(sys.n)
-    fd = fd_gradient(sys.hamiltonian, sys.n)
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        require_antisymmetric("J(x)", sys.interconnection(x), x)
-        R = sys.dissipation(x)
-        require_symmetric("R(x)", R, x)
-        require_psd("R(x)", R, x)
-        require_gradient("H", sys.grad, fd, x)
+    points = check_points(sys.n, points)
+    if not len(points):
+        return
+    R = sys.dissipation(points)
+    require(
+        points,
+        antisymmetric("J(x)", sys.interconnection(points), points),
+        symmetric("R(x)", R, points),
+        semidefinite("R(x)", R, points),
+        consistent_gradient("H", sys.grad, fd_gradient(sys.hamiltonian, sys.n), points),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +300,14 @@ def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
 class SampledCurve:
     """Piecewise-linear curve through samples on a uniform absolute-time grid.
 
-    Equality is by value (start, step, and samples bit-exact), so aux tags
-    built from the same data compare equal.
+    Called with one time or an (N,) stack of times.  A time within
+    ``SAMPLE_ALIGN_TOL`` steps of a sample time reads that sample exactly,
+    so absolute node times, which restriction computes with different
+    roundings, read the same values.  Equality is by value (start, step, and
+    samples bit-exact), so aux tags built from the same data compare equal.
     """
+
+    batched = True
 
     start: float
     step: float
@@ -263,14 +324,16 @@ class SampledCurve:
         if not (self.step > 0):
             raise DimensionMismatch(f"curve step must be positive, got {self.step}")
 
-    def __call__(self, s: float) -> np.ndarray:
-        position = (s - self.start) / self.step
-        position = min(max(position, 0.0), self.samples.shape[0] - 1.0)
-        low = int(np.floor(position))
-        low = min(low, self.samples.shape[0] - 2) if self.samples.shape[0] > 1 else 0
-        frac = position - low
-        if self.samples.shape[0] == 1:
-            return self.samples[0]
+    def __call__(self, s) -> np.ndarray:
+        count = self.samples.shape[0]
+        if count == 1:
+            return np.broadcast_to(self.samples[0], np.shape(s) + self.samples.shape[1:])
+        position = (np.asarray(s, dtype=float) - self.start) / self.step
+        nearest = np.rint(position)
+        position = np.where(np.abs(position - nearest) <= SAMPLE_ALIGN_TOL, nearest, position)
+        position = np.clip(position, 0.0, count - 1.0)
+        low = np.minimum(np.floor(position).astype(int), count - 2)
+        frac = (position - low)[..., np.newaxis]
         return (1.0 - frac) * self.samples[low] + frac * self.samples[low + 1]
 
     def __eq__(self, other):
@@ -294,7 +357,10 @@ class AuxHamiltonian:
     H_aux = u(s)^T zeta with gradient u(s); and ``quadratic``,
     H_aux = kappa(s) * zeta^T Q zeta / 2 with gradient kappa(s) Q zeta.
     The time argument s is absolute (node time minus shift), so the tag is
-    unchanged by restriction.
+    unchanged by restriction.  ``gradient`` and ``value`` take one node (s a
+    time, zeta of shape (m,)) or stacks ((N,) times, (N, m) values; a single
+    time is shared by every row); a curve of one time is lifted with
+    :func:`~sheafsys.ode_behavior.pointwise`.
     """
 
     kind: str
@@ -315,26 +381,34 @@ class AuxHamiltonian:
                 raise StructureViolation("quadratic aux matrix must be symmetric (m, m)")
             quad.setflags(write=False)
             object.__setattr__(self, "quad", quad)
+        if self.curve is not None:  # equality compares the curve as given
+            object.__setattr__(self, "_stacked_curve", pointwise(self.curve, 0))
 
-    def gradient(self, s: float, zeta: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros(self.m)
-        if self.kind == "linear":
-            out = np.atleast_1d(np.asarray(self.curve(s), dtype=float))
-            if out.shape != (self.m,):
-                raise DimensionMismatch(
-                    f"linear aux curve returned shape {out.shape}, expected ({self.m},)"
-                )
-            return out
-        return float(self.curve(s)) * (self.quad @ np.asarray(zeta, dtype=float))
-
-    def value(self, s: float, zeta: np.ndarray) -> float:
+    def gradient(self, s, zeta) -> np.ndarray:
         zeta = np.asarray(zeta, dtype=float)
         if self.kind == "zero":
-            return 0.0
+            return np.zeros(zeta.shape[:-1] + (self.m,))
         if self.kind == "linear":
-            return float(self.gradient(s, zeta) @ zeta)
-        return 0.5 * float(self.curve(s)) * float(zeta @ self.quad @ zeta)
+            out = np.asarray(self._stacked_curve(s), dtype=float)
+            if out.shape == np.shape(s):  # scalar curve values
+                out = out[..., np.newaxis]
+            if out.shape != np.shape(s) + (self.m,):
+                raise DimensionMismatch(
+                    f"linear aux curve returned shape {out.shape}, "
+                    f"expected {np.shape(s) + (self.m,)}"
+                )
+            return np.broadcast_to(out, zeta.shape[:-1] + (self.m,))
+        kappa = np.asarray(self._stacked_curve(s), dtype=float)[..., np.newaxis]
+        return kappa * matvec(self.quad, zeta)
+
+    def value(self, s, zeta) -> np.ndarray:
+        zeta = np.asarray(zeta, dtype=float)
+        if self.kind == "zero":
+            return np.zeros(zeta.shape[:-1])
+        if self.kind == "linear":
+            return dot(self.gradient(s, zeta), zeta)
+        kappa = np.asarray(self._stacked_curve(s), dtype=float)
+        return 0.5 * kappa * dot(zeta, matvec(self.quad, zeta))
 
     def __eq__(self, other):
         if not isinstance(other, AuxHamiltonian):
@@ -401,7 +475,7 @@ def output_stencil_defect(sys: PHSystem, e: Trajectory) -> float:
     _, e_leg = projections(sys)
     local = e_leg(e).values
     stencil = -grid_derivative(e.channels(sys.zeta_labels), e.grid_step)
-    return float(np.max(np.abs(local - stencil)))
+    return worst_defect(np.abs(local - stencil))[0]
 
 
 def closed_machine(
@@ -433,7 +507,7 @@ def ph_iso_machine(
 def _port_run_rates(sys: PHSystem, e: Trajectory):
     """State, input and the stencil rate dH/dt along a port run."""
     x = e.channels(sys.state_labels)
-    energy = np.array([sys.hamiltonian(xi) for xi in x])[:, np.newaxis]
+    energy = sys.energy_at(x)[:, np.newaxis]
     return x, e.channels(sys.input_labels), grid_derivative(energy, e.grid_step)[:, 0]
 
 
@@ -445,43 +519,34 @@ def power_balance(sys: PHSystem, e: Trajectory) -> float:
     non-finite node defect gives inf.
     """
     x, u, rate = _port_run_rates(sys, e)
-    defects = []
-    for i in range(e.num_nodes):
-        grad = sys.grad(x[i])
-        supply = float(sys.port_output(x[i]) @ u[i])
-        dissipated = float(grad @ sys.dissipation(x[i]) @ grad)
-        defects.append(abs(rate[i] - (supply - dissipated)))
-    return worst_defect(defects)[0]
+    grad = sys.grad(x)
+    supply = dot(sys.port_output(x), u)
+    dissipated = dot(grad, matvec(sys.dissipation(x), grad))
+    return worst_defect(np.abs(rate - (supply - dissipated)))[0]
 
 
 def dissipation_margin(sys: PHSystem, e: Trajectory) -> float:
     """Worst node excess of dH/dt over the supplied power y^T u.
 
     Nonpositive (up to stencil error) whenever R is positive semidefinite.
+    A non-finite node gives inf.
     """
     x, u, rate = _port_run_rates(sys, e)
-    excess = [
-        rate[i] - float(sys.port_output(x[i]) @ u[i]) for i in range(e.num_nodes)
-    ]
-    return float(np.max(excess))
+    return worst_defect(rate - dot(sys.port_output(x), u))[0]
 
 
 def closed_energy_drift(sys: PHSystem, e: Trajectory) -> float:
-    """Max |H(x(t)) - H(x(0))| along a closed-system member."""
-    energy = np.array([sys.hamiltonian(xi) for xi in e.values])
-    return float(np.max(np.abs(energy - energy[0])))
+    """Max |H(x(t)) - H(x(0))| along a closed-system member; inf at a
+    non-finite node."""
+    energy = sys.energy_at(e.values)
+    return worst_defect(np.abs(energy - energy[0]))[0]
 
 
 def extended_energy(sys: PHSystem, aux: AuxHamiltonian, e: Trajectory) -> np.ndarray:
     """Total energy H(x) + H_aux(s, zeta) at every node."""
     x = e.channels(sys.state_labels)
     zeta = e.channels(sys.zeta_labels)
-    return np.array(
-        [
-            sys.hamiltonian(x[i]) + aux.value(t, zeta[i])
-            for i, t in enumerate(e.absolute_times)
-        ]
-    )
+    return sys.energy_at(x) + aux.value(e.absolute_times, zeta)
 
 
 def build_ph_diagram(

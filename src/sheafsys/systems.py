@@ -15,48 +15,65 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .ode_behavior import VectorField
+from .ode_behavior import VectorField, batched, dot, matvec
 from .port_hamiltonian import PHSystem, ph_system
 from .metriplectic import MetriplecticSystem, metriplectic_system
 
 
+# where v and -v go in the flattened cross-product matrix
+_HAT_PLUS, _HAT_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
+
+
+@batched
 def hat(v) -> np.ndarray:
-    """Cross-product matrix: hat(v) @ w = v x w."""
+    """Cross-product matrix: hat(v) @ w = v x w, at one vector or a stack."""
     v = np.asarray(v, dtype=float)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    out = np.zeros(v.shape[:-1] + (9,))
+    out[..., _HAT_PLUS] = v
+    out[..., _HAT_MINUS] = -v
+    return out.reshape(v.shape[:-1] + (3, 3))
 
 
 # ---------------------------------------------------------------------------
 # polynomial scalar fields (for JSON configs)
 
 
+def _power(v, p: int):
+    return v if p == 1 else np.power(v, p)
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse polynomial sum_k c_k * prod_i x_i^(p_ki) with analytic gradient."""
+    """Sparse polynomial sum_k c_k * prod_i x_i^(p_ki) with analytic gradient.
+
+    Value and gradient take one point (n,) or a stack (N, n); ``x.T[i]`` is
+    then coordinate i as a number or as a column of the stack.  Powers go
+    through the ``np.power`` ufunc for both, so a point gives bit for bit
+    the value of its row in a stack (the ``**`` of a NumPy scalar rounds
+    differently).
+    """
 
     n: int
     terms: tuple  # of (coeff, powers-tuple)
 
-    def __call__(self, x) -> float:
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        columns = x.T
         total = 0.0
         for coeff, powers in self.terms:
             term = coeff
             for i, p in enumerate(powers):
                 if p:
-                    term *= x[i] ** p
-            total += term
-        return float(total)
+                    term = term * _power(columns[i], p)
+            total = total + term
+        return float(total) if x.ndim == 1 else total + np.zeros(len(x))
 
+    @batched
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.zeros(self.n)
+        columns = x.T
+        out = np.zeros(x.shape)
+        out_columns = out.T
         for coeff, powers in self.terms:
             for i, p in enumerate(powers):
                 if not p:
@@ -65,9 +82,11 @@ class Polynomial:
                 for j, q in enumerate(powers):
                     e = q - 1 if j == i else q
                     if e:
-                        term *= x[j] ** e
-                out[i] += term
+                        term = term * _power(columns[j], e)
+                out_columns[i] += term
         return out
+
+    batched = True  # after the methods, whose decorator this name would hide
 
 
 def parse_polynomial(obj, n: int) -> Polynomial:
@@ -93,11 +112,15 @@ def parse_polynomial(obj, n: int) -> Polynomial:
 def mass_spring_system(k: float = 1.0, mass: float = 1.0, damping: float = 0.0) -> PHSystem:
     """Harmonic oscillator with one force port on the momentum."""
 
+    @batched
     def H(x):
-        return 0.5 * (k * x[0] ** 2 + x[1] ** 2 / mass)
+        return 0.5 * (k * x[..., 0] ** 2 + x[..., 1] ** 2 / mass)
 
-    def gradH(x):
-        return np.array([k * x[0], x[1] / mass])
+    scale, divide = np.array([k, 1.0]), np.array([1.0, mass])
+
+    @batched
+    def gradH(x):  # (k q, p / m), each rounded once, as the formula is
+        return x * scale / divide
 
     return ph_system(
         2,
@@ -128,29 +151,41 @@ def rigid_body_system(
     if inertia.shape != (3,) or np.any(inertia <= 0):
         raise ConfigError("inertia must be three positive numbers")
 
+    @batched
     def H(x):
-        return 0.5 * float(x[0] ** 2 / inertia[0] + x[1] ** 2 / inertia[1] + x[2] ** 2 / inertia[2])
+        return 0.5 * (x[..., 0] ** 2 / inertia[0] + x[..., 1] ** 2 / inertia[1] + x[..., 2] ** 2 / inertia[2])
 
+    @batched
     def gradH(x):
         return np.asarray(x, dtype=float) / inertia
 
+    @batched
     def S(x):
-        return 0.5 * float(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
 
+    @batched
     def gradS(x):
-        return np.asarray(x, dtype=float).copy()
+        return np.array(x, dtype=float)
 
+    identity = np.eye(3)
+
+    @batched
     def G(x):
         g = gradH(x)
-        return gamma * (float(g @ g) * np.eye(3) - np.outer(g, g))
+        squared = dot(g, g)[..., np.newaxis, np.newaxis]
+        return gamma * (squared * identity - g[..., :, np.newaxis] * g[..., np.newaxis, :])
 
+    @batched
     def B(x):
-        return np.array([[-x[1]], [x[0]], [0.0]])
+        out = np.zeros(x.shape[:-1] + (3, 1))
+        out[..., 0, 0] = -x[..., 1]
+        out[..., 1, 0] = x[..., 0]
+        return out
 
     return metriplectic_system(
         3,
         1,
-        J=lambda x: hat(x),
+        J=hat,
         G=G,
         B=B,
         A=np.zeros((3, 1)),
@@ -167,7 +202,7 @@ def rigid_body_system(
 def blowup_field() -> VectorField:
     """Scalar quadratic growth x' = x^2; solutions from x0 > 0 blow up at
     t = 1/x0."""
-    return VectorField(1, lambda t, x: x * x, "quadratic blow-up")
+    return VectorField(1, batched(lambda t, x: x * x), "quadratic blow-up")
 
 
 def linear_field(matrix=((-1.0,),)) -> VectorField:
@@ -175,7 +210,7 @@ def linear_field(matrix=((-1.0,),)) -> VectorField:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigError("linear system matrix must be square")
     return VectorField(
-        matrix.shape[0], lambda t, x: matrix @ x, "constant-coefficient linear field"
+        matrix.shape[0], batched(lambda t, x: matvec(matrix, x)), "constant-coefficient linear field"
     )
 
 

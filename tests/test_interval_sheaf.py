@@ -208,3 +208,17 @@ def test_csv_round_trip_is_identical(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first.startswith("# shift=") and "step=" in first
     assert path.read_text().splitlines()[1] == "t,q,p,zeta0"
+
+
+def test_write_csv_bytes_match_the_per_value_format(tmp_path):
+    values = np.array(
+        [[-0.0, 5e-324], [1e300, 1.0 / 3.0], [np.inf, -np.nan], [-1e-300, 2.0 ** -1074]]
+    )
+    e = Trajectory(values, 0.1, -0.3, ("a", "b"))
+    path = tmp_path / "e.csv"
+    write_csv(e, path)
+    lines = [f"# shift={e.shift:.17g} step={e.grid_step:.17g}", "t,a,b"]
+    lines += [
+        ",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]) for t, row in zip(e.times, e.values)
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")

@@ -318,3 +318,19 @@ def test_diagram_requires_consistent_variants():
             closed, port, port, psi, xi, straight_a_phi,
             closed_probe_runs(closed), tolerance=1e-9,
         )
+
+
+def test_an_all_nan_constant_leg_is_not_closed():
+    port = decay_machine()
+    closed = closed_decay_machine()
+    nan_leg = lambda e: Trajectory(np.full((e.num_nodes, 1), np.nan), e.grid_step, e.shift, ("o0",))
+    ident = lambda e: e
+    psi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    probes = closed_probe_runs(closed)
+    for e_leg in (nan_leg, lambda e: nan_leg(e) if e is probes[1] else closed.e_leg(e)):
+        not_closed = Machine(closed.behavior, closed.a_leg, e_leg, ("y0",), ("o0",), "nan")
+        with pytest.raises(NotClosed):
+            verify_port_control_diagram(
+                not_closed, port, port, psi, identity_morphism(), a_phi, probes, tolerance=1e-9
+            )

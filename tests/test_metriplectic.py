@@ -292,3 +292,17 @@ def test_metriplectic_diagram_passes_and_detects_corruption():
     )
     assert not flipped.passed
     assert flipped.defects["triangle beta"] > 0.1
+
+
+def test_degeneracy_audit_fails_at_a_nan_node():
+    rb = sphere_entropy_system()
+    run = closed_metriplectic_behavior(rb, H, 1e-3).sample([1.0, 0.5, 0.5], 1.0)
+    values = np.array(run.values)
+    values[500, 2] = np.nan
+    audit = degeneracy_audit(rb, Trajectory(values, H, run.shift, run.labels))
+    assert audit == {"energy_rate_max": np.inf, "entropy_rate_min": -np.inf, "energy_drift": np.inf}
+    assert extended_psd_min(rb, values[:400]) > -1e-12
+
+
+def test_noninteraction_without_points_has_no_residual():
+    assert noninteraction_residuals(coupled_port_system(), []) == (0.0, 0.0, None, None)

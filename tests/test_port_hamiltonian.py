@@ -359,3 +359,16 @@ def test_ph_diagram_rejects_images_outside_the_enclosing_behavior():
             ),
             probes,
         )
+
+
+def test_audits_are_infinite_at_a_nan_node():
+    ms = mass_spring_system()
+    run = ph_iso_machine(ms, H).behavior.sampler([1.0, 0.0], lambda t: np.array([np.sin(t)]), 1.0)
+    for channel in (0, 2):  # a state channel and the input channel
+        values = np.array(run.values)
+        values[500, channel] = np.nan
+        assert dissipation_margin(ms, Trajectory(values, H, run.shift, run.labels)) == np.inf
+    closed = closed_behavior(ms, H).sample([1.0, 0.0], 1.0)
+    values = np.array(closed.values)
+    values[500, 1] = np.nan
+    assert closed_energy_drift(ms, Trajectory(values, H, closed.shift, closed.labels)) == np.inf
