@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowUp, ConfigError, SheafSysError
-from .interval_sheaf import Trajectory, check_sheaf_axioms, write_csv
-from .ode_behavior import OdeBehavior, batched, membership_residual
+from .interval_sheaf import Trajectory, check_sheaf_axioms, worst_defect, write_csv
+from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, batched, membership_residual
 from .port_diagram import closed_behavior
 from .port_hamiltonian import (
     build_ph_diagram,
@@ -188,15 +188,15 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
     elif bundle.kind == "mp":
         run = _driven_run(bundle, config)
         residuals = {k: float(v) for k, v in rate_audit(system, run).items()}
-        worst_side = max(v for v, _ in side_condition_residuals(system, run).values())
+        worst_side = worst_defect([v for v, _ in side_condition_residuals(system, run).values()])[0]
         residuals["side_conditions"] = float(worst_side)
         audit = degeneracy_audit(system, behavior.sample(bundle.initial_state, config.length))
         residuals.update({k: float(v) for k, v in audit.items()})
         passed = (
             residuals["energy_rate_defect"] <= config.tolerance
             and residuals["entropy_rate_defect"] <= config.tolerance
-            and worst_side <= 1e-8
-            and audit["entropy_rate_min"] >= -1e-8
+            and worst_side <= SIDE_CONDITION_TOL
+            and audit["entropy_rate_min"] >= -SIDE_CONDITION_TOL
         )
     else:
         try:

@@ -159,7 +159,8 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup-norm distance over channels plus shift disagreement.
 
     Trajectories on different grids or with different channel counts are
-    infinitely far apart.  Aux tags are not compared here; use
+    infinitely far apart.  A NaN value or shift gives a NaN distance, which
+    no tolerance accepts.  Aux tags are not compared here; use
     ``close_members`` when set-theoretic equality is meant.
     """
     if (
@@ -167,16 +168,26 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
         or a.values.shape != b.values.shape
     ):
         return float("inf")
-    if a.values.size == 0:
-        value_gap = 0.0
-    else:
-        value_gap = float(np.max(np.abs(a.values - b.values)))
-    return max(value_gap, abs(a.shift - b.shift))
+    return float(np.max(np.abs(a.values - b.values), initial=abs(a.shift - b.shift)))
 
 
 def close_members(a: Trajectory, b: Trajectory, tolerance: float) -> bool:
     """Equality surrogate for members of a behavior set."""
     return a.aux == b.aux and sup_distance(a, b) <= tolerance
+
+
+def worst_defect(defects) -> tuple[float, int]:
+    """The largest of some node values and its first node; inf at the first
+    non-finite value, so a NaN never passes for a small number.  No values
+    give (0.0, 0)."""
+    defects = np.asarray(defects, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(defects))
+    if bad.size:
+        return float("inf"), int(bad[0])
+    if not defects.size:
+        return 0.0, 0
+    node = int(np.argmax(defects))
+    return float(defects[node]), node
 
 
 def _aligned_count(x: float, h: float, what: str) -> int:
@@ -250,16 +261,15 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
 
 @dataclass(frozen=True)
 class BehaviorSheaf:
-    """A behavior family: membership residual, restriction, optional sampler.
+    """A behavior family: membership residual, optional sampler.
 
     ``membership`` maps a trajectory to a nonnegative residual; residual at
-    most ``tolerance`` counts as membership.  ``restrict`` implements the
-    restriction maps (the sampled default suits every behavior built here).
-    ``sampler``, when present, generates members from initial data.
+    most ``tolerance`` counts as membership, and a NaN residual never does.
+    The restriction maps are :func:`restrict`.  ``sampler``, when present,
+    generates members from initial data.
     """
 
     membership: Callable[[Trajectory], float]
-    restrict: Callable[..., Trajectory] = restrict
     sampler: Optional[Callable[..., Trajectory]] = None
     tolerance: float = DEFAULT_TOLERANCE
 
@@ -290,7 +300,8 @@ class AxiomReport:
         )
 
     def worst_glue_residual(self) -> float:
-        return max((c.glue_residual for c in self.checks), default=0.0)
+        """The largest glue residual; inf if any is not finite."""
+        return worst_defect([c.glue_residual for c in self.checks])[0]
 
 
 def check_sheaf_axioms(
@@ -307,7 +318,7 @@ def check_sheaf_axioms(
     """
     for i, e in enumerate(probes):
         residual = sheaf.membership(e)
-        if residual > sheaf.tolerance:
+        if not residual <= sheaf.tolerance:
             raise NotAMember(
                 f"probe {i} has membership residual {residual:.3e} "
                 f"> tolerance {sheaf.tolerance:.3e}"
@@ -319,8 +330,8 @@ def check_sheaf_axioms(
                 raise OutOfRange(
                     f"cut {cut} is not interior to probe {i} of length {e.length}"
                 )
-            left = sheaf.restrict(e, cut, 0.0)
-            right = sheaf.restrict(e, e.length - cut, cut)
+            left = restrict(e, cut, 0.0)
+            right = restrict(e, e.length - cut, cut)
             glued = glue(left, right, sheaf.tolerance)
             glue_exact = identical(glued, e)
             glue_residual = float(sheaf.membership(glued))
@@ -330,8 +341,8 @@ def check_sheaf_axioms(
                     continue
                 if other.num_nodes != e.num_nodes or other.grid_step != e.grid_step:
                     continue
-                other_left = sheaf.restrict(other, cut, 0.0)
-                other_right = sheaf.restrict(other, other.length - cut, cut)
+                other_left = restrict(other, cut, 0.0)
+                other_right = restrict(other, other.length - cut, cut)
                 if close_members(left, other_left, sheaf.tolerance) and close_members(
                     right, other_right, sheaf.tolerance
                 ):

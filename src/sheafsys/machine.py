@@ -32,14 +32,16 @@ from .interval_sheaf import (
     Trajectory,
     restrict,
     sup_distance,
+    worst_defect,
 )
 from .ode_behavior import (
+    DEFAULT_RESIDUAL_TOL,
     VectorField,
     grid_derivative,
     integrate,
     node_defects,
     pointwise,
-    worst_defect,
+    with_conditions,
 )
 
 LEG_COMMUTE_TOL = 1e-9
@@ -128,7 +130,6 @@ class ControlledField:
 
     dimension: int
     rhs_with_input: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    description: str = ""
 
 
 def iso_machine(
@@ -137,12 +138,12 @@ def iso_machine(
     num_inputs: int,
     num_outputs: int,
     grid_step: float,
-    residual_tolerance: float = 1e-4,
+    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
     state_labels: Optional[tuple] = None,
     input_labels: Optional[tuple] = None,
     output_labels: Optional[tuple] = None,
     name: str = "iso",
-    side_residuals: Callable[[Trajectory], dict] = lambda e: {},
+    side_residuals: Optional[Callable[[Trajectory], dict]] = None,
 ) -> Machine:
     """Machine of a controlled system x' = f(t, x, u), y = g(t, x, u).
 
@@ -150,9 +151,10 @@ def iso_machine(
     samples together.  The input leg extracts the input channels; the
     output leg evaluates the readout at every node.  ``dynamics`` and
     ``readout`` callables of one node are lifted with
-    :func:`~sheafsys.ode_behavior.pointwise`.  ``side_residuals`` maps a
-    member to named (residual, node) pairs of algebraic conditions that
-    membership must meet as well (none by default).
+    :func:`~sheafsys.ode_behavior.pointwise`.  ``side_residuals``, when
+    given, maps a member to named (residual, node) pairs of algebraic
+    conditions that membership must meet as well, folded in by
+    :func:`~sheafsys.ode_behavior.with_conditions`.
 
     The sampler is ``sampler(x0, curve, ..., length, shift=0.0)``: the input
     at absolute time t is the concatenation of the curves' values, one curve
@@ -178,8 +180,10 @@ def iso_machine(
             return float("inf")
         x, u = split(e)
         rates = np.asarray(rhs(e.absolute_times, x, u), dtype=float)
-        worst, _ = worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))
-        return worst_defect([worst, *(v for v, _ in side_residuals(e).values())])[0]
+        dynamics = worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]
+        if side_residuals is None:
+            return dynamics
+        return with_conditions(dynamics, side_residuals(e))
 
     def a_leg(e: Trajectory) -> Trajectory:
         _, u = split(e)
@@ -199,7 +203,6 @@ def iso_machine(
         closed = VectorField(
             n,
             lambda t, x: rhs(t, x, np.atleast_1d(input_curve(t))),
-            dynamics.description,
         )
         state = integrate(closed, x0, length, grid_step, shift, state_labels)
         u_nodes = np.asarray(pointwise(input_curve, 0)(state.absolute_times), dtype=float)
@@ -208,7 +211,6 @@ def iso_machine(
 
     behavior = BehaviorSheaf(
         membership=membership,
-        restrict=restrict,
         sampler=sampler,
         tolerance=residual_tolerance,
     )
@@ -259,13 +261,14 @@ def morphism_defect(
     Straight: eta(e_leg(e)) vs e_leg'(beta(e)) and alpha(a_leg(e)) vs
     a_leg'(beta(e)).  Swapped: eta(e_leg(e)) vs a_leg'(beta(e)) and
     alpha(a_leg(e)) vs e_leg'(beta(e)).  Probes must be members of the
-    source behavior (NotAMember otherwise).  A non-finite gap gives inf.
+    source behavior (NotAMember otherwise, also on a NaN residual).  A
+    non-finite gap gives inf.
     """
     gaps = []
     for i, e in enumerate(probes):
         if check_membership:
             res = source.behavior.membership(e)
-            if res > source.behavior.tolerance:
+            if not res <= source.behavior.tolerance:
                 raise NotAMember(
                     f"probe {i} not in the source behavior of '{phi.name}' "
                     f"(residual {res:.3e})"
@@ -301,11 +304,10 @@ def compose_morphisms(outer: MachineMorphism, inner: MachineMorphism) -> Machine
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Injectivity evidence: colliding probe index pairs, if any."""
+    """Injectivity evidence, not proof: colliding probe index pairs, if any."""
 
     collisions: tuple
     separation: float
-    note: str = "probe evidence only, not a proof of injectivity"
 
     @property
     def injective_on_probes(self) -> bool:
@@ -426,7 +428,7 @@ def verify_port_control_diagram(
     notes = []
     for i, e in enumerate(probes):
         res = closed.behavior.membership(e)
-        if res > closed.behavior.tolerance:
+        if not res <= closed.behavior.tolerance:
             raise NotAMember(
                 f"probe {i} not in the closed behavior (residual {res:.3e})"
             )
@@ -492,7 +494,7 @@ def verify_port_control_diagram(
     for label, phi, sources in (("a_phi", a_phi, probes), ("xi", xi, psi_images)):
         for i, e in enumerate(sources):
             res = target.membership(phi.beta(e))
-            if res > target.tolerance:
+            if not res <= target.tolerance:
                 stray = (
                     f"image of probe {i} under {label} not in the enclosing "
                     f"behavior (residual {res:.3e})"

@@ -40,6 +40,9 @@ from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import DiagramReport, Machine
 from .ode_behavior import (
     DEFAULT_RESIDUAL_TOL,
+    SIDE_CONDITION_TOL,
+    OdeBehavior,
+    assert_conditions,
     dot,
     grid_derivative,
     matvec,
@@ -49,11 +52,8 @@ from .ode_behavior import (
 )
 from . import port_diagram
 from .port_diagram import (
-    SIDE_CONDITION_TOL,
     Builders,
-    ExtendedBehavior,
     PortSystem,
-    assert_conditions,
     build_diagram,
     closed_behavior as closed_metriplectic_behavior,
     extended_behavior,
@@ -147,8 +147,8 @@ class MetriplecticSystem(PortSystem):
 
     # node formulas of the port diagram
 
-    def check(self, points: Optional[Sequence] = None) -> None:
-        check_metriplectic_structure(self, points)
+    def check(self) -> None:
+        check_metriplectic_structure(self)
 
     def closed_rhs(self, x) -> np.ndarray:
         return matvec(self.poisson(x), self.grad_h(x)) + matvec(self.friction(x), self.grad_s(x))
@@ -368,7 +368,7 @@ def extended_metriplectic_behavior(
     aux_s: AuxHamiltonian,
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> ExtendedBehavior:
+) -> OdeBehavior:
     """Extended behavior for one fixed pair of auxiliary energies; membership
     includes the side conditions Jt grad_zeta H_aux and Gt grad_zeta S_aux."""
     return extended_behavior(sys, (aux_h, aux_s), grid_step, residual_tolerance)
@@ -475,7 +475,6 @@ def build_metriplectic_diagram(
     sys: MetriplecticSystem,
     probes: Sequence[Trajectory],
     tolerance: float = 1e-5,
-    grid_step: Optional[float] = None,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
     integral_sign: float = 1.0,
 ) -> DiagramReport:
@@ -488,5 +487,5 @@ def build_metriplectic_diagram(
         embed_metriplectic,
     )
     return build_diagram(
-        sys, builders, probes, tolerance, grid_step, residual_tolerance, integral_sign
+        sys, builders, probes, tolerance, residual_tolerance, integral_sign
     )

@@ -25,12 +25,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUp, DimensionMismatch, GridMismatch
+from .errors import BlowUp, ConstraintViolation, DimensionMismatch, GridMismatch
 from .interval_sheaf import (
     DEFAULT_STEP,
     BehaviorSheaf,
     Trajectory,
-    restrict,
+    worst_defect,
 )
 
 #: magnitude beyond which an integration counts as blown up
@@ -38,6 +38,9 @@ BLOWUP_THRESHOLD = 1e8
 
 #: default membership residual tolerance for ODE behaviors
 DEFAULT_RESIDUAL_TOL = 1e-4
+
+#: tolerance of the algebraic side conditions of a membership
+SIDE_CONDITION_TOL = 1e-8
 
 
 def batched(fn: Callable) -> Callable:
@@ -112,13 +115,10 @@ class VectorField:
         (n,) to shape (n,), is lifted with :func:`pointwise` at
         construction; a :func:`batched` one takes x of shape (N, n) with t a
         scalar or of shape (N,) and returns shape (N, n).
-    description : str
-        Human-readable note used in reports.
     """
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    description: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", pointwise(self.rhs, 0, 1))
@@ -248,20 +248,6 @@ def integrate_batch(
     return runs
 
 
-def worst_defect(defects) -> tuple[float, int]:
-    """The largest of some node values and its first node; inf at the first
-    non-finite value, so a NaN never passes for a small number.  No values
-    give (0.0, 0)."""
-    defects = np.asarray(defects, dtype=float).reshape(-1)
-    bad = np.flatnonzero(~np.isfinite(defects))
-    if bad.size:
-        return float("inf"), int(bad[0])
-    if not defects.size:
-        return 0.0, 0
-    node = int(np.argmax(defects))
-    return float(defects[node]), node
-
-
 def node_defects(derivative: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Sup-norm gap between a sampled derivative and the field at every node."""
     if rates.shape != derivative.shape:
@@ -297,6 +283,21 @@ def membership_residual(
     return worst_defect(node_defects(d, field(e.absolute_times, e.values)))[0]
 
 
+def with_conditions(dynamics: float, residuals: dict) -> float:
+    """A membership residual with the side conditions folded in: the worst
+    of the dynamics residual and the (residual, node) pairs, inf if any is
+    not finite."""
+    return worst_defect([dynamics, *(residual for residual, _ in residuals.values())])[0]
+
+
+def assert_conditions(residuals: dict, tolerance: float = SIDE_CONDITION_TOL) -> None:
+    """Raise ConstraintViolation naming the first of the (residual, node)
+    conditions that is not within the tolerance (NaN included)."""
+    for name, (residual, node) in residuals.items():
+        if not residual <= tolerance:
+            raise ConstraintViolation(name, node, residual)
+
+
 @dataclass(frozen=True)
 class OdeBehavior:
     """The behavior sheaf of a vector field on a fixed uniform grid.
@@ -305,6 +306,8 @@ class OdeBehavior:
     residual against the field stays within ``residual_tolerance`` at every
     node.  ``aux`` is attached to every sampled member and checked for
     equality by the sheaf machinery but carries no dynamics of its own here.
+    ``side_residuals``, when given, maps a member to named (residual, node)
+    pairs of algebraic conditions that membership must meet as well.
     """
 
     field: VectorField
@@ -312,6 +315,7 @@ class OdeBehavior:
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL
     labels: Optional[tuple] = None
     aux: object = None
+    side_residuals: Optional[Callable[[Trajectory], dict]] = None
 
     def sample(self, x0, length: float, shift: float = 0.0) -> Trajectory:
         return integrate(
@@ -330,12 +334,19 @@ class OdeBehavior:
             return float("inf")
         if self.labels is not None and e.labels != tuple(self.labels):
             return float("inf")
-        return membership_residual(self.field, e, self.grid_step)
+        dynamics = membership_residual(self.field, e, self.grid_step)
+        if self.side_residuals is None:
+            return dynamics
+        return with_conditions(dynamics, self.side_residuals(e))
+
+    def assert_conditions(self, e: Trajectory, tolerance: float = SIDE_CONDITION_TOL) -> None:
+        """Raise ConstraintViolation at the first side condition ``e`` fails."""
+        if self.side_residuals is not None:
+            assert_conditions(self.side_residuals(e), tolerance)
 
     def as_behavior_sheaf(self) -> BehaviorSheaf:
         return BehaviorSheaf(
             membership=self.membership,
-            restrict=restrict,
             sampler=self.sample,
             tolerance=self.residual_tolerance,
         )

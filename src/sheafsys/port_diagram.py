@@ -20,8 +20,9 @@ pass over a trajectory is one call:
   auxiliary-energy tag an extended member carries (the reader maps
   absolute times and zeta values to the signals);
 - ``port_side_residuals(e)`` and ``extended_side_residuals(tag, e)``,
-  algebraic conditions that membership must meet as well (none by default);
-- ``check(points=None)``, the family's structure check.
+  algebraic conditions that membership must meet as well (none by default),
+  folded in by :func:`sheafsys.ode_behavior.with_conditions`;
+- ``check()``, the family's structure check at its default points.
 
 The extended field is [port_rhs(x, s), zeta_rate(x, s)] with s read from the
 tag.  The embedding and the port-to-extended map integrate the same
@@ -31,14 +32,13 @@ bit-exactly on the zeta channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BlowUp, ConstraintViolation, DimensionMismatch, NotAMember
-from .interval_sheaf import DEFAULT_STEP, BehaviorSheaf, Trajectory, restrict
+from .errors import BlowUp, DimensionMismatch, NotAMember
+from .interval_sheaf import DEFAULT_STEP, BehaviorSheaf, Trajectory
 from .machine import (
     ControlledField,
     DiagramReport,
@@ -53,10 +53,7 @@ from .ode_behavior import (
     VectorField,
     batched,
     membership_residual,
-    worst_defect,
 )
-
-SIDE_CONDITION_TOL = 1e-8
 
 
 class PortSystem:
@@ -112,14 +109,6 @@ class PortSystem:
         return {}
 
 
-def assert_conditions(residuals: dict, tolerance: float = SIDE_CONDITION_TOL) -> None:
-    """Raise ConstraintViolation naming the first of the (residual, node)
-    conditions that exceeds the tolerance."""
-    for name, (residual, node) in residuals.items():
-        if residual > tolerance:
-            raise ConstraintViolation(name, node, residual)
-
-
 def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
     """Trapezoidal antiderivative on the grid with value 0 at the first node."""
     w = np.asarray(w, dtype=float)
@@ -142,45 +131,25 @@ def _zero_signals(system: PortSystem, e: Trajectory) -> np.ndarray:
 
 
 def closed_field(system: PortSystem) -> VectorField:
-    return VectorField(system.n, batched(lambda t, x: system.closed_rhs(x)), "closed flow")
+    return VectorField(system.n, batched(lambda t, x: system.closed_rhs(x)))
 
 
 def closed_behavior(
     system: PortSystem,
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-    check_points: Optional[Sequence] = None,
 ) -> OdeBehavior:
-    """The closed behavior, after the structure check at ``check_points``
-    (the family's default points when omitted)."""
-    system.check(check_points)
+    """The closed behavior, after the family's structure check."""
+    system.check()
     return OdeBehavior(closed_field(system), grid_step, residual_tolerance, system.state_labels)
-
-
-@dataclass(frozen=True)
-class ExtendedBehavior(OdeBehavior):
-    """The behavior of the extended field for one fixed tag (``aux``).
-
-    Membership adds the family's extended side conditions, evaluated at
-    every node, to the dynamics residual.
-    """
-
-    side_residuals: Callable[[Trajectory], dict] = lambda e: {}
-
-    def assert_conditions(self, e: Trajectory, tolerance: float = SIDE_CONDITION_TOL) -> None:
-        assert_conditions(self.side_residuals(e), tolerance)
-
-    def membership(self, e: Trajectory) -> float:
-        dynamics = super().membership(e)
-        if dynamics == float("inf"):  # wrong tag or layout: no side conditions to read
-            return dynamics
-        return worst_defect([dynamics, *(v for v, _ in self.side_residuals(e).values())])[0]
 
 
 def _fixed_tag_behavior(
     system: PortSystem, tag, grid_step: float, residual_tolerance: float
-) -> ExtendedBehavior:
-    """The extended field [port_rhs(x, s), zeta_rate(x, s)], s read from the tag."""
+) -> OdeBehavior:
+    """The behavior of the extended field [port_rhs(x, s), zeta_rate(x, s)]
+    for one fixed tag (its ``aux``), s read from the tag; membership adds the
+    family's extended side conditions to the dynamics residual."""
     read = system.signal_reader(tag)
     n = system.n
 
@@ -190,8 +159,8 @@ def _fixed_tag_behavior(
         s = read(t, xi[..., n:])
         return np.concatenate([system.port_rhs(x, s), system.zeta_rate(x, s)], axis=-1)
 
-    return ExtendedBehavior(
-        VectorField(n + system.m, rhs, "extended flow"),
+    return OdeBehavior(
+        VectorField(n + system.m, rhs),
         grid_step,
         residual_tolerance,
         system.state_labels + system.zeta_labels,
@@ -205,7 +174,7 @@ def extended_behavior(
     tag,
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> ExtendedBehavior:
+) -> OdeBehavior:
     """The structure-checked extended behavior for one fixed tag."""
     system.check()
     return _fixed_tag_behavior(system, tag, grid_step, residual_tolerance)
@@ -224,7 +193,7 @@ def extended_sheaf(
     """
     labels = system.state_labels + system.zeta_labels
 
-    def fixed(tag) -> ExtendedBehavior:
+    def fixed(tag) -> OdeBehavior:
         tag = system.zero_tag() if tag is None else tag
         return _fixed_tag_behavior(system, tag, grid_step, residual_tolerance)
 
@@ -239,7 +208,6 @@ def extended_sheaf(
 
     return BehaviorSheaf(
         membership=membership,
-        restrict=restrict,
         sampler=sampler,
         tolerance=residual_tolerance,
     )
@@ -257,7 +225,7 @@ def embed(
     with the zero auxiliary energy.
     """
     residual = membership_residual(closed_field(system), e)
-    if residual > residual_tolerance:
+    if not residual <= residual_tolerance:
         raise NotAMember(
             f"trajectory is not a closed-system member (residual {residual:.3e})"
         )
@@ -326,7 +294,7 @@ def port_machine(
     """
     system.check()
     return iso_machine(
-        ControlledField(system.n, batched(lambda t, x, s: system.port_rhs(x, s)), "driven flow"),
+        ControlledField(system.n, batched(lambda t, x, s: system.port_rhs(x, s))),
         batched(lambda t, x, s: -system.zeta_rate(x, s)),
         len(system.signal_labels),
         system.m,
@@ -440,20 +408,18 @@ def build_diagram(
     builders: Builders,
     probes: Sequence[Trajectory],
     tolerance: float = 1e-5,
-    grid_step: Optional[float] = None,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
     integral_sign: float = 1.0,
 ) -> DiagramReport:
     """Assemble the three machines and morphisms and verify the triangle.
 
     Probes must be closed-system members; their grid step fixes the
-    machines' grid unless ``grid_step`` is given.  ``integral_sign`` is
-    passed to the port-to-extended map so violation tests can corrupt the
-    quadrature.
+    machines' grid.  ``integral_sign`` is passed to the port-to-extended
+    map so violation tests can corrupt the quadrature.
     """
     if not probes:
         raise NotAMember("need at least one closed-system probe")
-    h = grid_step if grid_step is not None else probes[0].grid_step
+    h = probes[0].grid_step
     closed = builders.closed(system, h, residual_tolerance)
     port = builders.port(system, h, residual_tolerance)
     enclosing = builders.enclosing(system, h, residual_tolerance)

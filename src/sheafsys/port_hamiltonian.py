@@ -161,8 +161,8 @@ class PHSystem(PortSystem):
 
     # node formulas of the port diagram
 
-    def check(self, points: Optional[Sequence] = None) -> None:
-        check_structure(self, points)
+    def check(self) -> None:
+        check_structure(self)
 
     def closed_rhs(self, x) -> np.ndarray:
         return matvec(self.interconnection(x) - self.dissipation(x), self.grad(x))
@@ -553,7 +553,6 @@ def build_ph_diagram(
     sys: PHSystem,
     probes: Sequence[Trajectory],
     tolerance: float = 1e-5,
-    grid_step: Optional[float] = None,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
     integral_sign: float = 1.0,
 ) -> DiagramReport:
@@ -561,5 +560,5 @@ def build_ph_diagram(
     :func:`sheafsys.port_diagram.build_diagram`."""
     builders = Builders(closed_machine, ph_iso_machine, enclosing_machine, embed_closed)
     return build_diagram(
-        sys, builders, probes, tolerance, grid_step, residual_tolerance, integral_sign
+        sys, builders, probes, tolerance, residual_tolerance, integral_sign
     )

@@ -202,16 +202,14 @@ def rigid_body_system(
 def blowup_field() -> VectorField:
     """Scalar quadratic growth x' = x^2; solutions from x0 > 0 blow up at
     t = 1/x0."""
-    return VectorField(1, batched(lambda t, x: x * x), "quadratic blow-up")
+    return VectorField(1, batched(lambda t, x: x * x))
 
 
 def linear_field(matrix=((-1.0,),)) -> VectorField:
     matrix = np.array(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigError("linear system matrix must be square")
-    return VectorField(
-        matrix.shape[0], batched(lambda t, x: matvec(matrix, x)), "constant-coefficient linear field"
-    )
+    return VectorField(matrix.shape[0], batched(lambda t, x: matvec(matrix, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +345,11 @@ def bundle_from_config(doc: dict) -> SystemBundle:
             raise ConfigError("params must be an object")
         return resolve_builtin(str(doc["system"]), params)
     kind = doc.get("kind")
-    if kind == "ph":
-        return _ph_bundle_from_config(doc)
-    if kind == "mp":
-        return _mp_bundle_from_config(doc)
+    if kind in EXPLICIT_KINDS:
+        return _port_bundle_from_config(kind, doc)
     if kind == "ode":
         merged = {"matrix": doc.get("matrix", [[-1.0]]), "x0": doc.get("x0", [1.0])}
-        bundle = _linear_bundle(merged)
-        return bundle
+        return _linear_bundle(merged)
     raise ConfigError(
         "config needs either a 'system' built-in reference or kind in ode/ph/mp"
     )
@@ -372,7 +367,33 @@ def _matrix_from(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
     return matrix
 
 
-def _dims_from(doc: dict) -> tuple:
+#: how an explicit document of each port kind is read: the function that
+#: assembles the system, as build(n, m, *matrices, *generators, *gradients,
+#: labels=...); its matrices as (key, shape) pairs in argument order, the shape
+#: two dimension names out of "n" and "m"; the keys of its polynomial
+#: generators, in argument order; and the bundle's default name and description
+EXPLICIT_KINDS = {
+    "ph": (
+        ph_system,
+        (("J", "nn"), ("R", "nn"), ("B", "nm")),
+        ("H",),
+        "custom_ph",
+        "user-configured port system",
+    ),
+    "mp": (
+        metriplectic_system,
+        (("J", "nn"), ("G", "nn"), ("B", "nm"), ("A", "nm"), ("Jt", "mm"), ("Gt", "mm")),
+        ("H", "S"),
+        "custom_mp",
+        "user-configured two-generator system",
+    ),
+}
+
+
+def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
+    """Read an explicit document of a kind in EXPLICIT_KINDS: dimensions,
+    generators, matrices and labels, then the initial state and run defaults."""
+    build, matrix_shapes, generator_keys, name, description = EXPLICIT_KINDS[kind]
     try:
         n = int(doc["n"])
         m = int(doc["m"])
@@ -380,66 +401,21 @@ def _dims_from(doc: dict) -> tuple:
         raise ConfigError(f"config needs integer dimensions n and m: {exc}") from exc
     if n < 1 or m < 0:
         raise ConfigError(f"dimensions n={n}, m={m} out of range")
-    return n, m
-
-
-def _initial_from(doc: dict, n: int) -> np.ndarray:
+    dims = {"n": n, "m": m}
+    generators = [parse_polynomial(doc.get(key, {"terms": []}), n) for key in generator_keys]
+    matrices = [_matrix_from(doc, key, dims[r], dims[c]) for key, (r, c) in matrix_shapes]
+    gradients = [g.gradient for g in generators]
+    labels = tuple(doc["labels"]) if "labels" in doc else None
+    sys_ = build(n, m, *matrices, *generators, *gradients, labels=labels)
     x0 = np.asarray(doc.get("x0", np.zeros(n)), dtype=float)
     if x0.shape != (n,):
         raise ConfigError(f"x0 has shape {x0.shape}, expected ({n},)")
-    return x0
-
-
-def _ph_bundle_from_config(doc: dict) -> SystemBundle:
-    n, m = _dims_from(doc)
-    H = parse_polynomial(doc.get("H", {"terms": []}), n)
-    sys_ = ph_system(
-        n,
-        m,
-        J=_matrix_from(doc, "J", n, n),
-        R=_matrix_from(doc, "R", n, n),
-        B=_matrix_from(doc, "B", n, m),
-        H=H,
-        gradH=H.gradient,
-        labels=tuple(doc["labels"]) if "labels" in doc else None,
-    )
     return SystemBundle(
-        str(doc.get("name", "custom_ph")),
-        "ph",
-        "user-configured port system",
+        str(doc.get("name", name)),
+        kind,
+        description,
         sys_,
-        _initial_from(doc, n),
-        float(doc.get("length", 10.0)),
-        float(doc.get("residual_tolerance", 1e-4)),
-        {},
-    )
-
-
-def _mp_bundle_from_config(doc: dict) -> SystemBundle:
-    n, m = _dims_from(doc)
-    H = parse_polynomial(doc.get("H", {"terms": []}), n)
-    S = parse_polynomial(doc.get("S", {"terms": []}), n)
-    sys_ = metriplectic_system(
-        n,
-        m,
-        J=_matrix_from(doc, "J", n, n),
-        G=_matrix_from(doc, "G", n, n),
-        B=_matrix_from(doc, "B", n, m),
-        A=_matrix_from(doc, "A", n, m),
-        Jt=_matrix_from(doc, "Jt", m, m),
-        Gt=_matrix_from(doc, "Gt", m, m),
-        H=H,
-        S=S,
-        gradH=H.gradient,
-        gradS=S.gradient,
-        labels=tuple(doc["labels"]) if "labels" in doc else None,
-    )
-    return SystemBundle(
-        str(doc.get("name", "custom_mp")),
-        "mp",
-        "user-configured two-generator system",
-        sys_,
-        _initial_from(doc, n),
+        x0,
         float(doc.get("length", 10.0)),
         float(doc.get("residual_tolerance", 1e-4)),
         {},

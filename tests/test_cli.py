@@ -141,6 +141,70 @@ def test_readme_cli_lines_name_table_commands():
         assert args.line in COMMANDS or args.command == "list-examples", argv
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CLI_RECORD = Path(__file__).resolve().parent / "data" / "readme_cli.json"
+
+
+def readme_cli_lines() -> list:
+    """The argument lists of the README's ``sheafsys ...`` lines, as written."""
+    block = README.read_text().split("## CLI", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("sheafsys ")]
+
+
+def readme_cli_outcomes(out_root) -> dict:
+    """Run every README CLI line with ``--out`` pointed into ``out_root``; per
+    line, the exit code and, where a report was written, its pass flag, notes
+    and residuals.  ``tests/data/readme_cli.json`` holds these; to record it
+    again, from the repository root:
+
+        python -c "import json, sys, tempfile; sys.path[:0] = ['src', 'tests'];
+        from test_cli import README_CLI_RECORD as f, readme_cli_outcomes as o;
+        f.write_text(json.dumps(o(tempfile.mkdtemp()), indent=1, sort_keys=True) + '\\n')"
+    """
+    outcomes = {}
+    for i, line in enumerate(readme_cli_lines()):
+        argv = line
+        if "--out" in argv:
+            argv = argv[: argv.index("--out")] + argv[argv.index("--out") + 2 :]
+        out = Path(out_root) / f"line_{i}"
+        if argv != ["list-examples"]:
+            argv = [*argv, "--out", str(out)]
+        outcome = {"exit": main(argv)}
+        if (out / "report.json").exists():
+            doc = report(out)
+            outcome.update(
+                {"pass": doc["pass"], "notes": doc["notes"], "residuals": doc["residuals"]}
+            )
+        outcomes[" ".join(line)] = outcome
+    return outcomes
+
+
+def test_readme_cli_lines_reproduce_the_recorded_reports(tmp_path, capsys):
+    recorded = json.loads(README_CLI_RECORD.read_text())
+    outcomes = readme_cli_outcomes(tmp_path)
+    assert outcomes.keys() == recorded.keys()
+    for line, want in recorded.items():
+        got = outcomes[line]
+        for key in ("exit", "pass", "notes"):
+            assert got.get(key) == want.get(key), (line, key)
+        residuals = got.get("residuals", {})
+        assert residuals.keys() == want.get("residuals", {}).keys(), line
+        for name, value in want.get("residuals", {}).items():
+            if np.isfinite(value):
+                assert abs(residuals[name] - value) <= 1e-12, (line, name)
+            else:
+                assert residuals[name] == value, (line, name)
+
+
+def test_readme_python_blocks_run_in_one_namespace(capsys):
+    blocks = README.read_text().split("```python\n")[1:]
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], str(README), "exec"), namespace)
+    assert namespace["report"].passed
+
+
 def test_ph_group_defaults_to_the_oscillator(tmp_path):
     out = tmp_path / "ph"
     code = main(["ph", "simulate", "--length", "0.25", "--out", str(out)])
@@ -190,3 +254,17 @@ def test_config_file_drives_the_run(tmp_path):
     ])
     assert code == 0
     assert report(out)["system"] == "mass_spring"
+
+
+@pytest.mark.parametrize("line, system, x0", [
+    ("ph audit-power", "mass_spring", [float("nan"), 0.0]),
+    ("mp audit-rates", "rigid_body", [1.0, float("nan"), 0.5]),
+])
+def test_a_nan_initial_state_fails_the_audit_without_a_report(tmp_path, capsys, line, system, x0):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"system": system, "params": {"x0": x0}}))
+    out = tmp_path / "out"
+    code = main([*line.split(), "--config", str(cfg), "--length", "0.5", "--out", str(out)])
+    assert code == 1
+    assert "check failed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafsys import (
+    AxiomReport,
     BehaviorSheaf,
+    CutCheck,
     GridMismatch,
     JunctionMismatch,
     MisalignedOffset,
+    NotAMember,
     OutOfRange,
     ShiftMismatch,
     Trajectory,
@@ -222,3 +225,29 @@ def test_write_csv_bytes_match_the_per_value_format(tmp_path):
         ",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]) for t, row in zip(e.times, e.values)
     ]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# NaN never passes for small
+
+
+def test_a_nan_shift_gap_is_a_nan_distance():
+    a = dyadic_trajectory(9)
+    b = Trajectory(a.values, H, float("nan"), a.labels)
+    assert np.isnan(sup_distance(a, b)) and np.isnan(sup_distance(b, a))
+    assert not close_members(a, b, 1e-9)
+    assert sup_distance(a, restrict(a, 8 * H, 0.0)) == 0.0
+
+
+def test_axiom_check_rejects_a_nan_membership():
+    sheaf = BehaviorSheaf(membership=lambda e: float("nan"))
+    with pytest.raises(NotAMember):
+        check_sheaf_axioms(sheaf, [dyadic_trajectory(33)], [8 * H])
+
+
+def test_worst_glue_residual_is_infinite_at_a_nan():
+    checks = tuple(CutCheck(0, 8 * H, True, r, ()) for r in (1.0, float("nan"), 0.5))
+    report = AxiomReport(checks, 1e-9)
+    assert report.worst_glue_residual() == np.inf
+    assert not report.passed
+    assert AxiomReport(checks[::2], 2.0).worst_glue_residual() == 1.0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafsys import (
+    BehaviorSheaf,
     ControlledField,
     Machine,
     MachineMorphism,
@@ -11,6 +12,8 @@ from sheafsys import (
     NotClosed,
     StructureViolation,
     Trajectory,
+    build_metriplectic_diagram,
+    build_ph_diagram,
     closed_behavior,
     compose_morphisms,
     identity_morphism,
@@ -21,7 +24,7 @@ from sheafsys import (
     sup_distance,
     verify_port_control_diagram,
 )
-from sheafsys.systems import mass_spring_system
+from sheafsys.systems import mass_spring_system, resolve_builtin, seeded_initial_states
 
 H = 1e-3
 
@@ -334,3 +337,76 @@ def test_an_all_nan_constant_leg_is_not_closed():
             verify_port_control_diagram(
                 not_closed, port, port, psi, identity_morphism(), a_phi, probes, tolerance=1e-9
             )
+
+
+def nan_membership(m):
+    """``m`` with a behavior whose membership residual is NaN everywhere."""
+    sheaf = BehaviorSheaf(lambda e: float("nan"), m.behavior.sampler, m.behavior.tolerance)
+    return Machine(sheaf, m.a_leg, m.e_leg, m.a_labels, m.e_labels, m.name)
+
+
+def test_morphism_defect_rejects_a_nan_membership():
+    m, probes = oscillator_probes()
+    with pytest.raises(NotAMember):
+        morphism_defect(identity_morphism(), nan_membership(m), m, probes[:1])
+
+
+def test_diagram_rejects_probes_with_a_nan_membership():
+    port = decay_machine()
+    closed = closed_decay_machine()
+    ident = lambda e: e
+    psi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    with pytest.raises(NotAMember, match="closed behavior"):
+        verify_port_control_diagram(
+            nan_membership(closed), port, port, psi, identity_morphism(), a_phi,
+            closed_probe_runs(closed), tolerance=1e-9,
+        )
+
+
+def test_diagram_rejects_images_with_a_nan_enclosing_membership():
+    port = decay_machine()
+    closed = closed_decay_machine()
+    ident = lambda e: e
+    psi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    with pytest.raises(NotAMember, match="enclosing"):
+        verify_port_control_diagram(
+            closed, nan_membership(port), port, psi, identity_morphism(), a_phi,
+            closed_probe_runs(closed), tolerance=1e-9,
+        )
+
+
+def test_images_with_a_nan_shift_collide():
+    _, probes = oscillator_probes()
+    nan_shift = lambda e: Trajectory(e.values, e.grid_step, float("nan"), e.labels)
+    result = injectivity_probe(nan_shift, probes, sup_distance(*probes))
+    assert result.collisions == ((0, 1),)
+
+
+DIAGRAMS = {"mass_spring": build_ph_diagram, "rigid_body": build_metriplectic_diagram}
+
+
+def clean_probes(name):
+    bundle = resolve_builtin(name)
+    behavior = closed_behavior(bundle.instance, H, bundle.residual_tolerance)
+    starts = seeded_initial_states(3, 2, bundle.instance.n)
+    return bundle, [behavior.sample(x0, 0.05) for x0 in starts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(DIAGRAMS)),
+    st.integers(0, 1),
+    st.integers(0, 50),
+    st.integers(0, 2),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_a_poisoned_probe_never_passes_the_diagram(name, probe, node, channel, value):
+    bundle, probes = clean_probes(name)
+    e = probes[probe]
+    values = np.array(e.values)
+    values[node, channel % e.dimension] = value
+    probes[probe] = Trajectory(values, e.grid_step, e.shift, e.labels)
+    with pytest.raises(NotAMember, match=f"probe {probe} "):
+        DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)

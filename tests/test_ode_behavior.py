@@ -3,6 +3,7 @@ import pytest
 
 from sheafsys import (
     BlowUp,
+    ConstraintViolation,
     DimensionMismatch,
     GridMismatch,
     OdeBehavior,
@@ -14,7 +15,7 @@ from sheafsys import (
     membership_residual,
     restrict,
 )
-from sheafsys.ode_behavior import worst_defect
+from sheafsys.ode_behavior import assert_conditions, with_conditions, worst_defect
 from sheafsys.systems import blowup_field, linear_field, mass_spring_system
 
 
@@ -159,3 +160,23 @@ def test_as_behavior_sheaf_samples_members():
     sheaf = behavior.as_behavior_sheaf()
     e = sheaf.sampler([1.0], 0.2)
     assert sheaf.membership(e) <= sheaf.tolerance
+
+
+def test_side_conditions_never_pass_a_nan():
+    with pytest.raises(ConstraintViolation) as info:
+        assert_conditions({"small": (1e-12, 0), "poisoned": (float("nan"), 3)})
+    assert info.value.condition == "poisoned" and info.value.node == 3
+    assert_conditions({"small": (1e-12, 0)})
+    assert with_conditions(1e-6, {"small": (1e-7, 2)}) == 1e-6
+    assert with_conditions(1e-6, {"poisoned": (float("nan"), 2)}) == np.inf
+
+    field = linear_field()
+    plain = OdeBehavior(field, 1e-3, 1e-4)
+    poisoned = OdeBehavior(field, 1e-3, 1e-4, side_residuals=lambda e: {"c": (np.nan, 2)})
+    run = plain.sample([1.0], 0.01)
+    assert poisoned.membership(run) == np.inf
+    assert plain.membership(run) <= 1e-4
+    plain.assert_conditions(run)  # no side conditions: nothing to fail
+    with pytest.raises(ConstraintViolation) as info:
+        poisoned.assert_conditions(run)
+    assert info.value.node == 2

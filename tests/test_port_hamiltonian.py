@@ -372,3 +372,12 @@ def test_audits_are_infinite_at_a_nan_node():
     values = np.array(closed.values)
     values[500, 1] = np.nan
     assert closed_energy_drift(ms, Trajectory(values, H, closed.shift, closed.labels)) == np.inf
+
+
+def test_embed_rejects_a_nan_closed_residual(monkeypatch):
+    from sheafsys import port_diagram
+
+    run = closed_behavior(mass_spring_system(), H).sample([1.0, 0.0], 0.05)
+    monkeypatch.setattr(port_diagram, "membership_residual", lambda *args: float("nan"))
+    with pytest.raises(NotAMember):
+        embed_closed(mass_spring_system(), run)
