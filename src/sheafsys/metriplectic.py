@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingAuxTag, NoninteractionViolation
+from .errors import MissingAuxTag, NoninteractionViolation
 from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import DiagramReport, Machine
 from .ode_behavior import (
@@ -58,6 +58,7 @@ from .port_diagram import (
     closed_behavior as closed_metriplectic_behavior,
     extended_behavior,
     extended_sheaf as extended_metriplectic_sheaf,
+    formula,
 )
 from .port_hamiltonian import (
     MATRIX_TOL,
@@ -88,7 +89,8 @@ class MetriplecticSystem(PortSystem):
 
     Every callable follows the stack contract of
     :mod:`sheafsys.ode_behavior` (:func:`metriplectic_system` lifts
-    callables of one node):
+    callables of one node), and their shapes are checked once, when the
+    system is built:
 
     poisson : callable
         x -> antisymmetric (n, n) matrix J(x), drives the energy.
@@ -111,16 +113,16 @@ class MetriplecticSystem(PortSystem):
 
     n: int
     m: int
-    poisson: Callable
-    friction: Callable
-    energy_port: Callable
-    entropy_port: Callable
-    port_poisson: Callable
-    port_friction: Callable
-    energy: Callable
-    entropy: Callable
-    grad_energy: Callable
-    grad_entropy: Callable
+    poisson: Callable = formula("J", "nn")
+    friction: Callable = formula("G", "nn")
+    energy_port: Callable = formula("B", "nm")
+    entropy_port: Callable = formula("A", "nm")
+    port_poisson: Callable = formula("Jt", "mm")
+    port_friction: Callable = formula("Gt", "mm")
+    energy: Callable = formula("H", "")
+    entropy: Callable = formula("S", "")
+    grad_energy: Callable = formula("grad H", "n")
+    grad_entropy: Callable = formula("grad S", "n")
     state_labels: tuple = ()
 
     @property
@@ -133,25 +135,13 @@ class MetriplecticSystem(PortSystem):
     def signal_labels(self) -> tuple:
         return self.input_labels + self.tau_labels
 
-    def grad_h(self, x) -> np.ndarray:
-        return self.gradient(self.grad_energy, x, "H")
-
-    def grad_s(self, x) -> np.ndarray:
-        return self.gradient(self.grad_entropy, x, "S")
-
-    def energy_at(self, x) -> np.ndarray:
-        return self.scalar(self.energy, x, "H")
-
-    def entropy_at(self, x) -> np.ndarray:
-        return self.scalar(self.entropy, x, "S")
-
     # node formulas of the port diagram
 
-    def check(self) -> None:
+    def structure_check(self) -> None:
         check_metriplectic_structure(self)
 
     def closed_rhs(self, x) -> np.ndarray:
-        return matvec(self.poisson(x), self.grad_h(x)) + matvec(self.friction(x), self.grad_s(x))
+        return matvec(self.poisson(x), self.grad_energy(x)) + matvec(self.friction(x), self.grad_entropy(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
         u, tau = s[..., : self.m], s[..., self.m :]
@@ -164,8 +154,8 @@ class MetriplecticSystem(PortSystem):
         extended dynamics."""
         u, tau = s[..., : self.m], s[..., self.m :]
         return (
-            -matvec(transpose(self.energy_port(x)), self.grad_h(x))
-            + matvec(transpose(self.entropy_port(x)), self.grad_s(x))
+            -matvec(transpose(self.energy_port(x)), self.grad_energy(x))
+            + matvec(transpose(self.entropy_port(x)), self.grad_entropy(x))
             + matvec(self.port_poisson(x), u)
             + matvec(self.port_friction(x), tau)
         )
@@ -221,8 +211,6 @@ def metriplectic_system(
     """Assemble a MetriplecticSystem from constants or callables; callables
     of one node are lifted with :func:`~sheafsys.ode_behavior.pointwise`."""
     labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
-    if len(labels) != n:
-        raise DimensionMismatch(f"{len(labels)} labels for state dimension {n}")
     return MetriplecticSystem(
         n,
         m,
@@ -262,8 +250,8 @@ def noninteraction_residuals(sys: MetriplecticSystem, points: Optional[Sequence]
     worst = _worst_per_condition(
         ("J gradS", "G gradH"),
         (
-            matvec(sys.poisson(points), sys.grad_s(points)),
-            matvec(sys.friction(points), sys.grad_h(points)),
+            matvec(sys.poisson(points), sys.grad_entropy(points)),
+            matvec(sys.friction(points), sys.grad_energy(points)),
         ),
     )
     (js, i), (gh, j) = worst["J gradS"], worst["G gradH"]
@@ -285,8 +273,8 @@ def check_metriplectic_structure(
         symmetric("G(x)", G, points),
         semidefinite("G(x)", G, points),
         semidefinite("[[G, A], [A^T, Gt]]", extended_friction_block(sys, points), points),
-        consistent_gradient("H", sys.grad_h, fd_gradient(sys.energy, sys.n), points),
-        consistent_gradient("S", sys.grad_s, fd_gradient(sys.entropy, sys.n), points),
+        consistent_gradient("H", sys.grad_energy, fd_gradient(sys.energy, sys.n), points),
+        consistent_gradient("S", sys.grad_entropy, fd_gradient(sys.entropy, sys.n), points),
     )
     worst_js, worst_gh, at_js, at_gh = noninteraction_residuals(sys, points)
     if worst_js > MATRIX_TOL:
@@ -311,7 +299,7 @@ def zeta_rate_along(
 ) -> np.ndarray:
     """-B^T grad H + A^T grad S + Jt u + Gt tau at every node."""
     signals = np.concatenate([u_nodes, tau_nodes], axis=1)
-    return port_diagram.zeta_rate_along(sys, states, signals)
+    return sys.zeta_rate(states, signals)
 
 
 SIDE_CONDITIONS = ("J gradS", "G gradH", "B tau", "A u", "B^T gradS", "A^T gradH", "Jt tau", "Gt u")
@@ -336,7 +324,7 @@ def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
     x = e.channels(sys.state_labels)
     u = e.channels(sys.input_labels)
     tau = e.channels(sys.tau_labels)
-    gh, gs = sys.grad_h(x), sys.grad_s(x)
+    gh, gs = sys.grad_energy(x), sys.grad_entropy(x)
     B, A = sys.energy_port(x), sys.entropy_port(x)
     return _worst_per_condition(
         SIDE_CONDITIONS,
@@ -388,8 +376,8 @@ def embed_metriplectic(
 
 def _generator_rates(sys: MetriplecticSystem, x: np.ndarray, h: float):
     """H at every node, and dH/dt and dS/dt by the grid stencils."""
-    energy = sys.energy_at(x)[:, np.newaxis]
-    entropy = sys.entropy_at(x)[:, np.newaxis]
+    energy = sys.energy(x)[:, np.newaxis]
+    entropy = sys.entropy(x)[:, np.newaxis]
     return energy[:, 0], grid_derivative(energy, h)[:, 0], grid_derivative(entropy, h)[:, 0]
 
 
@@ -422,7 +410,7 @@ def rate_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
     tau = e.channels(sys.tau_labels)
     _, h_rate, s_rate = _generator_rates(sys, x, e.grid_step)
     drive = matvec(sys.energy_port(x), u) + matvec(sys.entropy_port(x), tau)
-    gh, gs = sys.grad_h(x), sys.grad_s(x)
+    gh, gs = sys.grad_energy(x), sys.grad_entropy(x)
     production = dot(gs, matvec(sys.friction(x), gs))
     return {
         "energy_rate_defect": worst_defect(np.abs(h_rate - dot(gh, drive)))[0],

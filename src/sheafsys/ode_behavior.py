@@ -56,8 +56,8 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
     state vector, rank 1).  When the last argument has its node rank the
     call is one node and goes to ``fn`` unchanged; otherwise ``fn`` runs on
     every row of the stacks, with arguments given at node rank (a shared
-    time) repeated for each row.  Callables marked :func:`batched` are
-    returned as they are.
+    time) repeated for each row.  Either way the values come back as a float
+    array.  Callables marked :func:`batched` are returned as they are.
     """
     if getattr(fn, "batched", False):
         return fn
@@ -66,7 +66,7 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
     @batched
     def stacked(*args):
         if np.ndim(args[-1]) == ranks[-1]:
-            return fn(*args)
+            return np.asarray(fn(*args), dtype=float)
         count = len(args[-1])
         columns = [
             arg if np.ndim(arg) > rank else itertools.repeat(arg, count)

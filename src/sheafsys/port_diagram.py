@@ -22,7 +22,12 @@ pass over a trajectory is one call:
 - ``port_side_residuals(e)`` and ``extended_side_residuals(tag, e)``,
   algebraic conditions that membership must meet as well (none by default),
   folded in by :func:`sheafsys.ode_behavior.with_conditions`;
-- ``check()``, the family's structure check at its default points.
+- ``structure_check()``, the family's structure check at its default points,
+  which :meth:`PortSystem.check` runs once per system object.
+
+A family declares each of its own formulas as a :func:`formula` field, with
+its name and node shape; the shapes are checked once, when the system is
+built, so callers use the formulas directly after that.
 
 The extended field is [port_rhs(x, s), zeta_rate(x, s)] with s read from the
 tag.  The embedding and the port-to-extended map integrate the same
@@ -32,6 +37,7 @@ bit-exactly on the zeta channels.
 
 from __future__ import annotations
 
+from dataclasses import field, fields
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -59,8 +65,9 @@ from .ode_behavior import (
 class PortSystem:
     """Node formulas of a system with ports; see the module docstring.
 
-    Families are frozen dataclasses with fields ``n`` (state dimension),
-    ``m`` (port dimension) and ``state_labels`` that subclass this one.
+    Families are frozen dataclasses that subclass this one, with fields
+    ``n`` (state dimension), ``m`` (port dimension), ``state_labels`` and
+    their :func:`formula` fields.
     """
 
     n: int
@@ -84,23 +91,17 @@ class PortSystem:
         """Channel names of the port signals s."""
         return self.input_labels
 
-    def gradient(self, fn, x, name: str) -> np.ndarray:
-        """``fn(x)`` as a float array, checked to have the shape of x."""
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape != x.shape or x.shape[-1] != self.n:
-            raise DimensionMismatch(
-                f"grad {name} shape {out.shape}, expected {x.shape[:-1] + (self.n,)}"
-            )
-        return out
+    def __post_init__(self):
+        if len(self.state_labels) != self.n:
+            raise DimensionMismatch(f"{len(self.state_labels)} labels for state dimension {self.n}")
+        check_formula_shapes(self)
 
-    def scalar(self, fn, x, name: str) -> np.ndarray:
-        """``fn(x)`` as a float array, checked to hold one value per node."""
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape != x.shape[:-1]:
-            raise DimensionMismatch(f"{name} shape {out.shape}, expected {x.shape[:-1]}")
-        return out
+    def check(self) -> None:
+        """The family's structure check, run once per system object; only
+        success is remembered, so a failing system raises on every call."""
+        if not self.__dict__.get("_structure_checked"):
+            self.structure_check()
+            object.__setattr__(self, "_structure_checked", True)
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return {}
@@ -109,17 +110,49 @@ class PortSystem:
         return {}
 
 
+def default_probe_points(n: int) -> list:
+    """Deterministic structure-check points: origin, axes, mixed corners."""
+    points = [np.zeros(n)]
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        points.append(e)
+        points.append(-0.5 * e)
+    points.append(0.3 * np.ones(n))
+    points.append(np.array([(-0.7) ** (i + 1) for i in range(n)]))
+    return points
+
+
+def formula(name: str, dims: str):
+    """A port-system field holding the node formula ``name``, whose value at
+    one node has the shape that ``dims`` spells in dimension names: "nm" is
+    (n, m), "n" a vector, "" a scalar."""
+    return field(metadata={"formula": (name, dims)})
+
+
+def check_formula_shapes(system: PortSystem) -> None:
+    """Raise DimensionMismatch at the first :func:`formula` of ``system``
+    whose value at the first default probe point, or on the (P, n) stack of
+    them all, lacks its node shape.  A matrix may give one matrix for a
+    stack, as a constant does."""
+    points = np.array(default_probe_points(system.n))
+    for f in fields(system):
+        if "formula" not in f.metadata:
+            continue
+        name, dims = f.metadata["formula"]
+        shape = tuple(getattr(system, d) for d in dims)
+        for x, expected in ((points[0], shape), (points, (len(points),) + shape)):
+            got = np.shape(getattr(system, f.name)(x))
+            if got != expected and not (len(shape) == 2 and got == shape):
+                raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
+
+
 def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
     """Trapezoidal antiderivative on the grid with value 0 at the first node."""
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     out[1:] = np.cumsum(0.5 * h * (w[:-1] + w[1:]), axis=0)
     return out
-
-
-def zeta_rate_along(system: PortSystem, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    """The zeta rate at every node of a state array and a signal array."""
-    return system.zeta_rate(states, signals)
 
 
 def _zero_signals(system: PortSystem, e: Trajectory) -> np.ndarray:
@@ -144,12 +177,17 @@ def closed_behavior(
     return OdeBehavior(closed_field(system), grid_step, residual_tolerance, system.state_labels)
 
 
-def _fixed_tag_behavior(
-    system: PortSystem, tag, grid_step: float, residual_tolerance: float
+def extended_behavior(
+    system: PortSystem,
+    tag,
+    grid_step: float = DEFAULT_STEP,
+    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> OdeBehavior:
-    """The behavior of the extended field [port_rhs(x, s), zeta_rate(x, s)]
-    for one fixed tag (its ``aux``), s read from the tag; membership adds the
-    family's extended side conditions to the dynamics residual."""
+    """The structure-checked behavior of the extended field
+    [port_rhs(x, s), zeta_rate(x, s)] for one fixed tag (its ``aux``), s read
+    from the tag; membership adds the family's extended side conditions to
+    the dynamics residual."""
+    system.check()
     read = system.signal_reader(tag)
     n = system.n
 
@@ -169,17 +207,6 @@ def _fixed_tag_behavior(
     )
 
 
-def extended_behavior(
-    system: PortSystem,
-    tag,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> OdeBehavior:
-    """The structure-checked extended behavior for one fixed tag."""
-    system.check()
-    return _fixed_tag_behavior(system, tag, grid_step, residual_tolerance)
-
-
 def extended_sheaf(
     system: PortSystem,
     grid_step: float = DEFAULT_STEP,
@@ -195,7 +222,7 @@ def extended_sheaf(
 
     def fixed(tag) -> OdeBehavior:
         tag = system.zero_tag() if tag is None else tag
-        return _fixed_tag_behavior(system, tag, grid_step, residual_tolerance)
+        return extended_behavior(system, tag, grid_step, residual_tolerance)
 
     def membership(e: Trajectory) -> float:
         if e.labels != labels:
@@ -230,7 +257,7 @@ def embed(
             f"trajectory is not a closed-system member (residual {residual:.3e})"
         )
     zeta = cumulative_trapezoid(
-        zeta_rate_along(system, e.values, _zero_signals(system, e)), e.grid_step
+        system.zeta_rate(e.values, _zero_signals(system, e)), e.grid_step
     )
     return Trajectory(
         np.concatenate([e.values, zeta], axis=1),
@@ -270,7 +297,7 @@ def closed_machine(
     constant_labels = tuple(f"o{i}" for i in range(len(system.signal_labels)))
 
     def a_leg(e: Trajectory) -> Trajectory:
-        y = -zeta_rate_along(system, e.values, _zero_signals(system, e))
+        y = -system.zeta_rate(e.values, _zero_signals(system, e))
         return Trajectory(y, e.grid_step, e.shift, system.output_labels)
 
     def e_leg(e: Trajectory) -> Trajectory:
@@ -325,7 +352,7 @@ def enclosing_legs(system: PortSystem):
         return Trajectory(signals(e), e.grid_step, e.shift, system.signal_labels)
 
     def e_leg(e: Trajectory) -> Trajectory:
-        y = -zeta_rate_along(system, e.channels(system.state_labels), signals(e))
+        y = -system.zeta_rate(e.channels(system.state_labels), signals(e))
         return Trajectory(y, e.grid_step, e.shift, system.output_labels)
 
     return a_leg, e_leg
@@ -337,7 +364,6 @@ def enclosing_machine(
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> Machine:
     """The extended behavior with its signal and port-output legs."""
-    system.check()
     sheaf = extended_sheaf(system, grid_step, residual_tolerance)
     a_leg, e_leg = enclosing_legs(system)
     return _probed_machine(
@@ -380,7 +406,7 @@ def port_to_extended_morphism(system: PortSystem, integral_sign: float = 1.0) ->
     def beta(e: Trajectory) -> Trajectory:
         x = e.channels(system.state_labels)
         s = e.channels(system.signal_labels)
-        zeta = integral_sign * cumulative_trapezoid(zeta_rate_along(system, x, s), e.grid_step)
+        zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
         return Trajectory(
             np.concatenate([x, zeta], axis=1),
             e.grid_step,

@@ -46,9 +46,11 @@ from .port_diagram import (
     PortSystem,
     build_diagram,
     closed_behavior,
+    default_probe_points,
     enclosing_legs as projections,
     extended_behavior,
     extended_sheaf,
+    formula,
 )
 
 MATRIX_TOL = 1e-10
@@ -59,35 +61,21 @@ SAMPLE_ALIGN_TOL = 1e-9
 
 
 def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Turn a constant matrix or a callable into a checked matrix field.
+    """Turn a constant matrix or a callable into a matrix field.
 
     The field maps a state stack (N, n) to (N, rows, cols), or one state to
     one matrix; a constant field gives its one matrix, shared by every node
-    of a stack.  A callable of one node is lifted with
-    :func:`~sheafsys.ode_behavior.pointwise`.
+    of a stack, and its shape is checked here.  A callable of one node is
+    lifted with :func:`~sheafsys.ode_behavior.pointwise`; its shape is
+    checked when the system is built.
     """
     if callable(value):
-        fn = pointwise(value)
-    else:
-        constant = np.array(value, dtype=float)
-        if constant.shape != (rows, cols):
-            raise DimensionMismatch(
-                f"{name} has shape {constant.shape}, expected ({rows}, {cols})"
-            )
-        constant.setflags(write=False)
-        fn = lambda x, _c=constant: _c
-
-    @batched
-    def field(x):
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape != (rows, cols) and out.shape != x.shape[:-1] + (rows, cols):
-            raise DimensionMismatch(
-                f"{name}(x) has shape {out.shape}, expected {x.shape[:-1] + (rows, cols)}"
-            )
-        return out
-
-    return field
+        return pointwise(value)
+    constant = np.array(value, dtype=float)
+    if constant.shape != (rows, cols):
+        raise DimensionMismatch(f"{name} has shape {constant.shape}, expected ({rows}, {cols})")
+    constant.setflags(write=False)
+    return batched(lambda x, _c=constant: _c)
 
 
 def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -121,7 +109,7 @@ class PHSystem(PortSystem):
 
     Every callable follows the stack contract of
     :mod:`sheafsys.ode_behavior` (:func:`ph_system` lifts callables of one
-    node):
+    node), and their shapes are checked once, when the system is built:
 
     interconnection : callable
         x -> antisymmetric (n, n) matrix J(x).
@@ -142,30 +130,24 @@ class PHSystem(PortSystem):
 
     n: int
     m: int
-    interconnection: Callable[[np.ndarray], np.ndarray]
-    dissipation: Callable[[np.ndarray], np.ndarray]
-    port_map: Callable[[np.ndarray], np.ndarray]
-    hamiltonian: Callable[[np.ndarray], float]
-    grad_hamiltonian: Callable[[np.ndarray], np.ndarray]
+    interconnection: Callable[[np.ndarray], np.ndarray] = formula("J", "nn")
+    dissipation: Callable[[np.ndarray], np.ndarray] = formula("R", "nn")
+    port_map: Callable[[np.ndarray], np.ndarray] = formula("B", "nm")
+    hamiltonian: Callable[[np.ndarray], float] = formula("H", "")
+    grad_hamiltonian: Callable[[np.ndarray], np.ndarray] = formula("grad H", "n")
     state_labels: tuple = ()
-
-    def grad(self, x) -> np.ndarray:
-        return self.gradient(self.grad_hamiltonian, x, "H")
-
-    def energy_at(self, x) -> np.ndarray:
-        return self.scalar(self.hamiltonian, x, "H")
 
     def port_output(self, x) -> np.ndarray:
         """The natural port output B(x)^T grad H(x)."""
-        return matvec(transpose(self.port_map(x)), self.grad(x))
+        return matvec(transpose(self.port_map(x)), self.grad_hamiltonian(x))
 
     # node formulas of the port diagram
 
-    def check(self) -> None:
+    def structure_check(self) -> None:
         check_structure(self)
 
     def closed_rhs(self, x) -> np.ndarray:
-        return matvec(self.interconnection(x) - self.dissipation(x), self.grad(x))
+        return matvec(self.interconnection(x) - self.dissipation(x), self.grad_hamiltonian(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
         return self.closed_rhs(x) + matvec(self.port_map(x), s)
@@ -197,8 +179,6 @@ def ph_system(
     to central differences when no closed form is given.  Callables of one
     node are lifted with :func:`~sheafsys.ode_behavior.pointwise`."""
     labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
-    if len(labels) != n:
-        raise DimensionMismatch(f"{len(labels)} labels for state dimension {n}")
     return PHSystem(
         n,
         m,
@@ -209,19 +189,6 @@ def ph_system(
         pointwise(gradH) if gradH is not None else fd_gradient(H, n),
         labels,
     )
-
-
-def default_probe_points(n: int) -> list:
-    """Deterministic structure-check points: origin, axes, mixed corners."""
-    points = [np.zeros(n)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        points.append(e)
-        points.append(-0.5 * e)
-    points.append(0.3 * np.ones(n))
-    points.append(np.array([(-0.7) ** (i + 1) for i in range(n)]))
-    return points
 
 
 def require(points: np.ndarray, *checks) -> None:
@@ -288,7 +255,7 @@ def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
         antisymmetric("J(x)", sys.interconnection(points), points),
         symmetric("R(x)", R, points),
         semidefinite("R(x)", R, points),
-        consistent_gradient("H", sys.grad, fd_gradient(sys.hamiltonian, sys.n), points),
+        consistent_gradient("H", sys.grad_hamiltonian, fd_gradient(sys.hamiltonian, sys.n), points),
     )
 
 
@@ -507,7 +474,7 @@ def ph_iso_machine(
 def _port_run_rates(sys: PHSystem, e: Trajectory):
     """State, input and the stencil rate dH/dt along a port run."""
     x = e.channels(sys.state_labels)
-    energy = sys.energy_at(x)[:, np.newaxis]
+    energy = sys.hamiltonian(x)[:, np.newaxis]
     return x, e.channels(sys.input_labels), grid_derivative(energy, e.grid_step)[:, 0]
 
 
@@ -519,7 +486,7 @@ def power_balance(sys: PHSystem, e: Trajectory) -> float:
     non-finite node defect gives inf.
     """
     x, u, rate = _port_run_rates(sys, e)
-    grad = sys.grad(x)
+    grad = sys.grad_hamiltonian(x)
     supply = dot(sys.port_output(x), u)
     dissipated = dot(grad, matvec(sys.dissipation(x), grad))
     return worst_defect(np.abs(rate - (supply - dissipated)))[0]
@@ -538,7 +505,7 @@ def dissipation_margin(sys: PHSystem, e: Trajectory) -> float:
 def closed_energy_drift(sys: PHSystem, e: Trajectory) -> float:
     """Max |H(x(t)) - H(x(0))| along a closed-system member; inf at a
     non-finite node."""
-    energy = sys.energy_at(e.values)
+    energy = sys.hamiltonian(e.values)
     return worst_defect(np.abs(energy - energy[0]))[0]
 
 
@@ -546,7 +513,7 @@ def extended_energy(sys: PHSystem, aux: AuxHamiltonian, e: Trajectory) -> np.nda
     """Total energy H(x) + H_aux(s, zeta) at every node."""
     x = e.channels(sys.state_labels)
     zeta = e.channels(sys.zeta_labels)
-    return sys.energy_at(x) + aux.value(e.absolute_times, zeta)
+    return sys.hamiltonian(x) + aux.value(e.absolute_times, zeta)
 
 
 def build_ph_diagram(

@@ -99,7 +99,7 @@ def parse_polynomial(obj, n: int) -> Polynomial:
                 raise ConfigError(
                     f"polynomial term powers {powers} invalid for dimension {n}"
                 )
-            terms.append((float(term["coeff"]), powers))
+            terms.append((_finite(float(term["coeff"]), "polynomial coefficient"), powers))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad polynomial specification: {exc}") from exc
     return Polynomial(n, tuple(terms))
@@ -306,9 +306,22 @@ def _merge_params(name: str, known: dict, params: dict) -> dict:
             f"unknown parameters for {name}: {sorted(unknown)} "
             f"(accepted: {sorted(known)})"
         )
+    for key, value in params.items():
+        _finite(value, f"parameter {key} of {name}")
     merged = dict(known)
     merged.update(params)
     return merged
+
+
+def _finite(value, what: str):
+    """``value`` unchanged; ConfigError unless it holds only finite numbers."""
+    try:
+        finite = np.isfinite(np.asarray(value, dtype=float)).all()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} is not numeric: {exc}") from exc
+    if not finite:
+        raise ConfigError(f"{what} is not finite: {np.asarray(value, dtype=float).tolist()}")
+    return value
 
 
 def resolve_builtin(name: str, params: Optional[dict] = None) -> SystemBundle:
@@ -364,7 +377,7 @@ def _matrix_from(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
         raise ConfigError(f"matrix {key!r} malformed: {exc}") from exc
     if matrix.shape != (rows, cols):
         raise ConfigError(f"matrix {key!r} has shape {matrix.shape}, expected ({rows}, {cols})")
-    return matrix
+    return _finite(matrix, f"matrix {key!r}")
 
 
 #: how an explicit document of each port kind is read: the function that
@@ -406,8 +419,10 @@ def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
     matrices = [_matrix_from(doc, key, dims[r], dims[c]) for key, (r, c) in matrix_shapes]
     gradients = [g.gradient for g in generators]
     labels = tuple(doc["labels"]) if "labels" in doc else None
+    if labels and len(labels) != n:
+        raise ConfigError(f"{len(labels)} labels for state dimension {n}")
     sys_ = build(n, m, *matrices, *generators, *gradients, labels=labels)
-    x0 = np.asarray(doc.get("x0", np.zeros(n)), dtype=float)
+    x0 = np.asarray(_finite(doc.get("x0", np.zeros(n)), "x0"), dtype=float)
     if x0.shape != (n,):
         raise ConfigError(f"x0 has shape {x0.shape}, expected ({n},)")
     return SystemBundle(
@@ -416,8 +431,8 @@ def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
         description,
         sys_,
         x0,
-        float(doc.get("length", 10.0)),
-        float(doc.get("residual_tolerance", 1e-4)),
+        float(_finite(doc.get("length", 10.0), "length")),
+        float(_finite(doc.get("residual_tolerance", 1e-4), "residual_tolerance")),
         {},
     )
 

@@ -8,8 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafsys import BlowUp, Polynomial, identical, integrate, restrict
-from sheafsys.ode_behavior import integrate_batch, pointwise
+from sheafsys import (
+    BlowUp,
+    DimensionMismatch,
+    Polynomial,
+    identical,
+    integrate,
+    metriplectic_system,
+    ph_system,
+    restrict,
+)
+from sheafsys.ode_behavior import batched, integrate_batch, pointwise
 from sheafsys.port_diagram import (
     closed_behavior,
     closed_field,
@@ -277,3 +286,88 @@ def test_every_port_diagram_leg_commutes_with_restriction(index, data):
     length = data.draw(st.integers(1, steps - offset))
     window = (length * e.grid_step, offset * e.grid_step)
     assert identical(leg(restrict(e, *window)), restrict(leg(e), *window))
+
+
+# ---------------------------------------------------------------------------
+# formula shapes are checked once, when a system is built
+
+
+def square(x):
+    return 0.5 * float(x @ x)
+
+
+def identity(x):
+    return np.array(x, dtype=float)
+
+
+#: a valid two-state, one-port system of each family, by builder argument
+VALID = {
+    ph_system: dict(
+        J=np.array([[0.0, 1.0], [-1.0, 0.0]]), R=np.zeros((2, 2)), B=np.zeros((2, 1)),
+        H=square, gradH=identity,
+    ),
+    metriplectic_system: dict(
+        J=np.array([[0.0, 1.0], [-1.0, 0.0]]), G=np.zeros((2, 2)), B=np.zeros((2, 1)),
+        A=np.zeros((2, 1)), Jt=np.zeros((1, 1)), Gt=np.zeros((1, 1)),
+        H=square, S=lambda x: 0.0, gradH=identity, gradS=lambda x: np.zeros(2),
+    ),
+}
+FORMULA_NAMES = {"gradH": "grad H", "gradS": "grad S"}
+FORMULAS = [(build, key) for build, kwargs in VALID.items() for key in kwargs]
+GENERATORS = ("H", "S", "gradH", "gradS")
+
+
+def node_shape(value) -> tuple:
+    return np.shape(value(np.zeros(2)) if callable(value) else value)
+
+
+def formula_id(case) -> str:
+    return f"{case[0].__name__}-{case[1]}"
+
+
+@pytest.mark.parametrize("case", FORMULAS, ids=formula_id)
+def test_a_formula_of_the_wrong_node_shape_fails_construction(case):
+    build, key = case
+    shape = node_shape(VALID[build][key])
+    wrong = lambda x: np.zeros(shape + (1,))
+    name = FORMULA_NAMES.get(key, key)
+    with pytest.raises(DimensionMismatch, match=rf"^{name}\(x\) has shape"):
+        build(2, 1, **{**VALID[build], key: wrong})
+
+
+@pytest.mark.parametrize("case", FORMULAS, ids=formula_id)
+def test_a_batched_formula_giving_one_node_for_a_stack(case):
+    """Fails construction for a gradient or energy; a matrix field may give
+    one matrix for every node, as a constant does."""
+    build, key = case
+    shape = node_shape(VALID[build][key])
+    one_node = batched(lambda x: np.zeros(shape))
+    kwargs = {**VALID[build], key: one_node}
+    if key not in GENERATORS:
+        build(2, 1, **kwargs)
+        return
+    name = FORMULA_NAMES.get(key, key)
+    with pytest.raises(DimensionMismatch, match=rf"^{name}\(x\) has shape"):
+        build(2, 1, **kwargs)
+
+
+def test_node_formulas_returning_lists_or_int_arrays_run_as_their_float_forms():
+    loose = ph_system(
+        2, 1,
+        lambda x: [[0, 1], [-1, 0]],
+        lambda x: np.zeros((2, 2), dtype=int),
+        lambda x: np.array([[0], [1]]),
+        square,
+        lambda x: [x[0], x[1]],
+    )
+    exact = ph_system(
+        2, 1,
+        lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        lambda x: np.zeros((2, 2)),
+        lambda x: np.array([[0.0], [1.0]]),
+        square,
+        identity,
+    )
+    runs = [closed_behavior(system, H).sample([1.0, 0.5], 0.1) for system in (loose, exact)]
+    assert identical(*runs)
+    assert np.array_equal(loose.port_output(runs[0].values), exact.port_output(runs[1].values))

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,12 +260,40 @@ def test_config_file_drives_the_run(tmp_path):
 @pytest.mark.parametrize("line, system, x0", [
     ("ph audit-power", "mass_spring", [float("nan"), 0.0]),
     ("mp audit-rates", "rigid_body", [1.0, float("nan"), 0.5]),
+    ("simulate", "mass_spring", [float("nan"), 0.0]),
 ])
 def test_a_nan_initial_state_fails_the_audit_without_a_report(tmp_path, capsys, line, system, x0):
     cfg = tmp_path / "nan.json"
     cfg.write_text(json.dumps({"system": system, "params": {"x0": x0}}))
     out = tmp_path / "out"
     code = main([*line.split(), "--config", str(cfg), "--length", "0.5", "--out", str(out)])
-    assert code == 1
-    assert "check failed" in capsys.readouterr().err
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "check-sheaf", "verify-diagram"])
+def test_a_label_count_mismatch_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "labels.json"
+    cfg.write_text(json.dumps({
+        "kind": "ph", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]],
+        "R": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "labels": ["a"],
+    }))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--length", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "configuration error: 1 labels for state dimension 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("group, module, check", [
+    ("ph", "sheafsys.port_hamiltonian", "check_structure"),
+    ("mp", "sheafsys.metriplectic", "check_metriplectic_structure"),
+])
+def test_verify_diagram_checks_the_structure_once(tmp_path, monkeypatch, group, module, check):
+    calls = []
+    original = getattr(sys.modules[module], check)
+    monkeypatch.setattr(sys.modules[module], check, lambda *args: calls.append(args) or original(*args))
+    code = main([group, "verify-diagram", "--length", "0.064", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(calls) == 1

@@ -71,6 +71,16 @@ def test_check_structure_rejects_symmetric_interconnection():
         check_structure(bad)
 
 
+def test_a_failing_system_fails_its_check_on_every_call():
+    bad = ph_system(
+        2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)),
+        np.array([[0.0], [1.0]]), lambda x: 0.5 * float(x @ x), lambda x: x,
+    )
+    for _ in range(2):
+        with pytest.raises(StructureViolation):
+            bad.check()
+
+
 def test_check_structure_rejects_indefinite_dissipation():
     bad = ph_system(
         2, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]), -np.eye(2),
@@ -91,12 +101,12 @@ def test_check_structure_rejects_wrong_gradient():
 
 
 def test_enclosing_machine_reports_a_port_map_of_the_wrong_shape():
-    bad = ph_system(
-        2, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)),
-        lambda x: np.zeros((2, 2)),  # B(x) must be (2, 1)
-        lambda x: 0.5 * float(x @ x), lambda x: x,
-    )
     with pytest.raises(DimensionMismatch):
+        bad = ph_system(
+            2, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)),
+            lambda x: np.zeros((2, 2)),  # B(x) must be (2, 1)
+            lambda x: 0.5 * float(x @ x), lambda x: x,
+        )
         enclosing_machine(bad, H)
 
 

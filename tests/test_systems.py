@@ -134,6 +134,31 @@ def test_bundle_from_config_explicit_two_generator_system():
     check_metriplectic_structure(bundle.instance)
 
 
+NAN, INF = float("nan"), float("inf")
+PH_DOC = {
+    "kind": "ph", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]],
+    "R": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]],
+    "H": {"terms": [{"coeff": 0.5, "powers": [2, 0]}]},
+}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"system": "mass_spring", "params": {"x0": [NAN, 0.0]}}, id="builtin-x0"),
+    pytest.param({"system": "mass_spring", "params": {"k": INF}}, id="builtin-k"),
+    pytest.param({"system": "rigid_body", "params": {"gamma": NAN}}, id="builtin-gamma"),
+    pytest.param({"system": "linear", "params": {"matrix": [[-INF]]}}, id="builtin-matrix"),
+    pytest.param({"kind": "ode", "x0": [NAN]}, id="ode-x0"),
+    pytest.param({**PH_DOC, "x0": [0.0, INF]}, id="ph-x0"),
+    pytest.param({**PH_DOC, "R": [[0.0, 0.0], [0.0, NAN]]}, id="ph-matrix"),
+    pytest.param({**PH_DOC, "H": {"terms": [{"coeff": NAN, "powers": [2, 0]}]}}, id="ph-coeff"),
+    pytest.param({**PH_DOC, "length": INF}, id="ph-length"),
+    pytest.param({**PH_DOC, "residual_tolerance": NAN}, id="ph-residual_tolerance"),
+])
+def test_a_non_finite_config_value_is_a_config_error(doc):
+    with pytest.raises(ConfigError, match="not finite|non-finite"):
+        bundle_from_config(doc)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
