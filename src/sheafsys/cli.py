@@ -22,20 +22,18 @@ import numpy as np
 from . import __version__
 from .errors import BlowUp, ConfigError, SheafSysError
 from .interval_sheaf import Trajectory, check_sheaf_axioms, worst_defect, write_csv
-from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, batched, membership_residual
-from .port_diagram import closed_behavior
+from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, integrate_batch, membership_residual
+from .port_diagram import closed_behavior, port_field
 from .port_hamiltonian import (
     build_ph_diagram,
     dissipation_margin,
     closed_energy_drift,
-    ph_iso_machine,
     power_balance,
 )
 from .metriplectic import (
     build_metriplectic_diagram,
     degeneracy_audit,
     noninteraction_residuals,
-    port_metriplectic_machine,
     rate_audit,
     side_condition_residuals,
 )
@@ -150,47 +148,50 @@ def _simulate(config: RunConfig, bundle: SystemBundle) -> int:
     return _write_report(config, bundle.name, True, residuals, notes)
 
 
-def _driven_run(bundle: SystemBundle, config: RunConfig) -> Trajectory:
-    """A port run from the bundle's initial state with u = a sin(t) on every
-    input (a = 1 for ph, 0.2 for mp) and every other port signal zero."""
+def _port_runs(bundle: SystemBundle, config: RunConfig) -> tuple:
+    """The driven port run and the closed run from the bundle's initial
+    state, after the family's structure check, as one two-row batch of the
+    port field.  The driven run has u = a sin(t) on every input (a = 1 for
+    ph, 0.2 for mp) and every other signal zero; the closed run has every
+    signal zero and keeps only its state channels.  The driven run's BlowUp
+    is raised first."""
     system = bundle.instance
-    if bundle.kind == "ph":
-        port, amplitude = ph_iso_machine(system, config.step, bundle.residual_tolerance), 1.0
-    else:
-        port = port_metriplectic_machine(system, config.step, bundle.residual_tolerance)
-        amplitude = 0.2
-    signals = len(system.signal_labels)
+    system.check()
+    amplitude = 1.0 if bundle.kind == "ph" else 0.2
 
-    @batched
-    def drive(t):
-        t = np.asarray(t)
-        out = np.zeros(t.shape + (signals,))
-        out[..., : system.m] = amplitude * np.sin(t)[..., np.newaxis]
+    def signals(t):
+        out = np.zeros(t.shape + (2, len(system.signal_labels)))
+        out[:, 0, : system.m] = amplitude * np.sin(t)[:, np.newaxis]
         return out
 
-    return port.behavior.sampler(bundle.initial_state, drive, config.length)
+    driven, closed = integrate_batch(
+        port_field(system), [bundle.initial_state] * 2, config.length, config.step,
+        labels=system.state_labels + system.signal_labels, inputs=signals,
+    )
+    for run in (driven, closed):
+        if isinstance(run, BlowUp):
+            raise run
+    return driven, Trajectory(closed.values[:, : system.n], closed.grid_step, 0.0, system.state_labels)
 
 
 def _audit(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(config.length, config.step)
-    behavior = _closed_behavior_for(bundle, config.step)
     system = bundle.instance
     notes = []
     if bundle.kind == "ph":
-        run = _driven_run(bundle, config)
+        run, closed_run = _port_runs(bundle, config)
         residuals = {
             "power_balance_defect": float(power_balance(system, run)),
             "dissipation_excess": float(dissipation_margin(system, run)),
+            "closed_energy_drift": float(closed_energy_drift(system, closed_run)),
         }
-        closed_run = behavior.sample(bundle.initial_state, config.length)
-        residuals["closed_energy_drift"] = float(closed_energy_drift(system, closed_run))
         passed = residuals["power_balance_defect"] <= config.tolerance
     elif bundle.kind == "mp":
-        run = _driven_run(bundle, config)
+        run, closed_run = _port_runs(bundle, config)
         residuals = {k: float(v) for k, v in rate_audit(system, run).items()}
         worst_side = worst_defect([v for v, _ in side_condition_residuals(system, run).values()])[0]
         residuals["side_conditions"] = float(worst_side)
-        audit = degeneracy_audit(system, behavior.sample(bundle.initial_state, config.length))
+        audit = degeneracy_audit(system, closed_run)
         residuals.update({k: float(v) for k, v in audit.items()})
         passed = (
             residuals["energy_rate_defect"] <= config.tolerance
@@ -199,6 +200,7 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
             and audit["entropy_rate_min"] >= -SIDE_CONDITION_TOL
         )
     else:
+        behavior = _closed_behavior_for(bundle, config.step)
         try:
             run = behavior.sample(bundle.initial_state, config.length)
         except BlowUp as exc:
@@ -359,6 +361,8 @@ def run(config: RunConfig) -> int:
     if command is None:
         raise ConfigError(f"unknown command {config.command!r}")
     bundle = _resolve_bundle(config)
+    if not np.isfinite(config.length):
+        raise ConfigError(f"length must be finite, got {config.length}")
     if config.length <= 0:
         config = dataclasses.replace(config, length=bundle.default_length)
     if bundle.kind not in command.kinds:

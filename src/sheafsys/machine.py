@@ -158,8 +158,10 @@ def iso_machine(
 
     The sampler is ``sampler(x0, curve, ..., length, shift=0.0)``: the input
     at absolute time t is the concatenation of the curves' values, one curve
-    per input group (callables of time, so the integrator can evaluate them
-    between nodes; lifted with :func:`~sheafsys.ode_behavior.pointwise`).
+    per input group (callables of time, lifted with
+    :func:`~sheafsys.ode_behavior.pointwise`).  Each curve is called once
+    per run, on the stack of the RK4 stage times and the end node's time;
+    see :func:`~sheafsys.ode_behavior.integrate_batch`.
     """
     n = dynamics.dimension
     m = int(num_inputs)
@@ -168,6 +170,7 @@ def iso_machine(
     output_labels = tuple(output_labels) if output_labels else tuple(f"y{i}" for i in range(num_outputs))
     member_labels = state_labels + input_labels
     rhs = pointwise(dynamics.rhs_with_input, 0, 1, 1)
+    field = VectorField(n, rhs)
     readout = pointwise(readout, 0, 1, 1)
 
     def split(e: Trajectory):
@@ -196,18 +199,14 @@ def iso_machine(
 
     def sampler(x0, *curves_and_length, shift: float = 0.0) -> Trajectory:
         *curves, length = curves_and_length
-        if len(curves) == 1:
-            input_curve = curves[0]
-        else:
-            input_curve = lambda t: np.concatenate([np.atleast_1d(c(t)) for c in curves])
-        closed = VectorField(
-            n,
-            lambda t, x: rhs(t, x, np.atleast_1d(input_curve(t))),
-        )
-        state = integrate(closed, x0, length, grid_step, shift, state_labels)
-        u_nodes = np.asarray(pointwise(input_curve, 0)(state.absolute_times), dtype=float)
-        values = np.concatenate([state.values, u_nodes.reshape(state.num_nodes, -1)], axis=1)
-        return Trajectory(values, grid_step, shift, member_labels)
+        curves = [pointwise(c, 0) for c in curves]
+
+        def inputs(t):
+            return np.concatenate(
+                [np.asarray(c(t), dtype=float).reshape(len(t), -1) for c in curves], axis=1
+            )
+
+        return integrate(field, x0, length, grid_step, shift, member_labels, inputs=inputs)
 
     behavior = BehaviorSheaf(
         membership=membership,

@@ -53,10 +53,10 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
     """Lift ``fn``, a callable of one node, to the stack contract.
 
     ``ranks`` gives the rank of each argument at one node (default: one
-    state vector, rank 1).  When the last argument has its node rank the
-    call is one node and goes to ``fn`` unchanged; otherwise ``fn`` runs on
-    every row of the stacks, with arguments given at node rank (a shared
-    time) repeated for each row.  Either way the values come back as a float
+    state vector, rank 1).  When every argument has its node rank the call
+    is one node and goes to ``fn`` unchanged; otherwise ``fn`` runs on every
+    row of the stacks, with arguments given at node rank (a shared time or
+    input) repeated for each row.  Either way the values come back as a float
     array.  Callables marked :func:`batched` are returned as they are.
     """
     if getattr(fn, "batched", False):
@@ -65,9 +65,10 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
 
     @batched
     def stacked(*args):
-        if np.ndim(args[-1]) == ranks[-1]:
+        counts = [len(arg) for arg, rank in zip(args, ranks) if np.ndim(arg) > rank]
+        if not counts:
             return np.asarray(fn(*args), dtype=float)
-        count = len(args[-1])
+        count = counts[0]
         columns = [
             arg if np.ndim(arg) > rank else itertools.repeat(arg, count)
             for arg, rank in zip(args, ranks)
@@ -111,22 +112,23 @@ class VectorField:
     dimension : int
         State dimension n.
     rhs : callable
-        Maps (t, x) to the derivative.  A callable of one node, x of shape
-        (n,) to shape (n,), is lifted with :func:`pointwise` at
-        construction; a :func:`batched` one takes x of shape (N, n) with t a
-        scalar or of shape (N,) and returns shape (N, n).
+        Maps (t, x), or (t, x, u) for a field with an input, to the
+        derivative.  A callable of one node, x of shape (n,) to shape (n,),
+        is lifted with :func:`pointwise` at construction; a :func:`batched`
+        one takes x of shape (N, n) with t (and u) shared or given per row
+        and returns shape (N, n).
     """
 
     dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[..., np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "rhs", pointwise(self.rhs, 0, 1))
+        object.__setattr__(self, "rhs", pointwise(self.rhs, 0, 1, 1))
 
-    def __call__(self, t, x: np.ndarray) -> np.ndarray:
+    def __call__(self, t, x: np.ndarray, u=None) -> np.ndarray:
         """The field at one node (x of shape (n,)) or a stack of nodes."""
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self.rhs(t, x), dtype=float)
+        out = np.asarray(self.rhs(t, x) if u is None else self.rhs(t, x, u), dtype=float)
         if out.shape != x.shape or x.shape[-1] != self.dimension:
             raise DimensionMismatch(
                 f"rhs returned shape {out.shape}, expected {x.shape[:-1] + (self.dimension,)}"
@@ -167,8 +169,10 @@ def integrate(
     shift: float = 0.0,
     labels: Optional[tuple] = None,
     aux=None,
+    inputs: Optional[Callable] = None,
 ) -> Trajectory:
-    """Integrate x' = f(t - shift, x) from x(0) = x0 with classical RK4.
+    """Integrate x' = f(t - shift, x) from x(0) = x0 with classical RK4;
+    ``inputs`` as in :func:`integrate_batch`.
 
     Raises
     ------
@@ -182,7 +186,7 @@ def integrate(
         raise DimensionMismatch(
             f"initial state shape {x0.shape}, field dimension {field.dimension}"
         )
-    (run,) = integrate_batch(field, x0[np.newaxis], length, grid_step, shift, labels, aux)
+    (run,) = integrate_batch(field, x0[np.newaxis], length, grid_step, shift, labels, aux, inputs)
     if isinstance(run, BlowUp):
         raise run
     return run
@@ -196,6 +200,7 @@ def integrate_batch(
     shift: float = 0.0,
     labels: Optional[tuple] = None,
     aux=None,
+    inputs: Optional[Callable] = None,
 ) -> list:
     """Integrate x' = f(t - shift, x) from every row of ``x0s`` at once, as
     one (K, n) RK4 state.
@@ -204,6 +209,13 @@ def integrate_batch(
     :func:`integrate` would raise for it.  A row that blows up leaves the
     batch at that step; the other rows carry on unaffected, and each row's
     nodes are exactly those of integrating it alone.
+
+    ``inputs``, when given, is a curve of absolute time called once, on the
+    stack of the stage times t_i - shift, t_i + h/2 - shift, t_i + h - shift
+    of every step i and then the end node's time; it gives inputs shared by
+    every row, (T, m), or one per row, (T, K, m).  The field is then called
+    as f(t, x, u), and every run carries its inputs at the nodes as channels
+    after the state.
     """
     x = np.array(x0s, dtype=float)
     if x.ndim != 2 or x.shape[1] != field.dimension:
@@ -217,21 +229,33 @@ def integrate_batch(
     if abs(steps * h - length) > 1e-12 * max(1.0, abs(length)):
         raise GridMismatch(f"length {length} is not a multiple of the step {h}")
 
-    count = len(x)
-    nodes = np.empty((steps + 1,) + x.shape)
-    nodes[0] = x
+    count, n = x.shape
+    u = None
+    if inputs is not None:
+        starts = np.arange(steps) * h  # the loop's i * h
+        times = np.append(np.column_stack([starts, starts + 0.5 * h, starts + h]), steps * h) - shift
+        u = np.asarray(inputs(times), dtype=float)
+        if u.shape[:1] != times.shape or not (u.ndim == 2 or u.ndim == 3 and u.shape[1] == count):
+            raise DimensionMismatch(f"inputs gave shape {u.shape} for {len(times)} times, {count} rows")
+    nodes = np.empty((steps + 1, count, n + (0 if u is None else u.shape[-1])))
+    states = nodes[..., :n]
+    states[0] = x
+    if u is not None:  # the inputs at the nodes: the first stage of every step, then the end
+        nodes[..., n:] = u[::3] if u.ndim == 3 else u[::3, np.newaxis]
     rows = np.arange(count)
     runs = [None] * count
     if count == 1:  # one run steps a single node, the cheapest call of a field
         x = x[0]
+        u = u[:, 0] if u is not None and u.ndim == 3 else u
     for i in range(steps):
         if not rows.size:
             break
         t = i * h
-        k1 = field(t - shift, x)
-        k2 = field(t + 0.5 * h - shift, x + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h - shift, x + 0.5 * h * k2)
-        k4 = field(t + h - shift, x + h * k3)
+        u1, u2, u4 = (None, None, None) if u is None else u[3 * i : 3 * i + 3]
+        k1 = field(t - shift, x, u1)
+        k2 = field(t + 0.5 * h - shift, x + 0.5 * h * k1, u2)
+        k3 = field(t + 0.5 * h - shift, x + 0.5 * h * k2, u2)
+        k4 = field(t + h - shift, x + h * k3, u4)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.abs(x).max() <= BLOWUP_THRESHOLD:  # also catches NaN
             bad = ~(np.abs(x).reshape(rows.size, -1).max(axis=1) <= BLOWUP_THRESHOLD)
@@ -239,10 +263,12 @@ def integrate_batch(
                 truncated = Trajectory(nodes[: i + 1, row], h, shift, labels, aux)
                 runs[row] = BlowUp(i * h, truncated)
             x, rows = x.reshape(rows.size, -1)[~bad], rows[~bad]
+            if u is not None and u.ndim == 3:
+                u = u[:, ~bad]
         if rows.size == count:
-            nodes[i + 1] = x
+            states[i + 1] = x
         elif rows.size:
-            nodes[i + 1, rows] = x
+            states[i + 1, rows] = x
     for row in rows:
         runs[row] = Trajectory(nodes[:, row], h, shift, labels, aux)
     return runs

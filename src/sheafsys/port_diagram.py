@@ -167,6 +167,11 @@ def closed_field(system: PortSystem) -> VectorField:
     return VectorField(system.n, batched(lambda t, x: system.closed_rhs(x)))
 
 
+def port_field(system: PortSystem) -> VectorField:
+    """x' = port_rhs(x, s), the port signals s its input."""
+    return VectorField(system.n, batched(lambda t, x, s: system.port_rhs(x, s)))
+
+
 def closed_behavior(
     system: PortSystem,
     grid_step: float = DEFAULT_STEP,
@@ -321,7 +326,7 @@ def port_machine(
     """
     system.check()
     return iso_machine(
-        ControlledField(system.n, batched(lambda t, x, s: system.port_rhs(x, s))),
+        ControlledField(system.n, port_field(system).rhs),
         batched(lambda t, x, s: -system.zeta_rate(x, s)),
         len(system.signal_labels),
         system.m,

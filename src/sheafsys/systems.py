@@ -99,7 +99,7 @@ def parse_polynomial(obj, n: int) -> Polynomial:
                 raise ConfigError(
                     f"polynomial term powers {powers} invalid for dimension {n}"
                 )
-            terms.append((_finite(float(term["coeff"]), "polynomial coefficient"), powers))
+            terms.append((float(_finite(term["coeff"], "polynomial coefficient")), powers))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad polynomial specification: {exc}") from exc
     return Polynomial(n, tuple(terms))
@@ -314,11 +314,14 @@ def _merge_params(name: str, known: dict, params: dict) -> dict:
 
 
 def _finite(value, what: str):
-    """``value`` unchanged; ConfigError unless it holds only finite numbers."""
+    """``value`` unchanged; ConfigError unless it holds only finite numbers
+    (a string or a boolean is none, though numpy would read one)."""
     try:
         finite = np.isfinite(np.asarray(value, dtype=float)).all()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} is not numeric: {exc}") from exc
+    if any(isinstance(v, (str, bool)) for v in np.ravel(np.array(value, dtype=object))):
+        raise ConfigError(f"{what} is not numeric: {value!r}")
     if not finite:
         raise ConfigError(f"{what} is not finite: {np.asarray(value, dtype=float).tolist()}")
     return value
@@ -377,7 +380,8 @@ def _matrix_from(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
         raise ConfigError(f"matrix {key!r} malformed: {exc}") from exc
     if matrix.shape != (rows, cols):
         raise ConfigError(f"matrix {key!r} has shape {matrix.shape}, expected ({rows}, {cols})")
-    return _finite(matrix, f"matrix {key!r}")
+    _finite(doc[key], f"matrix {key!r}")
+    return matrix
 
 
 #: how an explicit document of each port kind is read: the function that

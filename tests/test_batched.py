@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from sheafsys import (
     BlowUp,
+    ControlledField,
     DimensionMismatch,
     Polynomial,
+    VectorField,
     identical,
     integrate,
+    iso_machine,
     metriplectic_system,
     ph_system,
     restrict,
@@ -25,6 +28,7 @@ from sheafsys.port_diagram import (
     closed_machine,
     embed,
     enclosing_machine,
+    port_field,
     port_machine,
     port_to_extended_morphism,
 )
@@ -248,6 +252,133 @@ def test_a_blown_up_row_leaves_the_batch_with_its_truncated_run():
         assert abs(run.t_star - 1.0 / x0) <= H
         assert run.trajectory.num_nodes == round(run.t_star / H) + 1
     assert runs[1].num_nodes == 1001
+
+
+# ---------------------------------------------------------------------------
+# driven runs: input curves evaluated once on the RK4 stage grid
+
+
+def reference_port_run(system, x0, curves, length, shift):
+    """A port run by an RK4 loop written out here, reading the input curves
+    at every stage time, one time at a time; states then inputs at the
+    nodes."""
+
+    def read(curve, t):
+        return curve(np.array([t]))[0] if getattr(curve, "batched", False) else curve(t)
+
+    def inputs(t):
+        return np.concatenate([np.atleast_1d(read(curve, t)) for curve in curves])
+
+    rhs = lambda t, x: system.port_rhs(x, inputs(t))
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for i in range(round(length / H)):
+        t = i * H
+        k1 = rhs(t - shift, x)
+        k2 = rhs(t + 0.5 * H - shift, x + 0.5 * H * k1)
+        k3 = rhs(t + 0.5 * H - shift, x + 0.5 * H * k2)
+        k4 = rhs(t + H - shift, x + H * k3)
+        x = x + (H / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    nodes = [inputs(i * H - shift) for i in range(len(states))]
+    return np.concatenate([np.array(states), np.array(nodes)], axis=1)
+
+
+def port_systems():
+    yield "mass_spring", mass_spring_system(K, MASS, DAMPING)
+    yield "rigid_body", rigid_body_system(INERTIA, GAMMA)
+    rng = np.random.default_rng(7)
+    terms = [{"coeff": float(rng.uniform(-0.5, 0.5)), "powers": [int(p) for p in rng.integers(0, 4, 2)]}
+             for _ in range(4)]
+    yield "polynomial", bundle_from_config({
+        "kind": "ph", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]], "R": [[0.0, 0.0], [0.0, 0.1]],
+        "B": [[0.0], [1.0]],
+        "H": {"terms": terms + [{"coeff": 0.5, "powers": [2, 0]}, {"coeff": 0.5, "powers": [0, 2]}]},
+    }).instance
+
+
+PORT_SYSTEMS = dict(port_systems())
+
+
+def input_curves(k, style):
+    """Curves of k signals in total: one per-node curve, one batched curve,
+    or one curve per signal."""
+    if style == "per-node":
+        return [lambda t: np.array([0.3 * np.sin(2.0 * t) + 0.1 * j for j in range(k)])]
+    if style == "batched":
+        return [batched(lambda t: (0.5 * t - 0.2)[:, np.newaxis] * np.arange(1, k + 1))]
+    return [lambda t, j=j: 0.25 * t * t - 0.1 * j for j in range(k)]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+@pytest.mark.parametrize("style", ["per-node", "batched", "several"])
+@pytest.mark.parametrize("name", sorted(PORT_SYSTEMS))
+def test_a_driven_run_equals_the_loop_reading_inputs_at_every_stage(name, style, shift):
+    system = PORT_SYSTEMS[name]
+    curves = input_curves(len(system.signal_labels), style)
+    x0 = [0.4, -0.3, 0.2][: system.n]
+    run = port_machine(system, H).behavior.sampler(x0, *curves, 0.05, shift=shift)
+    assert run.labels == system.state_labels + system.signal_labels and run.shift == shift
+    assert np.array_equal(run.values, reference_port_run(system, x0, curves, 0.05, shift))
+
+
+def test_input_curves_are_called_once_per_run_on_the_stage_grid():
+    calls = []
+
+    @batched
+    def counting(t):
+        calls.append(np.array(t))
+        return np.zeros((len(t), 1))
+
+    port_machine(mass_spring_system(), H).behavior.sampler([1.0, 0.0], counting, 0.05, shift=0.5)
+    (times,) = calls
+    starts = np.arange(50) * H
+    stages = np.column_stack([starts - 0.5, starts + 0.5 * H - 0.5, starts + H - 0.5])
+    assert np.array_equal(times, np.append(stages, 50 * H - 0.5))
+
+
+SOFTENING = bundle_from_config({
+    "kind": "ph", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]], "R": [[0.0, 0.0], [0.0, 0.2]],
+    "B": [[0.0], [1.0]],
+    "H": {"terms": [
+        {"coeff": 0.45, "powers": [2, 0]}, {"coeff": -0.5, "powers": [4, 0]},
+        {"coeff": 0.5, "powers": [0, 2]},
+    ]},
+}).instance
+
+
+def test_a_driven_batch_row_that_blows_up_leaves_the_others_as_they_run_alone():
+    field = port_field(SOFTENING)
+    starts = [[0.2, 0.0], [1.2, 0.5], [-0.3, 0.1]]
+    per_row = batched(lambda t: np.sin(t)[:, np.newaxis, np.newaxis] * np.array([[1.0], [2.0], [-1.0]]))
+    runs = integrate_batch(field, starts, 1.5, H, 0.1, inputs=per_row)
+    assert [type(r).__name__ for r in runs] == ["Trajectory", "BlowUp", "Trajectory"]
+    for row, (x0, run) in enumerate(zip(starts, runs)):
+        alone = batched(lambda t, row=row: per_row(t)[:, row])
+        try:
+            expected = integrate(field, x0, 1.5, H, 0.1, inputs=alone)
+        except BlowUp as exc:
+            expected = exc
+        assert same_outcome(run, expected)
+    assert runs[1].trajectory.dimension == 3  # the truncated run keeps its inputs
+
+
+def test_inputs_shared_by_a_batch_reach_a_field_of_one_node_per_row():
+    field = VectorField(1, lambda t, x, u: np.array([u[0] - x[0]]))
+    shared = batched(lambda t: np.cos(t)[:, np.newaxis])
+    together = integrate_batch(field, [[0.0], [1.0]], 0.1, H, inputs=shared)
+    for x0, run in zip([[0.0], [1.0]], together):
+        assert identical(run, integrate(field, x0, 0.1, H, inputs=shared))
+
+
+def test_driven_runs_check_the_shapes_of_inputs_and_dynamics():
+    grows = iso_machine(ControlledField(1, lambda t, x, u: np.zeros(2)), lambda t, x, u: x, 1, 1, H)
+    with pytest.raises(DimensionMismatch, match="rhs returned shape"):
+        grows.behavior.sampler([0.0], lambda t: np.ones(1), 0.01)
+    field = port_field(SOFTENING)
+    wrong_rows = batched(lambda t: np.zeros((len(t), 3, 1)))
+    with pytest.raises(DimensionMismatch, match="inputs gave shape"):
+        integrate_batch(field, [[0.0, 0.0], [1.0, 0.0]], 0.01, H, inputs=wrong_rows)
 
 
 # ---------------------------------------------------------------------------

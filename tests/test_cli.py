@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, build_parser, main
+from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, RunConfig, _port_runs, build_parser, main
 from sheafsys.interval_sheaf import read_csv
+from sheafsys.port_diagram import closed_behavior, port_machine
+from sheafsys.systems import bundle_from_config, resolve_builtin
 
 
 def report(out_dir):
@@ -53,6 +55,15 @@ def test_node_guard_rejects_degenerate_runs(tmp_path, capsys):
     ])
     assert code == 2
     assert "nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["nan", "inf"])
+def test_a_non_finite_length_is_a_config_error(tmp_path, capsys, length):
+    out = tmp_path / "x"
+    code = main(["simulate", "--system", "linear", "--length", length, "--out", str(out)])
+    assert code == 2
+    assert f"configuration error: length must be finite, got {length}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_blowup_simulation_truncates_and_reports(tmp_path):
@@ -297,3 +308,63 @@ def test_verify_diagram_checks_the_structure_once(tmp_path, monkeypatch, group, 
     code = main([group, "verify-diagram", "--length", "0.064", "--out", str(tmp_path / "out")])
     assert code == 0
     assert len(calls) == 1
+
+
+def softening(x0):
+    """A Duffing-type port system whose negative quartic term blows up."""
+    return {
+        "kind": "ph", "name": "softening", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]],
+        "R": [[0.0, 0.0], [0.0, 0.2]], "B": [[0.0], [1.0]],
+        "H": {"terms": [
+            {"coeff": 0.45, "powers": [2, 0]}, {"coeff": -0.5, "powers": [4, 0]},
+            {"coeff": 0.5, "powers": [0, 2]},
+        ]},
+        "x0": x0,
+    }
+
+
+DUFFING = {  # the duffing.json of the long_run benchmark workload, seed 1
+    "kind": "ph", "name": "duffing", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]],
+    "R": [[0.0, 0.0], [0.0, 0.19545031000823954]], "B": [[0.0], [1.0]],
+    "H": {"terms": [
+        {"coeff": 0.6341765977662189, "powers": [2, 0]},
+        {"coeff": 0.09917882033373038, "powers": [4, 0]},
+        {"coeff": 0.5, "powers": [0, 2]},
+    ]},
+    "x0": [0.38818484770991724, 0.2602653036125062],
+}
+
+
+@pytest.mark.parametrize("bundle", [
+    pytest.param(resolve_builtin("mass_spring"), id="mass_spring"),
+    pytest.param(resolve_builtin("rigid_body"), id="rigid_body"),
+    pytest.param(bundle_from_config(DUFFING), id="duffing"),
+])
+def test_an_audit_integrates_its_driven_and_closed_runs_as_one_batch(bundle):
+    length, system = 2.0, bundle.instance
+    driven, closed = _port_runs(bundle, RunConfig("audit", bundle.name, length, 1e-3, 1e-5, 0, ""))
+    behavior = closed_behavior(system, 1e-3, bundle.residual_tolerance)
+    alone = behavior.sample(bundle.initial_state, length)
+    assert np.array_equal(closed.values, alone.values) and closed.labels == alone.labels
+    assert behavior.membership(closed) <= behavior.residual_tolerance
+    amplitude = 1.0 if bundle.kind == "ph" else 0.2
+    drive = [lambda t: amplitude * np.sin(t)] * system.m + [lambda t: 0.0] * (len(system.signal_labels) - system.m)
+    port = port_machine(system, 1e-3, bundle.residual_tolerance)
+    assert np.array_equal(driven.values, port.behavior.sampler(bundle.initial_state, *drive, length).values)
+    assert port.behavior.membership(driven) <= port.behavior.tolerance
+
+
+@pytest.mark.parametrize("x0, t_star", [
+    ([1.2, 0.5], "1.05"),  # the driven run blows up first
+    ([-0.8, 0.0], "4.099"),  # the closed run blows up first, at 2.293; the driven one is reported
+])
+def test_a_blowing_up_audit_reports_the_driven_run_first_and_writes_nothing(tmp_path, capsys, x0, t_star):
+    cfg = tmp_path / "softening.json"
+    cfg.write_text(json.dumps(softening(x0)))
+    out = tmp_path / "out"
+    code = main(["ph", "audit-power", "--config", str(cfg), "--length", "10", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"check failed: solution exceeded the blow-up threshold after t = {t_star}\n"
+    )
+    assert not out.exists()

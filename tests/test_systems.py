@@ -159,6 +159,23 @@ def test_a_non_finite_config_value_is_a_config_error(doc):
         bundle_from_config(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"system": "mass_spring", "params": {"k": "2"}}, id="builtin-string"),
+    pytest.param({"system": "mass_spring", "params": {"k": True}}, id="builtin-bool"),
+    pytest.param({"system": "mass_spring", "params": {"x0": [1.0, "0"]}}, id="builtin-x0-string"),
+    pytest.param({"system": "rigid_body", "params": {"x0": [True, 0.5, 0.5]}}, id="builtin-x0-bool"),
+    pytest.param({"kind": "ode", "matrix": [["-1"]]}, id="ode-matrix-string"),
+    pytest.param({**PH_DOC, "x0": ["1", 0.0]}, id="ph-x0-string"),
+    pytest.param({**PH_DOC, "B": [[0.0], ["1"]]}, id="ph-matrix-string"),
+    pytest.param({**PH_DOC, "R": [[0.0, 0.0], [0.0, False]]}, id="ph-matrix-bool"),
+    pytest.param({**PH_DOC, "H": {"terms": [{"coeff": "0.5", "powers": [2, 0]}]}}, id="ph-coeff-string"),
+    pytest.param({**PH_DOC, "length": True}, id="ph-length-bool"),
+])
+def test_a_string_or_boolean_config_number_is_a_config_error(doc):
+    with pytest.raises(ConfigError, match="is not numeric"):
+        bundle_from_config(doc)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
