@@ -23,15 +23,13 @@ from . import __version__
 from .errors import BlowUp, ConfigError, SheafSysError
 from .interval_sheaf import Trajectory, check_sheaf_axioms, worst_defect, write_csv
 from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, integrate_batch, membership_residual
-from .port_diagram import closed_behavior, port_field
+from .port_diagram import build_diagram, closed_behavior, port_field
 from .port_hamiltonian import (
-    build_ph_diagram,
     dissipation_margin,
     closed_energy_drift,
     power_balance,
 )
 from .metriplectic import (
-    build_metriplectic_diagram,
     degeneracy_audit,
     noninteraction_residuals,
     rate_audit,
@@ -56,7 +54,7 @@ class RunConfig:
 
     command: str
     system_ref: str
-    length: float
+    length: Optional[float]  # None: the system's default length
     step: float
     tolerance: float
     seed: int
@@ -66,6 +64,8 @@ class RunConfig:
 
 def _positive(value: float, name: str) -> float:
     value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     if not value > 0:
         raise ConfigError(f"{name} must be positive, got {value}")
     return value
@@ -251,8 +251,7 @@ def _verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
     for run in probes:
         if isinstance(run, BlowUp):
             raise run
-    build = build_ph_diagram if bundle.kind == "ph" else build_metriplectic_diagram
-    report = build(
+    report = build_diagram(
         bundle.instance, probes, config.tolerance, residual_tolerance=bundle.residual_tolerance
     )
     for i, e in enumerate(probes):
@@ -361,9 +360,7 @@ def run(config: RunConfig) -> int:
     if command is None:
         raise ConfigError(f"unknown command {config.command!r}")
     bundle = _resolve_bundle(config)
-    if not np.isfinite(config.length):
-        raise ConfigError(f"length must be finite, got {config.length}")
-    if config.length <= 0:
+    if config.length is None:
         config = dataclasses.replace(config, length=bundle.default_length)
     if bundle.kind not in command.kinds:
         group, _, name = config.command.rpartition(" ")
@@ -390,7 +387,8 @@ def main(argv=None) -> int:
         args.system = GROUP_SYSTEMS.get(args.command)
     try:
         return run(RunConfig(
-            args.line, args.system or "", args.length if args.length is not None else -1.0,
+            args.line, args.system or "",
+            None if args.length is None else _positive(args.length, "length"),
             _positive(args.step, "step"), _positive(args.tol, "tolerance"), int(args.seed),
             args.out, args.config,
         ))

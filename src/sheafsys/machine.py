@@ -124,16 +124,8 @@ def leg_restriction_defect(m: Machine, probes: Sequence[Trajectory]) -> float:
     return worst_defect(gaps)[0]
 
 
-@dataclass(frozen=True)
-class ControlledField:
-    """Vector field with an input slot, for :func:`iso_machine`."""
-
-    dimension: int
-    rhs_with_input: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-
-
 def iso_machine(
-    dynamics: ControlledField,
+    dynamics: VectorField,
     readout: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     num_inputs: int,
     num_outputs: int,
@@ -145,16 +137,16 @@ def iso_machine(
     name: str = "iso",
     side_residuals: Optional[Callable[[Trajectory], dict]] = None,
 ) -> Machine:
-    """Machine of a controlled system x' = f(t, x, u), y = g(t, x, u).
+    """Machine of a controlled system x' = f(t, x, u), y = g(t, x, u), where
+    f is the right-hand side of the field ``dynamics``.
 
     Members are (n + m)-channel trajectories holding state and input
     samples together.  The input leg extracts the input channels; the
-    output leg evaluates the readout at every node.  ``dynamics`` and
-    ``readout`` callables of one node are lifted with
-    :func:`~sheafsys.ode_behavior.pointwise`.  ``side_residuals``, when
-    given, maps a member to named (residual, node) pairs of algebraic
-    conditions that membership must meet as well, folded in by
-    :func:`~sheafsys.ode_behavior.with_conditions`.
+    output leg evaluates the readout at every node.  A ``readout`` of one
+    node is lifted with :func:`~sheafsys.ode_behavior.pointwise`.
+    ``side_residuals``, when given, maps a member to named (residual, node)
+    pairs of algebraic conditions that membership must meet as well, folded
+    in by :func:`~sheafsys.ode_behavior.with_conditions`.
 
     The sampler is ``sampler(x0, curve, ..., length, shift=0.0)``: the input
     at absolute time t is the concatenation of the curves' values, one curve
@@ -169,8 +161,6 @@ def iso_machine(
     input_labels = tuple(input_labels) if input_labels else tuple(f"u{i}" for i in range(m))
     output_labels = tuple(output_labels) if output_labels else tuple(f"y{i}" for i in range(num_outputs))
     member_labels = state_labels + input_labels
-    rhs = pointwise(dynamics.rhs_with_input, 0, 1, 1)
-    field = VectorField(n, rhs)
     readout = pointwise(readout, 0, 1, 1)
 
     def split(e: Trajectory):
@@ -182,11 +172,11 @@ def iso_machine(
         if e.labels != member_labels:
             return float("inf")
         x, u = split(e)
-        rates = np.asarray(rhs(e.absolute_times, x, u), dtype=float)
-        dynamics = worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]
+        rates = np.asarray(dynamics.rhs(e.absolute_times, x, u), dtype=float)
+        residual = worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]
         if side_residuals is None:
-            return dynamics
-        return with_conditions(dynamics, side_residuals(e))
+            return residual
+        return with_conditions(residual, side_residuals(e))
 
     def a_leg(e: Trajectory) -> Trajectory:
         _, u = split(e)
@@ -206,7 +196,7 @@ def iso_machine(
                 [np.asarray(c(t), dtype=float).reshape(len(t), -1) for c in curves], axis=1
             )
 
-        return integrate(field, x0, length, grid_step, shift, member_labels, inputs=inputs)
+        return integrate(dynamics, x0, length, grid_step, shift, member_labels, inputs=inputs)
 
     behavior = BehaviorSheaf(
         membership=membership,

@@ -25,7 +25,10 @@ The zeta rate that makes embedded trajectories members is
 produce), and the port output is exactly its negative.  The port signals
 are (u, tau_in); :class:`MetriplecticSystem` supplies these node formulas
 and the side conditions to :mod:`sheafsys.port_diagram`, which builds the
-machines, the embedding and the diagram.
+machines, the embedding and the diagram; the names this module gives them
+(``closed_metriplectic_machine``, ``port_metriplectic_machine``,
+``enclosing_metriplectic_machine``, ``embed_metriplectic``,
+``build_metriplectic_diagram``) are the port_diagram functions.
 """
 
 from __future__ import annotations
@@ -36,12 +39,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MissingAuxTag, NoninteractionViolation
-from .interval_sheaf import DEFAULT_STEP, Trajectory
-from .machine import DiagramReport, Machine
+from .interval_sheaf import Trajectory
 from .ode_behavior import (
-    DEFAULT_RESIDUAL_TOL,
     SIDE_CONDITION_TOL,
-    OdeBehavior,
     assert_conditions,
     dot,
     grid_derivative,
@@ -50,19 +50,19 @@ from .ode_behavior import (
     transpose,
     worst_defect,
 )
-from . import port_diagram
 from .port_diagram import (
-    Builders,
     PortSystem,
-    build_diagram,
+    build_diagram as build_metriplectic_diagram,
     closed_behavior as closed_metriplectic_behavior,
-    extended_behavior,
+    closed_machine as closed_metriplectic_machine,
+    embed as embed_metriplectic,
+    enclosing_machine as enclosing_metriplectic_machine,
     extended_sheaf as extended_metriplectic_sheaf,
     formula,
+    port_machine as port_metriplectic_machine,
 )
 from .port_hamiltonian import (
     MATRIX_TOL,
-    AuxHamiltonian,
     SampledCurve,
     as_matrix_field,
     aux_gradient,
@@ -288,7 +288,7 @@ def check_metriplectic_structure(
 
 
 # ---------------------------------------------------------------------------
-# node-wise formulas, side conditions and the extended behavior
+# node-wise formulas and side conditions
 
 
 def zeta_rate_along(
@@ -350,26 +350,6 @@ def assert_side_conditions(
     assert_conditions(side_condition_residuals(sys, e), tolerance)
 
 
-def extended_metriplectic_behavior(
-    sys: MetriplecticSystem,
-    aux_h: AuxHamiltonian,
-    aux_s: AuxHamiltonian,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> OdeBehavior:
-    """Extended behavior for one fixed pair of auxiliary energies; membership
-    includes the side conditions Jt grad_zeta H_aux and Gt grad_zeta S_aux."""
-    return extended_behavior(sys, (aux_h, aux_s), grid_step, residual_tolerance)
-
-
-def embed_metriplectic(
-    sys: MetriplecticSystem, e: Trajectory, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Trajectory:
-    """Embed a closed member into the extended behavior with zero aux pair:
-    zeta integrates the zeta rate with zero port signals from zeta(0) = 0."""
-    return port_diagram.embed(sys, e, residual_tolerance)
-
-
 # ---------------------------------------------------------------------------
 # audits
 
@@ -423,57 +403,3 @@ def extended_psd_min(sys: MetriplecticSystem, states: np.ndarray) -> float:
     at a non-finite node."""
     block = extended_friction_block(sys, states)
     return -worst_defect(-np.linalg.eigvalsh(0.5 * (block + transpose(block))).min(axis=-1))[0]
-
-
-# ---------------------------------------------------------------------------
-# machines and the diagram
-
-
-def port_metriplectic_machine(
-    sys: MetriplecticSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Machine:
-    """The open port machine of the two-generator system.
-
-    Members pack (x, u, tau_in) as n + 2m channels; membership is the
-    dynamics residual on the state channels together with every algebraic
-    side condition.  The output leg evaluates
-    B^T grad H - A^T grad S - Jt u - Gt tau node-wise.  The sampler is
-    ``sampler(x0, u_curve, tau_curve, length, shift=0.0)``.
-    """
-    return port_diagram.port_machine(sys, grid_step, residual_tolerance)
-
-
-def closed_metriplectic_machine(
-    sys: MetriplecticSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Machine:
-    """Closed system as a machine: port-leg B^T grad H - A^T grad S,
-    constant-leg 2m zero channels."""
-    return port_diagram.closed_machine(sys, grid_step, residual_tolerance)
-
-
-def enclosing_metriplectic_machine(
-    sys: MetriplecticSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Machine:
-    """Extended behavior with the paired-gradient input leg (2m channels)
-    and the node-local port-output leg."""
-    return port_diagram.enclosing_machine(sys, grid_step, residual_tolerance)
-
-
-def build_metriplectic_diagram(
-    sys: MetriplecticSystem,
-    probes: Sequence[Trajectory],
-    tolerance: float = 1e-5,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-    integral_sign: float = 1.0,
-) -> DiagramReport:
-    """Assemble the metriplectic triangle and verify it; see
-    :func:`sheafsys.port_diagram.build_diagram`."""
-    builders = Builders(
-        closed_metriplectic_machine,
-        port_metriplectic_machine,
-        enclosing_metriplectic_machine,
-        embed_metriplectic,
-    )
-    return build_diagram(
-        sys, builders, probes, tolerance, residual_tolerance, integral_sign
-    )

@@ -39,14 +39,13 @@ from __future__ import annotations
 
 from dataclasses import field, fields
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BlowUp, DimensionMismatch, NotAMember
 from .interval_sheaf import DEFAULT_STEP, BehaviorSheaf, Trajectory
 from .machine import (
-    ControlledField,
     DiagramReport,
     Machine,
     MachineMorphism,
@@ -94,6 +93,11 @@ class PortSystem:
     def __post_init__(self):
         if len(self.state_labels) != self.n:
             raise DimensionMismatch(f"{len(self.state_labels)} labels for state dimension {self.n}")
+        channels = self.state_labels + self.zeta_labels + self.signal_labels
+        if len(set(channels)) != len(channels):  # channels are looked up by name
+            raise DimensionMismatch(
+                f"state labels {self.state_labels} repeat a name or reuse a port channel's"
+            )
         check_formula_shapes(self)
 
     def check(self) -> None:
@@ -321,12 +325,18 @@ def port_machine(
 ) -> Machine:
     """The open port machine x' = port_rhs(x, s), y = -zeta_rate(x, s).
 
-    Members pack state and signals; membership adds the family's port side
-    conditions to the dynamics residual.
+    Members pack state and signals: (x, u), n + m channels, for a
+    port-Hamiltonian system, and (x, u, tau_in), n + 2m channels, for a
+    metriplectic one.  Membership adds the family's port side conditions to
+    the dynamics residual.  The output leg evaluates the port output
+    node-wise: B^T grad H, or B^T grad H - A^T grad S - Jt u - Gt tau.  The
+    sampler takes one input curve per signal group:
+    ``sampler(x0, u_curve, length, shift=0.0)``, or
+    ``sampler(x0, u_curve, tau_curve, length, shift=0.0)``.
     """
     system.check()
     return iso_machine(
-        ControlledField(system.n, port_field(system).rhs),
+        port_field(system),
         batched(lambda t, x, s: -system.zeta_rate(x, s)),
         len(system.signal_labels),
         system.m,
@@ -423,20 +433,8 @@ def port_to_extended_morphism(system: PortSystem, integral_sign: float = 1.0) ->
     return MachineMorphism(beta, _ident, _ident, "straight", "port into extended")
 
 
-class Builders(NamedTuple):
-    """A family's public machine builders and embedding, which take the
-    system first as the functions of this module do.  The diagram calls them
-    by these names, so whatever wraps a family's names sees its calls."""
-
-    closed: Callable[..., Machine]
-    port: Callable[..., Machine]
-    enclosing: Callable[..., Machine]
-    embed: Callable[..., Trajectory]
-
-
 def build_diagram(
     system: PortSystem,
-    builders: Builders,
     probes: Sequence[Trajectory],
     tolerance: float = 1e-5,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
@@ -446,16 +444,18 @@ def build_diagram(
 
     Probes must be closed-system members; their grid step fixes the
     machines' grid.  ``integral_sign`` is passed to the port-to-extended
-    map so violation tests can corrupt the quadrature.
+    map so violation tests can corrupt the quadrature.  The builders and the
+    embedding are called through this module's names, at call time, so
+    whatever rebinds those names sees the calls.
     """
     if not probes:
         raise NotAMember("need at least one closed-system probe")
     h = probes[0].grid_step
-    closed = builders.closed(system, h, residual_tolerance)
-    port = builders.port(system, h, residual_tolerance)
-    enclosing = builders.enclosing(system, h, residual_tolerance)
+    closed = closed_machine(system, h, residual_tolerance)
+    port = port_machine(system, h, residual_tolerance)
+    enclosing = enclosing_machine(system, h, residual_tolerance)
     embedding = MachineMorphism(
-        lambda e: builders.embed(system, e, residual_tolerance),
+        lambda e: embed(system, e, residual_tolerance),
         _ident, _ident, "swapped", "closed into extended",
     )
     return verify_port_control_diagram(

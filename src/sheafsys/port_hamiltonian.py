@@ -12,7 +12,9 @@ zeta integrates -B^T grad H.  :class:`PHSystem` supplies these node formulas
 to :mod:`sheafsys.port_diagram`, which builds the three machines (closed,
 port, extended) and the three behavior maps between them and hands the
 triangle to the diagram verifier.  This module adds the structure check,
-the auxiliary energies and the energy audits.
+the auxiliary energies and the energy audits; its names for the diagram's
+pieces (``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
+``enclosing_machine``, ``build_ph_diagram``) are the port_diagram functions.
 
 Leg maps are computed node-locally from the trajectory channels and the aux
 tag, so they commute with restriction bit-exactly; the finite-difference
@@ -28,10 +30,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MissingAuxTag, StructureViolation
-from .interval_sheaf import DEFAULT_STEP, Trajectory
-from .machine import DiagramReport, Machine
+from .interval_sheaf import Trajectory
 from .ode_behavior import (
-    DEFAULT_RESIDUAL_TOL,
     batched,
     dot,
     grid_derivative,
@@ -40,17 +40,19 @@ from .ode_behavior import (
     transpose,
     worst_defect,
 )
-from . import port_diagram
 from .port_diagram import (
-    Builders,
     PortSystem,
-    build_diagram,
+    build_diagram as build_ph_diagram,
     closed_behavior,
+    closed_machine,
     default_probe_points,
+    embed as embed_closed,
     enclosing_legs as projections,
+    enclosing_machine,
     extended_behavior,
     extended_sheaf,
     formula,
+    port_machine as ph_iso_machine,
 )
 
 MATRIX_TOL = 1e-10
@@ -421,16 +423,7 @@ def aux_quadratic(kappa, quad) -> AuxHamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# machines and the embedding
-
-
-def embed_closed(
-    sys: PHSystem, e: Trajectory, residual_tolerance: float = DEFAULT_RESIDUAL_TOL
-) -> Trajectory:
-    """Embed a closed-system member into the extended behavior: append zeta,
-    the trapezoidal antiderivative of -B^T grad H anchored at zeta(0) = 0,
-    and tag the result with the zero auxiliary energy."""
-    return port_diagram.embed(sys, e, residual_tolerance)
+# audits
 
 
 def output_stencil_defect(sys: PHSystem, e: Trajectory) -> float:
@@ -443,32 +436,6 @@ def output_stencil_defect(sys: PHSystem, e: Trajectory) -> float:
     local = e_leg(e).values
     stencil = -grid_derivative(e.channels(sys.zeta_labels), e.grid_step)
     return worst_defect(np.abs(local - stencil))[0]
-
-
-def closed_machine(
-    sys: PHSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Machine:
-    """The closed system as a machine: port leg B^T grad H, constant leg m
-    zero channels."""
-    return port_diagram.closed_machine(sys, grid_step, residual_tolerance)
-
-
-def enclosing_machine(
-    sys: PHSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Machine:
-    """The extended behavior with its aux-gradient and port-output legs."""
-    return port_diagram.enclosing_machine(sys, grid_step, residual_tolerance)
-
-
-def ph_iso_machine(
-    sys: PHSystem, grid_step=DEFAULT_STEP, residual_tolerance=DEFAULT_RESIDUAL_TOL
-) -> Machine:
-    """The open port machine: x' = (J - R) grad H + B u, y = B^T grad H."""
-    return port_diagram.port_machine(sys, grid_step, residual_tolerance)
-
-
-# ---------------------------------------------------------------------------
-# audits
 
 
 def _port_run_rates(sys: PHSystem, e: Trajectory):
@@ -514,18 +481,3 @@ def extended_energy(sys: PHSystem, aux: AuxHamiltonian, e: Trajectory) -> np.nda
     x = e.channels(sys.state_labels)
     zeta = e.channels(sys.zeta_labels)
     return sys.hamiltonian(x) + aux.value(e.absolute_times, zeta)
-
-
-def build_ph_diagram(
-    sys: PHSystem,
-    probes: Sequence[Trajectory],
-    tolerance: float = 1e-5,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-    integral_sign: float = 1.0,
-) -> DiagramReport:
-    """Assemble the port-Hamiltonian triangle and verify it; see
-    :func:`sheafsys.port_diagram.build_diagram`."""
-    builders = Builders(closed_machine, ph_iso_machine, enclosing_machine, embed_closed)
-    return build_diagram(
-        sys, builders, probes, tolerance, residual_tolerance, integral_sign
-    )

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .ode_behavior import VectorField, batched, dot, matvec
 from .port_hamiltonian import PHSystem, ph_system
 from .metriplectic import MetriplecticSystem, metriplectic_system
@@ -94,7 +94,7 @@ def parse_polynomial(obj, n: int) -> Polynomial:
     try:
         terms = []
         for term in obj["terms"]:
-            powers = tuple(int(p) for p in term["powers"])
+            powers = tuple(_integer(p, "a polynomial power") for p in term["powers"])
             if len(powers) != n or any(p < 0 for p in powers):
                 raise ConfigError(
                     f"polynomial term powers {powers} invalid for dimension {n}"
@@ -239,7 +239,7 @@ def _mass_spring_bundle(params: dict) -> SystemBundle:
         "ph",
         "harmonic oscillator with one force port (k, m, r; port on momentum)",
         sys_,
-        np.asarray(merged["x0"], dtype=float),
+        _state(merged["x0"], 2),
         10.0,
         1e-4,
         merged,
@@ -255,7 +255,7 @@ def _rigid_body_bundle(params: dict) -> SystemBundle:
         "mp",
         "spinning-body two-generator system with transverse friction (I1, I2, I3, gamma)",
         sys_,
-        np.asarray(merged["x0"], dtype=float),
+        _state(merged["x0"], 3),
         10.0,
         1e-3,
         merged,
@@ -269,7 +269,7 @@ def _blowup_bundle(params: dict) -> SystemBundle:
         "ode",
         "scalar quadratic growth; finite-time blow-up from positive starts",
         blowup_field(),
-        np.asarray(merged["x0"], dtype=float),
+        _state(merged["x0"], 1),
         0.9,
         1e-3,
         merged,
@@ -284,7 +284,7 @@ def _linear_bundle(params: dict) -> SystemBundle:
         "ode",
         "constant-coefficient linear field x' = M x",
         field,
-        np.asarray(merged["x0"], dtype=float),
+        _state(merged["x0"], field.dimension),
         5.0,
         1e-4,
         merged,
@@ -307,7 +307,9 @@ def _merge_params(name: str, known: dict, params: dict) -> dict:
             f"(accepted: {sorted(known)})"
         )
     for key, value in params.items():
-        _finite(value, f"parameter {key} of {name}")
+        rank = np.ndim(known[key])
+        if np.ndim(_finite(value, f"parameter {key} of {name}")) != rank:
+            raise ConfigError(f"parameter {key} of {name} must have rank {rank}: {value!r}")
     merged = dict(known)
     merged.update(params)
     return merged
@@ -325,6 +327,31 @@ def _finite(value, what: str):
     if not finite:
         raise ConfigError(f"{what} is not finite: {np.asarray(value, dtype=float).tolist()}")
     return value
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ConfigError unless it is an integer (a boolean, a
+    string or a float is none, even 2.0)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _state(value, n: int) -> np.ndarray:
+    """The initial state ``value`` as an (n,) array; ConfigError unless it
+    holds n finite numbers."""
+    x0 = np.asarray(_finite(value, "x0"), dtype=float)
+    if x0.shape != (n,):
+        raise ConfigError(f"x0 has shape {x0.shape}, expected ({n},)")
+    return x0
+
+
+def _positive_number(value, what: str) -> float:
+    """``value`` as a float; ConfigError unless it is one finite positive
+    number."""
+    if np.ndim(_finite(value, what)) or not value > 0:
+        raise ConfigError(f"{what} must be one positive number, got {value!r}")
+    return float(value)
 
 
 def resolve_builtin(name: str, params: Optional[dict] = None) -> SystemBundle:
@@ -361,7 +388,7 @@ def bundle_from_config(doc: dict) -> SystemBundle:
             raise ConfigError("params must be an object")
         return resolve_builtin(str(doc["system"]), params)
     kind = doc.get("kind")
-    if kind in EXPLICIT_KINDS:
+    if isinstance(kind, str) and kind in EXPLICIT_KINDS:
         return _port_bundle_from_config(kind, doc)
     if kind == "ode":
         merged = {"matrix": doc.get("matrix", [[-1.0]]), "x0": doc.get("x0", [1.0])}
@@ -411,32 +438,33 @@ def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
     """Read an explicit document of a kind in EXPLICIT_KINDS: dimensions,
     generators, matrices and labels, then the initial state and run defaults."""
     build, matrix_shapes, generator_keys, name, description = EXPLICIT_KINDS[kind]
-    try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config needs integer dimensions n and m: {exc}") from exc
+    n, m = (_integer(doc.get(key), f"dimension {key}") for key in ("n", "m"))
     if n < 1 or m < 0:
         raise ConfigError(f"dimensions n={n}, m={m} out of range")
     dims = {"n": n, "m": m}
     generators = [parse_polynomial(doc.get(key, {"terms": []}), n) for key in generator_keys]
     matrices = [_matrix_from(doc, key, dims[r], dims[c]) for key, (r, c) in matrix_shapes]
     gradients = [g.gradient for g in generators]
-    labels = tuple(doc["labels"]) if "labels" in doc else None
-    if labels and len(labels) != n:
-        raise ConfigError(f"{len(labels)} labels for state dimension {n}")
-    sys_ = build(n, m, *matrices, *generators, *gradients, labels=labels)
-    x0 = np.asarray(_finite(doc.get("x0", np.zeros(n)), "x0"), dtype=float)
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 has shape {x0.shape}, expected ({n},)")
+    labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(a, str) for a in labels)
+    ):
+        raise ConfigError(f"labels must be a list of strings, got {labels!r}")
+    try:
+        sys_ = build(n, m, *matrices, *generators, *gradients, labels=labels)
+    except DimensionMismatch as exc:  # the labels: the shapes were checked above
+        raise ConfigError(str(exc)) from exc
+    name = doc.get("name", name)
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
     return SystemBundle(
-        str(doc.get("name", name)),
+        name,
         kind,
         description,
         sys_,
-        x0,
-        float(_finite(doc.get("length", 10.0), "length")),
-        float(_finite(doc.get("residual_tolerance", 1e-4), "residual_tolerance")),
+        _state(doc.get("x0", np.zeros(n)), n),
+        _positive_number(doc.get("length", 10.0), "length"),
+        _positive_number(doc.get("residual_tolerance", 1e-4), "residual_tolerance"),
         {},
     )
 

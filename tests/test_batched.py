@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sheafsys import (
     BlowUp,
-    ControlledField,
     DimensionMismatch,
     Polynomial,
     VectorField,
@@ -372,7 +371,7 @@ def test_inputs_shared_by_a_batch_reach_a_field_of_one_node_per_row():
 
 
 def test_driven_runs_check_the_shapes_of_inputs_and_dynamics():
-    grows = iso_machine(ControlledField(1, lambda t, x, u: np.zeros(2)), lambda t, x, u: x, 1, 1, H)
+    grows = iso_machine(VectorField(1, lambda t, x, u: np.zeros(2)), lambda t, x, u: x, 1, 1, H)
     with pytest.raises(DimensionMismatch, match="rhs returned shape"):
         grows.behavior.sampler([0.0], lambda t: np.ones(1), 0.01)
     field = port_field(SOFTENING)

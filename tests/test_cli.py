@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, RunConfig, _port_runs, build_parser, main
+from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, RunConfig, _port_runs, build_parser, main, run
 from sheafsys.interval_sheaf import read_csv
 from sheafsys.port_diagram import closed_behavior, port_machine
 from sheafsys.systems import bundle_from_config, resolve_builtin
@@ -64,6 +64,32 @@ def test_a_non_finite_length_is_a_config_error(tmp_path, capsys, length):
     assert code == 2
     assert f"configuration error: length must be finite, got {length}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_a_nonpositive_length_is_a_config_error(tmp_path, capsys, length):
+    out = tmp_path / "x"
+    code = main(["simulate", "--system", "linear", "--length", length, "--out", str(out)])
+    assert code == 2
+    assert "configuration error: length must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--tol", "tolerance"), ("--step", "step")])
+def test_an_infinite_step_or_tolerance_is_a_config_error(tmp_path, capsys, flag, name):
+    out = tmp_path / "x"
+    code = main(["ph", "verify-diagram", "--length", "0.05", flag, "inf", "--out", str(out)])
+    assert code == 2
+    assert f"configuration error: {name} must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_absent_length_runs_the_system_default(tmp_path):
+    parsed = build_parser().parse_args(["simulate", "--system", "linear"])
+    assert parsed.length is None
+    out = tmp_path / "x"
+    assert run(RunConfig("simulate", "linear", None, 1e-3, 1e-4, 0, str(out))) == 0
+    assert report(out)["config"]["length"] == 5.0
 
 
 def test_blowup_simulation_truncates_and_reports(tmp_path):
@@ -294,6 +320,42 @@ def test_a_label_count_mismatch_is_a_config_error(tmp_path, capsys, command):
     code = main([command, "--config", str(cfg), "--length", "0.5", "--out", str(out)])
     assert code == 2
     assert "configuration error: 1 labels for state dimension 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind, labels", [
+    ("ph", ["q", "q"]), ("ph", ["u0", "p"]), ("ph", ["q", "zeta0"]), ("mp", ["tau_in0", "p"]),
+])
+def test_labels_that_clash_are_a_config_error(tmp_path, capsys, kind, labels):
+    cfg = tmp_path / "labels.json"
+    matrices = {
+        "ph": {"R": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]]},
+        "mp": {"G": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "A": [[0.0], [0.0]],
+               "Jt": [[0.0]], "Gt": [[0.0]]},
+    }[kind]
+    cfg.write_text(json.dumps({
+        "kind": kind, "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]], **matrices,
+        "H": {"terms": [{"coeff": 0.5, "powers": [2, 0]}, {"coeff": 0.5, "powers": [0, 2]}]},
+        "labels": labels, "x0": [1.0, 0.0],
+    }))
+    out = tmp_path / "out"
+    code = main(["audit", "--config", str(cfg), "--length", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "configuration error: state labels" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("dims", [{"n": 2.7, "m": True}, {"n": 2, "m": True}, {"n": "2", "m": 1}])
+def test_a_non_integer_dimension_is_a_config_error(tmp_path, capsys, dims):
+    cfg = tmp_path / "dims.json"
+    cfg.write_text(json.dumps({
+        "kind": "ph", "J": [[0.0, 1.0], [-1.0, 0.0]],
+        "R": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]], **dims,
+    }))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--length", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "configuration error: dimension" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

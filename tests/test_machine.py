@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from sheafsys import (
     BehaviorSheaf,
-    ControlledField,
     Machine,
     MachineMorphism,
     NotAMember,
     NotClosed,
     StructureViolation,
     Trajectory,
+    VectorField,
     build_metriplectic_diagram,
     build_ph_diagram,
     closed_behavior,
@@ -31,12 +31,12 @@ H = 1e-3
 
 def integrator_machine():
     # x' = u, y = x: the machine that accumulates its input
-    dyn = ControlledField(1, lambda t, x, u: u)
+    dyn = VectorField(1, lambda t, x, u: u)
     return iso_machine(dyn, lambda t, x, u: x, 1, 1, H, name="accumulator")
 
 
 def decay_machine():
-    dyn = ControlledField(1, lambda t, x, u: -x + u)
+    dyn = VectorField(1, lambda t, x, u: -x + u)
     return iso_machine(dyn, lambda t, x, u: x, 1, 1, H, name="leaky")
 
 

@@ -16,7 +16,7 @@ from sheafsys import (
     closed_metriplectic_behavior,
     degeneracy_audit,
     embed_metriplectic,
-    extended_metriplectic_behavior,
+    extended_behavior,
     extended_metriplectic_sheaf,
     extended_psd_min,
     metriplectic_system,
@@ -212,7 +212,7 @@ def test_port_poisson_coupling_violates_its_side_condition():
 def test_extended_run_with_aux_pair_is_a_member():
     rb = sphere_entropy_system()
     curve = SampledCurve(0.0, H, 0.2 * np.sin(np.arange(2001) * H))
-    ext = extended_metriplectic_behavior(rb, aux_linear(curve, 1), aux_zero(1), H, 1e-3)
+    ext = extended_behavior(rb, (aux_linear(curve, 1), aux_zero(1)), H, 1e-3)
     run = ext.sample([1.0, 0.5, 0.5, 0.0], 2.0)
     assert run.labels == ("x1", "x2", "x3", "zeta0")
     assert ext.membership(run) <= ext.residual_tolerance
@@ -231,9 +231,7 @@ def test_extended_sheaf_resolves_tags_and_rejects_odd_ones():
 
 def test_friction_coupling_to_aux_entropy_is_rejected():
     gts = coupled_port_system(Gt=np.eye(2))
-    ext = extended_metriplectic_behavior(
-        gts, aux_zero(2), aux_linear(lambda s: np.array([1.0, 0.0]), 2), H
-    )
+    ext = extended_behavior(gts, (aux_zero(2), aux_linear(lambda s: np.array([1.0, 0.0]), 2)), H)
     run = ext.sample([1.0, 0.0, 0.0, 0.0], 0.1)
     with pytest.raises(ConstraintViolation) as info:
         ext.assert_conditions(run)

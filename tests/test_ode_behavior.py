@@ -15,7 +15,8 @@ from sheafsys import (
     membership_residual,
     restrict,
 )
-from sheafsys.ode_behavior import assert_conditions, with_conditions, worst_defect
+from sheafsys.ode_behavior import assert_conditions, node_defects, with_conditions, worst_defect
+from sheafsys.port_diagram import closed_field, embed
 from sheafsys.systems import blowup_field, linear_field, mass_spring_system
 
 
@@ -180,3 +181,43 @@ def test_side_conditions_never_pass_a_nan():
     with pytest.raises(ConstraintViolation) as info:
         poisoned.assert_conditions(run)
     assert info.value.node == 2
+
+
+# ---------------------------------------------------------------------------
+# convergence orders on mass_spring from [1, 0] over [0, 2], whose exact
+# solution is (cos t, -sin t) and whose zeta channel integrates sin t
+
+
+def _order_errors(h: float) -> dict:
+    """Each error of a step-h closed mass_spring run against its exact value."""
+    system = mass_spring_system()
+    run = closed_behavior(system, h).sample([1.0, 0.0], 2.0)
+    t = run.absolute_times
+    defects = node_defects(grid_derivative(run.values, h), closed_field(system)(t, run.values))
+    zeta = embed(system, run, residual_tolerance=1.0).channels(system.zeta_labels)[:, 0]
+    return {
+        "rk4": np.abs(run.values - np.column_stack([np.cos(t), -np.sin(t)])).max(),
+        "interior stencil": defects[1:-1].max(),
+        "end stencil": max(defects[0], defects[-1]),
+        "trapezoid zeta": np.abs(zeta - (1.0 - np.cos(t))).max(),
+    }
+
+
+ORDER_STEPS = (0.1, 0.05, 0.025, 0.0125)
+
+
+@pytest.fixture(scope="module")
+def order_errors():
+    return [_order_errors(h) for h in ORDER_STEPS]
+
+
+@pytest.mark.parametrize("quantity, low, high", [
+    ("rk4", 14.0, 18.0),  # fourth order
+    ("interior stencil", 3.5, 4.5),  # second order
+    ("end stencil", 7.0, 9.0),  # third order
+    ("trapezoid zeta", 3.5, 4.5),  # second order
+])
+def test_halving_the_step_divides_each_error_by_its_order(order_errors, quantity, low, high):
+    errors = [e[quantity] for e in order_errors]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(low <= r <= high for r in ratios), ratios

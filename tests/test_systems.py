@@ -176,6 +176,14 @@ def test_a_string_or_boolean_config_number_is_a_config_error(doc):
         bundle_from_config(doc)
 
 
+@pytest.mark.parametrize("params", [
+    {"k": [1.0, 2.0]}, {"r": [[0.1]]}, {"x0": 1.0},
+], ids=["k-vector", "r-matrix", "x0-scalar"])
+def test_a_builtin_parameter_of_the_wrong_rank_is_a_config_error(params):
+    with pytest.raises(ConfigError, match="must have rank"):
+        bundle_from_config({"system": "mass_spring", "params": params})
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
