@@ -46,7 +46,6 @@ from .ode_behavior import (
     dot,
     grid_derivative,
     matvec,
-    pointwise,
     transpose,
     worst_defect,
 )
@@ -55,23 +54,22 @@ from .port_diagram import (
     build_diagram as build_metriplectic_diagram,
     closed_behavior as closed_metriplectic_behavior,
     closed_machine as closed_metriplectic_machine,
+    default_probe_points,
     embed as embed_metriplectic,
     enclosing_machine as enclosing_metriplectic_machine,
     extended_sheaf as extended_metriplectic_sheaf,
+    fd_gradient,
     formula,
     port_machine as port_metriplectic_machine,
 )
 from .port_hamiltonian import (
     MATRIX_TOL,
     SampledCurve,
-    as_matrix_field,
     aux_gradient,
     aux_linear,
     aux_zero,
     antisymmetric,
-    check_points,
     consistent_gradient,
-    fd_gradient,
     require,
     semidefinite,
     symmetric,
@@ -87,10 +85,10 @@ class MetriplecticSystem(PortSystem):
     n, m : int
         State and port dimensions.
 
-    Every callable follows the stack contract of
-    :mod:`sheafsys.ode_behavior` (:func:`metriplectic_system` lifts
-    callables of one node), and their shapes are checked once, when the
-    system is built:
+    Each formula is a constant matrix or a callable; building the system
+    lifts a callable of one node to the stack contract of
+    :mod:`sheafsys.ode_behavior` and checks every shape and the structure
+    (:func:`check_metriplectic_structure`) once:
 
     poisson : callable
         x -> antisymmetric (n, n) matrix J(x), drives the energy.
@@ -106,6 +104,7 @@ class MetriplecticSystem(PortSystem):
     grad_energy, grad_entropy : callable
         Their gradients.
     state_labels : tuple of str
+        Channel names for the state; x0, x1, ... when empty.
 
     The port signals are s = (u, tau_in), read from and stored in a pair of
     auxiliary energies, one for H and one for S.
@@ -208,22 +207,12 @@ def metriplectic_system(
     gradS: Optional[Callable] = None,
     labels: Optional[tuple] = None,
 ) -> MetriplecticSystem:
-    """Assemble a MetriplecticSystem from constants or callables; callables
-    of one node are lifted with :func:`~sheafsys.ode_behavior.pointwise`."""
-    labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
+    """A MetriplecticSystem from constants or callables; each gradient falls
+    back to central differences when no closed form is given."""
     return MetriplecticSystem(
-        n,
-        m,
-        as_matrix_field(J, n, n, "J"),
-        as_matrix_field(G, n, n, "G"),
-        as_matrix_field(B, n, m, "B"),
-        as_matrix_field(A, n, m, "A"),
-        as_matrix_field(Jt, m, m, "Jt"),
-        as_matrix_field(Gt, m, m, "Gt"),
-        pointwise(H),
-        pointwise(S),
-        pointwise(gradH) if gradH is not None else fd_gradient(H, n),
-        pointwise(gradS) if gradS is not None else fd_gradient(S, n),
+        n, m, J, G, B, A, Jt, Gt, H, S,
+        fd_gradient(H, n) if gradH is None else gradH,
+        fd_gradient(S, n) if gradS is None else gradS,
         labels,
     )
 
@@ -243,8 +232,10 @@ def extended_friction_block(sys: MetriplecticSystem, x) -> np.ndarray:
 
 
 def noninteraction_residuals(sys: MetriplecticSystem, points: Optional[Sequence] = None):
-    """Worst probe-point residuals of J grad S and G grad H."""
-    points = check_points(sys.n, points)
+    """Worst residuals of J grad S and G grad H over the points (the default
+    probe points when None), each with its point, or None where it is 0."""
+    points = default_probe_points(sys.n) if points is None else points
+    points = np.asarray(points, dtype=float).reshape(len(points), sys.n)
     if not len(points):
         return 0.0, 0.0, None, None
     worst = _worst_per_condition(
@@ -258,13 +249,10 @@ def noninteraction_residuals(sys: MetriplecticSystem, points: Optional[Sequence]
     return js, gh, points[i] if js > 0 else None, points[j] if gh > 0 else None
 
 
-def check_metriplectic_structure(
-    sys: MetriplecticSystem, points: Optional[Sequence] = None
-) -> None:
-    """Verify antisymmetry, PSD blocks, gradient consistency, noninteraction."""
-    points = check_points(sys.n, points)
-    if not len(points):
-        return
+def check_metriplectic_structure(sys: MetriplecticSystem) -> None:
+    """Verify antisymmetry, PSD blocks, gradient consistency, noninteraction
+    at the default probe points."""
+    points = np.array(default_probe_points(sys.n))
     G = sys.friction(points)
     require(
         points,
@@ -276,15 +264,11 @@ def check_metriplectic_structure(
         consistent_gradient("H", sys.grad_energy, fd_gradient(sys.energy, sys.n), points),
         consistent_gradient("S", sys.grad_entropy, fd_gradient(sys.entropy, sys.n), points),
     )
-    worst_js, worst_gh, at_js, at_gh = noninteraction_residuals(sys, points)
+    worst_js, worst_gh, at_js, at_gh = noninteraction_residuals(sys)
     if worst_js > MATRIX_TOL:
-        raise NoninteractionViolation(
-            f"J grad S = {worst_js:.3e} at x = {at_js.tolist()}"
-        )
+        raise NoninteractionViolation(f"J grad S = {worst_js:.3e} at x = {at_js.tolist()}")
     if worst_gh > MATRIX_TOL:
-        raise NoninteractionViolation(
-            f"G grad H = {worst_gh:.3e} at x = {at_gh.tolist()}"
-        )
+        raise NoninteractionViolation(f"G grad H = {worst_gh:.3e} at x = {at_gh.tolist()}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ pass over a trajectory is one call:
 - ``port_side_residuals(e)`` and ``extended_side_residuals(tag, e)``,
   algebraic conditions that membership must meet as well (none by default),
   folded in by :func:`sheafsys.ode_behavior.with_conditions`;
-- ``structure_check()``, the family's structure check at its default points,
-  which :meth:`PortSystem.check` runs once per system object.
+- ``structure_check()``, the family's structure check at its default points.
 
 A family declares each of its own formulas as a :func:`formula` field, with
-its name and node shape; the shapes are checked once, when the system is
-built, so callers use the formulas directly after that.
+its name and node shape.  Building a system lifts every formula to the stack
+contract, checks its shape and runs the structure check, so a system that
+exists has passed them all and callers use its formulas directly.
 
 The extended field is [port_rhs(x, s), zeta_rate(x, s)] with s read from the
 tag.  The embedding and the port-to-extended map integrate the same
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import field, fields
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .ode_behavior import (
     VectorField,
     batched,
     membership_residual,
+    pointwise,
 )
 
 
@@ -91,21 +92,32 @@ class PortSystem:
         return self.input_labels
 
     def __post_init__(self):
-        if len(self.state_labels) != self.n:
-            raise DimensionMismatch(f"{len(self.state_labels)} labels for state dimension {self.n}")
-        channels = self.state_labels + self.zeta_labels + self.signal_labels
+        """Fill in the default state labels and check them, then lift each
+        :func:`formula` to the stack contract and check its node shape at
+        the first default probe point and on the (P, n) stack of them all (a
+        matrix may give one matrix for a stack, as a constant does), then
+        run the family's structure check."""
+        labels = tuple(self.state_labels or (f"x{i}" for i in range(self.n)))
+        object.__setattr__(self, "state_labels", labels)
+        if len(labels) != self.n:
+            raise DimensionMismatch(f"{len(labels)} labels for state dimension {self.n}")
+        channels = labels + self.zeta_labels + self.signal_labels
         if len(set(channels)) != len(channels):  # channels are looked up by name
-            raise DimensionMismatch(
-                f"state labels {self.state_labels} repeat a name or reuse a port channel's"
-            )
-        check_formula_shapes(self)
-
-    def check(self) -> None:
-        """The family's structure check, run once per system object; only
-        success is remembered, so a failing system raises on every call."""
-        if not self.__dict__.get("_structure_checked"):
-            self.structure_check()
-            object.__setattr__(self, "_structure_checked", True)
+            raise DimensionMismatch(f"state labels {labels} repeat a name or reuse a port channel's")
+        points = np.array(default_probe_points(self.n))
+        for f in fields(self):
+            if "formula" not in f.metadata:
+                continue
+            name, dims = f.metadata["formula"]
+            shape = tuple(getattr(self, d) for d in dims)
+            value = getattr(self, f.name)
+            value = as_matrix_field(value, *shape, name) if len(shape) == 2 else pointwise(value)
+            object.__setattr__(self, f.name, value)
+            for x, expected in ((points[0], shape), (points, (len(points),) + shape)):
+                got = np.shape(value(x))
+                if got != expected and not (len(shape) == 2 and got == shape):
+                    raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
+        self.structure_check()
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return {}
@@ -134,21 +146,42 @@ def formula(name: str, dims: str):
     return field(metadata={"formula": (name, dims)})
 
 
-def check_formula_shapes(system: PortSystem) -> None:
-    """Raise DimensionMismatch at the first :func:`formula` of ``system``
-    whose value at the first default probe point, or on the (P, n) stack of
-    them all, lacks its node shape.  A matrix may give one matrix for a
-    stack, as a constant does."""
-    points = np.array(default_probe_points(system.n))
-    for f in fields(system):
-        if "formula" not in f.metadata:
-            continue
-        name, dims = f.metadata["formula"]
-        shape = tuple(getattr(system, d) for d in dims)
-        for x, expected in ((points[0], shape), (points, (len(points),) + shape)):
-            got = np.shape(getattr(system, f.name)(x))
-            if got != expected and not (len(shape) == 2 and got == shape):
-                raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
+def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Turn a constant matrix or a callable into a matrix field.
+
+    The field maps a state stack (N, n) to (N, rows, cols), or one state to
+    one matrix; a constant field gives its one matrix, shared by every node
+    of a stack, and its shape is checked here.  A callable of one node is
+    lifted with :func:`~sheafsys.ode_behavior.pointwise`; its shape is
+    checked when the system is built.
+    """
+    if callable(value):
+        return pointwise(value)
+    constant = np.array(value, dtype=float)
+    if constant.shape != (rows, cols):
+        raise DimensionMismatch(f"{name} has shape {constant.shape}, expected ({rows}, {cols})")
+    constant.setflags(write=False)
+    return batched(lambda x, _c=constant: _c)
+
+
+def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Central-difference gradient with step 1e-6 * (1 + |x_i|) per axis."""
+    h_fn = pointwise(h_fn)
+
+    @batched
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        for i in range(n):
+            step = 1e-6 * (1.0 + np.abs(x[..., i]))
+            plus = x.copy()
+            minus = x.copy()
+            plus[..., i] += step
+            minus[..., i] -= step
+            out[..., i] = (h_fn(plus) - h_fn(minus)) / (2.0 * step)
+        return out
+
+    return grad
 
 
 def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
@@ -181,8 +214,7 @@ def closed_behavior(
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> OdeBehavior:
-    """The closed behavior, after the family's structure check."""
-    system.check()
+    """The closed behavior x' = closed_rhs(x)."""
     return OdeBehavior(closed_field(system), grid_step, residual_tolerance, system.state_labels)
 
 
@@ -192,11 +224,9 @@ def extended_behavior(
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> OdeBehavior:
-    """The structure-checked behavior of the extended field
-    [port_rhs(x, s), zeta_rate(x, s)] for one fixed tag (its ``aux``), s read
-    from the tag; membership adds the family's extended side conditions to
-    the dynamics residual."""
-    system.check()
+    """The behavior of the extended field [port_rhs(x, s), zeta_rate(x, s)]
+    for one fixed tag (its ``aux``), s read from the tag; membership adds the
+    family's extended side conditions to the dynamics residual."""
     read = system.signal_reader(tag)
     n = system.n
 
@@ -334,7 +364,6 @@ def port_machine(
     ``sampler(x0, u_curve, length, shift=0.0)``, or
     ``sampler(x0, u_curve, tau_curve, length, shift=0.0)``.
     """
-    system.check()
     return iso_machine(
         port_field(system),
         batched(lambda t, x, s: -system.zeta_rate(x, s)),

@@ -25,14 +25,13 @@ channels) is available as an audit and agrees on members to stencil order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, MissingAuxTag, StructureViolation
 from .interval_sheaf import Trajectory
 from .ode_behavior import (
-    batched,
     dot,
     grid_derivative,
     matvec,
@@ -42,6 +41,7 @@ from .ode_behavior import (
 )
 from .port_diagram import (
     PortSystem,
+    as_matrix_field,  # kept here too: the benchmark tracer looks it up in this module
     build_diagram as build_ph_diagram,
     closed_behavior,
     closed_machine,
@@ -51,6 +51,7 @@ from .port_diagram import (
     enclosing_machine,
     extended_behavior,
     extended_sheaf,
+    fd_gradient,
     formula,
     port_machine as ph_iso_machine,
 )
@@ -62,44 +63,6 @@ GRAD_CONSISTENCY_RTOL = 1e-5
 SAMPLE_ALIGN_TOL = 1e-9
 
 
-def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Turn a constant matrix or a callable into a matrix field.
-
-    The field maps a state stack (N, n) to (N, rows, cols), or one state to
-    one matrix; a constant field gives its one matrix, shared by every node
-    of a stack, and its shape is checked here.  A callable of one node is
-    lifted with :func:`~sheafsys.ode_behavior.pointwise`; its shape is
-    checked when the system is built.
-    """
-    if callable(value):
-        return pointwise(value)
-    constant = np.array(value, dtype=float)
-    if constant.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} has shape {constant.shape}, expected ({rows}, {cols})")
-    constant.setflags(write=False)
-    return batched(lambda x, _c=constant: _c)
-
-
-def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Central-difference gradient with step 1e-6 * (1 + |x_i|) per axis."""
-    h_fn = pointwise(h_fn)
-
-    @batched
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i in range(n):
-            step = 1e-6 * (1.0 + np.abs(x[..., i]))
-            plus = x.copy()
-            minus = x.copy()
-            plus[..., i] += step
-            minus[..., i] -= step
-            out[..., i] = (h_fn(plus) - h_fn(minus)) / (2.0 * step)
-        return out
-
-    return grad
-
-
 @dataclass(frozen=True)
 class PHSystem(PortSystem):
     """A port-Hamiltonian system in coordinates.
@@ -109,9 +72,10 @@ class PHSystem(PortSystem):
     n, m : int
         State and port dimensions.
 
-    Every callable follows the stack contract of
-    :mod:`sheafsys.ode_behavior` (:func:`ph_system` lifts callables of one
-    node), and their shapes are checked once, when the system is built:
+    Each formula is a constant matrix or a callable; building the system
+    lifts a callable of one node to the stack contract of
+    :mod:`sheafsys.ode_behavior` and checks every shape and the structure
+    (:func:`check_structure`) once:
 
     interconnection : callable
         x -> antisymmetric (n, n) matrix J(x).
@@ -124,7 +88,7 @@ class PHSystem(PortSystem):
     grad_hamiltonian : callable
         x -> (n,) gradient of H; supply a closed form when available.
     state_labels : tuple of str
-        Channel names for the state.
+        Channel names for the state; x0, x1, ... when empty.
 
     The port signals are the inputs u, read from and stored in one
     auxiliary energy whose gradient is the input.
@@ -177,20 +141,9 @@ def ph_system(
     gradH: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     labels: Optional[tuple] = None,
 ) -> PHSystem:
-    """Assemble a PHSystem from constants or callables; gradient falls back
-    to central differences when no closed form is given.  Callables of one
-    node are lifted with :func:`~sheafsys.ode_behavior.pointwise`."""
-    labels = tuple(labels) if labels else tuple(f"x{i}" for i in range(n))
-    return PHSystem(
-        n,
-        m,
-        as_matrix_field(J, n, n, "J"),
-        as_matrix_field(R, n, n, "R"),
-        as_matrix_field(B, n, m, "B"),
-        pointwise(H),
-        pointwise(gradH) if gradH is not None else fd_gradient(H, n),
-        labels,
-    )
+    """A PHSystem from constants or callables; the gradient falls back to
+    central differences when no closed form is given."""
+    return PHSystem(n, m, J, R, B, H, fd_gradient(H, n) if gradH is None else gradH, labels)
 
 
 def require(points: np.ndarray, *checks) -> None:
@@ -237,20 +190,13 @@ def consistent_gradient(name: str, grad, fd, points: np.ndarray):
     )
 
 
-def check_points(n: int, points: Optional[Sequence]) -> np.ndarray:
-    """The structure-check points as a (P, n) stack; the defaults when None."""
-    points = default_probe_points(n) if points is None else points
-    return np.asarray(points, dtype=float).reshape(len(points), n)
-
-
-def check_structure(sys: PHSystem, points: Optional[Sequence] = None) -> None:
-    """Verify antisymmetry of J, symmetric PSD R, gradient consistency.
+def check_structure(sys: PHSystem) -> None:
+    """Verify antisymmetry of J, symmetric PSD R, gradient consistency at the
+    default probe points.
 
     Raises StructureViolation naming the failing probe point.
     """
-    points = check_points(sys.n, points)
-    if not len(points):
-        return
+    points = np.array(default_probe_points(sys.n))
     R = sys.dissipation(points)
     require(
         points,

@@ -111,6 +111,8 @@ def parse_polynomial(obj, n: int) -> Polynomial:
 
 def mass_spring_system(k: float = 1.0, mass: float = 1.0, damping: float = 0.0) -> PHSystem:
     """Harmonic oscillator with one force port on the momentum."""
+    if not mass > 0:
+        raise ConfigError(f"mass m must be positive, got {mass!r}")
 
     @batched
     def H(x):

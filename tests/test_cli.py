@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,17 +360,67 @@ def test_a_non_integer_dimension_is_a_config_error(tmp_path, capsys, dims):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("group, module, check", [
-    ("ph", "sheafsys.port_hamiltonian", "check_structure"),
-    ("mp", "sheafsys.metriplectic", "check_metriplectic_structure"),
+STRUCTURE_CHECKS = {
+    "mass_spring": ("sheafsys.port_hamiltonian", "check_structure"),
+    "rigid_body": ("sheafsys.metriplectic", "check_metriplectic_structure"),
+}
+
+
+@pytest.mark.parametrize("line, system", [
+    (line, system)
+    for system in STRUCTURE_CHECKS
+    for line in ("simulate", "audit", "check-sheaf", "verify-diagram", "mp check-noninteraction")
+    if system == "rigid_body" or not line.startswith("mp ")
 ])
-def test_verify_diagram_checks_the_structure_once(tmp_path, monkeypatch, group, module, check):
+def test_each_port_command_checks_the_structure_once(tmp_path, monkeypatch, line, system):
+    module, check = STRUCTURE_CHECKS[system]
     calls = []
     original = getattr(sys.modules[module], check)
     monkeypatch.setattr(sys.modules[module], check, lambda *args: calls.append(args) or original(*args))
-    code = main([group, "verify-diagram", "--length", "0.064", "--out", str(tmp_path / "out")])
-    assert code == 0
+    argv = line.split() + ["--system", system, "--length", "0.064", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
     assert len(calls) == 1
+
+
+PLANAR = {"n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]], "B": [[0.0], [1.0]], "H": {"terms": [
+    {"coeff": 0.5, "powers": [2, 0]}, {"coeff": 0.5, "powers": [0, 2]},
+]}}
+
+
+@pytest.mark.parametrize("line, doc, message", [
+    pytest.param(  # S = x0, so J grad S = (0, -1) at every point
+        "mp check-noninteraction",
+        {**PLANAR, "kind": "mp", "G": [[0.0, 0.0], [0.0, 0.0]], "A": [[0.0], [0.0]],
+         "Jt": [[0.0]], "Gt": [[0.0]], "S": {"terms": [{"coeff": 1.0, "powers": [1, 0]}]}},
+        "check failed: J grad S = 1.000e+00 at x = [0.0, 0.0]",
+        id="mp-noninteraction",
+    ),
+    pytest.param(  # a symmetric J fails before the kind is compared
+        "mp audit-rates",
+        {**PLANAR, "kind": "ph", "J": [[0.0, 1.0], [1.0, 0.0]], "R": [[0.0, 0.0], [0.0, 0.0]]},
+        "check failed: J(x) not antisymmetric at x = [0.0, 0.0]",
+        id="ph-symmetric-J-to-mp",
+    ),
+])
+def test_an_invalid_system_fails_when_loaded(tmp_path, capsys, line, doc, message):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(line.split() + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mass", [0, -1.5])
+def test_a_nonpositive_mass_is_a_config_error(tmp_path, capsys, mass):
+    cfg = tmp_path / "system.json"
+    cfg.write_text(json.dumps({"system": "mass_spring", "params": {"m": mass}}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error: mass m must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def softening(x0):

@@ -72,43 +72,39 @@ def test_rigid_body_satisfies_the_degeneracies():
 
 
 def test_misaligned_entropy_gradient_is_caught():
-    bad = metriplectic_system(
-        3, 1,
-        J=lambda x: hat(x),
-        G=np.zeros((3, 3)),
-        B=np.zeros((3, 1)),
-        A=np.zeros((3, 1)),
-        Jt=np.zeros((1, 1)),
-        Gt=np.zeros((1, 1)),
-        H=lambda x: 0.5 * float(x @ x),
-        S=lambda x: float(x[0]),
-        gradH=lambda x: x,
-        gradS=lambda x: np.array([1.0, 0.0, 0.0]),
-    )
-    worst_js, _, at_js, _ = noninteraction_residuals(bad)
-    assert worst_js == pytest.approx(1.0)
-    with pytest.raises(NoninteractionViolation):
-        check_metriplectic_structure(bad)
+    with pytest.raises(NoninteractionViolation, match=r"J grad S = 1\.000e\+00"):
+        metriplectic_system(
+            3, 1,
+            J=lambda x: hat(x),
+            G=np.zeros((3, 3)),
+            B=np.zeros((3, 1)),
+            A=np.zeros((3, 1)),
+            Jt=np.zeros((1, 1)),
+            Gt=np.zeros((1, 1)),
+            H=lambda x: 0.5 * float(x @ x),
+            S=lambda x: float(x[0]),
+            gradH=lambda x: x,
+            gradS=lambda x: np.array([1.0, 0.0, 0.0]),
+        )
 
 
 def test_structure_check_rejects_indefinite_friction():
-    bad = metriplectic_system(
-        2, 1,
-        J=np.zeros((2, 2)),
-        G=-np.eye(2),
-        B=np.zeros((2, 1)),
-        A=np.zeros((2, 1)),
-        Jt=np.zeros((1, 1)),
-        Gt=np.zeros((1, 1)),
-        H=lambda x: 0.5 * float(x @ x),
-        S=lambda x: 0.5 * float(x @ x),
-        gradH=lambda x: x,
-        gradS=lambda x: x,
-    )
     from sheafsys import StructureViolation
 
-    with pytest.raises(StructureViolation):
-        check_metriplectic_structure(bad)
+    with pytest.raises(StructureViolation, match=r"G\(x\) not positive semidefinite"):
+        metriplectic_system(
+            2, 1,
+            J=np.zeros((2, 2)),
+            G=-np.eye(2),
+            B=np.zeros((2, 1)),
+            A=np.zeros((2, 1)),
+            Jt=np.zeros((1, 1)),
+            Gt=np.zeros((1, 1)),
+            H=lambda x: 0.5 * float(x @ x),
+            S=lambda x: 0.5 * float(x @ x),
+            gradH=lambda x: x,
+            gradS=lambda x: x,
+        )
 
 
 # ---------------------------------------------------------------------------
