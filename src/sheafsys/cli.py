@@ -138,7 +138,7 @@ def _simulate(config: RunConfig, bundle: SystemBundle) -> int:
     behavior = _closed_behavior_for(bundle, config.step)
     notes = []
     try:
-        run = behavior.sample(bundle.initial_state, config.length)
+        run = behavior.sampler(bundle.initial_state, config.length)
         residuals = {"membership": float(behavior.membership(run))}
     except BlowUp as exc:
         run = exc.trajectory
@@ -200,7 +200,7 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
     else:
         behavior = _closed_behavior_for(bundle, config.step)
         try:
-            run = behavior.sample(bundle.initial_state, config.length)
+            run = behavior.sampler(bundle.initial_state, config.length)
         except BlowUp as exc:
             run = exc.trajectory
             notes.append(f"blow-up after t = {exc.t_star:.6g}; audited the truncated run")
@@ -213,7 +213,6 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
 
 def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     behavior = _closed_behavior_for(bundle, config.step)
-    sheaf = behavior.as_behavior_sheaf()
     steps = min(int(round(config.length / config.step)), 256)
     if steps < 8:
         raise ConfigError("probe windows need at least 8 grid steps")
@@ -229,7 +228,7 @@ def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
             probes.append(run)
     cuts = sorted({(steps // 4) * config.step, (steps // 2) * config.step,
                    (3 * steps // 4) * config.step})
-    report = check_sheaf_axioms(sheaf, probes, [c for c in cuts if c > 0])
+    report = check_sheaf_axioms(behavior, probes, [c for c in cuts if c > 0])
     residuals = {
         "worst_glue_residual": float(report.worst_glue_residual()),
         "probes": float(len(probes)),

@@ -266,7 +266,9 @@ class BehaviorSheaf:
     ``membership`` maps a trajectory to a nonnegative residual; residual at
     most ``tolerance`` counts as membership, and a NaN residual never does.
     The restriction maps are :func:`restrict`.  ``sampler``, when present,
-    generates members from initial data.
+    generates members from initial data.  The behavior of a vector field,
+    :class:`sheafsys.ode_behavior.OdeBehavior`, has the same three members
+    and serves wherever a behavior sheaf does.
     """
 
     membership: Callable[[Trajectory], float]

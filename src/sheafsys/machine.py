@@ -34,15 +34,7 @@ from .interval_sheaf import (
     sup_distance,
     worst_defect,
 )
-from .ode_behavior import (
-    DEFAULT_RESIDUAL_TOL,
-    VectorField,
-    grid_derivative,
-    integrate,
-    node_defects,
-    pointwise,
-    with_conditions,
-)
+from .ode_behavior import DEFAULT_RESIDUAL_TOL, OdeBehavior, VectorField, pointwise
 
 LEG_COMMUTE_TOL = 1e-9
 
@@ -53,7 +45,7 @@ class Machine:
 
     Parameters
     ----------
-    behavior : BehaviorSheaf
+    behavior : BehaviorSheaf or OdeBehavior
         The total behavior; members are the runs of the machine.
     a_leg, e_leg : callable
         Maps from members to input-side / output-side trajectories.  Legs
@@ -68,7 +60,7 @@ class Machine:
         construction; violations raise StructureViolation.
     """
 
-    behavior: BehaviorSheaf
+    behavior: BehaviorSheaf | OdeBehavior
     a_leg: Callable[[Trajectory], Trajectory]
     e_leg: Callable[[Trajectory], Trajectory]
     a_labels: tuple = ()
@@ -140,69 +132,35 @@ def iso_machine(
     """Machine of a controlled system x' = f(t, x, u), y = g(t, x, u), where
     f is the right-hand side of the field ``dynamics``.
 
-    Members are (n + m)-channel trajectories holding state and input
-    samples together.  The input leg extracts the input channels; the
-    output leg evaluates the readout at every node.  A ``readout`` of one
-    node is lifted with :func:`~sheafsys.ode_behavior.pointwise`.
-    ``side_residuals``, when given, maps a member to named (residual, node)
-    pairs of algebraic conditions that membership must meet as well, folded
-    in by :func:`~sheafsys.ode_behavior.with_conditions`.
-
-    The sampler is ``sampler(x0, curve, ..., length, shift=0.0)``: the input
-    at absolute time t is the concatenation of the curves' values, one curve
-    per input group (callables of time, lifted with
-    :func:`~sheafsys.ode_behavior.pointwise`).  Each curve is called once
-    per run, on the stack of the RK4 stage times and the end node's time;
-    see :func:`~sheafsys.ode_behavior.integrate_batch`.
+    Its behavior is the :class:`~sheafsys.ode_behavior.OdeBehavior` of the
+    driven field: members are (n + m)-channel trajectories holding state and
+    input samples together, ``side_residuals`` adds algebraic conditions to
+    membership, and the sampler takes one input curve per input group,
+    ``sampler(x0, curve, ..., length, shift=0.0)``.  The input leg extracts
+    the input channels; the output leg evaluates the readout at every node.
+    A ``readout`` of one node is lifted with
+    :func:`~sheafsys.ode_behavior.pointwise`.  The legs read channels by
+    name, since the leg laws are probed on non-members too.
     """
     n = dynamics.dimension
     m = int(num_inputs)
     state_labels = tuple(state_labels) if state_labels else tuple(f"x{i}" for i in range(n))
     input_labels = tuple(input_labels) if input_labels else tuple(f"u{i}" for i in range(m))
     output_labels = tuple(output_labels) if output_labels else tuple(f"y{i}" for i in range(num_outputs))
-    member_labels = state_labels + input_labels
     readout = pointwise(readout, 0, 1, 1)
-
-    def split(e: Trajectory):
-        x = e.channels(state_labels)
-        u = e.channels(input_labels)
-        return x, u
-
-    def membership(e: Trajectory) -> float:
-        if e.labels != member_labels:
-            return float("inf")
-        x, u = split(e)
-        rates = np.asarray(dynamics.rhs(e.absolute_times, x, u), dtype=float)
-        residual = worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]
-        if side_residuals is None:
-            return residual
-        return with_conditions(residual, side_residuals(e))
+    behavior = OdeBehavior(
+        dynamics, grid_step, residual_tolerance, state_labels + input_labels,
+        side_residuals=side_residuals,
+    )
 
     def a_leg(e: Trajectory) -> Trajectory:
-        _, u = split(e)
-        return Trajectory(u, e.grid_step, e.shift, input_labels)
+        return Trajectory(e.channels(input_labels), e.grid_step, e.shift, input_labels)
 
     def e_leg(e: Trajectory) -> Trajectory:
-        x, u = split(e)
+        x, u = e.channels(state_labels), e.channels(input_labels)
         y = np.asarray(readout(e.absolute_times, x, u), dtype=float)
         return Trajectory(y, e.grid_step, e.shift, output_labels)
 
-    def sampler(x0, *curves_and_length, shift: float = 0.0) -> Trajectory:
-        *curves, length = curves_and_length
-        curves = [pointwise(c, 0) for c in curves]
-
-        def inputs(t):
-            return np.concatenate(
-                [np.asarray(c(t), dtype=float).reshape(len(t), -1) for c in curves], axis=1
-            )
-
-        return integrate(dynamics, x0, length, grid_step, shift, member_labels, inputs=inputs)
-
-    behavior = BehaviorSheaf(
-        membership=membership,
-        sampler=sampler,
-        tolerance=residual_tolerance,
-    )
     return Machine(behavior, a_leg, e_leg, input_labels, output_labels, name)
 
 

@@ -26,12 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUp, ConstraintViolation, DimensionMismatch, GridMismatch
-from .interval_sheaf import (
-    DEFAULT_STEP,
-    BehaviorSheaf,
-    Trajectory,
-    worst_defect,
-)
+from .interval_sheaf import DEFAULT_STEP, Trajectory, worst_defect
 
 #: magnitude beyond which an integration counts as blown up
 BLOWUP_THRESHOLD = 1e8
@@ -285,17 +280,21 @@ def membership_residual(
     field: VectorField,
     e: Trajectory,
     grid_step: Optional[float] = None,
+    inputs: int = 0,
 ) -> float:
     """Worst-node defect between the sampled derivative and the field.
 
-    Computes max_i || D(e)_i - f(t_i - shift, e_i) ||_inf with D the grid
-    stencils; a non-finite defect at any node gives inf.  When the
+    Computes max_i || D(x)_i - f(t_i - shift, x_i) ||_inf with D the grid
+    stencils and x the state channels; a non-finite defect at any node
+    gives inf.  A driven member carries ``inputs`` input channels u after
+    its state, and the field is evaluated as f(t, x, u) on them.  When the
     behavior's own step is given, the trajectory may be sampled on it or on
     any integer multiple of it.
     """
-    if e.dimension != field.dimension:
+    n = field.dimension
+    if e.dimension != n + inputs:
         raise DimensionMismatch(
-            f"trajectory has {e.dimension} channels, field wants {field.dimension}"
+            f"trajectory has {e.dimension} channels, field wants {n + inputs}"
         )
     if grid_step is not None:
         ratio = e.grid_step / grid_step
@@ -305,8 +304,9 @@ def membership_residual(
             )
     if e.num_nodes < 2:
         raise GridMismatch("need at least two nodes to test membership")
-    d = grid_derivative(e.values, e.grid_step)
-    return worst_defect(node_defects(d, field(e.absolute_times, e.values)))[0]
+    x = e.values[:, :n]
+    rates = field(e.absolute_times, x, e.values[:, n:] if inputs else None)
+    return worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]
 
 
 def with_conditions(dynamics: float, residuals: dict) -> float:
@@ -326,26 +326,46 @@ def assert_conditions(residuals: dict, tolerance: float = SIDE_CONDITION_TOL) ->
 
 @dataclass(frozen=True)
 class OdeBehavior:
-    """The behavior sheaf of a vector field on a fixed uniform grid.
+    """The behavior sheaf of a closed or driven vector field on a fixed
+    uniform grid.
 
     Members over [0, length] are trajectories whose finite-difference
-    residual against the field stays within ``residual_tolerance`` at every
-    node.  ``aux`` is attached to every sampled member and checked for
-    equality by the sheaf machinery but carries no dynamics of its own here.
-    ``side_residuals``, when given, maps a member to named (residual, node)
-    pairs of algebraic conditions that membership must meet as well.
+    residual against the field stays within ``tolerance`` at every node.  A
+    driven field's members carry their inputs as channels after the state:
+    the ``labels`` past the field's dimension name them, and membership
+    evaluates f(t, x, u) on them.  ``aux`` is attached to every sampled
+    member and checked for equality by the sheaf machinery but carries no
+    dynamics of its own here.  ``side_residuals``, when given, maps a member
+    to named (residual, node) pairs of algebraic conditions that membership
+    must meet as well.
     """
 
     field: VectorField
     grid_step: float = DEFAULT_STEP
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL
+    tolerance: float = DEFAULT_RESIDUAL_TOL
     labels: Optional[tuple] = None
     aux: object = None
     side_residuals: Optional[Callable[[Trajectory], dict]] = None
 
-    def sample(self, x0, length: float, shift: float = 0.0) -> Trajectory:
+    def sampler(self, x0, *curves_and_length, shift: float = 0.0) -> Trajectory:
+        """The member from x0 over [0, length]: ``sampler(x0, length)``, or
+        ``sampler(x0, curve, ..., length)`` for a driven field, whose input
+        at absolute time t is the concatenation of the curves' values, one
+        curve per input group (callables of time, lifted with
+        :func:`pointwise`).  Each curve is called once per run, on the stack
+        of the RK4 stage times and the end node's time; see
+        :func:`integrate_batch`."""
+        *curves, length = curves_and_length
+        curves = [pointwise(c, 0) for c in curves]
+
+        def inputs(t):
+            return np.concatenate(
+                [np.asarray(c(t), dtype=float).reshape(len(t), -1) for c in curves], axis=1
+            )
+
         return integrate(
-            self.field, x0, length, self.grid_step, shift, self.labels, self.aux
+            self.field, x0, length, self.grid_step, shift, self.labels, self.aux,
+            inputs if curves else None,
         )
 
     def sample_batch(self, x0s, length: float, shift: float = 0.0) -> list:
@@ -360,7 +380,8 @@ class OdeBehavior:
             return float("inf")
         if self.labels is not None and e.labels != tuple(self.labels):
             return float("inf")
-        dynamics = membership_residual(self.field, e, self.grid_step)
+        inputs = len(self.labels) - self.field.dimension if self.labels else 0
+        dynamics = membership_residual(self.field, e, self.grid_step, inputs)
         if self.side_residuals is None:
             return dynamics
         return with_conditions(dynamics, self.side_residuals(e))
@@ -369,10 +390,3 @@ class OdeBehavior:
         """Raise ConstraintViolation at the first side condition ``e`` fails."""
         if self.side_residuals is not None:
             assert_conditions(self.side_residuals(e), tolerance)
-
-    def as_behavior_sheaf(self) -> BehaviorSheaf:
-        return BehaviorSheaf(
-            membership=self.membership,
-            sampler=self.sample,
-            tolerance=self.residual_tolerance,
-        )

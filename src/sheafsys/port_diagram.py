@@ -270,7 +270,7 @@ def extended_sheaf(
         return behavior.membership(e.replace_aux(behavior.aux))
 
     def sampler(x0_ext, length, shift=0.0, aux=None):
-        return fixed(aux).sample(x0_ext, length, shift)
+        return fixed(aux).sampler(x0_ext, length, shift=shift)
 
     return BehaviorSheaf(
         membership=membership,
@@ -332,7 +332,7 @@ def closed_machine(
     lands in the one-point sheaf (one zero channel per port signal), which
     is what the diagram verifier checks for closedness.
     """
-    behavior = closed_behavior(system, grid_step, residual_tolerance).as_behavior_sheaf()
+    behavior = closed_behavior(system, grid_step, residual_tolerance)
     constant_labels = tuple(f"o{i}" for i in range(len(system.signal_labels)))
 
     def a_leg(e: Trajectory) -> Trajectory:

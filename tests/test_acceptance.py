@@ -66,7 +66,7 @@ def test_criterion_01_sheaf_laws_bit_exact():
             behavior = closed_metriplectic_behavior(rigid_body_system(), h, 1e-3)
             dim = 3
         probes = [
-            behavior.sample(x0, length, shift=(i + 1) * 8 * h)
+            behavior.sampler(x0, length, shift=(i + 1) * 8 * h)
             for i, x0 in enumerate(seeded_initial_states(41 + len(suites), count, dim))
         ]
         suites.append(probes)
@@ -155,7 +155,7 @@ def test_criterion_03_convergence_order():
 
 def test_criterion_04_oscillator_energy_and_embedding():
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 10.0)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 10.0)
     drift = closed_energy_drift(ms, run)
     zeta = embed_closed(ms, run).channels(("zeta0",))[:, 0]
     # closed form: zeta(t) = integral of sin = 1 - cos t for this start
@@ -190,7 +190,7 @@ def test_criterion_06_port_hamiltonian_diagram():
     started = time.monotonic()
     ms = mass_spring_system()
     beh = closed_behavior(ms, H)
-    probes = [beh.sample(x0, 2.0) for x0 in seeded_initial_states(11, 5, 2)]
+    probes = [beh.sampler(x0, 2.0) for x0 in seeded_initial_states(11, 5, 2)]
     report = build_ph_diagram(ms, probes, tolerance=1e-5)
     flipped = build_ph_diagram(ms, probes, tolerance=1e-5, integral_sign=-1.0)
     elapsed = time.monotonic() - started
@@ -215,7 +215,7 @@ def test_criterion_07_metriplectic_degeneracy():
     drift = 0.0
     rate_min = np.inf
     for x0 in seeded_initial_states(3, 5, 3):
-        audit = degeneracy_audit(rb, beh.sample(x0, 10.0))
+        audit = degeneracy_audit(rb, beh.sampler(x0, 10.0))
         drift = max(drift, audit["energy_drift"])
         rate_min = min(rate_min, audit["entropy_rate_min"])
     ok = (
@@ -268,7 +268,7 @@ def test_criterion_08_side_condition_enforcement():
 def test_criterion_09_metriplectic_diagram():
     rb = rigid_body_system()
     beh = closed_metriplectic_behavior(rb, H, 1e-3)
-    probes = [beh.sample(x0, 2.0) for x0 in seeded_initial_states(11, 5, 3)]
+    probes = [beh.sampler(x0, 2.0) for x0 in seeded_initial_states(11, 5, 3)]
     report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
     flipped = build_metriplectic_diagram(
         rb, probes, 1e-5, residual_tolerance=1e-3, integral_sign=-1.0

@@ -388,7 +388,7 @@ def port_diagram_legs(system):
     closed = closed_machine(system, H, 1e-3)
     port = port_machine(system, H, 1e-3)
     enclosing = enclosing_machine(system, H, 1e-3)
-    probe = closed_behavior(system, H, 1e-3).sample(0.4 * np.ones(system.n), 0.05)
+    probe = closed_behavior(system, H, 1e-3).sampler(0.4 * np.ones(system.n), 0.05)
     k = len(system.signal_labels)
     drive = lambda t: 0.1 * np.sin(3.0 * t) * np.ones(k) * (np.arange(k) < system.m)
     run = port.behavior.sampler(0.3 * np.ones(system.n), drive, 0.05)
@@ -498,6 +498,6 @@ def test_node_formulas_returning_lists_or_int_arrays_run_as_their_float_forms():
         square,
         identity,
     )
-    runs = [closed_behavior(system, H).sample([1.0, 0.5], 0.1) for system in (loose, exact)]
+    runs = [closed_behavior(system, H).sampler([1.0, 0.5], 0.1) for system in (loose, exact)]
     assert identical(*runs)
     assert np.array_equal(loose.port_output(runs[0].values), exact.port_output(runs[1].values))

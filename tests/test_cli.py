@@ -401,6 +401,16 @@ PLANAR = {"n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]], "B": [[0.0], [1.0]], "
         "check failed: J(x) not antisymmetric at x = [0.0, 0.0]",
         id="ph-symmetric-J-to-mp",
     ),
+    pytest.param(  # a built-in parameter inside every formula's domain breaks a law
+        "simulate", {"system": "mass_spring", "params": {"r": -1}},
+        "check failed: R(x) not positive semidefinite at x = [0.0, 0.0]",
+        id="builtin-negative-damping",
+    ),
+    pytest.param(
+        "simulate", {"system": "rigid_body", "params": {"gamma": -0.1}},
+        "check failed: G(x) not positive semidefinite at x = [1.0, 0.0, 0.0]",
+        id="builtin-negative-friction",
+    ),
 ])
 def test_an_invalid_system_fails_when_loaded(tmp_path, capsys, line, doc, message):
     cfg = tmp_path / "system.json"
@@ -457,9 +467,9 @@ def test_an_audit_integrates_its_driven_and_closed_runs_as_one_batch(bundle):
     length, system = 2.0, bundle.instance
     driven, closed = _port_runs(bundle, RunConfig("audit", bundle.name, length, 1e-3, 1e-5, 0, ""))
     behavior = closed_behavior(system, 1e-3, bundle.residual_tolerance)
-    alone = behavior.sample(bundle.initial_state, length)
+    alone = behavior.sampler(bundle.initial_state, length)
     assert np.array_equal(closed.values, alone.values) and closed.labels == alone.labels
-    assert behavior.membership(closed) <= behavior.residual_tolerance
+    assert behavior.membership(closed) <= behavior.tolerance
     amplitude = 1.0 if bundle.kind == "ph" else 0.2
     drive = [lambda t: amplitude * np.sin(t)] * system.m + [lambda t: 0.0] * (len(system.signal_labels) - system.m)
     port = port_machine(system, 1e-3, bundle.residual_tolerance)

@@ -185,7 +185,7 @@ def test_axiom_check_rejects_non_members_and_bad_cuts():
     from sheafsys import NotAMember, OdeBehavior
     from sheafsys.systems import linear_field
 
-    sheaf = OdeBehavior(linear_field(), H, 1e-4).as_behavior_sheaf()
+    sheaf = OdeBehavior(linear_field(), H, 1e-4)
     probes = [sheaf.sampler([1.0], 32 * H)]
     with pytest.raises(NotAMember):
         check_sheaf_axioms(sheaf, [Trajectory(np.ones((33, 1)), H)], [8 * H])

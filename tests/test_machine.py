@@ -188,8 +188,8 @@ def oscillator_probes():
     """Two closed mass_spring members and a machine whose legs are the identity."""
     behavior = closed_behavior(mass_spring_system(), H)
     ident = lambda e: e
-    m = Machine(behavior.as_behavior_sheaf(), ident, ident, name="state")
-    return m, [behavior.sample(x0, 0.05) for x0 in ([1.0, 0.0], [0.0, 1.0])]
+    m = Machine(behavior, ident, ident, name="state")
+    return m, [behavior.sampler(x0, 0.05) for x0 in ([1.0, 0.0], [0.0, 1.0])]
 
 
 def nan_at(e, node=None, channel=None):
@@ -243,7 +243,7 @@ def closed_decay_machine():
         return Trajectory(e.values[:, :1], e.grid_step, e.shift, ("y0",))
 
     return Machine(
-        behavior=behavior.as_behavior_sheaf(),
+        behavior=behavior,
         a_leg=state,
         e_leg=zeros,
         a_labels=("y0",),
@@ -391,7 +391,7 @@ def clean_probes(name):
     bundle = resolve_builtin(name)
     behavior = closed_behavior(bundle.instance, H, bundle.residual_tolerance)
     starts = seeded_initial_states(3, 2, bundle.instance.n)
-    return bundle, [behavior.sample(x0, 0.05) for x0 in starts]
+    return bundle, [behavior.sampler(x0, 0.05) for x0 in starts]
 
 
 @settings(max_examples=30, deadline=None)

@@ -113,7 +113,7 @@ def test_structure_check_rejects_indefinite_friction():
 
 def test_closed_run_conserves_energy_and_produces_entropy():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sample([1.0, 0.5, 0.5], 5.0)
+    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 5.0)
     audit = degeneracy_audit(rb, run)
     assert audit["energy_drift"] < 1e-12
     assert audit["entropy_rate_min"] >= -1e-8
@@ -123,7 +123,7 @@ def test_closed_run_conserves_energy_and_produces_entropy():
 
 def test_frictionless_variant_freezes_both_generators():
     rb0 = sphere_entropy_system(gamma=0.0)
-    run = closed_metriplectic_behavior(rb0, H, 1e-3).sample([1.0, 0.5, 0.5], 5.0)
+    run = closed_metriplectic_behavior(rb0, H, 1e-3).sampler([1.0, 0.5, 0.5], 5.0)
     audit = degeneracy_audit(rb0, run)
     assert audit["energy_drift"] < 1e-12
     entropy = 0.5 * np.sum(run.values ** 2, axis=1)
@@ -132,7 +132,7 @@ def test_frictionless_variant_freezes_both_generators():
 
 def test_extended_friction_stays_psd_along_runs():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sample([1.0, 0.5, 0.5], 2.0)
+    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
     assert extended_psd_min(rb, run.values) > -1e-12
 
 
@@ -209,9 +209,9 @@ def test_extended_run_with_aux_pair_is_a_member():
     rb = sphere_entropy_system()
     curve = SampledCurve(0.0, H, 0.2 * np.sin(np.arange(2001) * H))
     ext = extended_behavior(rb, (aux_linear(curve, 1), aux_zero(1)), H, 1e-3)
-    run = ext.sample([1.0, 0.5, 0.5, 0.0], 2.0)
+    run = ext.sampler([1.0, 0.5, 0.5, 0.0], 2.0)
     assert run.labels == ("x1", "x2", "x3", "zeta0")
-    assert ext.membership(run) <= ext.residual_tolerance
+    assert ext.membership(run) <= ext.tolerance
     # the tag carries both energies; dropping it breaks membership
     assert ext.membership(run.replace_aux(None)) == np.inf
 
@@ -228,7 +228,7 @@ def test_extended_sheaf_resolves_tags_and_rejects_odd_ones():
 def test_friction_coupling_to_aux_entropy_is_rejected():
     gts = coupled_port_system(Gt=np.eye(2))
     ext = extended_behavior(gts, (aux_zero(2), aux_linear(lambda s: np.array([1.0, 0.0]), 2)), H)
-    run = ext.sample([1.0, 0.0, 0.0, 0.0], 0.1)
+    run = ext.sampler([1.0, 0.0, 0.0, 0.0], 0.1)
     with pytest.raises(ConstraintViolation) as info:
         ext.assert_conditions(run)
     assert info.value.condition == "Gt grad aux S"
@@ -240,7 +240,7 @@ def test_friction_coupling_to_aux_entropy_is_rejected():
 
 def test_embed_metriplectic_tags_and_integrates():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sample([1.0, 0.5, 0.5], 2.0)
+    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
     emb = embed_metriplectic(rb, run)
     assert emb.labels == ("x1", "x2", "x3", "zeta0")
     assert emb.aux == (aux_zero(1), aux_zero(1))
@@ -268,7 +268,7 @@ def test_closed_machine_output_is_constant():
 def test_diagram_embeds_at_its_own_residual_tolerance():
     rb = sphere_entropy_system()
     beh = closed_metriplectic_behavior(rb, 0.01, 1e-3)
-    probes = [beh.sample(x0, 0.5) for x0 in ([2.0, 2.0, -2.0], [1.0, 0.5, 0.5])]
+    probes = [beh.sampler(x0, 0.5) for x0 in ([2.0, 2.0, -2.0], [1.0, 0.5, 0.5])]
     assert 1e-4 < beh.membership(probes[0]) <= 1e-3  # above the embedding's default
     report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
     assert report.passed
@@ -277,7 +277,7 @@ def test_diagram_embeds_at_its_own_residual_tolerance():
 def test_metriplectic_diagram_passes_and_detects_corruption():
     rb = sphere_entropy_system()
     beh = closed_metriplectic_behavior(rb, H, 1e-3)
-    probes = [beh.sample(x0, 2.0) for x0 in seeded_initial_states(11, 5, 3)]
+    probes = [beh.sampler(x0, 2.0) for x0 in seeded_initial_states(11, 5, 3)]
     report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
     assert report.passed
     assert max(report.defects.values()) <= 1e-5
@@ -290,7 +290,7 @@ def test_metriplectic_diagram_passes_and_detects_corruption():
 
 def test_degeneracy_audit_fails_at_a_nan_node():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sample([1.0, 0.5, 0.5], 1.0)
+    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 1.0)
     values = np.array(run.values)
     values[500, 2] = np.nan
     audit = degeneracy_audit(rb, Trajectory(values, H, run.shift, run.labels))

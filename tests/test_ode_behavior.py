@@ -89,7 +89,7 @@ def test_blowup_reports_time_and_truncated_run():
 
 def test_membership_accepts_samples_and_rejects_corruption():
     behavior = OdeBehavior(linear_field(), 1e-3, 1e-4)
-    e = behavior.sample([1.0], 0.5)
+    e = behavior.sampler([1.0], 0.5)
     assert behavior.membership(e) < 1e-6
     corrupted = np.array(e.values)
     corrupted[200, 0] += 1e-2
@@ -99,7 +99,7 @@ def test_membership_accepts_samples_and_rejects_corruption():
 
 def test_membership_closed_under_restriction():
     behavior = OdeBehavior(linear_field(), 1e-3, 1e-4)
-    e = behavior.sample([1.0], 0.5, shift=0.125)
+    e = behavior.sampler([1.0], 0.5, shift=0.125)
     base = behavior.membership(e)
     for offset_nodes, keep_nodes in ((0, 100), (100, 250), (400, 100)):
         w = restrict(e, keep_nodes * 1e-3, offset_nodes * 1e-3)
@@ -108,7 +108,7 @@ def test_membership_closed_under_restriction():
 
 def test_membership_gates_on_aux_and_labels():
     behavior = OdeBehavior(linear_field(), 1e-3, 1e-4, labels=("v",), aux="tag")
-    e = behavior.sample([1.0], 0.1)
+    e = behavior.sampler([1.0], 0.1)
     assert behavior.membership(e) < 1e-6
     assert behavior.membership(e.replace_aux(None)) == np.inf
     relabeled = Trajectory(e.values, e.grid_step, e.shift, ("w",), e.aux)
@@ -143,7 +143,7 @@ def test_time_varying_membership_uses_absolute_time():
 )
 def test_membership_is_infinite_at_a_non_finite_node(node, channel, value):
     behavior = closed_behavior(mass_spring_system(), 1e-3)
-    e = behavior.sample([1.0, 0.0], 1.0)
+    e = behavior.sampler([1.0, 0.0], 1.0)
     poisoned = np.array(e.values)
     poisoned[node, channel] = value
     bad = Trajectory(poisoned, e.grid_step, e.shift, e.labels)
@@ -158,7 +158,7 @@ def test_worst_defect_gives_the_first_worst_node_and_inf_on_non_finite():
 
 def test_as_behavior_sheaf_samples_members():
     behavior = OdeBehavior(linear_field(), 1e-3, 1e-4)
-    sheaf = behavior.as_behavior_sheaf()
+    sheaf = behavior
     e = sheaf.sampler([1.0], 0.2)
     assert sheaf.membership(e) <= sheaf.tolerance
 
@@ -174,7 +174,7 @@ def test_side_conditions_never_pass_a_nan():
     field = linear_field()
     plain = OdeBehavior(field, 1e-3, 1e-4)
     poisoned = OdeBehavior(field, 1e-3, 1e-4, side_residuals=lambda e: {"c": (np.nan, 2)})
-    run = plain.sample([1.0], 0.01)
+    run = plain.sampler([1.0], 0.01)
     assert poisoned.membership(run) == np.inf
     assert plain.membership(run) <= 1e-4
     plain.assert_conditions(run)  # no side conditions: nothing to fail
@@ -191,7 +191,7 @@ def test_side_conditions_never_pass_a_nan():
 def _order_errors(h: float) -> dict:
     """Each error of a step-h closed mass_spring run against its exact value."""
     system = mass_spring_system()
-    run = closed_behavior(system, h).sample([1.0, 0.0], 2.0)
+    run = closed_behavior(system, h).sampler([1.0, 0.0], 2.0)
     t = run.absolute_times
     defects = node_defects(grid_derivative(run.values, h), closed_field(system)(t, run.values))
     zeta = embed(system, run, residual_tolerance=1.0).channels(system.zeta_labels)[:, 0]

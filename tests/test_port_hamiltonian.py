@@ -103,7 +103,7 @@ def test_enclosing_machine_reports_a_port_map_of_the_wrong_shape():
 
 def test_closed_oscillator_preserves_energy():
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 10.0)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 10.0)
     assert closed_energy_drift(ms, run) < 1e-12
     # and the orbit is the circle (cos t, -sin t)
     q = run.channels(("q",))[:, 0]
@@ -112,7 +112,7 @@ def test_closed_oscillator_preserves_energy():
 
 def test_gradient_descent_decays_like_the_closed_form():
     sysd = gradient_decay_system()
-    run = closed_behavior(sysd, H).sample([1.0, -2.0], 2.0)
+    run = closed_behavior(sysd, H).sampler([1.0, -2.0], 2.0)
     expect = np.exp(-run.times)
     assert np.max(np.abs(run.values[:, 0] - 1.0 * expect)) < 1e-11
     assert np.max(np.abs(run.values[:, 1] + 2.0 * expect)) < 1e-11
@@ -172,8 +172,8 @@ def test_quadratic_aux_conserves_total_energy():
     ms = mass_spring_system()
     aux = aux_quadratic(0.7, [[2.0]])
     beh = extended_behavior(ms, aux, H)
-    run = beh.sample([1.0, 0.0, 0.3], 10.0)
-    assert beh.membership(run) <= beh.residual_tolerance
+    run = beh.sampler([1.0, 0.0, 0.3], 10.0)
+    assert beh.membership(run) <= beh.tolerance
     total = extended_energy(ms, aux, run)
     assert np.max(np.abs(total - total[0])) < 1e-12
 
@@ -198,7 +198,7 @@ def test_extended_sheaf_reads_the_aux_tag():
 
 def test_embed_closed_appends_the_integrated_port_channel():
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 10.0)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 10.0)
     ext = embed_closed(ms, run)
     assert ext.labels == ("q", "p", "zeta0")
     assert ext.aux == aux_zero(1)
@@ -210,7 +210,7 @@ def test_embed_closed_appends_the_integrated_port_channel():
 
 def test_write_csv_refuses_a_tagged_trajectory(tmp_path):
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 0.1)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 0.1)
     path = tmp_path / "tagged.csv"
     with pytest.raises(GridMismatch):
         write_csv(embed_closed(ms, run), path)
@@ -221,7 +221,7 @@ def test_embedding_windows_agree_after_reanchoring():
     # windowing before or after embedding gives the same zeta up to the
     # integration constant zeta(window start)
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 2.0, shift=0.25)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 2.0, shift=0.25)
     whole = restrict(embed_closed(ms, run), 1.0, 0.5)
     fresh = embed_closed(ms, restrict(run, 1.0, 0.5))
     z_window = whole.channels(("zeta0",))[:, 0]
@@ -231,7 +231,7 @@ def test_embedding_windows_agree_after_reanchoring():
 
 def test_projections_recover_input_and_output():
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 2.0)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 2.0)
     ext = embed_closed(ms, run)
     a_leg, e_leg = projections(ms)
     assert np.max(np.abs(a_leg(ext).values)) == 0.0  # zero aux drives nothing
@@ -243,7 +243,7 @@ def test_projections_recover_input_and_output():
 
 def test_output_stencil_defect_is_small_but_nonzero():
     ms = mass_spring_system()
-    run = closed_behavior(ms, H).sample([1.0, 0.0], 2.0)
+    run = closed_behavior(ms, H).sampler([1.0, 0.0], 2.0)
     gap = output_stencil_defect(ms, embed_closed(ms, run))
     assert 1e-9 < gap < 1e-5
 
@@ -305,7 +305,7 @@ def test_ph_diagram_passes_and_detects_corruption():
     ms = mass_spring_system()
     beh = closed_behavior(ms, H)
     probes = [
-        beh.sample(x0, 2.0)
+        beh.sampler(x0, 2.0)
         for x0 in ([1.0, 0.0], [0.0, 1.0], [-0.5, 0.5], [0.3, -0.7], [1.5, 0.2])
     ]
     report = build_ph_diagram(ms, probes, tolerance=1e-5)
@@ -327,7 +327,7 @@ def test_ph_diagram_rejects_images_outside_the_enclosing_behavior():
     # the extended dynamics
     ms = mass_spring_system()
     beh = closed_behavior(ms, H)
-    probes = [beh.sample(x0, 1.0) for x0 in ([1.0, 0.0], [0.0, 1.0], [-0.5, 0.5])]
+    probes = [beh.sampler(x0, 1.0) for x0 in ([1.0, 0.0], [0.0, 1.0], [-0.5, 0.5])]
     ident = lambda e: e
 
     def doubled(ext, aux):
@@ -365,7 +365,7 @@ def test_audits_are_infinite_at_a_nan_node():
         values = np.array(run.values)
         values[500, channel] = np.nan
         assert dissipation_margin(ms, Trajectory(values, H, run.shift, run.labels)) == np.inf
-    closed = closed_behavior(ms, H).sample([1.0, 0.0], 1.0)
+    closed = closed_behavior(ms, H).sampler([1.0, 0.0], 1.0)
     values = np.array(closed.values)
     values[500, 1] = np.nan
     assert closed_energy_drift(ms, Trajectory(values, H, closed.shift, closed.labels)) == np.inf
@@ -374,7 +374,7 @@ def test_audits_are_infinite_at_a_nan_node():
 def test_embed_rejects_a_nan_closed_residual(monkeypatch):
     from sheafsys import port_diagram
 
-    run = closed_behavior(mass_spring_system(), H).sample([1.0, 0.0], 0.05)
+    run = closed_behavior(mass_spring_system(), H).sampler([1.0, 0.0], 0.05)
     monkeypatch.setattr(port_diagram, "membership_residual", lambda *args: float("nan"))
     with pytest.raises(NotAMember):
         embed_closed(mass_spring_system(), run)
