@@ -221,11 +221,13 @@ def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     probes = []
     notes = []
     starts = seeded_initial_states(config.seed, 10, behavior.field.dimension)
-    for x0, run in zip(starts, behavior.sample_batch(starts, probe_length)):
+    for x0, run in zip(starts, behavior.sampler(starts, probe_length)):
         if isinstance(run, BlowUp):
             notes.append(f"probe from {np.round(x0, 3).tolist()} blew up; skipped")
         else:
             probes.append(run)
+    if not probes:
+        notes.append("no probe survived: nothing was checked")
     cuts = sorted({(steps // 4) * config.step, (steps // 2) * config.step,
                    (3 * steps // 4) * config.step})
     report = check_sheaf_axioms(behavior, probes, [c for c in cuts if c > 0])
@@ -237,14 +239,14 @@ def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     }
     for i, e in enumerate(probes[:3]):
         _write_trajectory(config, f"probe_{i}.csv", e)
-    return _write_report(config, bundle.name, report.passed, residuals, notes)
+    return _write_report(config, bundle.name, report.passed and bool(probes), residuals, notes)
 
 
 def _verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
     _node_guard(config.length, config.step)
     behavior = _closed_behavior_for(bundle, config.step)
     starts = seeded_initial_states(config.seed, 5, bundle.instance.n)
-    probes = behavior.sample_batch(starts, config.length)
+    probes = behavior.sampler(starts, config.length)
     for run in probes:
         if isinstance(run, BlowUp):
             raise run

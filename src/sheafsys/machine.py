@@ -3,7 +3,7 @@
 A machine is a span: a behavior sheaf together with two leg maps sending
 each member to an input-side trajectory and an output-side trajectory over
 the same interval.  Legs must preserve length and shift and commute with
-restriction; both properties are probed at construction time.
+restriction; the diagram verifier checks both on the members it holds.
 
 Morphisms between machines come in two variants.  A straight morphism pairs
 input with input and output with output; a swapped morphism crosses them,
@@ -21,6 +21,7 @@ systems that build this picture share one construction, in
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -50,14 +51,13 @@ class Machine:
     a_leg, e_leg : callable
         Maps from members to input-side / output-side trajectories.  Legs
         must preserve the interval (length, grid step) and the shift tag,
-        and must commute with restriction within 1e-9.
+        and must commute with restriction within ``LEG_COMMUTE_TOL``;
+        :func:`verify_port_control_diagram` checks this on the members it
+        holds, and :func:`leg_restriction_defect` on any others.
     a_labels, e_labels : tuple of str
         Channel names of the leg outputs.
     name : str
         Used in reports.
-    check_probes : sequence of Trajectory, optional
-        When given, the leg laws are verified on these members at
-        construction; violations raise StructureViolation.
     """
 
     behavior: BehaviorSheaf | OdeBehavior
@@ -66,16 +66,6 @@ class Machine:
     a_labels: tuple = ()
     e_labels: tuple = ()
     name: str = "machine"
-    check_probes: Optional[Sequence[Trajectory]] = None
-
-    def __post_init__(self):
-        if self.check_probes:
-            defect = leg_restriction_defect(self, self.check_probes)
-            if defect > LEG_COMMUTE_TOL:
-                raise StructureViolation(
-                    f"machine '{self.name}': legs fail to commute with "
-                    f"restriction (defect {defect:.3e})"
-                )
 
 
 def _check_leg_shape(m: Machine, e: Trajectory, out: Trajectory, which: str) -> None:
@@ -328,8 +318,9 @@ def _min_separation(probes: Sequence[Trajectory]) -> float:
 
 
 def _once(fn: Callable[[Trajectory], Trajectory]) -> Callable[[Trajectory], Trajectory]:
-    """``fn`` evaluated once per argument; trajectories are keyed by identity."""
-    cache = {}
+    """``fn`` evaluated once per argument; trajectories are keyed weakly by
+    identity, so a window's value is dropped with the window."""
+    cache = weakref.WeakKeyDictionary()
 
     def call(e: Trajectory) -> Trajectory:
         if e not in cache:
@@ -362,6 +353,11 @@ def verify_port_control_diagram(
 
     - membership of each probe and of each psi image in its source behavior
       (preconditions, raise NotAMember);
+    - the leg laws of each machine on the members it holds: the closed
+      machine on the probes, the port machine on the psi images, the
+      enclosing machine on the a_phi and xi images (raise
+      StructureViolation when a leg changes the interval or the shift tag,
+      or fails to commute with restriction within ``LEG_COMMUTE_TOL``);
     - leg squares of each of the three morphisms;
     - the triangle on behaviors, beta legs compared pointwise;
     - the triangle on the two leg sides against the composite variant;
@@ -410,6 +406,14 @@ def verify_port_control_diagram(
         )
 
     psi_images = [psi.beta(e) for e in probes]
+    images = [a_phi.beta(e) for e in probes] + [xi.beta(e) for e in psi_images]
+    for m, members in ((closed, probes), (port, psi_images), (enclosing, images)):
+        defect = leg_restriction_defect(m, members)
+        if defect > LEG_COMMUTE_TOL:
+            raise StructureViolation(
+                f"machine '{m.name}': legs fail to commute with "
+                f"restriction (defect {defect:.3e})"
+            )
     defects = {
         "psi legs": morphism_defect(psi, closed, port, probes, check_membership=False),
         "xi legs": morphism_defect(xi, port, enclosing, psi_images),

@@ -347,14 +347,16 @@ class OdeBehavior:
     aux: object = None
     side_residuals: Optional[Callable[[Trajectory], dict]] = None
 
-    def sampler(self, x0, *curves_and_length, shift: float = 0.0) -> Trajectory:
+    def sampler(self, x0, *curves_and_length, shift: float = 0.0):
         """The member from x0 over [0, length]: ``sampler(x0, length)``, or
         ``sampler(x0, curve, ..., length)`` for a driven field, whose input
         at absolute time t is the concatenation of the curves' values, one
         curve per input group (callables of time, lifted with
         :func:`pointwise`).  Each curve is called once per run, on the stack
-        of the RK4 stage times and the end node's time; see
-        :func:`integrate_batch`."""
+        of the RK4 stage times and the end node's time.  One state (n,)
+        gives its member or raises BlowUp; a (K, n) stack of states, driven
+        by the same curves, gives one member or BlowUp per row, integrated
+        together; see :func:`integrate_batch`."""
         *curves, length = curves_and_length
         curves = [pointwise(c, 0) for c in curves]
 
@@ -363,16 +365,10 @@ class OdeBehavior:
                 [np.asarray(c(t), dtype=float).reshape(len(t), -1) for c in curves], axis=1
             )
 
-        return integrate(
+        run = integrate_batch if np.ndim(x0) == 2 else integrate
+        return run(
             self.field, x0, length, self.grid_step, shift, self.labels, self.aux,
             inputs if curves else None,
-        )
-
-    def sample_batch(self, x0s, length: float, shift: float = 0.0) -> list:
-        """One member (or the BlowUp ending it) per initial state, integrated
-        together; see :func:`integrate_batch`."""
-        return integrate_batch(
-            self.field, x0s, length, self.grid_step, shift, self.labels, self.aux
         )
 
     def membership(self, e: Trajectory) -> float:

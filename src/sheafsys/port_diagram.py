@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUp, DimensionMismatch, NotAMember
+from .errors import DimensionMismatch, NotAMember
 from .interval_sheaf import DEFAULT_STEP, BehaviorSheaf, Trajectory
 from .machine import (
     DiagramReport,
@@ -311,16 +311,6 @@ def embed(
 # machines
 
 
-def _probed_machine(behavior, a_leg, e_leg, a_labels, e_labels, name, x0, grid_step) -> Machine:
-    """A machine whose leg laws are checked on one short member sampled from
-    x0; a member that blows up is skipped, any other error propagates."""
-    try:
-        probes = [behavior.sampler(x0, 32 * grid_step)]
-    except BlowUp:
-        probes = []
-    return Machine(behavior, a_leg, e_leg, a_labels, e_labels, name, check_probes=probes)
-
-
 def closed_machine(
     system: PortSystem,
     grid_step: float = DEFAULT_STEP,
@@ -342,10 +332,7 @@ def closed_machine(
     def e_leg(e: Trajectory) -> Trajectory:
         return Trajectory(_zero_signals(system, e), e.grid_step, e.shift, constant_labels)
 
-    return _probed_machine(
-        behavior, a_leg, e_leg, system.output_labels, constant_labels, "closed",
-        0.3 * np.ones(system.n), grid_step,
-    )
+    return Machine(behavior, a_leg, e_leg, system.output_labels, constant_labels, "closed")
 
 
 def port_machine(
@@ -410,10 +397,7 @@ def enclosing_machine(
     """The extended behavior with its signal and port-output legs."""
     sheaf = extended_sheaf(system, grid_step, residual_tolerance)
     a_leg, e_leg = enclosing_legs(system)
-    return _probed_machine(
-        sheaf, a_leg, e_leg, system.signal_labels, system.output_labels, "enclosing",
-        0.3 * np.ones(system.n + system.m), grid_step,
-    )
+    return Machine(sheaf, a_leg, e_leg, system.signal_labels, system.output_labels, "enclosing")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sheafsys import (
     BlowUp,
     DimensionMismatch,
+    OdeBehavior,
     Polynomial,
     VectorField,
     identical,
@@ -251,6 +252,21 @@ def test_a_blown_up_row_leaves_the_batch_with_its_truncated_run():
         assert abs(run.t_star - 1.0 / x0) <= H
         assert run.trajectory.num_nodes == round(run.t_star / H) + 1
     assert runs[1].num_nodes == 1001
+
+
+def test_a_stacked_sampler_gives_each_row_its_own_run():
+    # x' = x^2 + u with one drive shared by the rows; from 5.0 the run blows up
+    field = VectorField(1, batched(lambda t, x, u: x * x + u))
+    behavior = OdeBehavior(field, H, labels=("x0", "u0"))
+    drive = lambda t: 0.1 * np.sin(t)
+    runs = behavior.sampler(np.array([[0.5], [5.0], [-1.0]]), drive, 0.5, shift=0.25)
+    assert [type(r).__name__ for r in runs] == ["Trajectory", "BlowUp", "Trajectory"]
+    for x0, run in zip((0.5, 5.0, -1.0), runs):
+        try:
+            alone = behavior.sampler([x0], drive, 0.5, shift=0.25)
+        except BlowUp as exc:
+            alone = exc
+        assert same_outcome(run, alone)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,20 @@ def test_check_sheaf_runs_are_byte_identical(tmp_path):
     assert doc["residuals"]["glue_exact_failures"] == 0.0
 
 
+def test_check_sheaf_fails_when_no_probe_survives(tmp_path):
+    # x' = 100 x blows up from every seeded start within 0.25
+    config = tmp_path / "fast.json"
+    config.write_text(json.dumps({"kind": "ode", "matrix": [[100.0]], "x0": [1.0]}))
+    out = tmp_path / "out"
+    code = main(["check-sheaf", "--config", str(config), "--length", "0.25", "--out", str(out)])
+    assert code == 1
+    doc = report(out)
+    assert doc["pass"] is False
+    assert doc["residuals"]["probes"] == 0.0
+    assert doc["notes"][-1] == "no probe survived: nothing was checked"
+    assert sum("blew up" in note for note in doc["notes"]) == 10
+
+
 #: default --tol of every command line
 DEFAULT_TOLERANCES = {
     "simulate": 1e-4,

@@ -24,6 +24,8 @@ from sheafsys import (
     sup_distance,
     verify_port_control_diagram,
 )
+from sheafsys import port_diagram
+from sheafsys.machine import LEG_COMMUTE_TOL
 from sheafsys.systems import mass_spring_system, resolve_builtin, seeded_initial_states
 
 H = 1e-3
@@ -76,7 +78,7 @@ def test_legs_commute_with_restriction_exactly():
     assert leg_restriction_defect(m, probes) == 0.0
 
 
-def test_machine_construction_rejects_anchored_legs():
+def test_leg_laws_reject_anchored_and_shifted_legs():
     m = integrator_machine()
     probe = m.behavior.sampler([0.3], lambda t: np.ones(1), 0.2)
 
@@ -85,14 +87,13 @@ def test_machine_construction_rejects_anchored_legs():
         sums = np.cumsum(e.values[:, :1], axis=0) * e.grid_step
         return Trajectory(sums, e.grid_step, e.shift, ("y0",))
 
-    with pytest.raises(StructureViolation):
-        Machine(m.behavior, m.a_leg, anchored, check_probes=[probe])
+    assert leg_restriction_defect(Machine(m.behavior, m.a_leg, anchored), [probe]) > LEG_COMMUTE_TOL
 
     def shifty(e):
         return Trajectory(e.values[:, :1], e.grid_step, e.shift + 1.0, ("y0",))
 
-    with pytest.raises(StructureViolation):
-        Machine(m.behavior, shifty, m.e_leg, check_probes=[probe])
+    with pytest.raises(StructureViolation, match="shift tag"):
+        leg_restriction_defect(Machine(m.behavior, shifty, m.e_leg), [probe])
 
 
 def test_identity_morphism_has_zero_defect():
@@ -164,6 +165,16 @@ def test_composite_of_exact_morphisms_is_exact():
     around = compose_morphisms(back, into)
     assert around.variant == "straight"
     assert morphism_defect(around, m, m, [run]) == 0.0
+
+
+@pytest.mark.parametrize("scale, collisions", [(0.5e-3, ((0, 1),)), (2e-3, ())])
+def test_injectivity_threshold_is_a_thousandth_of_the_separation(scale, collisions):
+    m = decay_machine()
+    # with zero drive the pairwise distances are those at t = 0: 1, 4 and 3
+    runs = [m.behavior.sampler([x0], lambda t: np.zeros(1), 0.2) for x0 in (1.0, 2.0, 5.0)]
+    separation = sup_distance(runs[0], runs[1])
+    shrink = lambda e: Trajectory(scale * e.values, e.grid_step, e.shift, e.labels)
+    assert injectivity_probe(shrink, runs, separation).collisions == collisions
 
 
 def test_injectivity_probe_flags_collapsed_maps():
@@ -339,6 +350,57 @@ def test_an_all_nan_constant_leg_is_not_closed():
             )
 
 
+CLOSEDNESS_TOL = 1e-6
+
+
+def verify_with_constant_leg(leg, probes):
+    """Verify the identity-interface diagram with ``leg`` as the closed
+    machine's constant leg."""
+    port = decay_machine()
+    closed = closed_decay_machine()
+    closed = Machine(closed.behavior, closed.a_leg, leg, ("y0",), ("o0",), "closed")
+    ident = lambda e: e
+    psi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
+    return verify_port_control_diagram(
+        closed, port, port, psi, identity_morphism(), a_phi, probes, tolerance=CLOSEDNESS_TOL
+    )
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_closedness_gate_on_a_leg_that_varies_in_time(factor):
+    amplitude = factor * CLOSEDNESS_TOL
+    probes = closed_probe_runs(closed_decay_machine(), length=0.3)
+
+    def ramp(e):
+        # node-local, so it commutes with restriction; rises by the amplitude over a probe
+        values = amplitude * e.absolute_times[:, np.newaxis] / 0.3
+        return Trajectory(values, e.grid_step, e.shift, ("o0",))
+
+    if factor > 1:
+        with pytest.raises(NotClosed, match="varies in time"):
+            verify_with_constant_leg(ramp, probes)
+    else:
+        assert verify_with_constant_leg(ramp, probes).passed
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_closedness_gate_on_constants_that_differ_between_probes(factor):
+    closed = closed_decay_machine()
+    probes = [closed.behavior.sampler([x0], 0.3) for x0 in (1.0, 1.0 + factor * CLOSEDNESS_TOL)]
+
+    def initial_state(e):
+        # x' = -x keeps x(t) e^t at x(0), so each probe's leg is its own constant
+        values = e.values * np.exp(e.absolute_times)[:, np.newaxis] - 1.0
+        return Trajectory(values, e.grid_step, e.shift, ("o0",))
+
+    if factor > 1:
+        with pytest.raises(NotClosed, match="differs between probes"):
+            verify_with_constant_leg(initial_state, probes)
+    else:
+        assert verify_with_constant_leg(initial_state, probes).passed
+
+
 def nan_membership(m):
     """``m`` with a behavior whose membership residual is NaN everywhere."""
     sheaf = BehaviorSheaf(lambda e: float("nan"), m.behavior.sampler, m.behavior.tolerance)
@@ -409,4 +471,26 @@ def test_a_poisoned_probe_never_passes_the_diagram(name, probe, node, channel, v
     values[node, channel % e.dimension] = value
     probes[probe] = Trajectory(values, e.grid_step, e.shift, e.labels)
     with pytest.raises(NotAMember, match=f"probe {probe} "):
+        DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@pytest.mark.parametrize("which", ["closed", "port", "enclosing"])
+def test_an_output_leg_that_reads_the_shift_fails_the_diagram(monkeypatch, name, which):
+    bundle, probes = clean_probes(name)
+    build = getattr(port_diagram, f"{which}_machine")
+    assert DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance).passed
+
+    def shifted(*args):
+        # agrees with the true leg on the shift-0 members, not on their windows
+        m = build(*args)
+
+        def e_leg(e):
+            out = m.e_leg(e)
+            return Trajectory(out.values + e.shift, out.grid_step, out.shift, out.labels)
+
+        return Machine(m.behavior, m.a_leg, e_leg, m.a_labels, m.e_labels, m.name)
+
+    monkeypatch.setattr(port_diagram, f"{which}_machine", shifted)
+    with pytest.raises(StructureViolation, match=f"machine '{which}': legs fail to commute"):
         DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
