@@ -82,26 +82,25 @@ def _check_leg_shape(m: Machine, e: Trajectory, out: Trajectory, which: str) -> 
 def leg_restriction_defect(m: Machine, probes: Sequence[Trajectory]) -> float:
     """Worst disagreement between restrict-then-leg and leg-then-restrict.
 
-    Uses halves and an interior window of each probe.  Membership is not
-    required of the probes; the leg laws are about the maps alone.  A
-    non-finite disagreement gives inf.
+    Uses halves and an interior window of each probe, each cut once and fed
+    to both legs.  Membership is not required of the probes; the leg laws
+    are about the maps alone.  A non-finite disagreement gives inf.
     """
     gaps = []
     for e in probes:
+        k = (e.num_nodes - 1) // 2
+        windows = [] if e.num_nodes < 5 else [
+            (k * e.grid_step, 0.0),
+            ((e.num_nodes - 1 - k) * e.grid_step, k * e.grid_step),
+            ((e.num_nodes - 1 - 2 * (k // 2)) * e.grid_step, (k // 2) * e.grid_step),
+        ]
+        pieces = [restrict(e, length, offset) for length, offset in windows]
         for leg, which in ((m.a_leg, "input"), (m.e_leg, "output")):
             out = leg(e)
             _check_leg_shape(m, e, out, which)
-            if e.num_nodes < 5:
-                continue
-            k = (e.num_nodes - 1) // 2
-            windows = [
-                (k * e.grid_step, 0.0),
-                ((e.num_nodes - 1 - k) * e.grid_step, k * e.grid_step),
-                ((e.num_nodes - 1 - 2 * (k // 2)) * e.grid_step, (k // 2) * e.grid_step),
-            ]
             gaps.extend(
-                sup_distance(leg(restrict(e, length, offset)), restrict(out, length, offset))
-                for length, offset in windows
+                sup_distance(leg(piece), restrict(out, length, offset))
+                for piece, (length, offset) in zip(pieces, windows)
             )
     return worst_defect(gaps)[0]
 

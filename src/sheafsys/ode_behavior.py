@@ -310,10 +310,12 @@ def membership_residual(
 
 
 def with_conditions(dynamics: float, residuals: dict) -> float:
-    """A membership residual with the side conditions folded in: the worst
-    of the dynamics residual and the (residual, node) pairs, inf if any is
-    not finite."""
-    return worst_defect([dynamics, *(residual for residual, _ in residuals.values())])[0]
+    """A membership residual with the side conditions folded in: the
+    dynamics residual when every (residual, node) pair is within
+    ``SIDE_CONDITION_TOL``, inf otherwise (NaN included)."""
+    if all(residual <= SIDE_CONDITION_TOL for residual, _ in residuals.values()):
+        return dynamics
+    return float("inf")
 
 
 def assert_conditions(residuals: dict, tolerance: float = SIDE_CONDITION_TOL) -> None:
@@ -337,7 +339,8 @@ class OdeBehavior:
     member and checked for equality by the sheaf machinery but carries no
     dynamics of its own here.  ``side_residuals``, when given, maps a member
     to named (residual, node) pairs of algebraic conditions that membership
-    must meet as well.
+    must meet as well, each within ``SIDE_CONDITION_TOL``: a member that
+    fails one has residual inf, whatever its dynamics residual.
     """
 
     field: VectorField

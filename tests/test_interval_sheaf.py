@@ -194,6 +194,97 @@ def test_axiom_check_rejects_non_members_and_bad_cuts():
 
 
 # ---------------------------------------------------------------------------
+# separation follows from bit-exact gluing
+
+
+TOL = 1e-9
+SCALES = [1.0 - 2.0 ** -20, 1.0 + 2.0 ** -20, -(1.0 + 2.0 ** -20), 0.5, 3.0]
+KINDS = ["copy", "nan", "bump", "shift", "aux", "shorter"]
+
+
+def reference_collisions(probes, cut, tolerance, gap=0):
+    """The pairwise separation search: (i, j) for every probe j distinct
+    from probe i (not close members) that agrees with it, within the
+    tolerance, on both windows of the cut.  ``gap`` starts the right window
+    that many steps past the cut, leaving those nodes uncovered."""
+    collisions = []
+    for i, e in enumerate(probes):
+        for j, other in enumerate(probes):
+            if j == i or close_members(e, other, tolerance):
+                continue
+            if other.num_nodes != e.num_nodes or other.grid_step != e.grid_step:
+                continue
+            start = cut + gap * e.grid_step
+            if all(
+                close_members(restrict(e, length, offset), restrict(other, length, offset), tolerance)
+                for length, offset in ((cut, 0.0), (e.length - start, start))
+            ):
+                collisions.append((i, j))
+    return collisions
+
+
+def glue_is_exact(e, cut, tolerance):
+    try:
+        glued = glue(restrict(e, cut, 0.0), restrict(e, e.length - cut, cut), tolerance)
+    except JunctionMismatch:  # a non-finite junction node
+        return False
+    return identical(glued, e)
+
+
+def variant(base, kind, node, scale):
+    """``base`` with one difference of the given kind; ``scale`` puts a
+    bump or a shift change just above (1 + 2^-20) or below (1 - 2^-20) the
+    tolerance, or far from it."""
+    values = np.array(base.values)
+    node = node % base.num_nodes
+    shift, aux = base.shift, base.aux
+    if kind == "nan":
+        values[node, 0] = np.nan
+    elif kind == "bump":
+        values[node, -1] += scale * TOL
+    elif kind == "shift":
+        shift += scale * TOL
+    elif kind == "aux":
+        aux = "other"
+    elif kind == "shorter":
+        values = values[:-1]
+    return Trajectory(values, base.grid_step, shift, base.labels, aux)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(12, 24),
+    st.integers(1, 3),
+    st.integers(0, 1000),
+    st.lists(
+        st.tuples(st.sampled_from(KINDS), st.integers(0, 100), st.sampled_from(SCALES)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True),
+)
+def test_the_separation_search_finds_nothing_where_the_glue_is_exact(nodes, dim, seed, kinds, steps):
+    base = dyadic_trajectory(nodes, dim, shift=8 * H, seed=seed)
+    probes = [base] + [variant(base, *k) for k in kinds]
+    for cut in (s * H for s in steps):
+        collisions = reference_collisions(probes, cut, TOL)
+        exact = [glue_is_exact(e, cut, TOL) for e in probes]
+        # a collision may only sit where the glue is not exact, so never
+        assert all(not exact[i] for i, _ in collisions)
+        assert not collisions
+        assert exact[0]
+
+
+def test_the_separation_search_fires_when_the_windows_leave_a_node_uncovered():
+    e = dyadic_trajectory(17)
+    values = np.array(e.values)
+    values[9, 1] += 1.0  # node 9 lies in the gap between the windows at cut 8
+    probes = [e, Trajectory(values, H, e.shift, e.labels)]
+    assert reference_collisions(probes, 8 * H, TOL, gap=2) == [(0, 1), (1, 0)]
+    assert reference_collisions(probes, 8 * H, TOL) == []
+
+
+# ---------------------------------------------------------------------------
 # csv round trip
 
 
@@ -246,7 +337,7 @@ def test_axiom_check_rejects_a_nan_membership():
 
 
 def test_worst_glue_residual_is_infinite_at_a_nan():
-    checks = tuple(CutCheck(0, 8 * H, True, r, ()) for r in (1.0, float("nan"), 0.5))
+    checks = tuple(CutCheck(0, 8 * H, True, r) for r in (1.0, float("nan"), 0.5))
     report = AxiomReport(checks, 1e-9)
     assert report.worst_glue_residual() == np.inf
     assert not report.passed

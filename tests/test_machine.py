@@ -456,6 +456,7 @@ def clean_probes(name):
     return bundle, [behavior.sampler(x0, 0.05) for x0 in starts]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from(sorted(DIAGRAMS)),

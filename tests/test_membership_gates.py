@@ -7,8 +7,9 @@ the centered-stencil defect of its two neighbours to delta / (2h), far above
 the member's own residual.  So at the step h = 1e-3 and the default
 tolerance 1e-4, the smallest single-node corruption that fails membership is
 2h * tol = 2e-7: twice that must fail, with a residual of 2e-4, and half of
-it must pass, with 5e-5.  Port runs of `rigid_body` keep tau at zero, so
-its side conditions hold.
+it must pass, with 5e-5.  The machines are built with their default
+tolerance, so the tests pin it to 1e-4.  Port runs of `rigid_body` keep tau
+at zero, so its side conditions hold.
 """
 
 import numpy as np
@@ -34,14 +35,14 @@ def members(name: str) -> dict:
     groups = len(system.signal_labels) // system.m  # u, and tau for metriplectic
     curves = [lambda t: np.full(system.m, 0.2 * np.sin(t))]
     curves += [lambda t: np.zeros(system.m)] * (groups - 1)
-    closed = closed_machine(system, H, TOL).behavior
-    port = port_machine(system, H, TOL).behavior
+    closed = closed_machine(system, H).behavior
+    port = port_machine(system, H).behavior
     run = port.sampler(x0, *curves, LENGTH)
     return {
         "closed": (closed, closed.sampler(x0, LENGTH)),
         "port": (port, run),
         "enclosing": (
-            enclosing_machine(system, H, TOL).behavior,
+            enclosing_machine(system, H).behavior,
             port_to_extended_morphism(system).beta(run),
         ),
     }

@@ -189,6 +189,23 @@ def test_entropy_port_drive_outside_kernel_is_rejected():
     assert residuals["A u"][0] == 0.0
 
 
+@pytest.mark.parametrize("tau, member", [(1e-6, False), (1e-9, True)])
+def test_a_port_run_is_a_member_only_within_the_side_condition_tolerance(tau, member):
+    # the dynamics residual of the run stays far inside the membership
+    # tolerance; 'B tau' alone, held to SIDE_CONDITION_TOL, decides
+    rb = sphere_entropy_system()
+    port = port_metriplectic_machine(rb, H)
+    run = port.behavior.sampler(
+        [1.0, 0.5, 0.5], lambda t: np.zeros(1), lambda t: np.full(1, tau), 0.5
+    )
+    assert side_condition_residuals(rb, run)["B tau"][0] == pytest.approx(tau, rel=0.5)
+    assert (port.behavior.membership(run) <= port.behavior.tolerance) == member
+    if not member:
+        assert port.behavior.membership(run) == np.inf
+        with pytest.raises(ConstraintViolation, match="B tau"):
+            assert_side_conditions(rb, run)
+
+
 def test_port_poisson_coupling_violates_its_side_condition():
     cpl = coupled_port_system(Jt=[[0.0, 1.0], [-1.0, 0.0]])
     check_metriplectic_structure(cpl)

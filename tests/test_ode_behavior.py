@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,9 @@ def test_membership_is_infinite_at_a_non_finite_node(node, channel, value):
     poisoned = np.array(e.values)
     poisoned[node, channel] = value
     bad = Trajectory(poisoned, e.grid_step, e.shift, e.labels)
-    assert behavior.membership(bad) == np.inf
+    # an infinite state makes the field form inf - inf, which numpy reports
+    with pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(value) else nullcontext():
+        assert behavior.membership(bad) == np.inf
 
 
 def test_worst_defect_gives_the_first_worst_node_and_inf_on_non_finite():
@@ -168,7 +172,8 @@ def test_side_conditions_never_pass_a_nan():
         assert_conditions({"small": (1e-12, 0), "poisoned": (float("nan"), 3)})
     assert info.value.condition == "poisoned" and info.value.node == 3
     assert_conditions({"small": (1e-12, 0)})
-    assert with_conditions(1e-6, {"small": (1e-7, 2)}) == 1e-6
+    assert with_conditions(1e-6, {"small": (1e-9, 2)}) == 1e-6
+    assert with_conditions(1e-6, {"small": (1e-7, 2)}) == np.inf  # above SIDE_CONDITION_TOL
     assert with_conditions(1e-6, {"poisoned": (float("nan"), 2)}) == np.inf
 
     field = linear_field()

@@ -163,6 +163,12 @@ def test_sampled_curve_interpolates_exactly_at_nodes():
     assert curve(1.5)[0] == 1.0
     assert curve(2.0)[0] == 4.0
     assert curve(1.25)[0] == pytest.approx(0.5)
+    # within SAMPLE_ALIGN_TOL steps of a sample a time reads it bit-exactly;
+    # further off it interpolates
+    assert curve(1.5 + 0.5e-9 * 0.5)[0] == 1.0
+    assert curve(1.5 - 0.5e-9 * 0.5)[0] == 1.0
+    assert curve(1.5 + 1e-6 * 0.5)[0] == pytest.approx(1.0 + 3e-6, rel=1e-9)
+    assert curve(1.5 - 1e-6 * 0.5)[0] == pytest.approx(1.0 - 1e-6, rel=1e-9)
     # clamped outside the sample window
     assert curve(0.0)[0] == 0.0
     assert curve(9.0)[0] == 4.0
