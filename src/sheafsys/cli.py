@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .errors import BlowUp, ConfigError, SheafSysError
-from .interval_sheaf import Trajectory, check_sheaf_axioms, worst_defect, write_csv
+from .errors import BlowUp, ConfigError, MisalignedOffset, SheafSysError
+from .interval_sheaf import Trajectory, check_sheaf_axioms, grid_count, worst_defect, write_csv
 from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, integrate_batch, membership_residual
 from .port_diagram import build_diagram, closed_behavior, port_field
 from .port_hamiltonian import (
@@ -83,7 +83,7 @@ def _resolve_bundle(config: RunConfig) -> SystemBundle:
 
 
 def _node_guard(length: float, step: float) -> None:
-    nodes = int(round(length / step)) + 1
+    nodes = grid_count(length, step, "length") + 1
     if not MIN_NODES <= nodes <= MAX_NODES:
         raise ConfigError(
             f"run of {nodes} nodes outside [{MIN_NODES}, {MAX_NODES}]; adjust --length/--step"
@@ -93,10 +93,7 @@ def _node_guard(length: float, step: float) -> None:
 def _closed_behavior_for(bundle: SystemBundle, step: float) -> OdeBehavior:
     if bundle.kind in PORTS:
         return closed_behavior(bundle.instance, step, bundle.residual_tolerance)
-    return OdeBehavior(
-        bundle.instance, step, bundle.residual_tolerance,
-        tuple(f"x{i}" for i in range(bundle.instance.dimension)),
-    )
+    return OdeBehavior(bundle.instance, step, bundle.residual_tolerance)
 
 
 def _write_report(config: RunConfig, bundle_name: str, passed: bool, residuals: dict, notes: list) -> int:
@@ -213,7 +210,7 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
 
 def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     behavior = _closed_behavior_for(bundle, config.step)
-    steps = min(int(round(config.length / config.step)), 256)
+    steps = min(grid_count(config.length, config.step, "length"), 256)
     if steps < 8:
         raise ConfigError("probe windows need at least 8 grid steps")
     probe_length = steps * config.step
@@ -228,9 +225,9 @@ def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
             probes.append(run)
     if not probes:
         notes.append("no probe survived: nothing was checked")
-    cuts = sorted({(steps // 4) * config.step, (steps // 2) * config.step,
-                   (3 * steps // 4) * config.step})
-    report = check_sheaf_axioms(behavior, probes, [c for c in cuts if c > 0])
+    # the node guard leaves at least 9 steps, so the three cuts are distinct and interior
+    cuts = [(k * steps // 4) * config.step for k in (1, 2, 3)]
+    report = check_sheaf_axioms(behavior, probes, cuts)
     glue_failures = float(sum(not c.glue_exact for c in report.checks))
     residuals = {
         "worst_glue_residual": float(report.worst_glue_residual()),
@@ -324,35 +321,29 @@ COMMANDS = {
 GROUP_SYSTEMS = {"ph": "mass_spring", "mp": "rigid_body"}
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, tolerance: float) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: the command words, which join to
+    ``list-examples`` or a COMMANDS line, and the seven flags; the help
+    lists every line from the table."""
+    rows = [f"  {'list-examples':<25}show the built-in systems"] + [
+        f"  {line:<25}{command.help} (--tol {command.tolerance:g}; {', '.join(command.kinds)})"
+        for line, command in COMMANDS.items()
+    ]
+    groups = "; ".join(f"{group} lines default to --system {name}" for group, name in GROUP_SYSTEMS.items())
+    parser = argparse.ArgumentParser(
+        prog="sheafsys",
+        description="Behavior sheaves, machines, and port-control diagrams.",
+        epilog="\n".join(["commands (default --tol; system kinds):", *rows, groups]),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("words", nargs="*", metavar="command", help="a command, listed below")
     parser.add_argument("--system", default=None, help="built-in system name")
     parser.add_argument("--config", default=None, help="JSON system configuration")
     parser.add_argument("--length", type=float, default=None, help="interval length")
     parser.add_argument("--step", type=float, default=1e-3, help="grid step")
-    parser.add_argument("--tol", type=float, default=tolerance, help="check tolerance")
+    parser.add_argument("--tol", type=float, default=None, help="check tolerance (default: the command's)")
     parser.add_argument("--seed", type=int, default=0, help="probe seed")
     parser.add_argument("--out", default="sheafsys_out", help="output directory")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Parser of ``list-examples`` and every COMMANDS line; a parsed command
-    line is in ``line`` (None for ``list-examples`` or a bare group)."""
-    parser = argparse.ArgumentParser(
-        prog="sheafsys",
-        description="Behavior sheaves, machines, and port-control diagrams.",
-    )
-    parser.set_defaults(line=None)
-    top = parser.add_subparsers(dest="command")
-    top.add_parser("list-examples", help="show the built-in systems")
-    parsers = {"": top}
-    for line, command in COMMANDS.items():
-        group, _, name = line.rpartition(" ")
-        if group not in parsers:
-            help_text = f"{group} system commands (default --system {GROUP_SYSTEMS[group]})"
-            parsers[group] = top.add_parser(group, help=help_text).add_subparsers(dest="subcommand")
-        leaf = parsers[group].add_parser(name, help=command.help)
-        _add_common_flags(leaf, command.tolerance)
-        leaf.set_defaults(line=line)
     return parser
 
 
@@ -375,26 +366,33 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    argv = _sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command is None:
+    line = " ".join(args.words)
+    if not line:
         parser.print_help()
         return 2
-    if args.command == "list-examples":
+    if line == "list-examples":
+        if len(argv) > 1:
+            parser.error("list-examples takes no other argument")
         return _list_examples()
-    if args.line is None:
-        print(f"error: {args.command} needs a subcommand", file=_sys.stderr)
+    if line in GROUP_SYSTEMS:
+        print(f"error: {line} needs a subcommand", file=_sys.stderr)
         return 2
+    if line not in COMMANDS:
+        parser.error(f"unknown command {line!r}; see --help")
     if args.system is None and args.config is None:
-        args.system = GROUP_SYSTEMS.get(args.command)
+        args.system = GROUP_SYSTEMS.get(args.words[0])
+    tolerance = COMMANDS[line].tolerance if args.tol is None else args.tol
     try:
         return run(RunConfig(
-            args.line, args.system or "",
+            line, args.system or "",
             None if args.length is None else _positive(args.length, "length"),
-            _positive(args.step, "step"), _positive(args.tol, "tolerance"), int(args.seed),
+            _positive(args.step, "step"), _positive(tolerance, "tolerance"), int(args.seed),
             args.out, args.config,
         ))
-    except ConfigError as exc:
+    except (ConfigError, MisalignedOffset) as exc:  # every grid offset comes from --length/--step
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2
     except OSError as exc:

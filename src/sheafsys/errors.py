@@ -9,7 +9,11 @@ class OutOfRange(SheafSysError):
     """Restriction window exceeds the trajectory domain."""
 
 
-class MisalignedOffset(SheafSysError):
+class GridMismatch(SheafSysError):
+    """Trajectories live on incompatible grids or channel layouts."""
+
+
+class MisalignedOffset(GridMismatch):
     """Offset or length is not an integer multiple of the grid step."""
 
 
@@ -19,10 +23,6 @@ class JunctionMismatch(SheafSysError):
 
 class ShiftMismatch(SheafSysError):
     """Time-shift bookkeeping of gluing pieces is inconsistent."""
-
-
-class GridMismatch(SheafSysError):
-    """Trajectories live on incompatible grids or channel layouts."""
 
 
 class NotAMember(SheafSysError):

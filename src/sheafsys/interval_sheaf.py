@@ -192,8 +192,8 @@ def worst_defect(defects) -> tuple[float, int]:
     return float(defects[node]), node
 
 
-def _aligned_count(x: float, h: float, what: str) -> int:
-    """Number of grid steps in x, or raise if x is off-grid."""
+def grid_count(x: float, h: float, what: str) -> int:
+    """Number of grid steps in x; MisalignedOffset off the grid, OutOfRange below 0."""
     k = int(round(x / h))
     if abs(k * h - x) > GRID_ALIGN_RTOL * max(1.0, abs(x)):
         raise MisalignedOffset(f"{what} {x!r} is not a multiple of the grid step {h!r}")
@@ -209,8 +209,8 @@ def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
     dynamics are preserved.  Offset and length must sit on the grid
     (MisalignedOffset otherwise).
     """
-    k = _aligned_count(offset, e.grid_step, "offset")
-    m = _aligned_count(new_length, e.grid_step, "new length")
+    k = grid_count(offset, e.grid_step, "offset")
+    m = grid_count(new_length, e.grid_step, "new length")
     if k + m > e.num_nodes - 1:
         raise OutOfRange(
             f"window offset {offset} + length {new_length} exceeds domain {e.length}"
@@ -311,7 +311,8 @@ def check_sheaf_axioms(
 
     For every probe and every cut: the glued pair of restrictions must
     reproduce the probe bit-exactly and remain a member.  Raises NotAMember
-    if a probe fails membership up front.
+    if a probe fails membership up front.  A bit-exact glue keeps the
+    probe's residual; only a glue that is not exact is measured again.
 
     Separation holds wherever the glue is exact.  The windows
     ``restrict(e, c, 0)`` and ``restrict(e, length - c, c)`` share node
@@ -321,15 +322,15 @@ def check_sheaf_axioms(
     whole interval: the two are the same member.  A bit-exact glue is the
     evidence of that covering at the cut.
     """
-    for i, e in enumerate(probes):
-        residual = sheaf.membership(e)
+    residuals = [float(sheaf.membership(e)) for e in probes]
+    for i, residual in enumerate(residuals):
         if not residual <= sheaf.tolerance:
             raise NotAMember(
                 f"probe {i} has membership residual {residual:.3e} "
                 f"> tolerance {sheaf.tolerance:.3e}"
             )
     checks = []
-    for i, e in enumerate(probes):
+    for i, (e, residual) in enumerate(zip(probes, residuals)):
         for cut in cut_points:
             if not (0.0 < cut < e.length):
                 raise OutOfRange(
@@ -338,9 +339,8 @@ def check_sheaf_axioms(
             left = restrict(e, cut, 0.0)
             right = restrict(e, e.length - cut, cut)
             glued = glue(left, right, sheaf.tolerance)
-            checks.append(
-                CutCheck(i, cut, identical(glued, e), float(sheaf.membership(glued)))
-            )
+            exact = identical(glued, e)
+            checks.append(CutCheck(i, cut, exact, residual if exact else float(sheaf.membership(glued))))
     return AxiomReport(tuple(checks), sheaf.tolerance)
 
 

@@ -316,12 +316,12 @@ def _min_separation(probes: Sequence[Trajectory]) -> float:
     return min(finite) if finite else 1.0
 
 
-def _once(fn: Callable[[Trajectory], Trajectory]) -> Callable[[Trajectory], Trajectory]:
+def _once(fn: Callable[[Trajectory], object]) -> Callable[[Trajectory], object]:
     """``fn`` evaluated once per argument; trajectories are keyed weakly by
     identity, so a window's value is dropped with the window."""
     cache = weakref.WeakKeyDictionary()
 
-    def call(e: Trajectory) -> Trajectory:
+    def call(e: Trajectory):
         if e not in cache:
             cache[e] = fn(e)
         return cache[e]

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUp, ConstraintViolation, DimensionMismatch, GridMismatch
-from .interval_sheaf import DEFAULT_STEP, Trajectory, worst_defect
+from .interval_sheaf import DEFAULT_STEP, Trajectory, grid_count, worst_defect
 
 #: magnitude beyond which an integration counts as blown up
 BLOWUP_THRESHOLD = 1e8
@@ -220,9 +220,7 @@ def integrate_batch(
     h = float(grid_step)
     if h <= 0:
         raise GridMismatch(f"grid step must be positive, got {grid_step}")
-    steps = int(round(length / h))
-    if abs(steps * h - length) > 1e-12 * max(1.0, abs(length)):
-        raise GridMismatch(f"length {length} is not a multiple of the step {h}")
+    steps = grid_count(length, h, "length")
 
     count, n = x.shape
     u = None

@@ -49,6 +49,7 @@ from .machine import (
     DiagramReport,
     Machine,
     MachineMorphism,
+    _once,
     iso_machine,
     verify_port_control_diagram,
 )
@@ -118,6 +119,10 @@ class PortSystem:
                 if got != expected and not (len(shape) == 2 and got == shape):
                     raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
         self.structure_check()
+
+    def read_signals(self, e: Trajectory) -> np.ndarray:
+        """The signals an extended member's aux tag gives at its nodes."""
+        return self.signal_reader(e.aux)(e.absolute_times, e.channels(self.zeta_labels))
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return {}
@@ -369,15 +374,13 @@ def port_machine(
 def enclosing_legs(system: PortSystem):
     """Leg maps of the enclosing machine.
 
-    The input leg reads the signals from the aux tag at each node; the
-    output leg evaluates the port output with those signals.  Both are
-    node-local, so they commute with restriction exactly.  Raises
-    MissingAuxTag on trajectories without a tag of the family's kind.
+    The input leg reads the signals from the aux tag at each node, once per
+    trajectory for both legs; the output leg evaluates the port output with
+    those signals.  Both are node-local, so they commute with restriction
+    exactly.  Raises MissingAuxTag on trajectories without a tag of the
+    family's kind.
     """
-
-    def signals(e: Trajectory) -> np.ndarray:
-        read = system.signal_reader(e.aux)
-        return read(e.absolute_times, e.channels(system.zeta_labels))
+    signals = _once(system.read_signals)
 
     def a_leg(e: Trajectory) -> Trajectory:
         return Trajectory(signals(e), e.grid_step, e.shift, system.signal_labels)

@@ -190,8 +190,41 @@ def test_readme_cli_lines_name_table_commands():
     assert len(lines) >= 9
     parser = build_parser()
     for argv in lines:
-        args = parser.parse_args(argv)
-        assert args.line in COMMANDS or args.command == "list-examples", argv
+        line = " ".join(parser.parse_args(argv).words)
+        assert line in COMMANDS or line == "list-examples", argv
+
+
+def test_help_lists_every_line_with_its_default_tol(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    rows = capsys.readouterr().out.splitlines()
+    for line, command in COMMANDS.items():
+        row = next(row for row in rows if row.startswith(f"  {line}  "))
+        assert f"--tol {command.tolerance:g};" in row and ", ".join(command.kinds) in row, line
+
+
+@pytest.mark.parametrize("argv", [
+    ["frob"], ["ph", "frob"], ["simulate", "extra"], ["list-examples", "--seed", "1"],
+    ["list-examples", "ph"],
+])
+def test_a_line_outside_the_table_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("line", ["simulate", "ph audit-power", "ph verify-diagram", "check-sheaf"])
+def test_an_off_grid_length_is_a_config_error(tmp_path, capsys, line):
+    out = tmp_path / "x"
+    system = [] if line.startswith("ph") else ["--system", "linear"]
+    assert main([*line.split(), *system, "--length", "0.0155", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: length 0.0155 is not a multiple of the grid step 0.001\n"
+    assert not out.exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -296,6 +329,8 @@ def test_verify_diagram_needs_a_port_structure(tmp_path, capsys):
 def test_bare_group_command_exits_2(capsys):
     assert main(["ph"]) == 2
     assert "subcommand" in capsys.readouterr().err
+    assert main(["mp", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: mp needs a subcommand\n"
 
 
 def test_config_file_drives_the_run(tmp_path):

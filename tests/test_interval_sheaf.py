@@ -193,6 +193,29 @@ def test_axiom_check_rejects_non_members_and_bad_cuts():
         check_sheaf_axioms(sheaf, probes, [40 * H])
 
 
+def test_an_exact_glue_reuses_the_probe_residual():
+    calls = []
+
+    def membership(e):
+        calls.append(e)
+        return 0.25 * TOL
+
+    sheaf = BehaviorSheaf(membership=membership, tolerance=TOL)
+    probes = [dyadic_trajectory(33, seed=seed) for seed in range(3)]
+    cuts = [8 * H, 16 * H, 24 * H]
+    report = check_sheaf_axioms(sheaf, probes, cuts)
+    assert calls == probes
+    assert report.passed and report.worst_glue_residual() == 0.25 * TOL
+    values = np.array(probes[1].values)
+    values[3, 0] = np.nan  # away from every cut: each glue keeps the NaN, so none is identical
+    probes[1] = Trajectory(values, H)
+    calls.clear()
+    report = check_sheaf_axioms(sheaf, probes, cuts)
+    assert calls[:3] == probes and len(calls) == 3 + len(cuts)
+    assert [c.glue_exact for c in report.checks] == [True] * 3 + [False] * 3 + [True] * 3
+    assert not report.passed
+
+
 # ---------------------------------------------------------------------------
 # separation follows from bit-exact gluing
 

@@ -3,6 +3,7 @@ import pytest
 
 from sheafsys import (
     ConstraintViolation,
+    MetriplecticSystem,
     MissingAuxTag,
     NoninteractionViolation,
     NotAMember,
@@ -303,6 +304,16 @@ def test_metriplectic_diagram_passes_and_detects_corruption():
     )
     assert not flipped.passed
     assert flipped.defects["triangle beta"] > 0.1
+
+
+def test_the_enclosing_legs_read_each_trajectory_once(monkeypatch):
+    rb = sphere_entropy_system()
+    probes = closed_metriplectic_behavior(rb, H, 1e-3).sampler(seeded_initial_states(0, 5, 3), 0.5)
+    reads, read = [], MetriplecticSystem.read_signals
+    monkeypatch.setattr(MetriplecticSystem, "read_signals", lambda rb, e: reads.append(e) or read(rb, e))
+    assert build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3).passed
+    # ten enclosing members, a_phi and xi images, each read whole and on three windows
+    assert len(reads) == 40 and len({id(e) for e in reads}) == 40
 
 
 def test_degeneracy_audit_fails_at_a_nan_node():
