@@ -211,8 +211,6 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
 def _check_sheaf(config: RunConfig, bundle: SystemBundle) -> int:
     behavior = _closed_behavior_for(bundle, config.step)
     steps = min(grid_count(config.length, config.step, "length"), 256)
-    if steps < 8:
-        raise ConfigError("probe windows need at least 8 grid steps")
     probe_length = steps * config.step
     _node_guard(probe_length, config.step)
     probes = []

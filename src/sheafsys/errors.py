@@ -68,10 +68,6 @@ class ConstraintViolation(SheafSysError):
         self.residual = residual
 
 
-class MissingAuxTag(SheafSysError):
-    """Extended trajectory lacks the auxiliary-energy tag a projection needs."""
-
-
 class NotClosed(SheafSysError):
     """The designated constant leg of a machine does not land in a one-point sheaf."""
 

@@ -19,7 +19,7 @@ and junction tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class Trajectory:
         curve t -> x(t) observed from absolute time t - theta.
     labels : tuple of str
         Channel names, one per state component.
-    aux : optional
-        Extra metadata that rides along restriction and gluing unchanged,
-        such as the auxiliary-energy tags of extended behaviors.
 
     The interval length is derived from the node count, so restriction and
     glue round trips reproduce lengths bit-exactly.
@@ -81,7 +78,6 @@ class Trajectory:
     grid_step: float = DEFAULT_STEP
     shift: float = 0.0
     labels: tuple[str, ...] = None  # type: ignore[assignment]
-    aux: Any = None
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -135,9 +131,6 @@ class Trajectory:
     def channels(self, names) -> np.ndarray:
         return self.values[:, list(self.channel_indices(names))]
 
-    def replace_aux(self, aux) -> "Trajectory":
-        return Trajectory(self.values, self.grid_step, self.shift, self.labels, aux)
-
     def __repr__(self):
         return (
             f"Trajectory(nodes={self.num_nodes}, dim={self.dimension}, "
@@ -153,7 +146,6 @@ def identical(a: Trajectory, b: Trajectory) -> bool:
         and a.labels == b.labels
         and a.values.shape == b.values.shape
         and bool(np.all(a.values == b.values))
-        and a.aux == b.aux
     )
 
 
@@ -162,8 +154,7 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
 
     Trajectories on different grids or with different channel counts are
     infinitely far apart.  A NaN value or shift gives a NaN distance, which
-    no tolerance accepts.  Aux tags are not compared here; use
-    ``close_members`` when set-theoretic equality is meant.
+    no tolerance accepts.  Labels are not compared.
     """
     if (
         a.grid_step != b.grid_step
@@ -171,11 +162,6 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
     ):
         return float("inf")
     return float(np.max(np.abs(a.values - b.values), initial=abs(a.shift - b.shift)))
-
-
-def close_members(a: Trajectory, b: Trajectory, tolerance: float) -> bool:
-    """Equality surrogate for members of a behavior set."""
-    return a.aux == b.aux and sup_distance(a, b) <= tolerance
 
 
 def worst_defect(defects) -> tuple[float, int]:
@@ -220,7 +206,6 @@ def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
         e.grid_step,
         e.shift - k * e.grid_step,
         e.labels,
-        e.aux,
     )
 
 
@@ -239,8 +224,6 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
         raise GridMismatch(
             f"channel layouts differ: {left.labels} vs {right.labels}"
         )
-    if left.aux != right.aux:
-        raise JunctionMismatch("aux tags of the pieces differ")
     shift_defect = abs(right.shift - (left.shift - left.length))
     if shift_defect > tolerance:
         raise ShiftMismatch(
@@ -254,7 +237,7 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
     if not junction <= tolerance:
         raise JunctionMismatch(f"junction defect {junction:.3e} exceeds {tolerance:.3e}")
     values = np.concatenate([left.values, right.values[1:]], axis=0)
-    return Trajectory(values, left.grid_step, left.shift, left.labels, left.aux)
+    return Trajectory(values, left.grid_step, left.shift, left.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +299,11 @@ def check_sheaf_axioms(
 
     Separation holds wherever the glue is exact.  The windows
     ``restrict(e, c, 0)`` and ``restrict(e, length - c, c)`` share node
-    ``c / h`` and together cover every node of ``e``; the left one carries
-    ``e``'s exact shift, and both keep its aux tag.  So a probe that agrees
-    with ``e`` within the tolerance on both windows agrees with it on the
-    whole interval: the two are the same member.  A bit-exact glue is the
-    evidence of that covering at the cut.
+    ``c / h`` and together cover every node of ``e``, and the left one
+    carries ``e``'s exact shift.  So a probe that agrees with ``e`` within
+    the tolerance on both windows agrees with it on the whole interval: the
+    two are the same member.  A bit-exact glue is the evidence of that
+    covering at the cut.
     """
     residuals = [float(sheaf.membership(e)) for e in probes]
     for i, residual in enumerate(residuals):
@@ -349,13 +332,7 @@ def check_sheaf_axioms(
 
 
 def write_csv(e: Trajectory, path) -> None:
-    """Write the trajectory with 17 significant digits (bit-exact round trip).
-
-    The format has no place for an aux tag, so a tagged trajectory raises
-    GridMismatch before the file is opened.
-    """
-    if e.aux is not None:
-        raise GridMismatch(f"cannot write the aux tag of {e!r} to CSV")
+    """Write the trajectory with 17 significant digits (bit-exact round trip)."""
     row = ",".join(["%.17g"] * (e.dimension + 1)) + "\n"
     table = np.column_stack([e.times, e.values])
     with open(path, "w", encoding="ascii", newline="\n") as fh:

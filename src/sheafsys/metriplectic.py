@@ -15,17 +15,25 @@ Opening ports gives the control system
 valid only where the algebraic side conditions hold (B tau = 0, A u = 0,
 B^T grad S = 0, A^T grad H = 0, Jt tau = 0, Gt u = 0); membership of the
 port machine enforces them as residuals with names.  The extended closed
-system on (x, zeta) mirrors the port-Hamiltonian construction with paired
-auxiliary energies (one for H, one for S) and the coupling blocks
+system on (x, zeta) mirrors the port-Hamiltonian construction with the
+linear auxiliary generators H_aux = u^T zeta and S_aux = tau^T zeta, so
+that an enclosing member carries (u, tau_in) = (grad_zeta H_aux,
+grad_zeta S_aux) as channels after zeta, and with the coupling blocks
 
     Jext = [[J, B], [-B^T, Jt]],      Gext = [[G, A], [A^T, Gt]].
 
 The zeta rate that makes embedded trajectories members is
 -B^T grad H + A^T grad S + Jt u + Gt tau (the signs the extended blocks
-produce), and the port output is exactly its negative.  The port signals
-are (u, tau_in); :class:`MetriplecticSystem` supplies these node formulas
-and the side conditions to :mod:`sheafsys.port_diagram`, which builds the
-machines, the embedding and the diagram; the names this module gives them
+produce), and the port output is exactly its negative.  With
+H_ext = H + H_aux and S_ext = S + S_aux, the extended noninteraction laws
+Jext grad S_ext = 0 and Gext grad H_ext = 0 have the rows J grad S + B tau,
+-B^T grad S + Jt tau, G grad H + A u and A^T grad H + Gt u, and the port
+side conditions make every row vanish; so the enclosing machine holds its
+members to the same eight conditions as the port machine.  The port
+signals are (u, tau_in);
+:class:`MetriplecticSystem` supplies these node formulas and the side
+conditions to :mod:`sheafsys.port_diagram`, which builds the machines, the
+embedding and the diagram; the names this module gives them
 (``closed_metriplectic_machine``, ``port_metriplectic_machine``,
 ``enclosing_metriplectic_machine``, ``embed_metriplectic``,
 ``build_metriplectic_diagram``) are the port_diagram functions.
@@ -38,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import MissingAuxTag, NoninteractionViolation
+from .errors import NoninteractionViolation
 from .interval_sheaf import Trajectory
 from .ode_behavior import (
     SIDE_CONDITION_TOL,
@@ -57,17 +65,12 @@ from .port_diagram import (
     default_probe_points,
     embed as embed_metriplectic,
     enclosing_machine as enclosing_metriplectic_machine,
-    extended_sheaf as extended_metriplectic_sheaf,
     fd_gradient,
     formula,
     port_machine as port_metriplectic_machine,
 )
 from .port_hamiltonian import (
     MATRIX_TOL,
-    SampledCurve,
-    aux_gradient,
-    aux_linear,
-    aux_zero,
     antisymmetric,
     consistent_gradient,
     require,
@@ -106,8 +109,8 @@ class MetriplecticSystem(PortSystem):
     state_labels : tuple of str
         Channel names for the state; x0, x1, ... when empty.
 
-    The port signals are s = (u, tau_in), read from and stored in a pair of
-    auxiliary energies, one for H and one for S.
+    The port signals are s = (u, tau_in), the gradients in zeta of the
+    auxiliary energy u^T zeta and entropy tau_in^T zeta.
     """
 
     n: int
@@ -159,37 +162,8 @@ class MetriplecticSystem(PortSystem):
             + matvec(self.port_friction(x), tau)
         )
 
-    def signal_reader(self, tag):
-        if not (isinstance(tag, tuple) and len(tag) == 2):
-            raise MissingAuxTag("extended metriplectic member needs a pair of auxiliary energies")
-        read_h, read_s = (aux_gradient(aux, self.m) for aux in tag)
-        return lambda t, zeta: np.concatenate([read_h(t, zeta), read_s(t, zeta)], axis=-1)
-
-    def signal_tag(self, start: float, step: float, signals: np.ndarray):
-        return (
-            aux_linear(SampledCurve(start, step, signals[:, : self.m]), self.m),
-            aux_linear(SampledCurve(start, step, signals[:, self.m :]), self.m),
-        )
-
-    def zero_tag(self):
-        return (aux_zero(self.m), aux_zero(self.m))
-
     def port_side_residuals(self, e: Trajectory) -> dict:
         return side_condition_residuals(self, e)
-
-    def extended_side_residuals(self, tag, e: Trajectory) -> dict:
-        """Jt grad_zeta H_aux and Gt grad_zeta S_aux at every node."""
-        aux_h, aux_s = tag
-        zeta = e.channels(self.zeta_labels)
-        x = e.channels(self.state_labels)
-        times = e.absolute_times
-        return _worst_per_condition(
-            ("Jt grad aux H", "Gt grad aux S"),
-            (
-                matvec(self.port_poisson(x), aux_h.gradient(times, zeta)),
-                matvec(self.port_friction(x), aux_s.gradient(times, zeta)),
-            ),
-        )
 
 
 def metriplectic_system(

@@ -163,7 +163,6 @@ def integrate(
     grid_step: float = DEFAULT_STEP,
     shift: float = 0.0,
     labels: Optional[tuple] = None,
-    aux=None,
     inputs: Optional[Callable] = None,
 ) -> Trajectory:
     """Integrate x' = f(t - shift, x) from x(0) = x0 with classical RK4;
@@ -181,7 +180,7 @@ def integrate(
         raise DimensionMismatch(
             f"initial state shape {x0.shape}, field dimension {field.dimension}"
         )
-    (run,) = integrate_batch(field, x0[np.newaxis], length, grid_step, shift, labels, aux, inputs)
+    (run,) = integrate_batch(field, x0[np.newaxis], length, grid_step, shift, labels, inputs)
     if isinstance(run, BlowUp):
         raise run
     return run
@@ -194,7 +193,6 @@ def integrate_batch(
     grid_step: float = DEFAULT_STEP,
     shift: float = 0.0,
     labels: Optional[tuple] = None,
-    aux=None,
     inputs: Optional[Callable] = None,
 ) -> list:
     """Integrate x' = f(t - shift, x) from every row of ``x0s`` at once, as
@@ -253,7 +251,7 @@ def integrate_batch(
         if not np.abs(x).max() <= BLOWUP_THRESHOLD:  # also catches NaN
             bad = ~(np.abs(x).reshape(rows.size, -1).max(axis=1) <= BLOWUP_THRESHOLD)
             for row in rows[bad]:
-                truncated = Trajectory(nodes[: i + 1, row], h, shift, labels, aux)
+                truncated = Trajectory(nodes[: i + 1, row], h, shift, labels)
                 runs[row] = BlowUp(i * h, truncated)
             x, rows = x.reshape(rows.size, -1)[~bad], rows[~bad]
             if u is not None and u.ndim == 3:
@@ -263,7 +261,7 @@ def integrate_batch(
         elif rows.size:
             states[i + 1, rows] = x
     for row in rows:
-        runs[row] = Trajectory(nodes[:, row], h, shift, labels, aux)
+        runs[row] = Trajectory(nodes[:, row], h, shift, labels)
     return runs
 
 
@@ -333,19 +331,16 @@ class OdeBehavior:
     residual against the field stays within ``tolerance`` at every node.  A
     driven field's members carry their inputs as channels after the state:
     the ``labels`` past the field's dimension name them, and membership
-    evaluates f(t, x, u) on them.  ``aux`` is attached to every sampled
-    member and checked for equality by the sheaf machinery but carries no
-    dynamics of its own here.  ``side_residuals``, when given, maps a member
-    to named (residual, node) pairs of algebraic conditions that membership
-    must meet as well, each within ``SIDE_CONDITION_TOL``: a member that
-    fails one has residual inf, whatever its dynamics residual.
+    evaluates f(t, x, u) on them.  ``side_residuals``, when given, maps a
+    member to named (residual, node) pairs of algebraic conditions that
+    membership must meet as well, each within ``SIDE_CONDITION_TOL``: a
+    member that fails one has residual inf, whatever its dynamics residual.
     """
 
     field: VectorField
     grid_step: float = DEFAULT_STEP
     tolerance: float = DEFAULT_RESIDUAL_TOL
     labels: Optional[tuple] = None
-    aux: object = None
     side_residuals: Optional[Callable[[Trajectory], dict]] = None
 
     def sampler(self, x0, *curves_and_length, shift: float = 0.0):
@@ -368,13 +363,11 @@ class OdeBehavior:
 
         run = integrate_batch if np.ndim(x0) == 2 else integrate
         return run(
-            self.field, x0, length, self.grid_step, shift, self.labels, self.aux,
+            self.field, x0, length, self.grid_step, shift, self.labels,
             inputs if curves else None,
         )
 
     def membership(self, e: Trajectory) -> float:
-        if e.aux != self.aux:
-            return float("inf")
         if self.labels is not None and e.labels != tuple(self.labels):
             return float("inf")
         inputs = len(self.labels) - self.field.dimension if self.labels else 0

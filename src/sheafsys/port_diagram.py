@@ -15,13 +15,10 @@ pass over a trajectory is one call:
 - ``closed_rhs(x)`` and ``port_rhs(x, s)``, the closed and driven dynamics;
 - ``zeta_rate(x, s)``, the rate of the port variables zeta of the extended
   space; the port output is its negative;
-- ``signal_reader(tag)``, ``signal_tag(start, step, signals)`` and
-  ``zero_tag()``: how signals are read from and stored in the
-  auxiliary-energy tag an extended member carries (the reader maps
-  absolute times and zeta values to the signals);
-- ``port_side_residuals(e)`` and ``extended_side_residuals(tag, e)``,
-  algebraic conditions that membership must meet as well (none by default),
-  folded in by :func:`sheafsys.ode_behavior.with_conditions`;
+- ``port_side_residuals(e)``, algebraic conditions on state and signals
+  that membership of the port and enclosing machines must meet as well
+  (none by default), folded in by
+  :func:`sheafsys.ode_behavior.with_conditions`;
 - ``structure_check()``, the family's structure check at its default points.
 
 A family declares each of its own formulas as a :func:`formula` field, with
@@ -29,27 +26,32 @@ its name and node shape.  Building a system lifts every formula to the stack
 contract, checks its shape and runs the structure check, so a system that
 exists has passed them all and callers use its formulas directly.
 
-The extended field is [port_rhs(x, s), zeta_rate(x, s)] with s read from the
-tag.  The embedding and the port-to-extended map integrate the same
-zeta-rate array with the same trapezoid rule, so the triangle closes
+The enclosing system adds to the port system an auxiliary energy on the
+port variables, which describes the nature of the ports.  It is linear,
+H_aux = u^T zeta, and for a metriplectic system the auxiliary entropy is
+S_aux = tau^T zeta, so the signals s are grad_zeta of the auxiliary
+generators and an enclosing member is (x, zeta, s): the signal samples are
+channels after zeta, as on a port member.  The enclosing machine is the
+machine of the extended field [port_rhs(x, s), zeta_rate(x, s)] driven by s,
+with the port side conditions, which make the extended noninteraction laws
+hold (see :mod:`sheafsys.metriplectic`).  The embedding and the port-to-extended map integrate the
+same zeta-rate array with the same trapezoid rule, so the triangle closes
 bit-exactly on the zeta channels.
 """
 
 from __future__ import annotations
 
 from dataclasses import field, fields
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotAMember
-from .interval_sheaf import DEFAULT_STEP, BehaviorSheaf, Trajectory
+from .interval_sheaf import DEFAULT_STEP, Trajectory
 from .machine import (
     DiagramReport,
     Machine,
     MachineMorphism,
-    _once,
     iso_machine,
     verify_port_control_diagram,
 )
@@ -120,14 +122,7 @@ class PortSystem:
                     raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
         self.structure_check()
 
-    def read_signals(self, e: Trajectory) -> np.ndarray:
-        """The signals an extended member's aux tag gives at its nodes."""
-        return self.signal_reader(e.aux)(e.absolute_times, e.channels(self.zeta_labels))
-
     def port_side_residuals(self, e: Trajectory) -> dict:
-        return {}
-
-    def extended_side_residuals(self, tag, e: Trajectory) -> dict:
         return {}
 
 
@@ -214,6 +209,19 @@ def port_field(system: PortSystem) -> VectorField:
     return VectorField(system.n, batched(lambda t, x, s: system.port_rhs(x, s)))
 
 
+def extended_field(system: PortSystem) -> VectorField:
+    """(x, zeta)' = [port_rhs(x, s), zeta_rate(x, s)], the port signals s
+    its input."""
+    n = system.n
+
+    @batched
+    def rhs(t, xz, s):
+        x = xz[..., :n]
+        return np.concatenate([system.port_rhs(x, s), system.zeta_rate(x, s)], axis=-1)
+
+    return VectorField(n + system.m, rhs)
+
+
 def closed_behavior(
     system: PortSystem,
     grid_step: float = DEFAULT_STEP,
@@ -225,63 +233,12 @@ def closed_behavior(
 
 def extended_behavior(
     system: PortSystem,
-    tag,
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> OdeBehavior:
-    """The behavior of the extended field [port_rhs(x, s), zeta_rate(x, s)]
-    for one fixed tag (its ``aux``), s read from the tag; membership adds the
-    family's extended side conditions to the dynamics residual."""
-    read = system.signal_reader(tag)
-    n = system.n
-
-    @batched
-    def rhs(t, xi):
-        x = xi[..., :n]
-        s = read(t, xi[..., n:])
-        return np.concatenate([system.port_rhs(x, s), system.zeta_rate(x, s)], axis=-1)
-
-    return OdeBehavior(
-        VectorField(n + system.m, rhs),
-        grid_step,
-        residual_tolerance,
-        system.state_labels + system.zeta_labels,
-        tag,
-        partial(system.extended_side_residuals, tag),
-    )
-
-
-def extended_sheaf(
-    system: PortSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> BehaviorSheaf:
-    """The enclosing behavior: members carry their own auxiliary-energy tag.
-
-    Membership judges each trajectory against the extended dynamics of its
-    own tag; untagged trajectories count as carrying the zero tag.  The
-    sampler takes the tag as ``aux`` (zero when omitted).
-    """
-    labels = system.state_labels + system.zeta_labels
-
-    def fixed(tag) -> OdeBehavior:
-        tag = system.zero_tag() if tag is None else tag
-        return extended_behavior(system, tag, grid_step, residual_tolerance)
-
-    def membership(e: Trajectory) -> float:
-        if e.labels != labels:
-            return float("inf")
-        behavior = fixed(e.aux)
-        return behavior.membership(e.replace_aux(behavior.aux))
-
-    def sampler(x0_ext, length, shift=0.0, aux=None):
-        return fixed(aux).sampler(x0_ext, length, shift=shift)
-
-    return BehaviorSheaf(
-        membership=membership,
-        sampler=sampler,
-        tolerance=residual_tolerance,
-    )
+    """The enclosing behavior: members (x, zeta, s) of the extended field,
+    the signals s held to the port side conditions."""
+    return enclosing_machine(system, grid_step, residual_tolerance).behavior
 
 
 def embed(
@@ -292,23 +249,21 @@ def embed(
     """Embed a closed-system member into the extended behavior.
 
     Appends the zeta channels, the trapezoidal antiderivative of the zeta
-    rate with zero signals, anchored at zeta(0) = 0, and tags the result
-    with the zero auxiliary energy.
+    rate with zero signals, anchored at zeta(0) = 0, and the zero signal
+    channels: a closed run is enclosed with no auxiliary energy.
     """
     residual = membership_residual(closed_field(system), e)
     if not residual <= residual_tolerance:
         raise NotAMember(
             f"trajectory is not a closed-system member (residual {residual:.3e})"
         )
-    zeta = cumulative_trapezoid(
-        system.zeta_rate(e.values, _zero_signals(system, e)), e.grid_step
-    )
+    signals = _zero_signals(system, e)
+    zeta = cumulative_trapezoid(system.zeta_rate(e.values, signals), e.grid_step)
     return Trajectory(
-        np.concatenate([e.values, zeta], axis=1),
+        np.concatenate([e.values, zeta, signals], axis=1),
         e.grid_step,
         e.shift,
-        e.labels + system.zeta_labels,
-        system.zero_tag(),
+        e.labels + system.zeta_labels + system.signal_labels,
     )
 
 
@@ -371,36 +326,33 @@ def port_machine(
     )
 
 
-def enclosing_legs(system: PortSystem):
-    """Leg maps of the enclosing machine.
-
-    The input leg reads the signals from the aux tag at each node, once per
-    trajectory for both legs; the output leg evaluates the port output with
-    those signals.  Both are node-local, so they commute with restriction
-    exactly.  Raises MissingAuxTag on trajectories without a tag of the
-    family's kind.
-    """
-    signals = _once(system.read_signals)
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(signals(e), e.grid_step, e.shift, system.signal_labels)
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        y = -system.zeta_rate(e.channels(system.state_labels), signals(e))
-        return Trajectory(y, e.grid_step, e.shift, system.output_labels)
-
-    return a_leg, e_leg
-
-
 def enclosing_machine(
     system: PortSystem,
     grid_step: float = DEFAULT_STEP,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> Machine:
-    """The extended behavior with its signal and port-output legs."""
-    sheaf = extended_sheaf(system, grid_step, residual_tolerance)
-    a_leg, e_leg = enclosing_legs(system)
-    return Machine(sheaf, a_leg, e_leg, system.signal_labels, system.output_labels, "enclosing")
+    """The enclosing machine: the port machine with zeta as extra state.
+
+    Members are (x, zeta, s), the signals s the gradient in zeta of the
+    linear auxiliary energy H_aux = u^T zeta (and, for a metriplectic
+    system, of S_aux = tau^T zeta).  The dynamics are the extended field,
+    membership adds the port side conditions, the input leg extracts the
+    signals and the output leg evaluates -zeta_rate(x, s) node-wise.
+    """
+    n = system.n
+    return iso_machine(
+        extended_field(system),
+        batched(lambda t, xz, s: -system.zeta_rate(xz[..., :n], s)),
+        len(system.signal_labels),
+        system.m,
+        grid_step,
+        residual_tolerance,
+        state_labels=system.state_labels + system.zeta_labels,
+        input_labels=system.signal_labels,
+        output_labels=system.output_labels,
+        name="enclosing",
+        side_residuals=system.port_side_residuals,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +378,7 @@ def closed_to_port_morphism(system: PortSystem) -> MachineMorphism:
 
 
 def port_to_extended_morphism(system: PortSystem, integral_sign: float = 1.0) -> MachineMorphism:
-    """Map a port run (x, s) to the extended member (x, zeta) whose tag
-    carries the sampled signals.
+    """Map a port run (x, s) to the extended member (x, zeta, s).
 
     zeta is the trapezoidal antiderivative of the zeta rate, as in
     :func:`embed`.  ``integral_sign`` exists for violation tests; any value
@@ -439,11 +390,10 @@ def port_to_extended_morphism(system: PortSystem, integral_sign: float = 1.0) ->
         s = e.channels(system.signal_labels)
         zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
         return Trajectory(
-            np.concatenate([x, zeta], axis=1),
+            np.concatenate([x, zeta, s], axis=1),
             e.grid_step,
             e.shift,
-            system.state_labels + system.zeta_labels,
-            system.signal_tag(-e.shift, e.grid_step, s),
+            system.state_labels + system.zeta_labels + system.signal_labels,
         )
 
     return MachineMorphism(beta, _ident, _ident, "straight", "port into extended")

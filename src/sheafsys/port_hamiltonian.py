@@ -6,20 +6,21 @@ port B turns it into the input-state-output system
     x' = (J - R) grad H + B u,        y = B^T grad H.
 
 The same open system embeds into a closed one on the extended space
-(x, zeta): an auxiliary energy H_aux(t, zeta) supplies the drive through
-the extended antisymmetric block [[J, B], [-B^T, 0]], and the port variable
-zeta integrates -B^T grad H.  :class:`PHSystem` supplies these node formulas
-to :mod:`sheafsys.port_diagram`, which builds the three machines (closed,
-port, extended) and the three behavior maps between them and hands the
-triangle to the diagram verifier.  This module adds the structure check,
-the auxiliary energies and the energy audits; its names for the diagram's
-pieces (``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
+(x, zeta): the linear auxiliary energy H_aux = u^T zeta supplies the drive
+through the extended antisymmetric block [[J, B], [-B^T, 0]], and the port
+variable zeta integrates -B^T grad H.  An enclosing member carries
+u = grad_zeta H_aux as channels after zeta.  :class:`PHSystem` supplies
+these node formulas to :mod:`sheafsys.port_diagram`, which builds the three
+machines (closed, port, extended) and the three behavior maps between them
+and hands the triangle to the diagram verifier.  This module adds the
+structure check and the energy audits; its names for the diagram's pieces
+(``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
 ``enclosing_machine``, ``build_ph_diagram``) are the port_diagram functions.
 
-Leg maps are computed node-locally from the trajectory channels and the aux
-tag, so they commute with restriction bit-exactly; the finite-difference
-reading of the output projection (minus the sampled derivative of the zeta
-channels) is available as an audit and agrees on members to stencil order.
+Leg maps are computed node-locally from the trajectory channels, so they
+commute with restriction bit-exactly; the finite-difference reading of the
+output projection (minus the sampled derivative of the zeta channels) is
+available as an audit and agrees on members to stencil order.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingAuxTag, StructureViolation
+from .errors import StructureViolation
 from .interval_sheaf import Trajectory
 from .ode_behavior import (
     dot,
     grid_derivative,
     matvec,
-    pointwise,
     transpose,
     worst_defect,
 )
@@ -47,10 +47,8 @@ from .port_diagram import (
     closed_machine,
     default_probe_points,
     embed as embed_closed,
-    enclosing_legs as projections,
     enclosing_machine,
     extended_behavior,
-    extended_sheaf,
     fd_gradient,
     formula,
     port_machine as ph_iso_machine,
@@ -58,9 +56,6 @@ from .port_diagram import (
 
 MATRIX_TOL = 1e-10
 GRAD_CONSISTENCY_RTOL = 1e-5
-
-#: distance, in steps, within which a sampled curve reads a sample exactly
-SAMPLE_ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,8 @@ class PHSystem(PortSystem):
     state_labels : tuple of str
         Channel names for the state; x0, x1, ... when empty.
 
-    The port signals are the inputs u, read from and stored in one
-    auxiliary energy whose gradient is the input.
+    The port signals are the inputs u, the gradient in zeta of the
+    auxiliary energy u^T zeta.
     """
 
     n: int
@@ -120,15 +115,6 @@ class PHSystem(PortSystem):
 
     def zeta_rate(self, x, s) -> np.ndarray:
         return -self.port_output(x)
-
-    def signal_reader(self, tag):
-        return aux_gradient(tag, self.m)
-
-    def signal_tag(self, start: float, step: float, signals: np.ndarray):
-        return aux_linear(SampledCurve(start, step, signals), self.m)
-
-    def zero_tag(self):
-        return aux_zero(self.m)
 
 
 def ph_system(
@@ -208,167 +194,6 @@ def check_structure(sys: PHSystem) -> None:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary energies
-
-
-@dataclass(frozen=True, eq=False)
-class SampledCurve:
-    """Piecewise-linear curve through samples on a uniform absolute-time grid.
-
-    Called with one time or an (N,) stack of times.  A time within
-    ``SAMPLE_ALIGN_TOL`` steps of a sample time reads that sample exactly,
-    so absolute node times, which restriction computes with different
-    roundings, read the same values.  Equality is by value (start, step, and
-    samples bit-exact), so aux tags built from the same data compare equal.
-    """
-
-    batched = True
-
-    start: float
-    step: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, np.newaxis]
-        if samples.shape[0] < 1:
-            raise DimensionMismatch("a sampled curve needs at least one sample")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        if not (self.step > 0):
-            raise DimensionMismatch(f"curve step must be positive, got {self.step}")
-
-    def __call__(self, s) -> np.ndarray:
-        count = self.samples.shape[0]
-        if count == 1:
-            return np.broadcast_to(self.samples[0], np.shape(s) + self.samples.shape[1:])
-        position = (np.asarray(s, dtype=float) - self.start) / self.step
-        nearest = np.rint(position)
-        position = np.where(np.abs(position - nearest) <= SAMPLE_ALIGN_TOL, nearest, position)
-        position = np.clip(position, 0.0, count - 1.0)
-        low = np.minimum(np.floor(position).astype(int), count - 2)
-        frac = (position - low)[..., np.newaxis]
-        return (1.0 - frac) * self.samples[low] + frac * self.samples[low + 1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SampledCurve)
-            and self.start == other.start
-            and self.step == other.step
-            and self.samples.shape == other.samples.shape
-            and bool(np.all(self.samples == other.samples))
-        )
-
-    def __hash__(self):
-        return hash((self.start, self.step, self.samples.shape))
-
-
-@dataclass(frozen=True, eq=False)
-class AuxHamiltonian:
-    """Auxiliary energy H_aux(s, zeta) on the port variables.
-
-    Three kinds cover the constructions here: ``zero``; ``linear``,
-    H_aux = u(s)^T zeta with gradient u(s); and ``quadratic``,
-    H_aux = kappa(s) * zeta^T Q zeta / 2 with gradient kappa(s) Q zeta.
-    The time argument s is absolute (node time minus shift), so the tag is
-    unchanged by restriction.  ``gradient`` and ``value`` take one node (s a
-    time, zeta of shape (m,)) or stacks ((N,) times, (N, m) values; a single
-    time is shared by every row); a curve of one time is lifted with
-    :func:`~sheafsys.ode_behavior.pointwise`.
-    """
-
-    kind: str
-    m: int
-    curve: Optional[Callable] = None
-    quad: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "linear", "quadratic"):
-            raise StructureViolation(f"unknown aux kind {self.kind!r}")
-        if self.kind != "zero" and self.curve is None:
-            raise StructureViolation(f"{self.kind} aux needs a curve")
-        if self.kind == "quadratic":
-            if self.quad is None:
-                raise StructureViolation("quadratic aux needs its matrix")
-            quad = np.array(self.quad, dtype=float)
-            if quad.shape != (self.m, self.m) or np.max(np.abs(quad - quad.T)) > MATRIX_TOL:
-                raise StructureViolation("quadratic aux matrix must be symmetric (m, m)")
-            quad.setflags(write=False)
-            object.__setattr__(self, "quad", quad)
-        if self.curve is not None:  # equality compares the curve as given
-            object.__setattr__(self, "_stacked_curve", pointwise(self.curve, 0))
-
-    def gradient(self, s, zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(zeta.shape[:-1] + (self.m,))
-        if self.kind == "linear":
-            out = np.asarray(self._stacked_curve(s), dtype=float)
-            if out.shape == np.shape(s):  # scalar curve values
-                out = out[..., np.newaxis]
-            if out.shape != np.shape(s) + (self.m,):
-                raise DimensionMismatch(
-                    f"linear aux curve returned shape {out.shape}, "
-                    f"expected {np.shape(s) + (self.m,)}"
-                )
-            return np.broadcast_to(out, zeta.shape[:-1] + (self.m,))
-        kappa = np.asarray(self._stacked_curve(s), dtype=float)[..., np.newaxis]
-        return kappa * matvec(self.quad, zeta)
-
-    def value(self, s, zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(zeta.shape[:-1])
-        if self.kind == "linear":
-            return dot(self.gradient(s, zeta), zeta)
-        kappa = np.asarray(self._stacked_curve(s), dtype=float)
-        return 0.5 * kappa * dot(zeta, matvec(self.quad, zeta))
-
-    def __eq__(self, other):
-        if not isinstance(other, AuxHamiltonian):
-            return NotImplemented
-        if self.kind != other.kind or self.m != other.m:
-            return False
-        if self.kind == "zero":
-            return True
-        if self.curve is not other.curve and self.curve != other.curve:
-            return False
-        if self.kind == "quadratic":
-            return bool(np.all(self.quad == other.quad))
-        return True
-
-    def __hash__(self):
-        return hash((self.kind, self.m))
-
-
-def aux_gradient(tag, m: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The gradient of an auxiliary energy on m port variables; raises
-    MissingAuxTag when ``tag`` is not an auxiliary energy."""
-    if not isinstance(tag, AuxHamiltonian):
-        raise MissingAuxTag(f"expected an auxiliary-energy tag, found {type(tag).__name__}")
-    if tag.m != m:
-        raise DimensionMismatch(f"aux port dimension {tag.m}, system has {m}")
-    return tag.gradient
-
-
-def aux_zero(m: int) -> AuxHamiltonian:
-    return AuxHamiltonian("zero", m)
-
-
-def aux_linear(curve, m: int) -> AuxHamiltonian:
-    """H_aux(s, zeta) = u(s)^T zeta; ``curve`` maps absolute time to (m,)."""
-    return AuxHamiltonian("linear", m, curve)
-
-
-def aux_quadratic(kappa, quad) -> AuxHamiltonian:
-    """H_aux(s, zeta) = kappa(s) zeta^T Q zeta / 2; scalar kappa allowed."""
-    quad = np.array(quad, dtype=float)
-    curve = kappa if callable(kappa) else (lambda s, _k=float(kappa): _k)
-    return AuxHamiltonian("quadratic", quad.shape[0], curve, quad)
-
-
-# ---------------------------------------------------------------------------
 # audits
 
 
@@ -378,8 +203,7 @@ def output_stencil_defect(sys: PHSystem, e: Trajectory) -> float:
     The sampled-derivative reading of the output projection differs from the
     node-local one by the differentiation error; this audit bounds it.
     """
-    _, e_leg = projections(sys)
-    local = e_leg(e).values
+    local = -sys.zeta_rate(e.channels(sys.state_labels), e.channels(sys.signal_labels))
     stencil = -grid_derivative(e.channels(sys.zeta_labels), e.grid_step)
     return worst_defect(np.abs(local - stencil))[0]
 
@@ -420,10 +244,3 @@ def closed_energy_drift(sys: PHSystem, e: Trajectory) -> float:
     non-finite node."""
     energy = sys.hamiltonian(e.values)
     return worst_defect(np.abs(energy - energy[0]))[0]
-
-
-def extended_energy(sys: PHSystem, aux: AuxHamiltonian, e: Trajectory) -> np.ndarray:
-    """Total energy H(x) + H_aux(s, zeta) at every node."""
-    x = e.channels(sys.state_labels)
-    zeta = e.channels(sys.zeta_labels)
-    return sys.hamiltonian(x) + aux.value(e.absolute_times, zeta)

@@ -17,7 +17,6 @@ from sheafsys import (
     assert_side_conditions,
     build_metriplectic_diagram,
     build_ph_diagram,
-    close_members,
     closed_behavior,
     closed_energy_drift,
     closed_metriplectic_behavior,
@@ -32,6 +31,7 @@ from sheafsys import (
     rate_audit,
     restrict,
     seeded_initial_states,
+    sup_distance,
 )
 from sheafsys.cli import main
 from sheafsys.metriplectic import port_metriplectic_machine
@@ -91,16 +91,15 @@ def test_criterion_01_sheaf_laws_bit_exact():
         for i in range(len(probes)):
             for j in range(i + 1, len(probes)):
                 a, b = probes[i], probes[j]
-                if a.num_nodes != b.num_nodes or close_members(a, b, 1e-9):
+                if a.num_nodes != b.num_nodes or sup_distance(a, b) <= 1e-9:
                     continue
                 cut = ((a.num_nodes - 1) // 2) * h
-                halves_agree = close_members(
-                    restrict(a, cut, 0.0), restrict(b, cut, 0.0), 1e-9
-                ) and close_members(
+                halves_agree = sup_distance(
+                    restrict(a, cut, 0.0), restrict(b, cut, 0.0)
+                ) <= 1e-9 and sup_distance(
                     restrict(a, a.length - cut, cut),
                     restrict(b, b.length - cut, cut),
-                    1e-9,
-                )
+                ) <= 1e-9
                 if halves_agree:
                     separation_ok = False
 

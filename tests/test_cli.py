@@ -128,6 +128,19 @@ def test_check_sheaf_runs_are_byte_identical(tmp_path):
     assert doc["residuals"]["glue_exact_failures"] == 0.0
 
 
+@pytest.mark.parametrize("length, code", [("0.007", 2), ("0.008", 2), ("0.009", 0)])
+def test_check_sheaf_needs_nine_grid_steps(tmp_path, capsys, length, code):
+    # the node guard's 10 nodes are the real bound: the three cuts at a
+    # quarter, half and three quarters of 9 steps are distinct and interior
+    out = tmp_path / "x"
+    assert main(["check-sheaf", "--system", "linear", "--length", length, "--out", str(out)]) == code
+    if code:
+        assert "outside [10," in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert report(out)["pass"] is True
+
+
 def test_check_sheaf_fails_when_no_probe_survives(tmp_path):
     # x' = 100 x blows up from every seeded start within 0.25
     config = tmp_path / "fast.json"

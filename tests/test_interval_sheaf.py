@@ -15,7 +15,6 @@ from sheafsys import (
     ShiftMismatch,
     Trajectory,
     check_sheaf_axioms,
-    close_members,
     glue,
     identical,
     read_csv,
@@ -52,11 +51,10 @@ def test_trajectory_values_are_frozen():
         e.values[0, 0] = 99.0
 
 
-def test_sup_distance_ignores_aux_and_labels():
-    a = Trajectory(np.ones((4, 1)), H, 0.0, ("p",), aux="tag")
-    b = Trajectory(np.ones((4, 1)), H, 0.0, ("q",), aux=None)
+def test_sup_distance_ignores_labels():
+    a = Trajectory(np.ones((4, 1)), H, 0.0, ("p",))
+    b = Trajectory(np.ones((4, 1)), H, 0.0, ("q",))
     assert sup_distance(a, b) == 0.0
-    assert not close_members(a, b, 1.0)  # aux gate
     assert sup_distance(a, dyadic_trajectory(5)) == np.inf
     assert identical(a, a) and not identical(a, b)
 
@@ -134,9 +132,7 @@ def test_glue_rejects_incompatible_pieces():
     e = dyadic_trajectory(21, seed=5)
     left = restrict(e, 10 * H, 0.0)
     right = restrict(e, 10 * H, 10 * H)
-    bumped = Trajectory(
-        right.values + 1e-6, right.grid_step, right.shift, right.labels, right.aux
-    )
+    bumped = Trajectory(right.values + 1e-6, right.grid_step, right.shift, right.labels)
     with pytest.raises(JunctionMismatch):
         glue(left, bumped)
     shifted = Trajectory(right.values, right.grid_step, right.shift + 0.5, right.labels)
@@ -145,18 +141,13 @@ def test_glue_rejects_incompatible_pieces():
     coarse = Trajectory(right.values, 2 * H, right.shift, right.labels)
     with pytest.raises(GridMismatch):
         glue(left, coarse)
-    retagged = right.replace_aux("other")
-    with pytest.raises(JunctionMismatch):
-        glue(left, retagged)
 
 
 def test_glue_tolerates_junction_noise_within_tolerance():
     e = dyadic_trajectory(21, seed=8)
     left = restrict(e, 10 * H, 0.0)
     right = restrict(e, 10 * H, 10 * H)
-    bumped = Trajectory(
-        right.values + 1e-12, right.grid_step, right.shift, right.labels, right.aux
-    )
+    bumped = Trajectory(right.values + 1e-12, right.grid_step, right.shift, right.labels)
     out = glue(left, bumped, tolerance=1e-9)
     assert out.num_nodes == e.num_nodes
     # junction node comes from the left piece
@@ -172,7 +163,7 @@ def test_glue_rejects_non_finite_junctions(side, value):
     piece = pieces[side]
     values = np.array(piece.values)
     values[-1 if side == "left" else 0, 1] = value  # the junction node
-    pieces[side] = Trajectory(values, piece.grid_step, piece.shift, piece.labels, piece.aux)
+    pieces[side] = Trajectory(values, piece.grid_step, piece.shift, piece.labels)
     with pytest.raises(JunctionMismatch):
         glue(pieces["left"], pieces["right"])
 
@@ -222,24 +213,24 @@ def test_an_exact_glue_reuses_the_probe_residual():
 
 TOL = 1e-9
 SCALES = [1.0 - 2.0 ** -20, 1.0 + 2.0 ** -20, -(1.0 + 2.0 ** -20), 0.5, 3.0]
-KINDS = ["copy", "nan", "bump", "shift", "aux", "shorter"]
+KINDS = ["copy", "nan", "bump", "shift", "shorter"]
 
 
 def reference_collisions(probes, cut, tolerance, gap=0):
     """The pairwise separation search: (i, j) for every probe j distinct
-    from probe i (not close members) that agrees with it, within the
+    from probe i (farther from it than the tolerance) that agrees with it, within the
     tolerance, on both windows of the cut.  ``gap`` starts the right window
     that many steps past the cut, leaving those nodes uncovered."""
     collisions = []
     for i, e in enumerate(probes):
         for j, other in enumerate(probes):
-            if j == i or close_members(e, other, tolerance):
+            if j == i or sup_distance(e, other) <= tolerance:
                 continue
             if other.num_nodes != e.num_nodes or other.grid_step != e.grid_step:
                 continue
             start = cut + gap * e.grid_step
             if all(
-                close_members(restrict(e, length, offset), restrict(other, length, offset), tolerance)
+                sup_distance(restrict(e, length, offset), restrict(other, length, offset)) <= tolerance
                 for length, offset in ((cut, 0.0), (e.length - start, start))
             ):
                 collisions.append((i, j))
@@ -260,18 +251,16 @@ def variant(base, kind, node, scale):
     tolerance, or far from it."""
     values = np.array(base.values)
     node = node % base.num_nodes
-    shift, aux = base.shift, base.aux
+    shift = base.shift
     if kind == "nan":
         values[node, 0] = np.nan
     elif kind == "bump":
         values[node, -1] += scale * TOL
     elif kind == "shift":
         shift += scale * TOL
-    elif kind == "aux":
-        aux = "other"
     elif kind == "shorter":
         values = values[:-1]
-    return Trajectory(values, base.grid_step, shift, base.labels, aux)
+    return Trajectory(values, base.grid_step, shift, base.labels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,7 +338,7 @@ def test_a_nan_shift_gap_is_a_nan_distance():
     a = dyadic_trajectory(9)
     b = Trajectory(a.values, H, float("nan"), a.labels)
     assert np.isnan(sup_distance(a, b)) and np.isnan(sup_distance(b, a))
-    assert not close_members(a, b, 1e-9)
+    assert not sup_distance(a, b) <= 1e-9
     assert sup_distance(a, restrict(a, 8 * H, 0.0)) == 0.0
 
 

@@ -14,6 +14,7 @@ from sheafsys import (
     VectorField,
     build_metriplectic_diagram,
     build_ph_diagram,
+    check_sheaf_axioms,
     closed_behavior,
     compose_morphisms,
     identity_morphism,
@@ -495,3 +496,27 @@ def test_an_output_leg_that_reads_the_shift_fails_the_diagram(monkeypatch, name,
     monkeypatch.setattr(port_diagram, f"{which}_machine", shifted)
     with pytest.raises(StructureViolation, match=f"machine '{which}': legs fail to commute"):
         DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_the_enclosing_behavior_is_a_sheaf_on_driven_members(name):
+    # xi images of port runs driven by u = 0.5 sin t (tau = 0) glue back
+    # bit-exactly at every cut, and the enclosing legs commute with restrict
+    # bit-exactly on them
+    bundle = resolve_builtin(name)
+    system, tol = bundle.instance, bundle.residual_tolerance
+    groups = len(system.signal_labels) // system.m  # u, and tau for metriplectic
+    curves = [lambda t: np.full(system.m, 0.5 * np.sin(t))]
+    curves += [lambda t: np.zeros(system.m)] * (groups - 1)
+    port = port_diagram.port_machine(system, H, tol).behavior
+    xi = port_diagram.port_to_extended_morphism(system)
+    runs = port.sampler(seeded_initial_states(4, 3, system.n), *curves, 0.5)
+    images = [xi.beta(run) for run in runs]
+    assert all(np.max(np.abs(e.channels(system.input_labels))) > 0.2 for e in images)
+    report = check_sheaf_axioms(
+        port_diagram.extended_behavior(system, H, tol), images, [0.125, 0.25, 0.375]
+    )
+    assert report.passed
+    assert all(c.glue_exact for c in report.checks) and len(report.checks) == 9
+    enclosing = port_diagram.enclosing_machine(system, H, tol)
+    assert leg_restriction_defect(enclosing, images) == 0.0

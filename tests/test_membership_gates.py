@@ -51,7 +51,7 @@ def members(name: str) -> dict:
 def bumped(e: Trajectory, delta: float) -> Trajectory:
     values = e.values.copy()
     values[NODE, 0] += delta
-    return Trajectory(values, e.grid_step, e.shift, e.labels, e.aux)
+    return Trajectory(values, e.grid_step, e.shift, e.labels)
 
 
 @pytest.mark.parametrize("machine", ["closed", "port", "enclosing"])
@@ -66,11 +66,3 @@ def test_a_single_node_bump_fails_membership_just_above_the_threshold(system, ma
     assert below <= behavior.tolerance
     assert above == pytest.approx(2.0 * TOL, rel=1e-2)
     assert below == pytest.approx(0.5 * TOL, rel=1e-2)
-
-
-@pytest.mark.parametrize("system", ["mass_spring", "rigid_body"])
-def test_a_port_member_tagged_with_an_aux_is_not_a_member(system):
-    behavior, member = members(system)["port"]
-    assert behavior.membership(member) <= behavior.tolerance
-    tagged = member.replace_aux(resolve_builtin(system).instance.zero_tag())
-    assert behavior.membership(tagged) == float("inf")

@@ -3,22 +3,16 @@ import pytest
 
 from sheafsys import (
     ConstraintViolation,
-    MetriplecticSystem,
-    MissingAuxTag,
     NoninteractionViolation,
     NotAMember,
-    SampledCurve,
     Trajectory,
     assert_side_conditions,
-    aux_linear,
-    aux_zero,
     build_metriplectic_diagram,
     check_metriplectic_structure,
     closed_metriplectic_behavior,
     degeneracy_audit,
     embed_metriplectic,
     extended_behavior,
-    extended_metriplectic_sheaf,
     extended_psd_min,
     metriplectic_system,
     noninteraction_residuals,
@@ -31,6 +25,7 @@ from sheafsys.metriplectic import (
     port_metriplectic_machine,
     zeta_rate_along,
 )
+from sheafsys.port_diagram import port_to_extended_morphism
 from sheafsys.systems import hat, rigid_body_system
 
 H = 1e-3
@@ -223,45 +218,75 @@ def test_port_poisson_coupling_violates_its_side_condition():
 # extended behavior
 
 
-def test_extended_run_with_aux_pair_is_a_member():
+def test_extended_run_with_signal_channels_is_a_member():
     rb = sphere_entropy_system()
-    curve = SampledCurve(0.0, H, 0.2 * np.sin(np.arange(2001) * H))
-    ext = extended_behavior(rb, (aux_linear(curve, 1), aux_zero(1)), H, 1e-3)
-    run = ext.sampler([1.0, 0.5, 0.5, 0.0], 2.0)
-    assert run.labels == ("x1", "x2", "x3", "zeta0")
+    ext = extended_behavior(rb, H, 1e-3)
+    run = ext.sampler(
+        [1.0, 0.5, 0.5, 0.0], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 2.0
+    )
+    assert run.labels == ("x1", "x2", "x3", "zeta0", "u0", "tau_in0")
     assert ext.membership(run) <= ext.tolerance
-    # the tag carries both energies; dropping it breaks membership
-    assert ext.membership(run.replace_aux(None)) == np.inf
+    # the signals drive the state; zeroing them breaks membership
+    values = np.array(run.values)
+    values[:, 4] = 0.0
+    silenced = Trajectory(values, run.grid_step, run.shift, run.labels)
+    assert not ext.membership(silenced) <= ext.tolerance
 
 
-def test_extended_sheaf_resolves_tags_and_rejects_odd_ones():
-    rb = sphere_entropy_system()
-    sheaf = extended_metriplectic_sheaf(rb, H, 1e-3)
-    run = sheaf.sampler([1.0, 0.5, 0.5, 0.0], 1.0)
-    assert sheaf.membership(run) <= sheaf.tolerance
-    with pytest.raises(MissingAuxTag):
-        sheaf.membership(run.replace_aux("just a string"))
+def test_the_xi_image_of_a_port_member_is_an_enclosing_member():
+    # Jt couples u to the zeta rate only; every port side condition holds
+    cpl = coupled_port_system(Jt=[[0.0, 1.0], [-1.0, 0.0]])
+    port = port_metriplectic_machine(cpl, H).behavior
+    run = port.sampler([1.0, 0.0], lambda t: np.array([np.sin(t), 0.5]), lambda t: np.zeros(2), 0.5)
+    assert all(r == 0.0 for r, _ in side_condition_residuals(cpl, run).values())
+    assert port.membership(run) <= port.tolerance
+    ext = extended_behavior(cpl, H)
+    image = port_to_extended_morphism(cpl).beta(run)
+    assert ext.membership(image) <= ext.tolerance
+    ext.assert_conditions(image)  # should not raise
 
 
-def test_friction_coupling_to_aux_entropy_is_rejected():
-    gts = coupled_port_system(Gt=np.eye(2))
-    ext = extended_behavior(gts, (aux_zero(2), aux_linear(lambda s: np.array([1.0, 0.0]), 2)), H)
-    run = ext.sampler([1.0, 0.0, 0.0, 0.0], 0.1)
+@pytest.mark.parametrize(
+    "coupling, u, tau, condition",
+    [
+        ({"Jt": [[0.0, 1.0], [-1.0, 0.0]]}, [0.0, 0.0], [0.2, 0.0], "Jt tau"),
+        ({"Gt": np.eye(2)}, [1.0, 0.0], [0.0, 0.0], "Gt u"),
+    ],
+)
+def test_the_enclosing_behavior_holds_the_extended_noninteraction_laws(coupling, u, tau, condition):
+    # the bottom rows of Jext grad S_ext and Gext grad H_ext are
+    # -B^T grad S + Jt tau and A^T grad H + Gt u (B = A = 0 here)
+    cpl = coupled_port_system(**coupling)
+    ext = extended_behavior(cpl, H)
+    run = ext.sampler([1.0, 0.0, 0.0, 0.0], lambda t: np.array(u), lambda t: np.array(tau), 0.1)
+    assert ext.membership(run) == np.inf
     with pytest.raises(ConstraintViolation) as info:
         ext.assert_conditions(run)
-    assert info.value.condition == "Gt grad aux S"
+    assert info.value.condition == condition
+
+
+def test_friction_coupling_to_the_aux_entropy_is_allowed():
+    # Gt tau is the zeta rate's own friction term, not a noninteraction
+    # defect: with u = 0, Gt u = 0 and the member stands
+    gts = coupled_port_system(Gt=np.eye(2))
+    ext = extended_behavior(gts, H)
+    run = ext.sampler(
+        [1.0, 0.0, 0.0, 0.0], lambda t: np.zeros(2), lambda t: np.array([1.0, 0.0]), 0.1
+    )
+    assert ext.membership(run) <= ext.tolerance
+    assert np.max(np.abs(run.channels(("zeta0",))[:, 0] - run.times)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # embedding and the diagram
 
 
-def test_embed_metriplectic_tags_and_integrates():
+def test_embed_metriplectic_appends_zero_signals_and_integrates():
     rb = sphere_entropy_system()
     run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
     emb = embed_metriplectic(rb, run)
-    assert emb.labels == ("x1", "x2", "x3", "zeta0")
-    assert emb.aux == (aux_zero(1), aux_zero(1))
+    assert emb.labels == ("x1", "x2", "x3", "zeta0", "u0", "tau_in0")
+    assert np.all(emb.values[:, 4:] == 0.0)
     assert emb.values[0, 3] == 0.0  # anchored at zero
     # zeta integrates minus the port output of the undriven run
     zeros = np.zeros((run.num_nodes, 1))
@@ -304,16 +329,6 @@ def test_metriplectic_diagram_passes_and_detects_corruption():
     )
     assert not flipped.passed
     assert flipped.defects["triangle beta"] > 0.1
-
-
-def test_the_enclosing_legs_read_each_trajectory_once(monkeypatch):
-    rb = sphere_entropy_system()
-    probes = closed_metriplectic_behavior(rb, H, 1e-3).sampler(seeded_initial_states(0, 5, 3), 0.5)
-    reads, read = [], MetriplecticSystem.read_signals
-    monkeypatch.setattr(MetriplecticSystem, "read_signals", lambda rb, e: reads.append(e) or read(rb, e))
-    assert build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3).passed
-    # ten enclosing members, a_phi and xi images, each read whole and on three windows
-    assert len(reads) == 40 and len({id(e) for e in reads}) == 40
 
 
 def test_degeneracy_audit_fails_at_a_nan_node():

@@ -108,12 +108,11 @@ def test_membership_closed_under_restriction():
         assert behavior.membership(w) <= max(base, 1e-6) * 1.5 + 1e-12
 
 
-def test_membership_gates_on_aux_and_labels():
-    behavior = OdeBehavior(linear_field(), 1e-3, 1e-4, labels=("v",), aux="tag")
+def test_membership_gates_on_labels():
+    behavior = OdeBehavior(linear_field(), 1e-3, 1e-4, labels=("v",))
     e = behavior.sampler([1.0], 0.1)
     assert behavior.membership(e) < 1e-6
-    assert behavior.membership(e.replace_aux(None)) == np.inf
-    relabeled = Trajectory(e.values, e.grid_step, e.shift, ("w",), e.aux)
+    relabeled = Trajectory(e.values, e.grid_step, e.shift, ("w",))
     assert behavior.membership(relabeled) == np.inf
 
 

@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 
 from sheafsys import (
-    AuxHamiltonian,
     DimensionMismatch,
     MachineMorphism,
-    MissingAuxTag,
     NotAMember,
-    SampledCurve,
-    GridMismatch,
     StructureViolation,
     Trajectory,
-    aux_linear,
-    aux_quadratic,
-    aux_zero,
     build_ph_diagram,
     check_structure,
     closed_behavior,
@@ -21,20 +14,16 @@ from sheafsys import (
     dissipation_margin,
     embed_closed,
     extended_behavior,
-    extended_energy,
-    extended_sheaf,
     output_stencil_defect,
     ph_iso_machine,
     ph_system,
     power_balance,
     restrict,
     verify_port_control_diagram,
-    write_csv,
 )
 from sheafsys.port_hamiltonian import (
     closed_machine,
     enclosing_machine,
-    projections,
 )
 from sheafsys.systems import mass_spring_system
 
@@ -119,108 +108,49 @@ def test_gradient_descent_decays_like_the_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# auxiliary energies
+# the enclosing behavior
 
 
-def test_aux_kinds_gradient_and_value():
-    z = aux_zero(2)
-    assert np.all(z.gradient(0.3, np.ones(2)) == 0.0)
-    assert z.value(0.3, np.ones(2)) == 0.0
-
-    lin = aux_linear(lambda s: np.array([s, 2 * s]), 2)
-    assert np.allclose(lin.gradient(0.5, np.zeros(2)), [0.5, 1.0])
-    assert lin.value(0.5, np.array([1.0, 1.0])) == pytest.approx(1.5)
-
-    quad = aux_quadratic(2.0, [[1.0, 0.0], [0.0, 3.0]])
-    zeta = np.array([1.0, -1.0])
-    assert np.allclose(quad.gradient(9.9, zeta), [2.0, -6.0])
-    assert quad.value(9.9, zeta) == pytest.approx(4.0)
-
-    with pytest.raises(StructureViolation):
-        AuxHamiltonian("cubic", 1)
-    with pytest.raises(StructureViolation):
-        AuxHamiltonian("linear", 1)
-    with pytest.raises(StructureViolation):
-        aux_quadratic(1.0, [[0.0, 1.0], [2.0, 0.0]])
-
-
-def test_aux_equality_is_by_value():
-    assert aux_zero(1) == aux_zero(1)
-    assert aux_zero(1) != aux_zero(2)
-    samples = np.sin(np.arange(11) * 0.1)
-    a = aux_linear(SampledCurve(0.0, 0.1, samples), 1)
-    b = aux_linear(SampledCurve(0.0, 0.1, samples.copy()), 1)
-    assert a == b
-    c = aux_linear(SampledCurve(0.5, 0.1, samples), 1)
-    assert a != c
-    assert aux_quadratic(1.0, [[1.0]]) != aux_zero(1)
-
-
-def test_sampled_curve_interpolates_exactly_at_nodes():
-    samples = np.array([0.0, 1.0, 4.0])
-    curve = SampledCurve(1.0, 0.5, samples)
-    assert curve(1.0)[0] == 0.0
-    assert curve(1.5)[0] == 1.0
-    assert curve(2.0)[0] == 4.0
-    assert curve(1.25)[0] == pytest.approx(0.5)
-    # within SAMPLE_ALIGN_TOL steps of a sample a time reads it bit-exactly;
-    # further off it interpolates
-    assert curve(1.5 + 0.5e-9 * 0.5)[0] == 1.0
-    assert curve(1.5 - 0.5e-9 * 0.5)[0] == 1.0
-    assert curve(1.5 + 1e-6 * 0.5)[0] == pytest.approx(1.0 + 3e-6, rel=1e-9)
-    assert curve(1.5 - 1e-6 * 0.5)[0] == pytest.approx(1.0 - 1e-6, rel=1e-9)
-    # clamped outside the sample window
-    assert curve(0.0)[0] == 0.0
-    assert curve(9.0)[0] == 4.0
-
-
-def test_quadratic_aux_conserves_total_energy():
+def test_total_energy_with_the_linear_aux_is_conserved():
+    # undamped, driven by a constant u: H(x) + u zeta is the extended
+    # Hamiltonian of an antisymmetric extended field
     ms = mass_spring_system()
-    aux = aux_quadratic(0.7, [[2.0]])
-    beh = extended_behavior(ms, aux, H)
-    run = beh.sampler([1.0, 0.0, 0.3], 10.0)
+    beh = extended_behavior(ms, H)
+    run = beh.sampler([1.0, 0.0, 0.3], lambda t: np.array([0.7]), 10.0)
+    assert run.labels == ("q", "p", "zeta0", "u0")
     assert beh.membership(run) <= beh.tolerance
-    total = extended_energy(ms, aux, run)
+    u = run.channels(("u0",))[:, 0]
+    assert np.all(u == 0.7)
+    total = ms.hamiltonian(run.channels(ms.state_labels)) + u * run.channels(("zeta0",))[:, 0]
     assert np.max(np.abs(total - total[0])) < 1e-12
 
 
-def test_extended_sheaf_reads_the_aux_tag():
+def test_the_enclosing_behavior_reads_the_signal_channels():
     ms = mass_spring_system()
-    sheaf = extended_sheaf(ms, H)
-    times = np.arange(2001) * H
-    aux = aux_linear(SampledCurve(0.0, H, np.sin(times)), 1)
-    run = sheaf.sampler([1.0, 0.0, 0.0], 2.0, aux=aux)
-    assert sheaf.membership(run) <= sheaf.tolerance
-    # the same samples with the tag stripped are judged against aux zero
-    naked = run.replace_aux(None)
-    assert sheaf.membership(naked) > sheaf.tolerance
-    with pytest.raises(MissingAuxTag):
-        sheaf.membership(run.replace_aux("wrong kind of tag"))
+    beh = extended_behavior(ms, H)
+    run = beh.sampler([1.0, 0.0, 0.0], lambda t: np.array([np.sin(t)]), 2.0)
+    assert beh.membership(run) <= beh.tolerance
+    # the same state and zeta samples with the signals zeroed are not a member
+    values = np.array(run.values)
+    values[:, 3] = 0.0
+    silenced = Trajectory(values, run.grid_step, run.shift, run.labels)
+    assert beh.membership(silenced) > beh.tolerance
 
 
 # ---------------------------------------------------------------------------
-# embedding and projections
+# embedding and legs
 
 
 def test_embed_closed_appends_the_integrated_port_channel():
     ms = mass_spring_system()
     run = closed_behavior(ms, H).sampler([1.0, 0.0], 10.0)
     ext = embed_closed(ms, run)
-    assert ext.labels == ("q", "p", "zeta0")
-    assert ext.aux == aux_zero(1)
+    assert ext.labels == ("q", "p", "zeta0", "u0")
+    assert np.all(ext.channels(("u0",)) == 0.0)
     zeta = ext.channels(("zeta0",))[:, 0]
     assert np.max(np.abs(zeta - (1.0 - np.cos(run.times)))) < 1e-6
     with pytest.raises(NotAMember):
         embed_closed(ms, Trajectory(np.ones((32, 2)), H, 0.0, ("q", "p")))
-
-
-def test_write_csv_refuses_a_tagged_trajectory(tmp_path):
-    ms = mass_spring_system()
-    run = closed_behavior(ms, H).sampler([1.0, 0.0], 0.1)
-    path = tmp_path / "tagged.csv"
-    with pytest.raises(GridMismatch):
-        write_csv(embed_closed(ms, run), path)
-    assert not path.exists()
 
 
 def test_embedding_windows_agree_after_reanchoring():
@@ -235,16 +165,14 @@ def test_embedding_windows_agree_after_reanchoring():
     assert np.max(np.abs((z_window - z_window[0]) - z_fresh)) < 1e-12
 
 
-def test_projections_recover_input_and_output():
+def test_enclosing_legs_recover_input_and_output():
     ms = mass_spring_system()
     run = closed_behavior(ms, H).sampler([1.0, 0.0], 2.0)
     ext = embed_closed(ms, run)
-    a_leg, e_leg = projections(ms)
-    assert np.max(np.abs(a_leg(ext).values)) == 0.0  # zero aux drives nothing
-    out = e_leg(ext).values[:, 0]
+    enclosing = enclosing_machine(ms, H)
+    assert np.max(np.abs(enclosing.a_leg(ext).values)) == 0.0  # zero signals drive nothing
+    out = enclosing.e_leg(ext).values[:, 0]
     assert np.max(np.abs(out - run.channels(("p",))[:, 0])) == 0.0
-    with pytest.raises(MissingAuxTag):
-        a_leg(ext.replace_aux(None))
 
 
 def test_output_stencil_defect_is_small_but_nonzero():
@@ -336,10 +264,11 @@ def test_ph_diagram_rejects_images_outside_the_enclosing_behavior():
     probes = [beh.sampler(x0, 1.0) for x0 in ([1.0, 0.0], [0.0, 1.0], [-0.5, 0.5])]
     ident = lambda e: e
 
-    def doubled(ext, aux):
+    def doubled(ext, signals):
         values = np.array(ext.values)
-        values[:, ms.n:] *= 2.0
-        return Trajectory(values, ext.grid_step, ext.shift, ext.labels, aux)
+        values[:, ms.n : ms.n + ms.m] *= 2.0
+        values[:, ms.n + ms.m :] = signals
+        return Trajectory(values, ext.grid_step, ext.shift, ext.labels)
 
     def zero_input(e):
         values = np.concatenate([e.values, np.zeros((e.num_nodes, 1))], axis=1)
@@ -347,8 +276,7 @@ def test_ph_diagram_rejects_images_outside_the_enclosing_behavior():
 
     def port_to_extended(p):
         state = Trajectory(p.values[:, :ms.n], p.grid_step, p.shift, ms.state_labels)
-        curve = SampledCurve(-p.shift, p.grid_step, p.channels(("u0",)))
-        return doubled(embed_closed(ms, state), aux_linear(curve, 1))
+        return doubled(embed_closed(ms, state), p.channels(("u0",)))
 
     with pytest.raises(NotAMember, match="probe 0 under a_phi"):
         verify_port_control_diagram(
@@ -358,7 +286,7 @@ def test_ph_diagram_rejects_images_outside_the_enclosing_behavior():
             MachineMorphism(zero_input, ident, ident, "swapped"),
             MachineMorphism(port_to_extended, ident, ident, "straight"),
             MachineMorphism(
-                lambda e: doubled(embed_closed(ms, e), aux_zero(1)), ident, ident, "swapped"
+                lambda e: doubled(embed_closed(ms, e), 0.0), ident, ident, "swapped"
             ),
             probes,
         )
