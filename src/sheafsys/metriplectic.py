@@ -62,6 +62,7 @@ from .port_diagram import (
     build_diagram as build_metriplectic_diagram,
     closed_behavior as closed_metriplectic_behavior,
     closed_machine as closed_metriplectic_machine,
+    constant_matrix,
     default_probe_points,
     embed as embed_metriplectic,
     enclosing_machine as enclosing_metriplectic_machine,
@@ -137,7 +138,23 @@ class MetriplecticSystem(PortSystem):
     def signal_labels(self) -> tuple:
         return self.input_labels + self.tau_labels
 
+    def __post_init__(self):
+        super().__post_init__()
+        # per port matrix A, Jt, Gt: False for a constant zero, whose products
+        # port_rhs and zeta_rate leave out
+        live = {}
+        for name in ("entropy_port", "port_poisson", "port_friction"):
+            constant = constant_matrix(getattr(self, name))
+            live[name] = constant is None or bool(constant.any())
+        object.__setattr__(self, "_live", live)
+
     # node formulas of the port diagram
+    #
+    # port_rhs and zeta_rate leave out the product of a constant zero A, Jt
+    # or Gt.  At finite signals that product is +0.0, and no matrix product
+    # here is ever -0.0, so adding it changes no sum except a -0.0 from the
+    # negated first term of zeta_rate, which it makes +0.0; 0.0 - does that
+    # too.  (A non-finite signal times a zero matrix is NaN in the full sum.)
 
     def structure_check(self) -> None:
         check_metriplectic_structure(self)
@@ -146,21 +163,23 @@ class MetriplecticSystem(PortSystem):
         return matvec(self.poisson(x), self.grad_energy(x)) + matvec(self.friction(x), self.grad_entropy(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
-        u, tau = s[..., : self.m], s[..., self.m :]
-        return (
-            self.closed_rhs(x) + matvec(self.energy_port(x), u) + matvec(self.entropy_port(x), tau)
-        )
+        rate = self.closed_rhs(x) + matvec(self.energy_port(x), s[..., : self.m])
+        if self._live["entropy_port"]:
+            rate = rate + matvec(self.entropy_port(x), s[..., self.m :])
+        return rate
 
     def zeta_rate(self, x, s) -> np.ndarray:
         """-B^T grad H + A^T grad S + Jt u + Gt tau, the zeta row of the
-        extended dynamics."""
-        u, tau = s[..., : self.m], s[..., self.m :]
-        return (
-            -matvec(transpose(self.energy_port(x)), self.grad_energy(x))
-            + matvec(transpose(self.entropy_port(x)), self.grad_entropy(x))
-            + matvec(self.port_poisson(x), u)
-            + matvec(self.port_friction(x), tau)
-        )
+        extended dynamics, summed in this order."""
+        live = self._live
+        rate = 0.0 - matvec(transpose(self.energy_port(x)), self.grad_energy(x))
+        if live["entropy_port"]:
+            rate = rate + matvec(transpose(self.entropy_port(x)), self.grad_entropy(x))
+        if live["port_poisson"]:
+            rate = rate + matvec(self.port_poisson(x), s[..., : self.m])
+        if live["port_friction"]:
+            rate = rate + matvec(self.port_friction(x), s[..., self.m :])
+        return rate
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return side_condition_residuals(self, e)

@@ -64,6 +64,8 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
         if not counts:
             return np.asarray(fn(*args), dtype=float)
         count = counts[0]
+        if any(c != count for c in counts):
+            raise DimensionMismatch(f"stacked arguments disagree in length: {counts}")
         columns = [
             arg if np.ndim(arg) > rank else itertools.repeat(arg, count)
             for arg, rank in zip(args, ranks)
@@ -77,19 +79,29 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
     return stacked
 
 
-def matvec(matrices, vectors) -> np.ndarray:
-    """Matrix times vector at every node: (..., r, c) and (..., c) give (..., r)."""
+def matvec(matrices: np.ndarray, vectors) -> np.ndarray:
+    """Matrix times vector at every node: (..., r, c) and (..., c) give (..., r).
+
+    One matrix times one vector goes through ``ndarray.dot``, a cheaper call
+    that gives the bits of ``@``; but not for a vector of length 1, which
+    ``dot`` takes for a scalar: a product that underflows keeps its sign
+    there, where ``@`` gives +0.0.
+    """
     vectors = np.asarray(vectors)
     if vectors.ndim == 1:
+        if matrices.ndim == 2 and len(vectors) > 1:
+            return matrices.dot(vectors)
         return matrices @ vectors
     return np.matmul(matrices, vectors[..., np.newaxis])[..., 0]
 
 
 def dot(a, b) -> np.ndarray:
-    """Inner product at every node: (..., k) and (..., k) give (...)."""
+    """Inner product at every node: (..., k) and (..., k) give (...); one
+    pair of vectors longer than 1 goes through ``ndarray.dot``, as in
+    :func:`matvec`."""
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim == b.ndim == 1:
-        return a @ b
+        return a.dot(b) if a.size > 1 else a @ b
     return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
 
 
@@ -123,11 +135,13 @@ class VectorField:
     def __call__(self, t, x: np.ndarray, u=None) -> np.ndarray:
         """The field at one node (x of shape (n,)) or a stack of nodes."""
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self.rhs(t, x) if u is None else self.rhs(t, x, u), dtype=float)
-        if out.shape != x.shape or x.shape[-1] != self.dimension:
+        if x.shape[-1:] != (self.dimension,):
             raise DimensionMismatch(
-                f"rhs returned shape {out.shape}, expected {x.shape[:-1] + (self.dimension,)}"
+                f"state of shape {x.shape} given to a field of dimension {self.dimension}"
             )
+        out = np.asarray(self.rhs(t, x) if u is None else self.rhs(t, x, u), dtype=float)
+        if out.shape != x.shape:
+            raise DimensionMismatch(f"rhs returned shape {out.shape}, expected {x.shape}")
         return out
 
 
@@ -238,17 +252,20 @@ def integrate_batch(
     if count == 1:  # one run steps a single node, the cheapest call of a field
         x = x[0]
         u = u[:, 0] if u is not None and u.ndim == 3 else u
+    half, sixth = 0.5 * h, h / 6.0
     for i in range(steps):
         if not rows.size:
             break
         t = i * h
         u1, u2, u4 = (None, None, None) if u is None else u[3 * i : 3 * i + 3]
         k1 = field(t - shift, x, u1)
-        k2 = field(t + 0.5 * h - shift, x + 0.5 * h * k1, u2)
-        k3 = field(t + 0.5 * h - shift, x + 0.5 * h * k2, u2)
+        k2 = field(t + half - shift, x + half * k1, u2)
+        k3 = field(t + half - shift, x + half * k2, u2)
         k4 = field(t + h - shift, x + h * k3, u4)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.abs(x).max() <= BLOWUP_THRESHOLD:  # also catches NaN
+        x = x + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)  # k + k is 2.0 * k, exactly
+        # a pass over the few values as Python floats is cheaper than
+        # np.abs(x).max(); NaN fails the comparison too
+        if not all(-BLOWUP_THRESHOLD <= v <= BLOWUP_THRESHOLD for v in x.ravel().tolist()):
             bad = ~(np.abs(x).reshape(rows.size, -1).max(axis=1) <= BLOWUP_THRESHOLD)
             for row in rows[bad]:
                 truncated = Trajectory(nodes[: i + 1, row], h, shift, labels)

@@ -42,7 +42,7 @@ bit-exactly on the zeta channels.
 from __future__ import annotations
 
 from dataclasses import field, fields
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,9 +151,11 @@ def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndar
 
     The field maps a state stack (N, n) to (N, rows, cols), or one state to
     one matrix; a constant field gives its one matrix, shared by every node
-    of a stack, and its shape is checked here.  A callable of one node is
-    lifted with :func:`~sheafsys.ode_behavior.pointwise`; its shape is
-    checked when the system is built.
+    of a stack, and its shape is checked here.  It carries that matrix as
+    its ``constant`` attribute (see :func:`constant_matrix`), so a family
+    can fold it into its formulas once.  A callable of one node is lifted
+    with :func:`~sheafsys.ode_behavior.pointwise`; its shape is checked when
+    the system is built.
     """
     if callable(value):
         return pointwise(value)
@@ -161,7 +163,14 @@ def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndar
     if constant.shape != (rows, cols):
         raise DimensionMismatch(f"{name} has shape {constant.shape}, expected ({rows}, {cols})")
     constant.setflags(write=False)
-    return batched(lambda x, _c=constant: _c)
+    matrix_field = batched(lambda x: constant)
+    matrix_field.constant = constant
+    return matrix_field
+
+
+def constant_matrix(matrix_field) -> Optional[np.ndarray]:
+    """The read-only matrix of a constant matrix field, None for any other."""
+    return getattr(matrix_field, "constant", None)
 
 
 def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], np.ndarray]:

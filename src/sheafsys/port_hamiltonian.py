@@ -45,6 +45,7 @@ from .port_diagram import (
     build_diagram as build_ph_diagram,
     closed_behavior,
     closed_machine,
+    constant_matrix,
     default_probe_points,
     embed as embed_closed,
     enclosing_machine,
@@ -98,6 +99,12 @@ class PHSystem(PortSystem):
     grad_hamiltonian: Callable[[np.ndarray], np.ndarray] = formula("grad H", "n")
     state_labels: tuple = ()
 
+    def __post_init__(self):
+        super().__post_init__()
+        # J - R, formed once when both are constant; closed_rhs forms it per call otherwise
+        J, R = constant_matrix(self.interconnection), constant_matrix(self.dissipation)
+        object.__setattr__(self, "_drift", None if J is None or R is None else J - R)
+
     def port_output(self, x) -> np.ndarray:
         """The natural port output B(x)^T grad H(x)."""
         return matvec(transpose(self.port_map(x)), self.grad_hamiltonian(x))
@@ -108,7 +115,10 @@ class PHSystem(PortSystem):
         check_structure(self)
 
     def closed_rhs(self, x) -> np.ndarray:
-        return matvec(self.interconnection(x) - self.dissipation(x), self.grad_hamiltonian(x))
+        drift = self._drift
+        if drift is None:
+            drift = self.interconnection(x) - self.dissipation(x)
+        return matvec(drift, self.grad_hamiltonian(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
         return self.closed_rhs(x) + matvec(self.port_map(x), s)

@@ -56,6 +56,19 @@ class Polynomial:
     n: int
     terms: tuple  # of (coeff, powers-tuple)
 
+    def __post_init__(self):
+        # the gradient's terms, (component i, coeff * p_i, ((j, exponent), ...)),
+        # in the order of the terms and, within a term, of the components
+        gradient_terms = []
+        for coeff, powers in self.terms:
+            for i, p in enumerate(powers):
+                if p:
+                    exponents = list(powers)
+                    exponents[i] -= 1
+                    factors = tuple((j, e) for j, e in enumerate(exponents) if e)
+                    gradient_terms.append((i, coeff * p, factors))
+        object.__setattr__(self, "_gradient_terms", tuple(gradient_terms))
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         columns = x.T
@@ -74,16 +87,10 @@ class Polynomial:
         columns = x.T
         out = np.zeros(x.shape)
         out_columns = out.T
-        for coeff, powers in self.terms:
-            for i, p in enumerate(powers):
-                if not p:
-                    continue
-                term = coeff * p
-                for j, q in enumerate(powers):
-                    e = q - 1 if j == i else q
-                    if e:
-                        term = term * _power(columns[j], e)
-                out_columns[i] += term
+        for i, term, factors in self._gradient_terms:
+            for j, e in factors:
+                term = term * _power(columns[j], e)
+            out_columns[i] += term
         return out
 
     batched = True  # after the methods, whose decorator this name would hide
@@ -173,7 +180,7 @@ def rigid_body_system(
 
     @batched
     def G(x):
-        g = gradH(x)
+        g = x / inertia  # grad H, as gradH forms it
         squared = dot(g, g)[..., np.newaxis, np.newaxis]
         return gamma * (squared * identity - g[..., :, np.newaxis] * g[..., np.newaxis, :])
 

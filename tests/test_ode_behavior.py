@@ -1,3 +1,4 @@
+import re
 from contextlib import nullcontext
 
 import numpy as np
@@ -17,7 +18,7 @@ from sheafsys import (
     membership_residual,
     restrict,
 )
-from sheafsys.ode_behavior import assert_conditions, node_defects, with_conditions, worst_defect
+from sheafsys.ode_behavior import assert_conditions, node_defects, pointwise, with_conditions, worst_defect
 from sheafsys.port_diagram import closed_field, embed
 from sheafsys.systems import blowup_field, linear_field, mass_spring_system
 
@@ -26,6 +27,25 @@ def test_vector_field_checks_output_shape():
     bad = VectorField(2, lambda t, x: np.zeros(3))
     with pytest.raises(DimensionMismatch):
         bad(0.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("field", [
+    linear_field([[1.0, 0.0], [0.0, 1.0]]),
+    closed_field(mass_spring_system()),
+    VectorField(2, lambda t, x: x),  # a field of one node, lifted
+])
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3)), np.ones(1), np.float64(1.0)])
+def test_vector_field_rejects_a_state_of_the_wrong_width_before_the_rhs(field, x):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"shape {np.shape(x)} given to a field of dimension 2")):
+        field(0.0, x)
+
+
+@pytest.mark.parametrize("times, states", [(np.arange(5.0), np.ones((3, 2))), (np.arange(3.0), np.ones((5, 2)))])
+def test_pointwise_rejects_stacks_of_different_lengths(times, states):
+    lifted = pointwise(lambda t, x: x * t, 0, 1)
+    with pytest.raises(DimensionMismatch, match="disagree in length"):
+        lifted(times, states)
+    assert lifted(times[:2], states[:2]).shape == (2, 2)
 
 
 def test_grid_derivative_exact_on_cubics():
