@@ -54,10 +54,10 @@ from .machine import (
     DiagramReport,
     verify_port_control_diagram,
 )
+from .port_diagram import check_structure
 from .port_hamiltonian import (
     PHSystem,
     ph_system,
-    check_structure,
     closed_behavior,
     extended_behavior,
     embed_closed,
@@ -73,15 +73,12 @@ from .port_hamiltonian import (
 from .metriplectic import (
     MetriplecticSystem,
     metriplectic_system,
-    check_metriplectic_structure,
-    noninteraction_residuals,
     closed_metriplectic_behavior,
     embed_metriplectic,
     side_condition_residuals,
     assert_side_conditions,
     degeneracy_audit,
     rate_audit,
-    extended_psd_min,
     port_metriplectic_machine,
     closed_metriplectic_machine,
     enclosing_metriplectic_machine,

@@ -31,9 +31,10 @@ Jext grad S_ext = 0 and Gext grad H_ext = 0 have the rows J grad S + B tau,
 side conditions make every row vanish; so the enclosing machine holds its
 members to the same eight conditions as the port machine.  The port
 signals are (u, tau_in);
-:class:`MetriplecticSystem` supplies these node formulas and the side
-conditions to :mod:`sheafsys.port_diagram`, which builds the machines, the
-embedding and the diagram; the names this module gives them
+:class:`MetriplecticSystem` supplies these node formulas, the side
+conditions and its structure-law table to :mod:`sheafsys.port_diagram`,
+which holds the laws and builds the machines, the embedding and the
+diagram; the names this module gives them
 (``closed_metriplectic_machine``, ``port_metriplectic_machine``,
 ``enclosing_metriplectic_machine``, ``embed_metriplectic``,
 ``build_metriplectic_diagram``) are the port_diagram functions.
@@ -42,11 +43,10 @@ embedding and the diagram; the names this module gives them
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoninteractionViolation
 from .interval_sheaf import Trajectory
 from .ode_behavior import (
     SIDE_CONDITION_TOL,
@@ -63,20 +63,15 @@ from .port_diagram import (
     closed_behavior as closed_metriplectic_behavior,
     closed_machine as closed_metriplectic_machine,
     constant_matrix,
-    default_probe_points,
     embed as embed_metriplectic,
     enclosing_machine as enclosing_metriplectic_machine,
+    entries,
     fd_gradient,
     formula,
+    gradient_gap,
+    negative_eigenvalues,
     port_machine as port_metriplectic_machine,
-)
-from .port_hamiltonian import (
-    MATRIX_TOL,
-    antisymmetric,
-    consistent_gradient,
-    require,
-    semidefinite,
-    symmetric,
+    worst_per_condition,
 )
 
 
@@ -92,7 +87,7 @@ class MetriplecticSystem(PortSystem):
     Each formula is a constant matrix or a callable; building the system
     lifts a callable of one node to the stack contract of
     :mod:`sheafsys.ode_behavior` and checks every shape and the structure
-    (:func:`check_metriplectic_structure`) once:
+    laws (:meth:`structure_residuals`) once:
 
     poisson : callable
         x -> antisymmetric (n, n) matrix J(x), drives the energy.
@@ -156,8 +151,31 @@ class MetriplecticSystem(PortSystem):
     # negated first term of zeta_rate, which it makes +0.0; 0.0 - does that
     # too.  (A non-finite signal times a zero matrix is NaN in the full sum.)
 
-    def structure_check(self) -> None:
-        check_metriplectic_structure(self)
+    def structure_residuals(self, x) -> dict:
+        """The noninteraction laws precede the gradient laws: they hold the
+        gradients the dynamics use, so a gradient that breaks them, or is
+        NaN, fails as one of them."""
+        J, Jt, G = self.poisson(x), self.port_poisson(x), self.friction(x)
+        return worst_per_condition(
+            {
+                "J(x) not antisymmetric": entries(J + transpose(J)),
+                "Jt(x) not antisymmetric": entries(Jt + transpose(Jt)),
+                "G(x) not symmetric": entries(G - transpose(G)),
+                "G(x) not positive semidefinite": negative_eigenvalues(G),
+                "[[G, A], [A^T, Gt]] not positive semidefinite": negative_eigenvalues(
+                    extended_friction_block(self, x)
+                ),
+                "J grad S": matvec(J, self.grad_entropy(x)),
+                "G grad H": matvec(G, self.grad_energy(x)),
+                "grad H inconsistent with finite differences": gradient_gap(
+                    self.grad_energy, self.energy, x
+                ),
+                "grad S inconsistent with finite differences": gradient_gap(
+                    self.grad_entropy, self.entropy, x
+                ),
+            },
+            len(x),
+        )
 
     def closed_rhs(self, x) -> np.ndarray:
         return matvec(self.poisson(x), self.grad_energy(x)) + matvec(self.friction(x), self.grad_entropy(x))
@@ -224,46 +242,6 @@ def extended_friction_block(sys: MetriplecticSystem, x) -> np.ndarray:
     return out
 
 
-def noninteraction_residuals(sys: MetriplecticSystem, points: Optional[Sequence] = None):
-    """Worst residuals of J grad S and G grad H over the points (the default
-    probe points when None), each with its point, or None where it is 0."""
-    points = default_probe_points(sys.n) if points is None else points
-    points = np.asarray(points, dtype=float).reshape(len(points), sys.n)
-    if not len(points):
-        return 0.0, 0.0, None, None
-    worst = _worst_per_condition(
-        ("J gradS", "G gradH"),
-        (
-            matvec(sys.poisson(points), sys.grad_entropy(points)),
-            matvec(sys.friction(points), sys.grad_energy(points)),
-        ),
-    )
-    (js, i), (gh, j) = worst["J gradS"], worst["G gradH"]
-    return js, gh, points[i] if js > 0 else None, points[j] if gh > 0 else None
-
-
-def check_metriplectic_structure(sys: MetriplecticSystem) -> None:
-    """Verify antisymmetry, PSD blocks, gradient consistency, noninteraction
-    at the default probe points."""
-    points = np.array(default_probe_points(sys.n))
-    G = sys.friction(points)
-    require(
-        points,
-        antisymmetric("J(x)", sys.poisson(points), points),
-        antisymmetric("Jt(x)", sys.port_poisson(points), points),
-        symmetric("G(x)", G, points),
-        semidefinite("G(x)", G, points),
-        semidefinite("[[G, A], [A^T, Gt]]", extended_friction_block(sys, points), points),
-        consistent_gradient("H", sys.grad_energy, fd_gradient(sys.energy, sys.n), points),
-        consistent_gradient("S", sys.grad_entropy, fd_gradient(sys.entropy, sys.n), points),
-    )
-    worst_js, worst_gh, at_js, at_gh = noninteraction_residuals(sys)
-    if worst_js > MATRIX_TOL:
-        raise NoninteractionViolation(f"J grad S = {worst_js:.3e} at x = {at_js.tolist()}")
-    if worst_gh > MATRIX_TOL:
-        raise NoninteractionViolation(f"G grad H = {worst_gh:.3e} at x = {at_gh.tolist()}")
-
-
 # ---------------------------------------------------------------------------
 # node-wise formulas and side conditions
 
@@ -282,16 +260,6 @@ def zeta_rate_along(
 SIDE_CONDITIONS = ("J gradS", "G gradH", "B tau", "A u", "B^T gradS", "A^T gradH", "Jt tau", "Gt u")
 
 
-def _worst_per_condition(names: tuple, stacks) -> dict:
-    """(worst residual, node) of each named condition, by
-    :func:`~sheafsys.ode_behavior.worst_defect`; ``stacks`` holds one (N, k)
-    stack of condition values per name."""
-    return {
-        name: worst_defect(np.max(np.abs(v), axis=-1) if v.shape[-1] else np.zeros(v.shape[:-1]))
-        for name, v in zip(names, stacks)
-    }
-
-
 def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
     """Worst node residual of each algebraic side condition on a port run.
 
@@ -303,19 +271,17 @@ def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
     tau = e.channels(sys.tau_labels)
     gh, gs = sys.grad_energy(x), sys.grad_entropy(x)
     B, A = sys.energy_port(x), sys.entropy_port(x)
-    return _worst_per_condition(
-        SIDE_CONDITIONS,
-        (
-            matvec(sys.poisson(x), gs),
-            matvec(sys.friction(x), gh),
-            matvec(B, tau),
-            matvec(A, u),
-            matvec(transpose(B), gs),
-            matvec(transpose(A), gh),
-            matvec(sys.port_poisson(x), tau),
-            matvec(sys.port_friction(x), u),
-        ),
+    values = (
+        matvec(sys.poisson(x), gs),
+        matvec(sys.friction(x), gh),
+        matvec(B, tau),
+        matvec(A, u),
+        matvec(transpose(B), gs),
+        matvec(transpose(A), gh),
+        matvec(sys.port_poisson(x), tau),
+        matvec(sys.port_friction(x), u),
     )
+    return worst_per_condition(dict(zip(SIDE_CONDITIONS, values)), e.num_nodes)
 
 
 def assert_side_conditions(
@@ -373,10 +339,3 @@ def rate_audit(sys: MetriplecticSystem, e: Trajectory) -> dict:
         "energy_rate_defect": worst_defect(np.abs(h_rate - dot(gh, drive)))[0],
         "entropy_rate_defect": worst_defect(np.abs(s_rate - production - dot(gs, drive)))[0],
     }
-
-
-def extended_psd_min(sys: MetriplecticSystem, states: np.ndarray) -> float:
-    """Smallest eigenvalue of [[G, A], [A^T, Gt]] along a state array; -inf
-    at a non-finite node."""
-    block = extended_friction_block(sys, states)
-    return -worst_defect(-np.linalg.eigvalsh(0.5 * (block + transpose(block))).min(axis=-1))[0]

@@ -19,12 +19,13 @@ pass over a trajectory is one call:
   that membership of the port and enclosing machines must meet as well
   (none by default), folded in by
   :func:`sheafsys.ode_behavior.with_conditions`;
-- ``structure_check()``, the family's structure check at its default points.
+- ``structure_residuals(x)``, the family's structure laws on a node stack,
+  each named by what its failure says, as (worst residual, node) pairs.
 
 A family declares each of its own formulas as a :func:`formula` field, with
 its name and node shape.  Building a system lifts every formula to the stack
-contract, checks its shape and runs the structure check, so a system that
-exists has passed them all and callers use its formulas directly.
+contract, checks its shape and holds its laws (:func:`check_structure`), so
+a system that exists has passed them all and callers use its formulas directly.
 
 The enclosing system adds to the port system an auxiliary energy on the
 port variables, which describes the nature of the ports.  It is linear,
@@ -46,8 +47,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAMember
-from .interval_sheaf import DEFAULT_STEP, Trajectory
+from .errors import DimensionMismatch, NoninteractionViolation, NotAMember, StructureViolation
+from .interval_sheaf import DEFAULT_STEP, Trajectory, worst_defect
 from .machine import (
     DiagramReport,
     Machine,
@@ -62,7 +63,11 @@ from .ode_behavior import (
     batched,
     membership_residual,
     pointwise,
+    transpose,
 )
+
+MATRIX_TOL = 1e-10
+GRAD_CONSISTENCY_RTOL = 1e-5
 
 
 class PortSystem:
@@ -99,7 +104,7 @@ class PortSystem:
         :func:`formula` to the stack contract and check its node shape at
         the first default probe point and on the (P, n) stack of them all (a
         matrix may give one matrix for a stack, as a constant does), then
-        run the family's structure check."""
+        hold the structure laws (:func:`check_structure`)."""
         labels = tuple(self.state_labels or (f"x{i}" for i in range(self.n)))
         object.__setattr__(self, "state_labels", labels)
         if len(labels) != self.n:
@@ -120,7 +125,7 @@ class PortSystem:
                 got = np.shape(value(x))
                 if got != expected and not (len(shape) == 2 and got == shape):
                     raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
-        self.structure_check()
+        check_structure(self)
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return {}
@@ -137,6 +142,55 @@ def default_probe_points(n: int) -> list:
     points.append(0.3 * np.ones(n))
     points.append(np.array([(-0.7) ** (i + 1) for i in range(n)]))
     return points
+
+
+def worst_per_condition(conditions: dict, nodes: int) -> dict:
+    """(worst residual, node) over ``nodes`` nodes of each named condition, by
+    :func:`~sheafsys.interval_sheaf.worst_defect`: its value is an (N, k)
+    stack, or one (k,) value all nodes share, that vanishes where it holds,
+    and its residual at a node the largest entry in absolute value."""
+    return {
+        name: worst_defect(np.broadcast_to(np.max(np.abs(v), axis=-1, initial=0.0), (nodes,)))
+        for name, v in conditions.items()
+    }
+
+
+def entries(M: np.ndarray) -> np.ndarray:
+    """The entries of each matrix of a stack as one vector per node."""
+    return M.reshape(M.shape[:-2] + (-1,))
+
+
+def negative_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the symmetric part of each matrix, those above 0 set
+    to 0, so all vanish where it is positive semidefinite; NaN for a matrix
+    with a non-finite entry, which eigvalsh cannot take."""
+    S = 0.5 * (M + transpose(M))
+    finite = np.isfinite(S).all(axis=(-2, -1))[..., np.newaxis]
+    eigenvalues = np.linalg.eigvalsh(np.where(finite[..., np.newaxis], S, 0.0))
+    return np.where(finite, np.minimum(eigenvalues, 0.0), np.nan)
+
+
+def gradient_gap(grad: Callable, energy: Callable, x: np.ndarray) -> np.ndarray:
+    """A gradient minus central differences of its energy, relative to
+    max(1, the largest |entry| of the differences), at every node."""
+    reference = fd_gradient(energy, x.shape[-1])(x)
+    scale = np.maximum(1.0, np.max(np.abs(reference), axis=-1, keepdims=True))
+    return (grad(x) - reference) / scale
+
+
+def check_structure(system: PortSystem) -> None:
+    """Hold the laws of ``system.structure_residuals`` at the default probe
+    points in the table's order, a gradient law ("grad ...") to
+    GRAD_CONSISTENCY_RTOL and the others to MATRIX_TOL.  The first broken
+    law raises NoninteractionViolation (J grad S, G grad H) or
+    StructureViolation, naming the law and its worst point."""
+    points = np.array(default_probe_points(system.n))
+    for law, (residual, node) in system.structure_residuals(points).items():
+        if not residual <= (GRAD_CONSISTENCY_RTOL if law.startswith("grad ") else MATRIX_TOL):
+            at = f"at x = {points[node].tolist()}"
+            if law in ("J grad S", "G grad H"):
+                raise NoninteractionViolation(f"{law} = {residual:.3e} {at}")
+            raise StructureViolation(f"{law} {at} (residual {residual:.3e})")
 
 
 def formula(name: str, dims: str):

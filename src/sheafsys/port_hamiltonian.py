@@ -13,8 +13,9 @@ u = grad_zeta H_aux as channels after zeta.  :class:`PHSystem` supplies
 these node formulas to :mod:`sheafsys.port_diagram`, which builds the three
 machines (closed, port, extended) and the three behavior maps between them
 and hands the triangle to the diagram verifier.  This module adds the
-structure check and the energy audits; its names for the diagram's pieces
-(``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
+structure-law table (J antisymmetric, R symmetric positive semidefinite,
+grad H consistent with H) and the energy audits; its names for the
+diagram's pieces (``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
 ``enclosing_machine``, ``build_ph_diagram``) are the port_diagram functions.
 
 Leg maps are computed node-locally from the trajectory channels, so they
@@ -30,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import StructureViolation
 from .interval_sheaf import Trajectory
 from .ode_behavior import (
     dot,
@@ -46,17 +46,17 @@ from .port_diagram import (
     closed_behavior,
     closed_machine,
     constant_matrix,
-    default_probe_points,
     embed as embed_closed,
     enclosing_machine,
+    entries,
     extended_behavior,
     fd_gradient,
     formula,
+    gradient_gap,
+    negative_eigenvalues,
     port_machine as ph_iso_machine,
+    worst_per_condition,
 )
-
-MATRIX_TOL = 1e-10
-GRAD_CONSISTENCY_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class PHSystem(PortSystem):
     Each formula is a constant matrix or a callable; building the system
     lifts a callable of one node to the stack contract of
     :mod:`sheafsys.ode_behavior` and checks every shape and the structure
-    (:func:`check_structure`) once:
+    laws (:meth:`structure_residuals`) once:
 
     interconnection : callable
         x -> antisymmetric (n, n) matrix J(x).
@@ -111,8 +111,19 @@ class PHSystem(PortSystem):
 
     # node formulas of the port diagram
 
-    def structure_check(self) -> None:
-        check_structure(self)
+    def structure_residuals(self, x) -> dict:
+        J, R = self.interconnection(x), self.dissipation(x)
+        return worst_per_condition(
+            {
+                "J(x) not antisymmetric": entries(J + transpose(J)),
+                "R(x) not symmetric": entries(R - transpose(R)),
+                "R(x) not positive semidefinite": negative_eigenvalues(R),
+                "grad H inconsistent with finite differences": gradient_gap(
+                    self.grad_hamiltonian, self.hamiltonian, x
+                ),
+            },
+            len(x),
+        )
 
     def closed_rhs(self, x) -> np.ndarray:
         drift = self._drift
@@ -140,67 +151,6 @@ def ph_system(
     """A PHSystem from constants or callables; the gradient falls back to
     central differences when no closed form is given."""
     return PHSystem(n, m, J, R, B, H, fd_gradient(H, n) if gradH is None else gradH, labels)
-
-
-def require(points: np.ndarray, *checks) -> None:
-    """Raise StructureViolation for the first of the points that fails a
-    check, and there the first check it fails.  Each check is a (failing,
-    message) pair: ``failing`` a bool per point (or one for all of them),
-    ``message(i)`` the text for point i.
-    """
-    failing = [np.broadcast_to(failing, (len(points),)) for failing, _ in checks]
-    hits = np.argwhere(np.column_stack(failing))
-    if hits.size:
-        point, check = hits[0]
-        raise StructureViolation(checks[check][1](point))
-
-
-def antisymmetric(name: str, M: np.ndarray, points: np.ndarray):
-    defect = np.max(np.abs(M + transpose(M)), axis=(-2, -1))
-    return ~(defect <= MATRIX_TOL), lambda i: (
-        f"{name} not antisymmetric at x = {points[i].tolist()}"
-    )
-
-
-def symmetric(name: str, M: np.ndarray, points: np.ndarray):
-    defect = np.max(np.abs(M - transpose(M)), axis=(-2, -1))
-    return ~(defect <= MATRIX_TOL), lambda i: f"{name} not symmetric at x = {points[i].tolist()}"
-
-
-def semidefinite(name: str, M: np.ndarray, points: np.ndarray):
-    """Positive semidefinite symmetric part; symmetry itself is not checked."""
-    lowest = np.linalg.eigvalsh(0.5 * (M + transpose(M))).min(axis=-1)
-    return ~(lowest >= -MATRIX_TOL), lambda i: (
-        f"{name} not positive semidefinite at x = {points[i].tolist()}"
-    )
-
-
-def consistent_gradient(name: str, grad, fd, points: np.ndarray):
-    """The gradient agrees with central differences to GRAD_CONSISTENCY_RTOL."""
-    reference = fd(points)
-    gap = np.max(np.abs(grad(points) - reference), axis=-1)
-    bound = GRAD_CONSISTENCY_RTOL * np.maximum(1.0, np.max(np.abs(reference), axis=-1))
-    return ~(gap <= bound), lambda i: (
-        f"grad {name} inconsistent with finite differences at x = {points[i].tolist()} "
-        f"(gap {gap[i]:.3e})"
-    )
-
-
-def check_structure(sys: PHSystem) -> None:
-    """Verify antisymmetry of J, symmetric PSD R, gradient consistency at the
-    default probe points.
-
-    Raises StructureViolation naming the failing probe point.
-    """
-    points = np.array(default_probe_points(sys.n))
-    R = sys.dissipation(points)
-    require(
-        points,
-        antisymmetric("J(x)", sys.interconnection(points), points),
-        symmetric("R(x)", R, points),
-        semidefinite("R(x)", R, points),
-        consistent_gradient("H", sys.grad_hamiltonian, fd_gradient(sys.hamiltonian, sys.n), points),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from sheafsys import (
     glue,
     identical,
     integrate,
-    noninteraction_residuals,
     power_balance,
     rate_audit,
     restrict,
@@ -207,14 +206,13 @@ def test_criterion_06_port_hamiltonian_diagram():
 
 def test_criterion_07_metriplectic_degeneracy():
     rb = rigid_body_system()
-    worst_js, worst_gh, _, _ = noninteraction_residuals(
-        rb, seeded_initial_states(7, 100, 3)
-    )
+    laws = rb.structure_residuals(np.array(seeded_initial_states(7, 100, 3)))
+    worst_js, worst_gh = laws["J grad S"][0], laws["G grad H"][0]
     beh = closed_metriplectic_behavior(rb, H, 1e-3)
     drift = 0.0
     rate_min = np.inf
-    for x0 in seeded_initial_states(3, 5, 3):
-        audit = degeneracy_audit(rb, beh.sampler(x0, 10.0))
+    for run in beh.sampler(np.array(seeded_initial_states(3, 5, 3)), 10.0):
+        audit = degeneracy_audit(rb, run)
         drift = max(drift, audit["energy_drift"])
         rate_min = min(rate_min, audit["entropy_rate_min"])
     ok = (

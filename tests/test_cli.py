@@ -321,6 +321,28 @@ def test_mp_noninteraction_check(tmp_path):
     assert doc["residuals"]["G_gradH"] < 1e-10
 
 
+def test_noninteraction_broken_off_the_default_points_fails_the_check(tmp_path):
+    # G grad H = (p(x0), 0) with p = x0 (x0 - 1)(x0 + 0.5)(x0 - 0.3)(x0 + 0.7),
+    # whose roots are the x0 of all seven default points: the system builds
+    p = np.polynomial.polynomial
+    terms = [
+        {"coeff": float(c), "powers": [k, 0]}
+        for k, c in enumerate(p.polyint(p.polyfromroots([0.0, 1.0, -0.5, 0.3, -0.7])))
+        if c
+    ]
+    cfg = tmp_path / "gap.json"
+    cfg.write_text(json.dumps({
+        "kind": "mp", "n": 2, "m": 1, "J": [[0.0, 0.0], [0.0, 0.0]], "G": [[1.0, 0.0], [0.0, 0.0]],
+        "B": [[0.0], [0.0]], "A": [[0.0], [0.0]], "Jt": [[0.0]], "Gt": [[0.0]],
+        "H": {"terms": terms + [{"coeff": 0.5, "powers": [0, 2]}]}, "S": {"terms": []},
+    }))
+    out = tmp_path / "out"
+    assert main(["mp", "check-noninteraction", "--config", str(cfg), "--out", str(out)]) == 1
+    doc = report(out)
+    assert doc["pass"] is False
+    assert doc["residuals"] == {"J_gradS": 0.0, "G_gradH": pytest.approx(25.09458882371327, rel=1e-12)}
+
+
 def test_failing_tolerance_exits_1(tmp_path):
     out = tmp_path / "strict"
     code = main([
@@ -422,23 +444,17 @@ def test_a_non_integer_dimension_is_a_config_error(tmp_path, capsys, dims):
     assert not (out / "report.json").exists()
 
 
-STRUCTURE_CHECKS = {
-    "mass_spring": ("sheafsys.port_hamiltonian", "check_structure"),
-    "rigid_body": ("sheafsys.metriplectic", "check_metriplectic_structure"),
-}
-
-
 @pytest.mark.parametrize("line, system", [
     (line, system)
-    for system in STRUCTURE_CHECKS
+    for system in ("mass_spring", "rigid_body")
     for line in ("simulate", "audit", "check-sheaf", "verify-diagram", "mp check-noninteraction")
     if system == "rigid_body" or not line.startswith("mp ")
 ])
 def test_each_port_command_checks_the_structure_once(tmp_path, monkeypatch, line, system):
-    module, check = STRUCTURE_CHECKS[system]
+    module = sys.modules["sheafsys.port_diagram"]
     calls = []
-    original = getattr(sys.modules[module], check)
-    monkeypatch.setattr(sys.modules[module], check, lambda *args: calls.append(args) or original(*args))
+    original = module.check_structure
+    monkeypatch.setattr(module, "check_structure", lambda *args: calls.append(args) or original(*args))
     argv = line.split() + ["--system", system, "--length", "0.064", "--out", str(tmp_path / "out")]
     assert main(argv) == 0
     assert len(calls) == 1

@@ -8,14 +8,12 @@ from sheafsys import (
     Trajectory,
     assert_side_conditions,
     build_metriplectic_diagram,
-    check_metriplectic_structure,
+    check_structure,
     closed_metriplectic_behavior,
     degeneracy_audit,
     embed_metriplectic,
     extended_behavior,
-    extended_psd_min,
     metriplectic_system,
-    noninteraction_residuals,
     rate_audit,
     seeded_initial_states,
     side_condition_residuals,
@@ -59,12 +57,10 @@ def coupled_port_system(Jt=None, Gt=None):
 
 def test_rigid_body_satisfies_the_degeneracies():
     rb = sphere_entropy_system()
-    check_metriplectic_structure(rb)
-    worst_js, worst_gh, _, _ = noninteraction_residuals(
-        rb, seeded_initial_states(7, 100, 3)
-    )
-    assert worst_js < 1e-10
-    assert worst_gh < 1e-10
+    check_structure(rb)
+    laws = rb.structure_residuals(np.array(seeded_initial_states(7, 100, 3)))
+    assert laws["J grad S"][0] < 1e-10
+    assert laws["G grad H"][0] < 1e-10
 
 
 def test_misaligned_entropy_gradient_is_caught():
@@ -129,7 +125,8 @@ def test_frictionless_variant_freezes_both_generators():
 def test_extended_friction_stays_psd_along_runs():
     rb = sphere_entropy_system()
     run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
-    assert extended_psd_min(rb, run.values) > -1e-12
+    laws = rb.structure_residuals(run.values)
+    assert laws["[[G, A], [A^T, Gt]] not positive semidefinite"][0] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def test_a_port_run_is_a_member_only_within_the_side_condition_tolerance(tau, me
 
 def test_port_poisson_coupling_violates_its_side_condition():
     cpl = coupled_port_system(Jt=[[0.0, 1.0], [-1.0, 0.0]])
-    check_metriplectic_structure(cpl)
+    check_structure(cpl)
     port = port_metriplectic_machine(cpl, H)
     run = port.behavior.sampler(
         [1.0, 0.0], lambda t: np.zeros(2), lambda t: np.array([0.2, 0.0]), 0.1
@@ -338,8 +335,5 @@ def test_degeneracy_audit_fails_at_a_nan_node():
     values[500, 2] = np.nan
     audit = degeneracy_audit(rb, Trajectory(values, H, run.shift, run.labels))
     assert audit == {"energy_rate_max": np.inf, "entropy_rate_min": -np.inf, "energy_drift": np.inf}
-    assert extended_psd_min(rb, values[:400]) > -1e-12
-
-
-def test_noninteraction_without_points_has_no_residual():
-    assert noninteraction_residuals(coupled_port_system(), []) == (0.0, 0.0, None, None)
+    laws = rb.structure_residuals(values[:400])
+    assert laws["[[G, A], [A^T, Gt]] not positive semidefinite"][0] < 1e-12

@@ -6,7 +6,6 @@ from sheafsys import (
     ConfigError,
     Polynomial,
     bundle_from_config,
-    check_metriplectic_structure,
     check_structure,
     load_config,
     parse_polynomial,
@@ -55,7 +54,7 @@ def test_parse_polynomial_round_trip_and_errors():
 def test_builtin_systems_pass_their_structure_checks():
     assert set(BUILTIN_SYSTEMS) == {"blowup", "linear", "mass_spring", "rigid_body"}
     check_structure(resolve_builtin("mass_spring").instance)
-    check_metriplectic_structure(resolve_builtin("rigid_body").instance)
+    check_structure(resolve_builtin("rigid_body").instance)
     assert blowup_field()(0.0, np.array([2.0]))[0] == 4.0
     assert linear_field()(0.0, np.array([3.0]))[0] == -3.0
 
@@ -131,7 +130,7 @@ def test_bundle_from_config_explicit_two_generator_system():
     }
     bundle = bundle_from_config(doc)
     assert bundle.kind == "mp"
-    check_metriplectic_structure(bundle.instance)
+    check_structure(bundle.instance)
 
 
 NAN, INF = float("nan"), float("inf")
