@@ -57,7 +57,6 @@ from .machine import (
 from .port_diagram import check_structure
 from .port_hamiltonian import (
     PHSystem,
-    ph_system,
     closed_behavior,
     extended_behavior,
     embed_closed,
@@ -72,11 +71,9 @@ from .port_hamiltonian import (
 )
 from .metriplectic import (
     MetriplecticSystem,
-    metriplectic_system,
     closed_metriplectic_behavior,
     embed_metriplectic,
     side_condition_residuals,
-    assert_side_conditions,
     degeneracy_audit,
     rate_audit,
     port_metriplectic_machine,

@@ -50,7 +50,7 @@ class StructureViolation(SheafSysError):
 
 
 class NoninteractionViolation(SheafSysError):
-    """The degeneracy conditions J gradS = 0, G gradH = 0 fail at a probe point."""
+    """The degeneracy conditions J grad S = 0, G grad H = 0 fail at a probe point."""
 
 
 class ConstraintViolation(SheafSysError):

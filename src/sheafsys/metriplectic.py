@@ -30,27 +30,25 @@ Jext grad S_ext = 0 and Gext grad H_ext = 0 have the rows J grad S + B tau,
 -B^T grad S + Jt tau, G grad H + A u and A^T grad H + Gt u, and the port
 side conditions make every row vanish; so the enclosing machine holds its
 members to the same eight conditions as the port machine.  The port
-signals are (u, tau_in);
-:class:`MetriplecticSystem` supplies these node formulas, the side
-conditions and its structure-law table to :mod:`sheafsys.port_diagram`,
-which holds the laws and builds the machines, the embedding and the
-diagram; the names this module gives them
-(``closed_metriplectic_machine``, ``port_metriplectic_machine``,
-``enclosing_metriplectic_machine``, ``embed_metriplectic``,
-``build_metriplectic_diagram``) are the port_diagram functions.
+signals are (u, tau_in).  :class:`MetriplecticSystem`, the one constructor
+of a metriplectic system, supplies these node formulas, the side conditions
+and its structure-law table to :mod:`sheafsys.port_diagram`, which holds the
+laws and builds the machines, the embedding and the diagram; the names this
+module gives them (``closed_metriplectic_machine``,
+``port_metriplectic_machine``, ``enclosing_metriplectic_machine``,
+``embed_metriplectic``, ``build_metriplectic_diagram``) are the port_diagram
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .interval_sheaf import Trajectory
 from .ode_behavior import (
-    SIDE_CONDITION_TOL,
-    assert_conditions,
     dot,
     grid_derivative,
     matvec,
@@ -66,7 +64,6 @@ from .port_diagram import (
     embed as embed_metriplectic,
     enclosing_machine as enclosing_metriplectic_machine,
     entries,
-    fd_gradient,
     formula,
     gradient_gap,
     negative_eigenvalues,
@@ -101,7 +98,7 @@ class MetriplecticSystem(PortSystem):
     energy, entropy : callable
         Scalar fields H and S.
     grad_energy, grad_entropy : callable
-        Their gradients.
+        Their gradients, in closed form.
     state_labels : tuple of str
         Channel names for the state; x0, x1, ... when empty.
 
@@ -203,31 +200,6 @@ class MetriplecticSystem(PortSystem):
         return side_condition_residuals(self, e)
 
 
-def metriplectic_system(
-    n: int,
-    m: int,
-    J,
-    G,
-    B,
-    A,
-    Jt,
-    Gt,
-    H: Callable,
-    S: Callable,
-    gradH: Optional[Callable] = None,
-    gradS: Optional[Callable] = None,
-    labels: Optional[tuple] = None,
-) -> MetriplecticSystem:
-    """A MetriplecticSystem from constants or callables; each gradient falls
-    back to central differences when no closed form is given."""
-    return MetriplecticSystem(
-        n, m, J, G, B, A, Jt, Gt, H, S,
-        fd_gradient(H, n) if gradH is None else gradH,
-        fd_gradient(S, n) if gradS is None else gradS,
-        labels,
-    )
-
-
 def extended_friction_block(sys: MetriplecticSystem, x) -> np.ndarray:
     """The (n+m) x (n+m) block [[G, A], [A^T, Gt]] at a state point or at
     every point of a stack."""
@@ -257,7 +229,9 @@ def zeta_rate_along(
     return sys.zeta_rate(states, signals)
 
 
-SIDE_CONDITIONS = ("J gradS", "G gradH", "B tau", "A u", "B^T gradS", "A^T gradH", "Jt tau", "Gt u")
+SIDE_CONDITIONS = (
+    "J grad S", "G grad H", "B tau", "A u", "B^T grad S", "A^T grad H", "Jt tau", "Gt u"
+)
 
 
 def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
@@ -282,15 +256,6 @@ def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
         matvec(sys.port_friction(x), u),
     )
     return worst_per_condition(dict(zip(SIDE_CONDITIONS, values)), e.num_nodes)
-
-
-def assert_side_conditions(
-    sys: MetriplecticSystem,
-    e: Trajectory,
-    tolerance: float = SIDE_CONDITION_TOL,
-) -> None:
-    """Raise ConstraintViolation naming the first condition that fails."""
-    assert_conditions(side_condition_residuals(sys, e), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -392,8 +392,3 @@ class OdeBehavior:
         if self.side_residuals is None:
             return dynamics
         return with_conditions(dynamics, self.side_residuals(e))
-
-    def assert_conditions(self, e: Trajectory, tolerance: float = SIDE_CONDITION_TOL) -> None:
-        """Raise ConstraintViolation at the first side condition ``e`` fails."""
-        if self.side_residuals is not None:
-            assert_conditions(self.side_residuals(e), tolerance)

@@ -135,10 +135,10 @@ def default_probe_points(n: int) -> list:
     """Deterministic structure-check points: origin, axes, mixed corners."""
     points = [np.zeros(n)]
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        points.append(e)
-        points.append(-0.5 * e)
+        for value in (1.0, -0.5):  # set, not scaled: -0.5 * e would hold -0.0
+            e = np.zeros(n)
+            e[i] = value
+            points.append(e)
     points.append(0.3 * np.ones(n))
     points.append(np.array([(-0.7) ** (i + 1) for i in range(n)]))
     return points

@@ -9,10 +9,11 @@ The same open system embeds into a closed one on the extended space
 (x, zeta): the linear auxiliary energy H_aux = u^T zeta supplies the drive
 through the extended antisymmetric block [[J, B], [-B^T, 0]], and the port
 variable zeta integrates -B^T grad H.  An enclosing member carries
-u = grad_zeta H_aux as channels after zeta.  :class:`PHSystem` supplies
-these node formulas to :mod:`sheafsys.port_diagram`, which builds the three
-machines (closed, port, extended) and the three behavior maps between them
-and hands the triangle to the diagram verifier.  This module adds the
+u = grad_zeta H_aux as channels after zeta.  :class:`PHSystem`, the one
+constructor of a port-Hamiltonian system, supplies these node formulas to
+:mod:`sheafsys.port_diagram`, which builds the three machines (closed, port,
+extended) and the three behavior maps between them and hands the triangle
+to the diagram verifier.  This module adds the
 structure-law table (J antisymmetric, R symmetric positive semidefinite,
 grad H consistent with H) and the energy audits; its names for the
 diagram's pieces (``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
@@ -27,7 +28,7 @@ available as an audit and agrees on members to stencil order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .port_diagram import (
     enclosing_machine,
     entries,
     extended_behavior,
-    fd_gradient,
     formula,
     gradient_gap,
     negative_eigenvalues,
@@ -82,7 +82,7 @@ class PHSystem(PortSystem):
     hamiltonian : callable
         x -> float, the stored energy H.
     grad_hamiltonian : callable
-        x -> (n,) gradient of H; supply a closed form when available.
+        x -> (n,) gradient of H, in closed form.
     state_labels : tuple of str
         Channel names for the state; x0, x1, ... when empty.
 
@@ -136,21 +136,6 @@ class PHSystem(PortSystem):
 
     def zeta_rate(self, x, s) -> np.ndarray:
         return -self.port_output(x)
-
-
-def ph_system(
-    n: int,
-    m: int,
-    J,
-    R,
-    B,
-    H: Callable[[np.ndarray], float],
-    gradH: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    labels: Optional[tuple] = None,
-) -> PHSystem:
-    """A PHSystem from constants or callables; the gradient falls back to
-    central differences when no closed form is given."""
-    return PHSystem(n, m, J, R, B, H, fd_gradient(H, n) if gradH is None else gradH, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Built-in systems, polynomial energies, and configuration loading.
 
-The registry powers the CLI and the test suite: a damped harmonic
-oscillator with one force port, a scalar quadratic blow-up field, a linear
-field, and a rigid-body style two-generator system whose dissipation acts
-transverse to the energy gradient.
+The built-ins are the rows of one table, ``BUILTIN_SYSTEMS``, read by
+:func:`resolve_builtin` alone: a damped harmonic oscillator with one force
+port, a scalar quadratic blow-up field, a linear field, and a rigid-body
+style two-generator system whose dissipation acts transverse to the energy
+gradient.  A configuration document names a row with its parameters, or is
+explicit: a ``kind: "ode"`` document is the ``linear`` row, and a ph or mp
+document is read by ``EXPLICIT_KINDS`` into the family class.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .ode_behavior import VectorField, batched, dot, matvec
-from .port_hamiltonian import PHSystem, ph_system
-from .metriplectic import MetriplecticSystem, metriplectic_system
+from .port_hamiltonian import PHSystem
+from .metriplectic import MetriplecticSystem
 
 
 # where v and -v go in the flattened cross-product matrix
@@ -131,15 +134,15 @@ def mass_spring_system(k: float = 1.0, mass: float = 1.0, damping: float = 0.0) 
     def gradH(x):  # (k q, p / m), each rounded once, as the formula is
         return x * scale / divide
 
-    return ph_system(
+    return PHSystem(
         2,
         1,
-        J=[[0.0, 1.0], [-1.0, 0.0]],
-        R=[[0.0, 0.0], [0.0, float(damping)]],
-        B=[[0.0], [1.0]],
-        H=H,
-        gradH=gradH,
-        labels=("q", "p"),
+        interconnection=[[0.0, 1.0], [-1.0, 0.0]],
+        dissipation=[[0.0, 0.0], [0.0, float(damping)]],
+        port_map=[[0.0], [1.0]],
+        hamiltonian=H,
+        grad_hamiltonian=gradH,
+        state_labels=("q", "p"),
     )
 
 
@@ -191,20 +194,20 @@ def rigid_body_system(
         out[..., 1, 0] = x[..., 0]
         return out
 
-    return metriplectic_system(
+    return MetriplecticSystem(
         3,
         1,
-        J=hat,
-        G=G,
-        B=B,
-        A=np.zeros((3, 1)),
-        Jt=np.zeros((1, 1)),
-        Gt=np.zeros((1, 1)),
-        H=H,
-        S=S,
-        gradH=gradH,
-        gradS=gradS,
-        labels=("x1", "x2", "x3"),
+        poisson=hat,
+        friction=G,
+        energy_port=B,
+        entropy_port=np.zeros((3, 1)),
+        port_poisson=np.zeros((1, 1)),
+        port_friction=np.zeros((1, 1)),
+        energy=H,
+        entropy=S,
+        grad_energy=gradH,
+        grad_entropy=gradS,
+        state_labels=("x1", "x2", "x3"),
     )
 
 
@@ -239,72 +242,43 @@ class SystemBundle:
     parameters: dict
 
 
-def _mass_spring_bundle(params: dict) -> SystemBundle:
-    known = {"k": 1.0, "m": 1.0, "r": 0.0, "x0": [1.0, 0.0]}
-    merged = _merge_params("mass_spring", known, params)
-    sys_ = mass_spring_system(merged["k"], merged["m"], merged["r"])
-    return SystemBundle(
-        "mass_spring",
+#: the built-ins: name -> (kind, description, parameter defaults, build of the
+#: instance from the merged parameters, default length, residual tolerance);
+#: the "x0" parameter is the initial state and goes to no build; sequences
+#: are tuples, so no bundle's parameters share a list with the table
+BUILTIN_SYSTEMS = {
+    "mass_spring": (
         "ph",
         "harmonic oscillator with one force port (k, m, r; port on momentum)",
-        sys_,
-        _state(merged["x0"], 2),
+        {"k": 1.0, "m": 1.0, "r": 0.0, "x0": (1.0, 0.0)},
+        lambda p: mass_spring_system(p["k"], p["m"], p["r"]),
         10.0,
         1e-4,
-        merged,
-    )
-
-
-def _rigid_body_bundle(params: dict) -> SystemBundle:
-    known = {"I1": 1.0, "I2": 2.0, "I3": 3.0, "gamma": 0.1, "x0": [1.0, 0.5, 0.5]}
-    merged = _merge_params("rigid_body", known, params)
-    sys_ = rigid_body_system((merged["I1"], merged["I2"], merged["I3"]), merged["gamma"])
-    return SystemBundle(
-        "rigid_body",
-        "mp",
-        "spinning-body two-generator system with transverse friction (I1, I2, I3, gamma)",
-        sys_,
-        _state(merged["x0"], 3),
-        10.0,
-        1e-3,
-        merged,
-    )
-
-
-def _blowup_bundle(params: dict) -> SystemBundle:
-    merged = _merge_params("blowup", {"x0": [1.0]}, params)
-    return SystemBundle(
-        "blowup",
+    ),
+    "blowup": (
         "ode",
         "scalar quadratic growth; finite-time blow-up from positive starts",
-        blowup_field(),
-        _state(merged["x0"], 1),
+        {"x0": (1.0,)},
+        lambda p: blowup_field(),
         0.9,
         1e-3,
-        merged,
-    )
-
-
-def _linear_bundle(params: dict) -> SystemBundle:
-    merged = _merge_params("linear", {"matrix": [[-1.0]], "x0": [1.0]}, params)
-    field = linear_field(merged["matrix"])
-    return SystemBundle(
-        "linear",
+    ),
+    "linear": (
         "ode",
         "constant-coefficient linear field x' = M x",
-        field,
-        _state(merged["x0"], field.dimension),
+        {"matrix": ((-1.0,),), "x0": (1.0,)},
+        lambda p: linear_field(p["matrix"]),
         5.0,
         1e-4,
-        merged,
-    )
-
-
-BUILTIN_SYSTEMS = {
-    "mass_spring": _mass_spring_bundle,
-    "blowup": _blowup_bundle,
-    "linear": _linear_bundle,
-    "rigid_body": _rigid_body_bundle,
+    ),
+    "rigid_body": (
+        "mp",
+        "spinning-body two-generator system with transverse friction (I1, I2, I3, gamma)",
+        {"I1": 1.0, "I2": 2.0, "I3": 3.0, "gamma": 0.1, "x0": (1.0, 0.5, 0.5)},
+        lambda p: rigid_body_system((p["I1"], p["I2"], p["I3"]), p["gamma"]),
+        10.0,
+        1e-3,
+    ),
 }
 
 
@@ -364,11 +338,19 @@ def _positive_number(value, what: str) -> float:
 
 
 def resolve_builtin(name: str, params: Optional[dict] = None) -> SystemBundle:
+    """The bundle of the row ``name`` of BUILTIN_SYSTEMS, its parameter
+    defaults overridden by ``params``."""
     if name not in BUILTIN_SYSTEMS:
         raise ConfigError(
             f"unknown system {name!r}; built-ins: {', '.join(sorted(BUILTIN_SYSTEMS))}"
         )
-    return BUILTIN_SYSTEMS[name](params or {})
+    kind, description, defaults, build, length, tolerance = BUILTIN_SYSTEMS[name]
+    merged = _merge_params(name, defaults, params or {})
+    instance = build(merged)
+    n = instance.dimension if kind == "ode" else instance.n
+    return SystemBundle(
+        name, kind, description, instance, _state(merged["x0"], n), length, tolerance, merged
+    )
 
 
 def load_config(path: str) -> dict:
@@ -400,8 +382,7 @@ def bundle_from_config(doc: dict) -> SystemBundle:
     if isinstance(kind, str) and kind in EXPLICIT_KINDS:
         return _port_bundle_from_config(kind, doc)
     if kind == "ode":
-        merged = {"matrix": doc.get("matrix", [[-1.0]]), "x0": doc.get("x0", [1.0])}
-        return _linear_bundle(merged)
+        return resolve_builtin("linear", {k: doc[k] for k in ("matrix", "x0") if k in doc})
     raise ConfigError(
         "config needs either a 'system' built-in reference or kind in ode/ph/mp"
     )
@@ -420,21 +401,20 @@ def _matrix_from(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
     return matrix
 
 
-#: how an explicit document of each port kind is read: the function that
-#: assembles the system, as build(n, m, *matrices, *generators, *gradients,
-#: labels=...); its matrices as (key, shape) pairs in argument order, the shape
+#: how an explicit document of each port kind is read: the family class, built
+#: as cls(n, m, *matrices, *generators, *gradients, labels); its matrices as (key, shape) pairs in argument order, the shape
 #: two dimension names out of "n" and "m"; the keys of its polynomial
 #: generators, in argument order; and the bundle's default name and description
 EXPLICIT_KINDS = {
     "ph": (
-        ph_system,
+        PHSystem,
         (("J", "nn"), ("R", "nn"), ("B", "nm")),
         ("H",),
         "custom_ph",
         "user-configured port system",
     ),
     "mp": (
-        metriplectic_system,
+        MetriplecticSystem,
         (("J", "nn"), ("G", "nn"), ("B", "nm"), ("A", "nm"), ("Jt", "mm"), ("Gt", "mm")),
         ("H", "S"),
         "custom_mp",
@@ -446,7 +426,7 @@ EXPLICIT_KINDS = {
 def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
     """Read an explicit document of a kind in EXPLICIT_KINDS: dimensions,
     generators, matrices and labels, then the initial state and run defaults."""
-    build, matrix_shapes, generator_keys, name, description = EXPLICIT_KINDS[kind]
+    cls, matrix_shapes, generator_keys, name, description = EXPLICIT_KINDS[kind]
     n, m = (_integer(doc.get(key), f"dimension {key}") for key in ("n", "m"))
     if n < 1 or m < 0:
         raise ConfigError(f"dimensions n={n}, m={m} out of range")
@@ -460,7 +440,7 @@ def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
     ):
         raise ConfigError(f"labels must be a list of strings, got {labels!r}")
     try:
-        sys_ = build(n, m, *matrices, *generators, *gradients, labels=labels)
+        sys_ = cls(n, m, *matrices, *generators, *gradients, labels)
     except DimensionMismatch as exc:  # the labels: the shapes were checked above
         raise ConfigError(str(exc)) from exc
     name = doc.get("name", name)

@@ -14,7 +14,6 @@ from sheafsys import (
     BlowUp,
     ConstraintViolation,
     OdeBehavior,
-    assert_side_conditions,
     build_metriplectic_diagram,
     build_ph_diagram,
     closed_behavior,
@@ -30,10 +29,12 @@ from sheafsys import (
     rate_audit,
     restrict,
     seeded_initial_states,
+    side_condition_residuals,
     sup_distance,
 )
 from sheafsys.cli import main
 from sheafsys.metriplectic import port_metriplectic_machine
+from sheafsys.ode_behavior import assert_conditions
 from sheafsys.port_hamiltonian import ph_iso_machine
 from sheafsys.systems import blowup_field, mass_spring_system, rigid_body_system
 
@@ -235,14 +236,14 @@ def test_criterion_08_side_condition_enforcement():
     drive = lambda t: np.array([0.2 * np.sin(t)])
     compliant = port.behavior.sampler([1.0, 0.5, 0.5], drive, lambda t: np.zeros(1), 3.0)
     residual = port.behavior.membership(compliant)
-    assert_side_conditions(rb, compliant)  # must not raise
+    assert_conditions(side_condition_residuals(rb, compliant))  # must not raise
     audit = rate_audit(rb, compliant)
     offender = port.behavior.sampler(
         [1.0, 0.5, 0.5], drive, lambda t: np.array([0.3]), 3.0
     )
     rejected = None
     try:
-        assert_side_conditions(rb, offender)
+        assert_conditions(side_condition_residuals(rb, offender))
     except ConstraintViolation as exc:
         rejected = exc
     ok = (

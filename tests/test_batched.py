@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from sheafsys import (
     BlowUp,
     DimensionMismatch,
+    MetriplecticSystem,
     OdeBehavior,
+    PHSystem,
     Polynomial,
     VectorField,
     identical,
     integrate,
     iso_machine,
-    metriplectic_system,
-    ph_system,
     restrict,
 )
 from sheafsys.ode_behavior import batched, integrate_batch, pointwise
@@ -446,21 +446,35 @@ def identity(x):
     return np.array(x, dtype=float)
 
 
-#: a valid two-state, one-port system of each family, by builder argument
+#: a valid two-state, one-port system of each family: per constructor field,
+#: the formula's name in an error message and its value
 VALID = {
-    ph_system: dict(
-        J=np.array([[0.0, 1.0], [-1.0, 0.0]]), R=np.zeros((2, 2)), B=np.zeros((2, 1)),
-        H=square, gradH=identity,
-    ),
-    metriplectic_system: dict(
-        J=np.array([[0.0, 1.0], [-1.0, 0.0]]), G=np.zeros((2, 2)), B=np.zeros((2, 1)),
-        A=np.zeros((2, 1)), Jt=np.zeros((1, 1)), Gt=np.zeros((1, 1)),
-        H=square, S=lambda x: 0.0, gradH=identity, gradS=lambda x: np.zeros(2),
-    ),
+    PHSystem: {
+        "interconnection": ("J", np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        "dissipation": ("R", np.zeros((2, 2))),
+        "port_map": ("B", np.zeros((2, 1))),
+        "hamiltonian": ("H", square),
+        "grad_hamiltonian": ("grad H", identity),
+    },
+    MetriplecticSystem: {
+        "poisson": ("J", np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        "friction": ("G", np.zeros((2, 2))),
+        "energy_port": ("B", np.zeros((2, 1))),
+        "entropy_port": ("A", np.zeros((2, 1))),
+        "port_poisson": ("Jt", np.zeros((1, 1))),
+        "port_friction": ("Gt", np.zeros((1, 1))),
+        "energy": ("H", square),
+        "entropy": ("S", lambda x: 0.0),
+        "grad_energy": ("grad H", identity),
+        "grad_entropy": ("grad S", lambda x: np.zeros(2)),
+    },
 }
-FORMULA_NAMES = {"gradH": "grad H", "gradS": "grad S"}
-FORMULAS = [(build, key) for build, kwargs in VALID.items() for key in kwargs]
-GENERATORS = ("H", "S", "gradH", "gradS")
+FORMULAS = [(cls, key) for cls, formulas in VALID.items() for key in formulas]
+GENERATORS = ("H", "S", "grad H", "grad S")
+
+
+def valid_fields(cls) -> dict:
+    return {key: value for key, (_, value) in VALID[cls].items()}
 
 
 def node_shape(value) -> tuple:
@@ -468,37 +482,38 @@ def node_shape(value) -> tuple:
 
 
 def formula_id(case) -> str:
-    return f"{case[0].__name__}-{case[1]}"
+    cls, key = case
+    return f"{cls.__name__}-{VALID[cls][key][0]}"
 
 
 @pytest.mark.parametrize("case", FORMULAS, ids=formula_id)
 def test_a_formula_of_the_wrong_node_shape_fails_construction(case):
-    build, key = case
-    shape = node_shape(VALID[build][key])
+    cls, key = case
+    name, value = VALID[cls][key]
+    shape = node_shape(value)
     wrong = lambda x: np.zeros(shape + (1,))
-    name = FORMULA_NAMES.get(key, key)
     with pytest.raises(DimensionMismatch, match=rf"^{name}\(x\) has shape"):
-        build(2, 1, **{**VALID[build], key: wrong})
+        cls(2, 1, **{**valid_fields(cls), key: wrong})
 
 
 @pytest.mark.parametrize("case", FORMULAS, ids=formula_id)
 def test_a_batched_formula_giving_one_node_for_a_stack(case):
     """Fails construction for a gradient or energy; a matrix field may give
     one matrix for every node, as a constant does."""
-    build, key = case
-    shape = node_shape(VALID[build][key])
+    cls, key = case
+    name, value = VALID[cls][key]
+    shape = node_shape(value)
     one_node = batched(lambda x: np.zeros(shape))
-    kwargs = {**VALID[build], key: one_node}
-    if key not in GENERATORS:
-        build(2, 1, **kwargs)
+    kwargs = {**valid_fields(cls), key: one_node}
+    if name not in GENERATORS:
+        cls(2, 1, **kwargs)
         return
-    name = FORMULA_NAMES.get(key, key)
     with pytest.raises(DimensionMismatch, match=rf"^{name}\(x\) has shape"):
-        build(2, 1, **kwargs)
+        cls(2, 1, **kwargs)
 
 
 def test_node_formulas_returning_lists_or_int_arrays_run_as_their_float_forms():
-    loose = ph_system(
+    loose = PHSystem(
         2, 1,
         lambda x: [[0, 1], [-1, 0]],
         lambda x: np.zeros((2, 2), dtype=int),
@@ -506,7 +521,7 @@ def test_node_formulas_returning_lists_or_int_arrays_run_as_their_float_forms():
         square,
         lambda x: [x[0], x[1]],
     )
-    exact = ph_system(
+    exact = PHSystem(
         2, 1,
         lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
         lambda x: np.zeros((2, 2)),

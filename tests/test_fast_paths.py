@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafsys import Polynomial, integrate
+from sheafsys import MetriplecticSystem, PHSystem, Polynomial, integrate
 from sheafsys.ode_behavior import dot, matvec
 from sheafsys.port_diagram import closed_field
 from sheafsys.systems import (
     bundle_from_config,
     mass_spring_system,
-    metriplectic_system,
-    ph_system,
     resolve_builtin,
     rigid_body_system,
 )
@@ -105,7 +103,7 @@ PH_SYSTEMS = {
     "mass_spring": mass_spring_system(1.5, 0.5, 0.2),
     "duffing": bundle_from_config(DUFFING).instance,
     # a callable J: nothing is folded, J(x) - R(x) is formed per call
-    "callable J": ph_system(
+    "callable J": PHSystem(
         2, 1, lambda x: np.array([[0.0, x[0]], [-x[0], 0.0]]), [[0.1, 0.0], [0.0, 0.2]],
         [[1.0], [0.5]], lambda x: 0.5 * float(x @ x), lambda x: np.array(x, dtype=float),
     ),
@@ -143,7 +141,7 @@ def full_mp_formulas(sys_, x, s):
 def two_ports(A, Jt, Gt):
     """A metriplectic system with n = m = 2 that keeps every law for the
     given A, Jt and Gt: J = 0, G = diag(0, 1), H = x0^2 / 2, S = x1^2 / 2."""
-    return metriplectic_system(
+    return MetriplecticSystem(
         2, 2, np.zeros((2, 2)), [[0.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]], A, Jt, Gt,
         lambda x: 0.5 * x[0] ** 2, lambda x: 0.5 * x[1] ** 2,
         lambda x: np.array([x[0], 0.0]), lambda x: np.array([0.0, x[1]]),

@@ -3,17 +3,16 @@ import pytest
 
 from sheafsys import (
     ConstraintViolation,
+    MetriplecticSystem,
     NoninteractionViolation,
     NotAMember,
     Trajectory,
-    assert_side_conditions,
     build_metriplectic_diagram,
     check_structure,
     closed_metriplectic_behavior,
     degeneracy_audit,
     embed_metriplectic,
     extended_behavior,
-    metriplectic_system,
     rate_audit,
     seeded_initial_states,
     side_condition_residuals,
@@ -23,6 +22,7 @@ from sheafsys.metriplectic import (
     port_metriplectic_machine,
     zeta_rate_along,
 )
+from sheafsys.ode_behavior import assert_conditions
 from sheafsys.port_diagram import port_to_extended_morphism
 from sheafsys.systems import hat, rigid_body_system
 
@@ -36,18 +36,18 @@ def sphere_entropy_system(**kwargs):
 def coupled_port_system(Jt=None, Gt=None):
     """Drift-only core with port-side coupling matrices for violation tests."""
     zeros = np.zeros((2, 2))
-    return metriplectic_system(
+    return MetriplecticSystem(
         2, 2,
-        J=np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        G=zeros,
-        B=zeros,
-        A=zeros,
-        Jt=zeros if Jt is None else np.asarray(Jt, dtype=float),
-        Gt=zeros if Gt is None else np.asarray(Gt, dtype=float),
-        H=lambda x: 0.5 * float(x @ x),
-        S=lambda x: 0.0,
-        gradH=lambda x: x,
-        gradS=lambda x: np.zeros(2),
+        poisson=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        friction=zeros,
+        energy_port=zeros,
+        entropy_port=zeros,
+        port_poisson=zeros if Jt is None else np.asarray(Jt, dtype=float),
+        port_friction=zeros if Gt is None else np.asarray(Gt, dtype=float),
+        energy=lambda x: 0.5 * float(x @ x),
+        entropy=lambda x: 0.0,
+        grad_energy=lambda x: x,
+        grad_entropy=lambda x: np.zeros(2),
     )
 
 
@@ -65,18 +65,18 @@ def test_rigid_body_satisfies_the_degeneracies():
 
 def test_misaligned_entropy_gradient_is_caught():
     with pytest.raises(NoninteractionViolation, match=r"J grad S = 1\.000e\+00"):
-        metriplectic_system(
+        MetriplecticSystem(
             3, 1,
-            J=lambda x: hat(x),
-            G=np.zeros((3, 3)),
-            B=np.zeros((3, 1)),
-            A=np.zeros((3, 1)),
-            Jt=np.zeros((1, 1)),
-            Gt=np.zeros((1, 1)),
-            H=lambda x: 0.5 * float(x @ x),
-            S=lambda x: float(x[0]),
-            gradH=lambda x: x,
-            gradS=lambda x: np.array([1.0, 0.0, 0.0]),
+            poisson=lambda x: hat(x),
+            friction=np.zeros((3, 3)),
+            energy_port=np.zeros((3, 1)),
+            entropy_port=np.zeros((3, 1)),
+            port_poisson=np.zeros((1, 1)),
+            port_friction=np.zeros((1, 1)),
+            energy=lambda x: 0.5 * float(x @ x),
+            entropy=lambda x: float(x[0]),
+            grad_energy=lambda x: x,
+            grad_entropy=lambda x: np.array([1.0, 0.0, 0.0]),
         )
 
 
@@ -84,18 +84,18 @@ def test_structure_check_rejects_indefinite_friction():
     from sheafsys import StructureViolation
 
     with pytest.raises(StructureViolation, match=r"G\(x\) not positive semidefinite"):
-        metriplectic_system(
+        MetriplecticSystem(
             2, 1,
-            J=np.zeros((2, 2)),
-            G=-np.eye(2),
-            B=np.zeros((2, 1)),
-            A=np.zeros((2, 1)),
-            Jt=np.zeros((1, 1)),
-            Gt=np.zeros((1, 1)),
-            H=lambda x: 0.5 * float(x @ x),
-            S=lambda x: 0.5 * float(x @ x),
-            gradH=lambda x: x,
-            gradS=lambda x: x,
+            poisson=np.zeros((2, 2)),
+            friction=-np.eye(2),
+            energy_port=np.zeros((2, 1)),
+            entropy_port=np.zeros((2, 1)),
+            port_poisson=np.zeros((1, 1)),
+            port_friction=np.zeros((1, 1)),
+            energy=lambda x: 0.5 * float(x @ x),
+            entropy=lambda x: 0.5 * float(x @ x),
+            grad_energy=lambda x: x,
+            grad_entropy=lambda x: x,
         )
 
 
@@ -143,10 +143,23 @@ def test_compliant_driven_run_is_accepted():
         3.0,
     )
     assert port.behavior.membership(run) <= port.behavior.tolerance
-    assert_side_conditions(rb, run)  # should not raise
+    assert_conditions(side_condition_residuals(rb, run))  # should not raise
     audit = rate_audit(rb, run)
     assert audit["energy_rate_defect"] < 1e-5
     assert audit["entropy_rate_defect"] < 1e-5
+
+
+def test_the_noninteraction_side_conditions_are_the_structure_laws_on_a_run():
+    # one name and one value each: as side conditions of a port run and as
+    # structure laws at its states
+    rb = sphere_entropy_system()
+    run = port_metriplectic_machine(rb, H).behavior.sampler(
+        [1.0, 0.5, 0.5], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 1.0
+    )
+    sides = side_condition_residuals(rb, run)
+    laws = rb.structure_residuals(run.channels(rb.state_labels))
+    for name in ("J grad S", "G grad H"):
+        assert sides[name] == laws[name]
 
 
 def test_rate_audit_and_side_conditions_are_infinite_at_a_nan_node():
@@ -174,7 +187,7 @@ def test_entropy_port_drive_outside_kernel_is_rejected():
     )
     assert port.behavior.membership(run) > port.behavior.tolerance
     with pytest.raises(ConstraintViolation) as info:
-        assert_side_conditions(rb, run)
+        assert_conditions(side_condition_residuals(rb, run))
     assert info.value.condition == "B tau"
     assert info.value.residual > 0.2
     residuals = side_condition_residuals(rb, run)
@@ -196,7 +209,7 @@ def test_a_port_run_is_a_member_only_within_the_side_condition_tolerance(tau, me
     if not member:
         assert port.behavior.membership(run) == np.inf
         with pytest.raises(ConstraintViolation, match="B tau"):
-            assert_side_conditions(rb, run)
+            assert_conditions(side_condition_residuals(rb, run))
 
 
 def test_port_poisson_coupling_violates_its_side_condition():
@@ -207,7 +220,7 @@ def test_port_poisson_coupling_violates_its_side_condition():
         [1.0, 0.0], lambda t: np.zeros(2), lambda t: np.array([0.2, 0.0]), 0.1
     )
     with pytest.raises(ConstraintViolation) as info:
-        assert_side_conditions(cpl, run)
+        assert_conditions(side_condition_residuals(cpl, run))
     assert info.value.condition == "Jt tau"
 
 
@@ -240,7 +253,7 @@ def test_the_xi_image_of_a_port_member_is_an_enclosing_member():
     ext = extended_behavior(cpl, H)
     image = port_to_extended_morphism(cpl).beta(run)
     assert ext.membership(image) <= ext.tolerance
-    ext.assert_conditions(image)  # should not raise
+    assert_conditions(ext.side_residuals(image))  # should not raise
 
 
 @pytest.mark.parametrize(
@@ -258,7 +271,7 @@ def test_the_enclosing_behavior_holds_the_extended_noninteraction_laws(coupling,
     run = ext.sampler([1.0, 0.0, 0.0, 0.0], lambda t: np.array(u), lambda t: np.array(tau), 0.1)
     assert ext.membership(run) == np.inf
     with pytest.raises(ConstraintViolation) as info:
-        ext.assert_conditions(run)
+        assert_conditions(ext.side_residuals(run))
     assert info.value.condition == condition
 
 

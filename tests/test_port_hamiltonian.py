@@ -5,6 +5,7 @@ from sheafsys import (
     DimensionMismatch,
     MachineMorphism,
     NotAMember,
+    PHSystem,
     StructureViolation,
     Trajectory,
     build_ph_diagram,
@@ -16,7 +17,6 @@ from sheafsys import (
     extended_behavior,
     output_stencil_defect,
     ph_iso_machine,
-    ph_system,
     power_balance,
     restrict,
     verify_port_control_diagram,
@@ -32,7 +32,7 @@ H = 1e-3
 
 def gradient_decay_system():
     # J = 0, R = I, no ports: plain gradient descent of H = |x|^2 / 2
-    return ph_system(
+    return PHSystem(
         2, 1,
         np.zeros((2, 2)),
         np.eye(2),
@@ -53,7 +53,7 @@ def test_check_structure_accepts_the_oscillator():
 
 def test_check_structure_rejects_symmetric_interconnection():
     with pytest.raises(StructureViolation, match=r"J\(x\) not antisymmetric"):
-        ph_system(
+        PHSystem(
             2, 1, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)),
             np.array([[0.0], [1.0]]), lambda x: 0.5 * float(x @ x), lambda x: x,
         )
@@ -61,7 +61,7 @@ def test_check_structure_rejects_symmetric_interconnection():
 
 def test_check_structure_rejects_indefinite_dissipation():
     with pytest.raises(StructureViolation, match=r"R\(x\) not positive semidefinite"):
-        ph_system(
+        PHSystem(
             2, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]), -np.eye(2),
             np.array([[0.0], [1.0]]), lambda x: 0.5 * float(x @ x), lambda x: x,
         )
@@ -69,7 +69,7 @@ def test_check_structure_rejects_indefinite_dissipation():
 
 def test_check_structure_rejects_wrong_gradient():
     with pytest.raises(StructureViolation, match="grad H inconsistent"):
-        ph_system(
+        PHSystem(
             2, 1, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)),
             lambda x: 0.5 * float(x @ x),
             lambda x: 3.0 * x,  # inconsistent with H
@@ -78,7 +78,7 @@ def test_check_structure_rejects_wrong_gradient():
 
 def test_enclosing_machine_reports_a_port_map_of_the_wrong_shape():
     with pytest.raises(DimensionMismatch):
-        bad = ph_system(
+        bad = PHSystem(
             2, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)),
             lambda x: np.zeros((2, 2)),  # B(x) must be (2, 1)
             lambda x: 0.5 * float(x @ x), lambda x: x,

@@ -9,7 +9,8 @@ the 1e-10 matrix tolerance, and by 1e-11, below it; gradient laws scale the
 closed-form gradient by 1 + 1e-4, above the 1e-5 relative tolerance, and by
 1 + 1e-7, below it.  A formula that is NaN at one default point (and
 within 1e-3 of it, so that its central differences there are NaN too) must
-fail the first law it breaks, naming that point.
+fail the first law it breaks, naming that point, a -0.5 axis point without
+negative zeros.
 """
 
 import re
@@ -17,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from sheafsys import NoninteractionViolation, StructureViolation, metriplectic_system, ph_system
+from sheafsys import MetriplecticSystem, NoninteractionViolation, PHSystem, StructureViolation
 
 PH = {  # oscillator with damping on the momentum; H = |x|^2 / 2
     "J": [[0.0, 1.0], [-1.0, 0.0]],
@@ -66,9 +67,9 @@ def build(family: str, target: str, entries: dict, size: float, nan_at=None):
     if nan_at is not None:
         f[target] = nan_near(f[target], np.array(nan_at))
     if family == "ph":
-        return ph_system(2, 1, *(f[k] for k in ("J", "R", "B", "H", "grad H")))
+        return PHSystem(2, 1, *(f[k] for k in ("J", "R", "B", "H", "grad H")))
     names = ("J", "G", "B", "A", "Jt", "Gt", "H", "S", "grad H", "grad S")
-    return metriplectic_system(3, 1, *(f[k] for k in names))
+    return MetriplecticSystem(3, 1, *(f[k] for k in names))
 
 
 LAWS = [  # family, perturbed matrix or gradient, {(row, col): sign}, error, message
@@ -108,6 +109,7 @@ NANS = [  # family, formula NaN near one default point, that point, error, messa
     ("mp", "grad S", [0.0, 1.0, 0.0], NoninteractionViolation, "J grad S = inf"),
     ("mp", "A", [1.0, 0.0, 0.0], StructureViolation, "[[G, A], [A^T, Gt]] not positive semidefinite"),
     ("mp", "Gt", [0.0, 0.0, 1.0], StructureViolation, "[[G, A], [A^T, Gt]] not positive semidefinite"),
+    ("mp", "S", [0.0, -0.5, 0.0], StructureViolation, "grad S inconsistent with finite differences"),
 ]
 
 
