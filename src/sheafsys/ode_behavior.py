@@ -37,6 +37,9 @@ DEFAULT_RESIDUAL_TOL = 1e-4
 #: tolerance of the algebraic side conditions of a membership
 SIDE_CONDITION_TOL = 1e-8
 
+# the dtype of every state and rate, native float64
+_FLOAT = np.dtype(float)
+
 
 def batched(fn: Callable) -> Callable:
     """Mark ``fn`` as following the stack contract; returns ``fn``."""
@@ -79,30 +82,28 @@ def pointwise(fn: Callable, *ranks: int) -> Callable:
     return stacked
 
 
-def matvec(matrices: np.ndarray, vectors) -> np.ndarray:
-    """Matrix times vector at every node: (..., r, c) and (..., c) give (..., r).
+def matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Matrix times vector at every node: (..., r, c) and (..., c) give (..., r),
+    with the bits of ``@`` at each node, the sign of a zero included.
 
-    One matrix times one vector goes through ``ndarray.dot``, a cheaper call
-    that gives the bits of ``@``; but not for a vector of length 1, which
-    ``dot`` takes for a scalar: a product that underflows keeps its sign
-    there, where ``@`` gives +0.0.
+    Stacks go through numpy's ``matvec`` gufunc, one call.  One matrix
+    times one vector goes through ``ndarray.dot``, cheaper still there; but
+    not for a vector of length 1, which ``dot`` takes for a scalar: a
+    product that underflows keeps its sign there, where ``@`` gives +0.0.
     """
-    vectors = np.asarray(vectors)
-    if vectors.ndim == 1:
-        if matrices.ndim == 2 and len(vectors) > 1:
-            return matrices.dot(vectors)
-        return matrices @ vectors
-    return np.matmul(matrices, vectors[..., np.newaxis])[..., 0]
+    if vectors.ndim == 1 and matrices.ndim == 2 and len(vectors) > 1:
+        return matrices.dot(vectors)
+    return np.matvec(matrices, vectors)
 
 
 def dot(a, b) -> np.ndarray:
-    """Inner product at every node: (..., k) and (..., k) give (...); one
-    pair of vectors longer than 1 goes through ``ndarray.dot``, as in
-    :func:`matvec`."""
+    """Inner product at every node: (..., k) and (..., k) give (...), with the
+    bits of ``@`` at each node: numpy's ``vecdot`` gufunc on stacks, and one
+    pair of vectors through ``ndarray.dot`` as in :func:`matvec`."""
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim == b.ndim == 1:
         return a.dot(b) if a.size > 1 else a @ b
-    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
+    return np.vecdot(a, b)
 
 
 def transpose(matrices) -> np.ndarray:
@@ -133,13 +134,17 @@ class VectorField:
         object.__setattr__(self, "rhs", pointwise(self.rhs, 0, 1, 1))
 
     def __call__(self, t, x: np.ndarray, u=None) -> np.ndarray:
-        """The field at one node (x of shape (n,)) or a stack of nodes."""
-        x = np.asarray(x, dtype=float)
+        """The field at one node (x of shape (n,)) or a stack of nodes.  A
+        float ndarray, given or returned, is used as it is."""
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dimension,):
             raise DimensionMismatch(
                 f"state of shape {x.shape} given to a field of dimension {self.dimension}"
             )
-        out = np.asarray(self.rhs(t, x) if u is None else self.rhs(t, x, u), dtype=float)
+        out = self.rhs(t, x) if u is None else self.rhs(t, x, u)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
         if out.shape != x.shape:
             raise DimensionMismatch(f"rhs returned shape {out.shape}, expected {x.shape}")
         return out
@@ -252,17 +257,21 @@ def integrate_batch(
     if count == 1:  # one run steps a single node, the cheapest call of a field
         x = x[0]
         u = u[:, 0] if u is not None and u.ndim == 3 else u
-    half, sixth = 0.5 * h, h / 6.0
+    half = 0.5 * h
+    # the factors of the stage products as 0-d arrays: numpy takes those as
+    # they are, where it converts a Python float at every product
+    by_half, by_step, by_sixth = np.array(half), np.array(h), np.array(h / 6.0)
     for i in range(steps):
         if not rows.size:
             break
         t = i * h
-        u1, u2, u4 = (None, None, None) if u is None else u[3 * i : 3 * i + 3]
+        u1, u2, u4 = (None, None, None) if u is None else (u[3 * i], u[3 * i + 1], u[3 * i + 2])
         k1 = field(t - shift, x, u1)
-        k2 = field(t + half - shift, x + half * k1, u2)
-        k3 = field(t + half - shift, x + half * k2, u2)
-        k4 = field(t + h - shift, x + h * k3, u4)
-        x = x + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)  # k + k is 2.0 * k, exactly
+        mid = t + half - shift
+        k2 = field(mid, x + by_half * k1, u2)
+        k3 = field(mid, x + by_half * k2, u2)
+        k4 = field(t + h - shift, x + by_step * k3, u4)
+        x = x + by_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)  # k + k is 2.0 * k, exactly
         # a pass over the few values as Python floats is cheaper than
         # np.abs(x).max(); NaN fails the comparison too
         if not all(-BLOWUP_THRESHOLD <= v <= BLOWUP_THRESHOLD for v in x.ravel().tolist()):

@@ -101,9 +101,11 @@ class PHSystem(PortSystem):
 
     def __post_init__(self):
         super().__post_init__()
-        # J - R, formed once when both are constant; closed_rhs forms it per call otherwise
+        # J - R, formed once when both are constant, and a constant B, read
+        # once; closed_rhs and port_rhs form them per call otherwise
         J, R = constant_matrix(self.interconnection), constant_matrix(self.dissipation)
         object.__setattr__(self, "_drift", None if J is None or R is None else J - R)
+        object.__setattr__(self, "_port", constant_matrix(self.port_map))
 
     def port_output(self, x) -> np.ndarray:
         """The natural port output B(x)^T grad H(x)."""
@@ -132,7 +134,10 @@ class PHSystem(PortSystem):
         return matvec(drift, self.grad_hamiltonian(x))
 
     def port_rhs(self, x, s) -> np.ndarray:
-        return self.closed_rhs(x) + matvec(self.port_map(x), s)
+        port = self._port
+        if port is None:
+            port = self.port_map(x)
+        return self.closed_rhs(x) + matvec(port, s)
 
     def zeta_rate(self, x, s) -> np.ndarray:
         return -self.port_output(x)

@@ -6,39 +6,45 @@ port, a scalar quadratic blow-up field, a linear field, and a rigid-body
 style two-generator system whose dissipation acts transverse to the energy
 gradient.  A configuration document names a row with its parameters, or is
 explicit: a ``kind: "ode"`` document is the ``linear`` row, and a ph or mp
-document is read by ``EXPLICIT_KINDS`` into the family class.
+document is read by ``EXPLICIT_KINDS`` into the family class.  Every explicit
+document may give its "name", "length" and "residual_tolerance".
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
-from .ode_behavior import VectorField, batched, dot, matvec
+from .ode_behavior import VectorField, batched, matvec
 from .port_hamiltonian import PHSystem
 from .metriplectic import MetriplecticSystem
 
 
-# where v and -v go in the flattened cross-product matrix
-_HAT_PLUS, _HAT_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
+# the cross-product matrix, as positions in (v, -v, 0)
+_HAT = np.array([[6, 5, 1], [2, 6, 3], [4, 0, 6]])
 
 
 @batched
 def hat(v) -> np.ndarray:
-    """Cross-product matrix: hat(v) @ w = v x w, at one vector or a stack."""
+    """Cross-product matrix: hat(v) @ w = v x w, at one vector or a stack;
+    a new C-contiguous array, as ``matvec`` sums a stack of those in one
+    order."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (9,))
-    out[..., _HAT_PLUS] = v
-    out[..., _HAT_MINUS] = -v
-    return out.reshape(v.shape[:-1] + (3, 3))
+    signed = np.zeros(v.shape[:-1] + (7,))
+    signed[..., :3] = v
+    np.negative(v, out=signed[..., 3:6])
+    return signed.take(_HAT, axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # polynomial scalar fields (for JSON configs)
+
+
+_ZERO = np.array(0.0)
 
 
 def _power(v, p: int):
@@ -60,17 +66,20 @@ class Polynomial:
     terms: tuple  # of (coeff, powers-tuple)
 
     def __post_init__(self):
-        # the gradient's terms, (component i, coeff * p_i, ((j, exponent), ...)),
-        # in the order of the terms and, within a term, of the components
-        gradient_terms = []
+        # the gradient's terms per component i with any, in the order of i:
+        # (i, ((c, c as a 0-d array, ((j, exponent), ...)), ...)) with
+        # c = coeff * p_i, the terms in order
+        gradient_terms = {}
         for coeff, powers in self.terms:
             for i, p in enumerate(powers):
                 if p:
                     exponents = list(powers)
                     exponents[i] -= 1
                     factors = tuple((j, e) for j, e in enumerate(exponents) if e)
-                    gradient_terms.append((i, coeff * p, factors))
-        object.__setattr__(self, "_gradient_terms", tuple(gradient_terms))
+                    c = coeff * p
+                    gradient_terms.setdefault(i, []).append((c, np.array(c), factors))
+        grouped = tuple((i, tuple(gradient_terms[i])) for i in sorted(gradient_terms))
+        object.__setattr__(self, "_gradient_terms", grouped)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -90,10 +99,18 @@ class Polynomial:
         columns = x.T
         out = np.zeros(x.shape)
         out_columns = out.T
-        for i, term, factors in self._gradient_terms:
-            for j, e in factors:
-                term = term * _power(columns[j], e)
-            out_columns[i] += term
+        # numbers as Python floats for a point, whose coordinates are numpy
+        # scalars, and as 0-d arrays for a stack, which numpy takes without
+        # a conversion per product: the same float64 arithmetic either way
+        stack = x.ndim > 1
+        for i, terms in self._gradient_terms:
+            total = _ZERO if stack else 0.0  # from +0.0, in order, as += on a zero column
+            for coeff, coeff_array, factors in terms:
+                term = coeff_array if stack else coeff
+                for j, e in factors:
+                    term = term * _power(columns[j], e)
+                total = total + term
+            out_columns[i] = total
         return out
 
     batched = True  # after the methods, whose decorator this name would hide
@@ -169,7 +186,7 @@ def rigid_body_system(
 
     @batched
     def gradH(x):
-        return np.asarray(x, dtype=float) / inertia
+        return x / inertia
 
     @batched
     def S(x):
@@ -179,18 +196,18 @@ def rigid_body_system(
     def gradS(x):
         return np.array(x, dtype=float)
 
-    identity = np.eye(3)
+    identity, gamma = np.eye(3), np.array(float(gamma))  # 0-d: no conversion per product
 
     @batched
     def G(x):
         g = x / inertia  # grad H, as gradH forms it
-        squared = dot(g, g)[..., np.newaxis, np.newaxis]
-        return gamma * (squared * identity - g[..., :, np.newaxis] * g[..., np.newaxis, :])
+        row, column = g[..., np.newaxis, :], g[..., :, np.newaxis]
+        return gamma * ((row @ column) * identity - column * row)  # row @ column: g . g
 
     @batched
     def B(x):
         out = np.zeros(x.shape[:-1] + (3, 1))
-        out[..., 0, 0] = -x[..., 1]
+        np.negative(x[..., 1], out=out[..., 0, 0])
         out[..., 1, 0] = x[..., 0]
         return out
 
@@ -382,7 +399,11 @@ def bundle_from_config(doc: dict) -> SystemBundle:
     if isinstance(kind, str) and kind in EXPLICIT_KINDS:
         return _port_bundle_from_config(kind, doc)
     if kind == "ode":
-        return resolve_builtin("linear", {k: doc[k] for k in ("matrix", "x0") if k in doc})
+        bundle = resolve_builtin("linear", {k: doc[k] for k in ("matrix", "x0") if k in doc})
+        name, length, tolerance = _run_keys(
+            doc, bundle.name, bundle.default_length, bundle.residual_tolerance
+        )
+        return replace(bundle, name=name, default_length=length, residual_tolerance=tolerance)
     raise ConfigError(
         "config needs either a 'system' built-in reference or kind in ode/ph/mp"
     )
@@ -443,18 +464,22 @@ def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
         sys_ = cls(n, m, *matrices, *generators, *gradients, labels)
     except DimensionMismatch as exc:  # the labels: the shapes were checked above
         raise ConfigError(str(exc)) from exc
+    name, length, tolerance = _run_keys(doc, name, 10.0, 1e-4)
+    return SystemBundle(
+        name, kind, description, sys_, _state(doc.get("x0", np.zeros(n)), n), length, tolerance, {}
+    )
+
+
+def _run_keys(doc: dict, name: str, length: float, tolerance: float) -> tuple:
+    """The "name", "length" and "residual_tolerance" of an explicit
+    document, each checked, or the given defaults where it has none."""
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise ConfigError(f"name must be a string, got {name!r}")
-    return SystemBundle(
+    return (
         name,
-        kind,
-        description,
-        sys_,
-        _state(doc.get("x0", np.zeros(n)), n),
-        _positive_number(doc.get("length", 10.0), "length"),
-        _positive_number(doc.get("residual_tolerance", 1e-4), "residual_tolerance"),
-        {},
+        _positive_number(doc.get("length", length), "length"),
+        _positive_number(doc.get("residual_tolerance", tolerance), "residual_tolerance"),
     )
 
 

@@ -379,6 +379,31 @@ def test_config_file_drives_the_run(tmp_path):
     assert report(out)["system"] == "mass_spring"
 
 
+def test_an_ode_document_sets_its_name_length_and_tolerance(tmp_path):
+    cfg = tmp_path / "mine.json"
+    cfg.write_text(json.dumps({
+        "kind": "ode", "matrix": [[-1.0]], "x0": [1.0],
+        "length": 0.1, "residual_tolerance": 1e-9, "name": "mine",
+    }))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert report(out)["system"] == "mine"
+    assert read_csv(out / "trajectory.csv").num_nodes == 101
+    # the membership residual, of order h^2, is within the linear row's 1e-4
+    # but not within the document's 1e-9
+    out = tmp_path / "audit"
+    assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert 1e-9 < report(out)["residuals"]["membership"] <= 1e-4
+
+
+@pytest.mark.parametrize("key, value", [("name", 3), ("length", -1.0), ("residual_tolerance", "1e-9")])
+def test_a_bad_run_key_of_an_ode_document_is_a_config_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "ode", "matrix": [[-1.0]], "x0": [1.0], key: value}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, system, x0", [
     ("ph audit-power", "mass_spring", [float("nan"), 0.0]),
     ("mp audit-rates", "rigid_body", [1.0, float("nan"), 0.5]),

@@ -20,7 +20,10 @@ from sheafsys.cli import main
 NAN, INF = float("nan"), float("inf")
 
 DOCS = {
-    "ode": {"kind": "ode", "matrix": [[-1.0, 0.5], [0.0, -2.0]], "x0": [1.0, 0.5]},
+    "ode": {
+        "kind": "ode", "name": "decay", "matrix": [[-1.0, 0.5], [0.0, -2.0]], "x0": [1.0, 0.5],
+        "length": 1.0, "residual_tolerance": 1e-3,
+    },
     "ph": {
         "kind": "ph", "name": "damped", "n": 2, "m": 1,
         "J": [[0.0, 1.0], [-1.0, 0.0]], "R": [[0.0, 0.0], [0.0, 0.1]], "B": [[0.0], [1.0]],

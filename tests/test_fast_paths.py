@@ -1,7 +1,7 @@
 """The cheaper forms of the per-stage formulas give the bits of the plain
 formulas: single-node products, folded constant matrices, skipped zero port
-matrices, the compiled polynomial gradient, the rigid body's friction and
-whole closed runs.  Bits include the sign of a zero."""
+matrices, the compiled polynomial gradient, the rigid body's formulas, whole
+closed runs and the audits' two-row batches.  Bits include the sign of a zero."""
 
 import itertools
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafsys import MetriplecticSystem, PHSystem, Polynomial, integrate
+from sheafsys.cli import RunConfig, _port_runs
 from sheafsys.ode_behavior import dot, matvec
 from sheafsys.port_diagram import closed_field
 from sheafsys.systems import (
@@ -44,10 +45,12 @@ def arrays(shape):
     return st.lists(values, min_size=size, max_size=size).map(lambda v: np.array(v).reshape(shape))
 
 
-def layouts(matrix, transposed: bool) -> np.ndarray:
-    """The matrix as it is, or the same values as the transpose of a C array
-    (the layout ``transpose`` gives)."""
-    return np.ascontiguousarray(matrix.T).T if transposed else matrix
+def layouts(matrices, transposed: bool) -> np.ndarray:
+    """The matrix or stack as it is, or the same values as the transpose of
+    a C array at every node (the layout ``transpose`` gives)."""
+    if not transposed:
+        return matrices
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(matrices, -1, -2)), -1, -2)
 
 
 DUFFING = {
@@ -71,7 +74,7 @@ def test_matvec_of_one_node_and_of_a_stack_equals_at(data, rows, cols, transpose
     matrix = layouts(data.draw(arrays((rows, cols))), transposed)
     vector = data.draw(arrays((cols,)))
     assert same_bits(matvec(matrix, vector), matrix @ vector)
-    matrices = data.draw(arrays((3, rows, cols)))
+    matrices = layouts(data.draw(arrays((3, rows, cols))), transposed)
     vectors = data.draw(arrays((3, cols)))
     assert same_bits(matvec(matrices, vectors), np.stack([m @ v for m, v in zip(matrices, vectors)]))
     assert same_bits(matvec(matrix, vectors), np.stack([matrix @ v for v in vectors]))
@@ -82,8 +85,13 @@ def test_zero_and_underflowing_products_keep_the_sign_at_gives():
         for a, b in itertools.product([0.0, -0.0, 1e-200, -1e-200], repeat=2):
             matrix, vector = np.full((rows, cols), a), np.full(cols, b)
             for m in (matrix, layouts(matrix, True)):
-                assert same_bits(matvec(m, vector), m @ vector), (rows, cols, a, b)
-            assert same_bits(dot(vector, np.full(cols, a)), vector @ np.full(cols, a)), (cols, a, b)
+                product = m @ vector
+                assert same_bits(matvec(m, vector), product), (rows, cols, a, b)
+                stack = layouts(np.full((2, rows, cols), a), m is not matrix)
+                assert same_bits(matvec(stack, np.stack([vector] * 2)), np.stack([product] * 2))
+            inner = vector @ np.full(cols, a)
+            assert same_bits(dot(vector, np.full(cols, a)), inner), (cols, a, b)
+            assert same_bits(dot(np.stack([vector] * 2), np.full((2, cols), a)), np.stack([inner] * 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,70 +223,111 @@ def polynomials(n):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), rows=st.integers(1, 4))
 def test_compiled_polynomial_gradient_equals_the_term_loop(data, n, rows):
+    # a stack gives each row's bits as the point alone does
     poly = data.draw(polynomials(n))
-    for x in (data.draw(arrays((n,))), data.draw(arrays((rows, n)))):
-        assert same_bits(poly.gradient(x), term_loop_gradient(poly, x))
+    x, stack = data.draw(arrays((n,))), data.draw(arrays((rows, n)))
+    assert same_bits(poly.gradient(x), term_loop_gradient(poly, x))
+    assert same_bits(poly.gradient(stack), term_loop_gradient(poly, stack))
+    assert same_bits(poly.gradient(stack), np.stack([term_loop_gradient(poly, row) for row in stack]))
+
+
+def plain_rigid_body(x):
+    """hat(x), G(x) and B(x) of the default rigid body at one node, entry by
+    entry as the formulas read."""
+    x0, x1, x2 = x
+    g = x / np.array([1.0, 2.0, 3.0])
+    hat = np.array([[0.0, -x2, x1], [x2, 0.0, -x0], [-x1, x0, 0.0]])
+    friction = 0.1 * (float(g @ g) * np.eye(3) - np.outer(g, g))
+    return hat, friction, np.array([[-x1], [x0], [0.0]])
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), rows=st.integers(1, 4))
-def test_rigid_body_friction_is_built_from_the_energy_gradient(data, rows):
+def test_rigid_body_formulas_equal_the_plain_ones(data, rows):
     sys_ = MP_SYSTEMS["rigid_body"]
-    for x in (data.draw(arrays((3,))), data.draw(arrays((rows, 3)))):
-        g = sys_.grad_energy(x)
-        squared = dot(g, g)[..., np.newaxis, np.newaxis]
-        expected = 0.1 * (squared * np.eye(3) - g[..., :, np.newaxis] * g[..., np.newaxis, :])
-        assert same_bits(sys_.friction(x), expected)
+    x, stack = data.draw(arrays((3,))), data.draw(arrays((rows, 3)))
+    per_row = [plain_rigid_body(row) for row in stack]
+    for i, formula in enumerate((sys_.poisson, sys_.friction, sys_.energy_port)):
+        assert same_bits(formula(x), plain_rigid_body(x)[i])
+        assert same_bits(formula(stack), np.stack([plain[i] for plain in per_row]))
+    # matvec sums a stack in one order only when it is C-contiguous
+    assert sys_.poisson(x).flags.c_contiguous and sys_.poisson(stack).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
-# whole closed runs against a plain RK4 loop over the unfolded formulas
+# whole closed runs, and the audits' two-row batch of a driven and a closed
+# port run, against plain RK4 loops over the unfolded formulas
 
 
-def plain_rk4(rhs, x0, length):
+def plain_rk4(rhs, x0, length, inputs=None):
+    """Classical RK4 of x' = rhs(x), or of x' = rhs(x, u) with u the rows
+    3 i, 3 i + 1 and 3 i + 2 of ``inputs`` at the stages of step i."""
     x = np.array(x0, dtype=float)
     states = [x]
-    for _ in range(round(length / H)):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * H * k1)
-        k3 = rhs(x + 0.5 * H * k2)
-        k4 = rhs(x + H * k3)
+    for i in range(round(length / H)):
+        u1, u2, u4 = (() if inputs is None else (inputs[3 * i + j],) for j in range(3))
+        k1 = rhs(x, *u1)
+        k2 = rhs(x + 0.5 * H * k1, *u2)
+        k3 = rhs(x + 0.5 * H * k2, *u2)
+        k4 = rhs(x + H * k3, *u4)
         x = x + (H / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(x)
     return np.array(states)
 
 
-def closed_runs():
-    """Per name: the bundle of a closed run and its rhs, unfolded."""
+def plain_runs():
+    """Per name: the bundle, its closed rhs(x) and, for a port system, its
+    port rhs(x, s), unfolded."""
     ms, rb, blowup, linear = map(resolve_builtin, ("mass_spring", "rigid_body", "blowup", "linear"))
     duffing = bundle_from_config(DUFFING)
     poly = duffing.instance.hamiltonian
 
     def ph(sys_, gradient):
-        return lambda x: (sys_.interconnection(x) - sys_.dissipation(x)) @ gradient(x)
+        def closed(x):
+            return (sys_.interconnection(x) - sys_.dissipation(x)) @ gradient(x)
+
+        return closed, lambda x, s: closed(x) + sys_.port_map(x) @ s
 
     def rigid_body(x):
-        sys_ = rb.instance
-        g = sys_.grad_energy(x)
-        friction = 0.1 * (float(g @ g) * np.eye(3) - g[:, np.newaxis] * g[np.newaxis, :])
-        return sys_.poisson(x) @ g + friction @ sys_.grad_entropy(x)
+        hat, friction, _ = plain_rigid_body(x)
+        return hat @ (x / np.array([1.0, 2.0, 3.0])) + friction @ x
+
+    def rigid_body_port(x, s):  # the whole sum, the zero A's product too
+        return rigid_body(x) + plain_rigid_body(x)[2] @ s[:1] + np.zeros((3, 1)) @ s[1:]
 
     return {
-        "mass_spring": (ms, ph(ms.instance, ms.instance.grad_hamiltonian)),
-        "rigid_body": (rb, rigid_body),
-        "blowup": (blowup, lambda x: x * x),
-        "linear": (linear, lambda x: np.array([[-1.0]]) @ x),
-        "duffing": (duffing, ph(duffing.instance, lambda x: term_loop_gradient(poly, x))),
+        "mass_spring": (ms, *ph(ms.instance, ms.instance.grad_hamiltonian)),
+        "rigid_body": (rb, rigid_body, rigid_body_port),
+        "blowup": (blowup, lambda x: x * x, None),
+        "linear": (linear, lambda x: np.array([[-1.0]]) @ x, None),
+        "duffing": (duffing, *ph(duffing.instance, lambda x: term_loop_gradient(poly, x))),
     }
 
 
-CLOSED_RUNS = closed_runs()
+PLAIN_RUNS = plain_runs()
 
 
-@pytest.mark.parametrize("name", sorted(CLOSED_RUNS))
+@pytest.mark.parametrize("name", sorted(PLAIN_RUNS))
 def test_a_closed_run_equals_the_plain_rk4_loop(name):
-    bundle, rhs = CLOSED_RUNS[name]
+    bundle, rhs, _ = PLAIN_RUNS[name]
     field = bundle.instance if bundle.kind == "ode" else closed_field(bundle.instance)
     length = 0.8 if name == "blowup" else 0.5  # the blowup run from x0 = 1 ends at t = 1
     run = integrate(field, bundle.initial_state, length, H)
     assert same_bits(run.values, plain_rk4(rhs, bundle.initial_state, length))
+
+
+@pytest.mark.parametrize("name", ["duffing", "mass_spring", "rigid_body"])
+def test_the_audit_batch_equals_two_plain_rk4_loops(name):
+    # the driven row carries u = a sin(t) on its inputs and its signals at the
+    # nodes; the closed row is the port field with zero signals, state only
+    bundle, _, port = PLAIN_RUNS[name]
+    system, length = bundle.instance, 0.5
+    driven, closed = _port_runs(bundle, RunConfig("audit", name, length, H, 1e-5, 0, ""))
+    steps = round(length / H)
+    starts = np.arange(steps) * H
+    times = np.append(np.column_stack([starts, starts + 0.5 * H, starts + H]), steps * H)
+    signals = np.zeros((len(times), len(system.signal_labels)))
+    signals[:, : system.m] = (1.0 if bundle.kind == "ph" else 0.2) * np.sin(times)[:, np.newaxis]
+    states = plain_rk4(port, bundle.initial_state, length, signals)
+    assert same_bits(driven.values, np.concatenate([states, signals[::3]], axis=1))
+    assert same_bits(closed.values, plain_rk4(port, bundle.initial_state, length, np.zeros_like(signals)))
