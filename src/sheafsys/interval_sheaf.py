@@ -41,8 +41,9 @@ DEFAULT_TOLERANCE = 1e-9
 #: default grid step (time units)
 DEFAULT_STEP = 1e-3
 
-#: rows formatted at a time by write_csv, which bounds its memory
-CSV_CHUNK_ROWS = 1024
+#: rows that write_csv formats with one ``%``; 1024 formatted no faster and
+#: raised the peak memory of a long check-sheaf session by about 0.5 MiB
+CSV_CHUNK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +340,8 @@ def write_csv(e: Trajectory, path) -> None:
         fh.write(f"# shift={e.shift:.17g} step={e.grid_step:.17g}\n")
         fh.write(",".join(["t", *e.labels]) + "\n")
         for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunk = table[start : start + CSV_CHUNK_ROWS].tolist()
-            fh.writelines(row % tuple(values) for values in chunk)
+            chunk = table[start : start + CSV_CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_csv(path) -> Trajectory:

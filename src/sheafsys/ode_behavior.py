@@ -125,10 +125,18 @@ class VectorField:
         is lifted with :func:`pointwise` at construction; a :func:`batched`
         one takes x of shape (N, n) with t (and u) shared or given per row
         and returns shape (N, n).
+    affine : (callable, ndarray), optional
+        For a field whose input enters through a constant matrix B: the
+        drift, a :func:`batched` callable of (t, x) giving rates of the
+        shape of x, and B, such that f(t, x, u) is drift(t, x) +
+        matvec(B, u), bit for bit.  :func:`integrate_batch` then forms B u
+        once per run and calls the drift as it is, without the checks of a
+        call of the field.
     """
 
     dimension: int
     rhs: Callable[..., np.ndarray]
+    affine: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", pointwise(self.rhs, 0, 1, 1))
@@ -227,7 +235,9 @@ def integrate_batch(
     of every step i and then the end node's time; it gives inputs shared by
     every row, (T, m), or one per row, (T, K, m).  The field is then called
     as f(t, x, u), and every run carries its inputs at the nodes as channels
-    after the state.
+    after the state.  A field with an ``affine`` split takes B u on that
+    whole stack, before the first step; each stage then adds its row of it
+    to the drift, which gives the bits of f(t, x, u).
     """
     x = np.array(x0s, dtype=float)
     if x.ndim != 2 or x.shape[1] != field.dimension:
@@ -257,6 +267,16 @@ def integrate_batch(
     if count == 1:  # one run steps a single node, the cheapest call of a field
         x = x[0]
         u = u[:, 0] if u is not None and u.ndim == 3 else u
+    rate = field
+    if u is not None and field.affine is not None:
+        # B u at every stage time in one call, (T, [K,] n); a stage adds its
+        # row of it to the drift
+        drift, port = field.affine
+        u = matvec(port, u)
+
+        def rate(t, x, term):
+            return drift(t, x) + term
+
     half = 0.5 * h
     # the factors of the stage products as 0-d arrays: numpy takes those as
     # they are, where it converts a Python float at every product
@@ -266,11 +286,11 @@ def integrate_batch(
             break
         t = i * h
         u1, u2, u4 = (None, None, None) if u is None else (u[3 * i], u[3 * i + 1], u[3 * i + 2])
-        k1 = field(t - shift, x, u1)
+        k1 = rate(t - shift, x, u1)
         mid = t + half - shift
-        k2 = field(mid, x + by_half * k1, u2)
-        k3 = field(mid, x + by_half * k2, u2)
-        k4 = field(t + h - shift, x + by_step * k3, u4)
+        k2 = rate(mid, x + by_half * k1, u2)
+        k3 = rate(mid, x + by_half * k2, u2)
+        k4 = rate(t + h - shift, x + by_step * k3, u4)
         x = x + by_sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)  # k + k is 2.0 * k, exactly
         # a pass over the few values as Python floats is cheaper than
         # np.abs(x).max(); NaN fails the comparison too

@@ -13,6 +13,8 @@ stack contract of :mod:`sheafsys.ode_behavior`: ``x`` is one state or an
 pass over a trajectory is one call:
 
 - ``closed_rhs(x)`` and ``port_rhs(x, s)``, the closed and driven dynamics;
+- ``constant_port_map()``, the constant matrix B when ``port_rhs(x, s)``
+  is ``closed_rhs(x) + B s``, or None;
 - ``zeta_rate(x, s)``, the rate of the port variables zeta of the extended
   space; the port output is its negative;
 - ``port_side_residuals(e)``, algebraic conditions on state and signals
@@ -126,6 +128,11 @@ class PortSystem:
                 if got != expected and not (len(shape) == 2 and got == shape):
                     raise DimensionMismatch(f"{name}(x) has shape {got}, expected {expected}")
         check_structure(self)
+
+    def constant_port_map(self) -> Optional[np.ndarray]:
+        """The constant matrix B when port_rhs(x, s) is closed_rhs(x) +
+        matvec(B, s), bit for bit; None otherwise (the default)."""
+        return None
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return {}
@@ -268,8 +275,11 @@ def closed_field(system: PortSystem) -> VectorField:
 
 
 def port_field(system: PortSystem) -> VectorField:
-    """x' = port_rhs(x, s), the port signals s its input."""
-    return VectorField(system.n, batched(lambda t, x, s: system.port_rhs(x, s)))
+    """x' = port_rhs(x, s), the port signals s its input; affine, with
+    closed_rhs as its drift, when the system's port map is constant."""
+    port = system.constant_port_map()
+    affine = None if port is None else (closed_field(system).rhs, port)
+    return VectorField(system.n, batched(lambda t, x, s: system.port_rhs(x, s)), affine)
 
 
 def extended_field(system: PortSystem) -> VectorField:

@@ -107,6 +107,9 @@ class PHSystem(PortSystem):
         object.__setattr__(self, "_drift", None if J is None or R is None else J - R)
         object.__setattr__(self, "_port", constant_matrix(self.port_map))
 
+    def constant_port_map(self):
+        return self._port
+
     def port_output(self, x) -> np.ndarray:
         """The natural port output B(x)^T grad H(x)."""
         return matvec(transpose(self.port_map(x)), self.grad_hamiltonian(x))

@@ -364,6 +364,7 @@ SOFTENING = bundle_from_config({
 
 def test_a_driven_batch_row_that_blows_up_leaves_the_others_as_they_run_alone():
     field = port_field(SOFTENING)
+    assert field.affine is not None  # B u is formed once per run and sliced with the rows
     starts = [[0.2, 0.0], [1.2, 0.5], [-0.3, 0.1]]
     per_row = batched(lambda t: np.sin(t)[:, np.newaxis, np.newaxis] * np.array([[1.0], [2.0], [-1.0]]))
     runs = integrate_batch(field, starts, 1.5, H, 0.1, inputs=per_row)

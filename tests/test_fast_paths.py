@@ -1,7 +1,8 @@
 """The cheaper forms of the per-stage formulas give the bits of the plain
 formulas: single-node products, folded constant matrices, skipped zero port
 matrices, the compiled polynomial gradient, the rigid body's formulas, whole
-closed runs and the audits' two-row batches.  Bits include the sign of a zero."""
+closed runs, the audits' two-row batches and driven runs whose constant port
+map is taken once per run.  Bits include the sign of a zero."""
 
 import itertools
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from sheafsys import MetriplecticSystem, PHSystem, Polynomial, integrate
 from sheafsys.cli import RunConfig, _port_runs
-from sheafsys.ode_behavior import dot, matvec
-from sheafsys.port_diagram import closed_field
+from sheafsys.ode_behavior import batched, dot, integrate_batch, matvec
+from sheafsys.port_diagram import closed_field, port_field
 from sheafsys.systems import (
     bundle_from_config,
     mass_spring_system,
@@ -331,3 +332,60 @@ def test_the_audit_batch_equals_two_plain_rk4_loops(name):
     states = plain_rk4(port, bundle.initial_state, length, signals)
     assert same_bits(driven.values, np.concatenate([states, signals[::3]], axis=1))
     assert same_bits(closed.values, plain_rk4(port, bundle.initial_state, length, np.zeros_like(signals)))
+
+
+# ---------------------------------------------------------------------------
+# driven runs of the port field: a constant port map times the whole input
+# stack once per run, against an RK4 loop calling port_rhs at every stage
+
+
+DRIVEN = {
+    # m = 1: one node's product in port_rhs is np.matvec
+    "mass_spring": mass_spring_system(1.5, 0.5, 0.2),
+    "ph, m = 1": PHSystem(
+        2, 1, SPIN, [[0.1, 0.0], [0.0, 0.2]], [[0.5], [-0.25]],
+        lambda x: 0.5 * float(x @ x), lambda x: np.array(x, dtype=float),
+    ),
+    # m = 2: one node's product in port_rhs is ndarray.dot
+    "ph, m = 2": PHSystem(
+        2, 2, SPIN, [[0.1, 0.0], [0.0, 0.2]], [[1.0, 0.0], [0.5, 1.0]],
+        lambda x: 0.5 * float(x @ x), lambda x: np.array(x, dtype=float),
+    ),
+    # MP systems keep the field's products at every stage: constant B and a
+    # live constant A, and rigid_body's B(x), which depends on the state
+    "mp, live A": MP_SYSTEMS["all live"],
+    "rigid_body": MP_SYSTEMS["rigid_body"],
+}
+
+
+def driving_signals(shape, seed):
+    """Signals over three spells of the stage times: -0.0 throughout, so a
+    run from a zero state stays at zeros; then zeros of both signs and
+    subnormals whose products with the port maps underflow to zeros of
+    either sign; then these and ordinary values."""
+    rng = np.random.default_rng(seed)
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324])
+    third = shape[0] // 3
+    return np.concatenate([
+        np.full((third,) + shape[1:], -0.0),
+        rng.choice(tiny, size=(third,) + shape[1:]),
+        rng.choice(np.append(tiny, [1e-200, -0.7, 1.3]), size=(shape[0] - 2 * third,) + shape[1:]),
+    ])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("name", sorted(DRIVEN))
+def test_a_driven_port_field_run_equals_rk4_calling_port_rhs_at_every_stage(name, per_row, rows):
+    system = DRIVEN[name]
+    field = port_field(system)
+    assert (field.affine is None) == isinstance(system, MetriplecticSystem)
+    length, k = 0.05, len(system.signal_labels)
+    times = 3 * round(length / H) + 1
+    signals = driving_signals((times, rows, k) if per_row else (times, k), rows)
+    x0s = [[-0.0] * system.n, [0.4, -0.3, 0.2][: system.n]][:rows]
+    runs = integrate_batch(field, x0s, length, H, inputs=batched(lambda t: signals))
+    for row, (x0, run) in enumerate(zip(x0s, runs)):
+        u = signals[:, row] if per_row else signals
+        states = plain_rk4(system.port_rhs, x0, length, u)
+        assert same_bits(run.values, np.concatenate([states, u[::3]], axis=1))

@@ -22,6 +22,7 @@ from sheafsys import (
     sup_distance,
     write_csv,
 )
+from sheafsys.interval_sheaf import CSV_CHUNK_ROWS
 
 H = 2.0 ** -10  # dyadic step: node times are exact floats
 
@@ -316,6 +317,15 @@ def test_csv_round_trip_is_identical(tmp_path):
     assert path.read_text().splitlines()[1] == "t,q,p,zeta0"
 
 
+def per_value_csv(e: Trajectory) -> bytes:
+    """The CSV of ``e`` formatted one value at a time."""
+    lines = [f"# shift={e.shift:.17g} step={e.grid_step:.17g}", ",".join(("t",) + e.labels)]
+    lines += [
+        ",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]) for t, row in zip(e.times, e.values)
+    ]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def test_write_csv_bytes_match_the_per_value_format(tmp_path):
     values = np.array(
         [[-0.0, 5e-324], [1e300, 1.0 / 3.0], [np.inf, -np.nan], [-1e-300, 2.0 ** -1074]]
@@ -323,11 +333,21 @@ def test_write_csv_bytes_match_the_per_value_format(tmp_path):
     e = Trajectory(values, 0.1, -0.3, ("a", "b"))
     path = tmp_path / "e.csv"
     write_csv(e, path)
-    lines = [f"# shift={e.shift:.17g} step={e.grid_step:.17g}", "t,a,b"]
-    lines += [
-        ",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]) for t, row in zip(e.times, e.values)
-    ]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert path.read_bytes() == per_value_csv(e)
+
+
+def test_write_csv_bytes_across_chunks_match_the_per_value_format(tmp_path):
+    # one row format repeated over a chunk: the values around the chunk
+    # boundary, and in the last, short chunk, land in their own rows
+    values = np.random.default_rng(5).standard_normal((2 * CSV_CHUNK_ROWS + 3, 3))
+    specials = [-0.0, np.inf, -np.inf, np.nan, -0.0, 5e-324]
+    for i, v in enumerate(specials):
+        values[CSV_CHUNK_ROWS - 3 + i, i % 3] = v
+    values[0, 0], values[-1, 2] = -0.0, np.nan
+    e = Trajectory(values, 1e-3, 0.25, ("q", "p", "u0"))
+    path = tmp_path / "e.csv"
+    write_csv(e, path)
+    assert path.read_bytes() == per_value_csv(e)
 
 
 # ---------------------------------------------------------------------------
