@@ -58,7 +58,6 @@ from .port_diagram import check_structure
 from .port_hamiltonian import (
     PHSystem,
     closed_behavior,
-    extended_behavior,
     embed_closed,
     power_balance,
     dissipation_margin,

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import BlowUp, ConfigError, MisalignedOffset, SheafSysError
 from .interval_sheaf import Trajectory, check_sheaf_axioms, grid_count, worst_defect, write_csv
-from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, integrate_batch, membership_residual
-from .port_diagram import build_diagram, closed_behavior, port_field
+from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, batched, membership_residual
+from .port_diagram import build_diagram, closed_behavior, port_machine
 from .port_hamiltonian import (
     dissipation_margin,
     closed_energy_drift,
@@ -146,26 +146,26 @@ def _simulate(config: RunConfig, bundle: SystemBundle) -> int:
 
 def _port_runs(bundle: SystemBundle, config: RunConfig) -> tuple:
     """The driven port run and the closed run from the bundle's initial
-    state, as one two-row batch of the port field.  The driven run has
-    u = a sin(t) on every input (a = 1 for ph, 0.2 for mp) and every other
-    signal zero; the closed run has every signal zero and keeps only its
-    state channels.  The driven run's BlowUp is raised first."""
+    state, sampled together as two rows of the port machine.  The driven
+    run has u = a sin(t) on every input (a = 1 for ph, 0.2 for mp) and every
+    other signal zero; the closed run has every signal zero and keeps only
+    its state channels.  The driven run's BlowUp is raised first."""
     system = bundle.instance
     amplitude = 1.0 if bundle.kind == "ph" else 0.2
 
-    def signals(t):
+    @batched
+    def signals(t):  # one row of signals per run
         out = np.zeros(t.shape + (2, len(system.signal_labels)))
         out[:, 0, : system.m] = amplitude * np.sin(t)[:, np.newaxis]
         return out
 
-    driven, closed = integrate_batch(
-        port_field(system), [bundle.initial_state] * 2, config.length, config.step,
-        labels=system.state_labels + system.signal_labels, inputs=signals,
-    )
+    behavior = port_machine(system, config.step, bundle.residual_tolerance).behavior
+    driven, closed = behavior.sampler(np.stack([bundle.initial_state] * 2), signals, config.length)
     for run in (driven, closed):
         if isinstance(run, BlowUp):
             raise run
-    return driven, Trajectory(closed.values[:, : system.n], closed.grid_step, 0.0, system.state_labels)
+    states = closed.channels(system.state_labels)
+    return driven, Trajectory(states, closed.grid_step, closed.shift, system.state_labels)
 
 
 def _audit(config: RunConfig, bundle: SystemBundle) -> int:

@@ -262,6 +262,15 @@ class BehaviorSheaf:
     tolerance: float = DEFAULT_TOLERANCE
 
 
+def require_member(sheaf: BehaviorSheaf, e: Trajectory, what: str) -> float:
+    """The membership residual of ``e`` in ``sheaf``, which must be within its
+    tolerance: NotAMember "<what> (residual ...)" otherwise, NaN included."""
+    residual = float(sheaf.membership(e))
+    if not residual <= sheaf.tolerance:
+        raise NotAMember(f"{what} (residual {residual:.3e})")
+    return residual
+
+
 @dataclass(frozen=True)
 class CutCheck:
     """Axiom evidence for one probe at one cut point."""
@@ -294,9 +303,10 @@ def check_sheaf_axioms(
     """Test gluing on a finite probe set; separation follows from it.
 
     For every probe and every cut: the glued pair of restrictions must
-    reproduce the probe bit-exactly and remain a member.  Raises NotAMember
-    if a probe fails membership up front.  A bit-exact glue keeps the
-    probe's residual; only a glue that is not exact is measured again.
+    reproduce the probe bit-exactly and remain a member.  A probe that is
+    not a member up front raises NotAMember (:func:`require_member`).  A
+    bit-exact glue keeps the probe's residual; only a glue that is not exact
+    is measured again.
 
     Separation holds wherever the glue is exact.  The windows
     ``restrict(e, c, 0)`` and ``restrict(e, length - c, c)`` share node
@@ -306,13 +316,7 @@ def check_sheaf_axioms(
     two are the same member.  A bit-exact glue is the evidence of that
     covering at the cut.
     """
-    residuals = [float(sheaf.membership(e)) for e in probes]
-    for i, residual in enumerate(residuals):
-        if not residual <= sheaf.tolerance:
-            raise NotAMember(
-                f"probe {i} has membership residual {residual:.3e} "
-                f"> tolerance {sheaf.tolerance:.3e}"
-            )
+    residuals = [require_member(sheaf, e, f"probe {i} not in the behavior") for i, e in enumerate(probes)]
     checks = []
     for i, (e, residual) in enumerate(zip(probes, residuals)):
         for cut in cut_points:

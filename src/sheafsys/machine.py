@@ -31,6 +31,7 @@ from .errors import NotAMember, NotClosed, StructureViolation
 from .interval_sheaf import (
     BehaviorSheaf,
     Trajectory,
+    require_member,
     restrict,
     sup_distance,
     worst_defect,
@@ -54,8 +55,6 @@ class Machine:
         and must commute with restriction within ``LEG_COMMUTE_TOL``;
         :func:`verify_port_control_diagram` checks this on the members it
         holds, and :func:`leg_restriction_defect` on any others.
-    a_labels, e_labels : tuple of str
-        Channel names of the leg outputs.
     name : str
         Used in reports.
     """
@@ -63,8 +62,6 @@ class Machine:
     behavior: BehaviorSheaf | OdeBehavior
     a_leg: Callable[[Trajectory], Trajectory]
     e_leg: Callable[[Trajectory], Trajectory]
-    a_labels: tuple = ()
-    e_labels: tuple = ()
     name: str = "machine"
 
 
@@ -150,7 +147,7 @@ def iso_machine(
         y = np.asarray(readout(e.absolute_times, x, u), dtype=float)
         return Trajectory(y, e.grid_step, e.shift, output_labels)
 
-    return Machine(behavior, a_leg, e_leg, input_labels, output_labels, name)
+    return Machine(behavior, a_leg, e_leg, name)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +200,7 @@ def morphism_defect(
     gaps = []
     for i, e in enumerate(probes):
         if check_membership:
-            res = source.behavior.membership(e)
-            if not res <= source.behavior.tolerance:
-                raise NotAMember(
-                    f"probe {i} not in the source behavior of '{phi.name}' "
-                    f"(residual {res:.3e})"
-                )
+            require_member(source.behavior, e, f"probe {i} not in the source behavior of '{phi.name}'")
         image = phi.beta(e)
         if phi.variant == "straight":
             pairs = (
@@ -243,7 +235,6 @@ class ProbeResult:
     """Injectivity evidence, not proof: colliding probe index pairs, if any."""
 
     collisions: tuple
-    separation: float
 
     @property
     def injective_on_probes(self) -> bool:
@@ -271,7 +262,7 @@ def injectivity_probe(
                 continue
             if not sup_distance(images[i], images[j]) >= threshold:
                 collisions.append((i, j))
-    return ProbeResult(tuple(collisions), separation)
+    return ProbeResult(tuple(collisions))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +360,9 @@ def verify_port_control_diagram(
     """
     notes = []
     for i, e in enumerate(probes):
-        res = closed.behavior.membership(e)
-        if not res <= closed.behavior.tolerance:
-            raise NotAMember(
-                f"probe {i} not in the closed behavior (residual {res:.3e})"
-            )
+        require_member(closed.behavior, e, f"probe {i} not in the closed behavior")
     closed, port, enclosing = (
-        Machine(m.behavior, _once(m.a_leg), _once(m.e_leg), m.a_labels, m.e_labels, m.name)
+        dataclasses.replace(m, a_leg=_once(m.a_leg), e_leg=_once(m.e_leg))
         for m in (closed, port, enclosing)
     )
     psi, xi, a_phi = (dataclasses.replace(phi, beta=_once(phi.beta)) for phi in (psi, xi, a_phi))
@@ -440,18 +427,15 @@ def verify_port_control_diagram(
     passed = all(v <= tolerance for v in defects.values()) and all(
         r.injective_on_probes for r in collisions.values()
     )
-    target = enclosing.behavior
     for label, phi, sources in (("a_phi", a_phi, probes), ("xi", xi, psi_images)):
         for i, e in enumerate(sources):
-            res = target.membership(phi.beta(e))
-            if not res <= target.tolerance:
-                stray = (
-                    f"image of probe {i} under {label} not in the enclosing "
-                    f"behavior (residual {res:.3e})"
-                )
+            what = f"image of probe {i} under {label} not in the enclosing behavior"
+            try:
+                require_member(enclosing.behavior, phi.beta(e), what)
+            except NotAMember as stray:
                 if passed:
-                    raise NotAMember(stray)
-                notes.append(stray)
+                    raise
+                notes.append(str(stray))
     if len(probes) < 2:
         notes.append("fewer than two probes: injectivity evidence is vacuous")
     return DiagramReport(tolerance, defects, collisions, passed, tuple(notes))

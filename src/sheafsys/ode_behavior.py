@@ -98,11 +98,7 @@ def matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def dot(a, b) -> np.ndarray:
     """Inner product at every node: (..., k) and (..., k) give (...), with the
-    bits of ``@`` at each node: numpy's ``vecdot`` gufunc on stacks, and one
-    pair of vectors through ``ndarray.dot`` as in :func:`matvec`."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim == b.ndim == 1:
-        return a.dot(b) if a.size > 1 else a @ b
+    bits of ``@`` at each node, by numpy's ``vecdot`` gufunc."""
     return np.vecdot(a, b)
 
 
@@ -233,7 +229,9 @@ def integrate_batch(
     ``inputs``, when given, is a curve of absolute time called once, on the
     stack of the stage times t_i - shift, t_i + h/2 - shift, t_i + h - shift
     of every step i and then the end node's time; it gives inputs shared by
-    every row, (T, m), or one per row, (T, K, m).  The field is then called
+    every row, (T, m), or one per row, (T, K, m); a width m that the
+    field's ``affine`` port map or the ``labels`` past the state fix is
+    checked before the first step.  The field is then called
     as f(t, x, u), and every run carries its inputs at the nodes as channels
     after the state.  A field with an ``affine`` split takes B u on that
     whole stack, before the first step; each stage then adds its row of it
@@ -257,6 +255,13 @@ def integrate_batch(
         u = np.asarray(inputs(times), dtype=float)
         if u.shape[:1] != times.shape or not (u.ndim == 2 or u.ndim == 3 and u.shape[1] == count):
             raise DimensionMismatch(f"inputs gave shape {u.shape} for {len(times)} times, {count} rows")
+        # the input width, where the field's constant port map or the labels fix it
+        if field.affine is not None:
+            width = field.affine[1].shape[1]
+        else:
+            width = None if labels is None else len(labels) - n
+        if width not in (None, u.shape[-1]):
+            raise DimensionMismatch(f"inputs of width {u.shape[-1]} given to a field that takes {width}")
     nodes = np.empty((steps + 1, count, n + (0 if u is None else u.shape[-1])))
     states = nodes[..., :n]
     states[0] = x
@@ -395,17 +400,24 @@ class OdeBehavior:
         at absolute time t is the concatenation of the curves' values, one
         curve per input group (callables of time, lifted with
         :func:`pointwise`).  Each curve is called once per run, on the stack
-        of the RK4 stage times and the end node's time.  One state (n,)
-        gives its member or raises BlowUp; a (K, n) stack of states, driven
-        by the same curves, gives one member or BlowUp per row, integrated
-        together; see :func:`integrate_batch`."""
+        of T times: the RK4 stage times and the end node's.  One state (n,)
+        gives its member or raises BlowUp; a (K, n) stack of states gives
+        one member or BlowUp per row, integrated together (see
+        :func:`integrate_batch`), its rows driven by the same curves, or
+        each by its own when every curve gives one value per row, (T, K, w).
+        Per-row and shared curves do not mix (DimensionMismatch)."""
         *curves, length = curves_and_length
         curves = [pointwise(c, 0) for c in curves]
+        rows = len(x0) if np.ndim(x0) == 2 else 1
 
         def inputs(t):
-            return np.concatenate(
-                [np.asarray(c(t), dtype=float).reshape(len(t), -1) for c in curves], axis=1
-            )
+            values = [np.asarray(c(t), dtype=float) for c in curves]
+            if not any(v.ndim == 3 for v in values):
+                return np.concatenate([v.reshape(len(t), -1) for v in values], axis=1)
+            if any(v.shape[:2] != (len(t), rows) or v.ndim != 3 for v in values):
+                shapes = [v.shape for v in values]
+                raise DimensionMismatch(f"curves gave shapes {shapes}: each must be (T, {rows}, w)")
+            return np.concatenate(values, axis=2)
 
         run = integrate_batch if np.ndim(x0) == 2 else integrate
         return run(

@@ -37,9 +37,10 @@ generators and an enclosing member is (x, zeta, s): the signal samples are
 channels after zeta, as on a port member.  The enclosing machine is the
 machine of the extended field [port_rhs(x, s), zeta_rate(x, s)] driven by s,
 with the port side conditions, which make the extended noninteraction laws
-hold (see :mod:`sheafsys.metriplectic`).  The embedding and the port-to-extended map integrate the
-same zeta-rate array with the same trapezoid rule, so the triangle closes
-bit-exactly on the zeta channels.
+hold (see :mod:`sheafsys.metriplectic`).  The port and enclosing machines
+are built by one function, and so are the port member (x, 0) of a closed
+run and the enclosing member (x, zeta, s) of a port run; the embedding is
+xi of the psi image, so the triangle closes bit-exactly.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NoninteractionViolation, NotAMember, StructureViolation
-from .interval_sheaf import DEFAULT_STEP, Trajectory, worst_defect
+from .interval_sheaf import DEFAULT_STEP, Trajectory, require_member, worst_defect
 from .machine import (
     DiagramReport,
     Machine,
@@ -63,7 +64,6 @@ from .ode_behavior import (
     OdeBehavior,
     VectorField,
     batched,
-    membership_residual,
     pointwise,
     transpose,
 )
@@ -266,6 +266,27 @@ def _zero_signals(system: PortSystem, e: Trajectory) -> np.ndarray:
     return np.zeros((e.num_nodes, len(system.signal_labels)))
 
 
+def _port_member(system: PortSystem, e: Trajectory) -> Trajectory:
+    """The port member (x, 0) of a closed run x: zero signals after the state."""
+    values = np.concatenate([e.values, _zero_signals(system, e)], axis=1)
+    return Trajectory(values, e.grid_step, e.shift, e.labels + system.signal_labels)
+
+
+def _enclosing_member(system: PortSystem, e: Trajectory, integral_sign: float) -> Trajectory:
+    """The enclosing member (x, zeta, s) of a port run (x, s): zeta is
+    ``integral_sign`` times the trapezoidal antiderivative of the zeta rate,
+    anchored at zeta(0) = 0."""
+    x = e.channels(system.state_labels)
+    s = e.channels(system.signal_labels)
+    zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
+    return Trajectory(
+        np.concatenate([x, zeta, s], axis=1),
+        e.grid_step,
+        e.shift,
+        system.state_labels + system.zeta_labels + system.signal_labels,
+    )
+
+
 # ---------------------------------------------------------------------------
 # behaviors
 
@@ -304,40 +325,20 @@ def closed_behavior(
     return OdeBehavior(closed_field(system), grid_step, residual_tolerance, system.state_labels)
 
 
-def extended_behavior(
-    system: PortSystem,
-    grid_step: float = DEFAULT_STEP,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
-) -> OdeBehavior:
-    """The enclosing behavior: members (x, zeta, s) of the extended field,
-    the signals s held to the port side conditions."""
-    return enclosing_machine(system, grid_step, residual_tolerance).behavior
-
-
 def embed(
     system: PortSystem,
     e: Trajectory,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOL,
 ) -> Trajectory:
-    """Embed a closed-system member into the extended behavior.
+    """Embed a closed-system member into the extended behavior: a closed
+    run is enclosed with no auxiliary energy, as xi of its psi image.
 
-    Appends the zeta channels, the trapezoidal antiderivative of the zeta
-    rate with zero signals, anchored at zeta(0) = 0, and the zero signal
-    channels: a closed run is enclosed with no auxiliary energy.
+    The run must be a member of the closed behavior on its own grid, its
+    labels the state labels (NotAMember otherwise).
     """
-    residual = membership_residual(closed_field(system), e)
-    if not residual <= residual_tolerance:
-        raise NotAMember(
-            f"trajectory is not a closed-system member (residual {residual:.3e})"
-        )
-    signals = _zero_signals(system, e)
-    zeta = cumulative_trapezoid(system.zeta_rate(e.values, signals), e.grid_step)
-    return Trajectory(
-        np.concatenate([e.values, zeta, signals], axis=1),
-        e.grid_step,
-        e.shift,
-        e.labels + system.zeta_labels + system.signal_labels,
-    )
+    behavior = closed_behavior(system, e.grid_step, residual_tolerance)
+    require_member(behavior, e, "trajectory is not a closed-system member")
+    return _enclosing_member(system, _port_member(system, e), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,34 @@ def closed_machine(
     def e_leg(e: Trajectory) -> Trajectory:
         return Trajectory(_zero_signals(system, e), e.grid_step, e.shift, constant_labels)
 
-    return Machine(behavior, a_leg, e_leg, system.output_labels, constant_labels, "closed")
+    return Machine(behavior, a_leg, e_leg, "closed")
+
+
+def _signal_machine(
+    system: PortSystem,
+    dynamics: VectorField,
+    state_labels: tuple,
+    name: str,
+    grid_step: float,
+    residual_tolerance: float,
+) -> Machine:
+    """The machine of ``dynamics`` driven by the port signals s, whose first
+    n state channels are x: membership adds the port side conditions, the
+    input leg extracts the signals and the output leg is -zeta_rate(x, s)."""
+    n = system.n
+    return iso_machine(
+        dynamics,
+        batched(lambda t, x, s: -system.zeta_rate(x[..., :n], s)),
+        len(system.signal_labels),
+        system.m,
+        grid_step,
+        residual_tolerance,
+        state_labels=state_labels,
+        input_labels=system.signal_labels,
+        output_labels=system.output_labels,
+        name=name,
+        side_residuals=system.port_side_residuals,
+    )
 
 
 def port_machine(
@@ -384,18 +412,8 @@ def port_machine(
     ``sampler(x0, u_curve, length, shift=0.0)``, or
     ``sampler(x0, u_curve, tau_curve, length, shift=0.0)``.
     """
-    return iso_machine(
-        port_field(system),
-        batched(lambda t, x, s: -system.zeta_rate(x, s)),
-        len(system.signal_labels),
-        system.m,
-        grid_step,
-        residual_tolerance,
-        state_labels=system.state_labels,
-        input_labels=system.signal_labels,
-        output_labels=system.output_labels,
-        name="port",
-        side_residuals=system.port_side_residuals,
+    return _signal_machine(
+        system, port_field(system), system.state_labels, "port", grid_step, residual_tolerance
     )
 
 
@@ -412,19 +430,9 @@ def enclosing_machine(
     membership adds the port side conditions, the input leg extracts the
     signals and the output leg evaluates -zeta_rate(x, s) node-wise.
     """
-    n = system.n
-    return iso_machine(
-        extended_field(system),
-        batched(lambda t, xz, s: -system.zeta_rate(xz[..., :n], s)),
-        len(system.signal_labels),
-        system.m,
-        grid_step,
-        residual_tolerance,
-        state_labels=system.state_labels + system.zeta_labels,
-        input_labels=system.signal_labels,
-        output_labels=system.output_labels,
-        name="enclosing",
-        side_residuals=system.port_side_residuals,
+    return _signal_machine(
+        system, extended_field(system), system.state_labels + system.zeta_labels,
+        "enclosing", grid_step, residual_tolerance,
     )
 
 
@@ -443,11 +451,9 @@ def closed_to_port_morphism(system: PortSystem) -> MachineMorphism:
     output and the constant leg with its (zero) input.
     """
 
-    def beta(e: Trajectory) -> Trajectory:
-        values = np.concatenate([e.values, _zero_signals(system, e)], axis=1)
-        return Trajectory(values, e.grid_step, e.shift, e.labels + system.signal_labels)
-
-    return MachineMorphism(beta, _ident, _ident, "swapped", "closed into port")
+    return MachineMorphism(
+        lambda e: _port_member(system, e), _ident, _ident, "swapped", "closed into port"
+    )
 
 
 def port_to_extended_morphism(system: PortSystem, integral_sign: float = 1.0) -> MachineMorphism:
@@ -457,19 +463,10 @@ def port_to_extended_morphism(system: PortSystem, integral_sign: float = 1.0) ->
     :func:`embed`.  ``integral_sign`` exists for violation tests; any value
     other than 1.0 corrupts the quadrature deliberately.
     """
-
-    def beta(e: Trajectory) -> Trajectory:
-        x = e.channels(system.state_labels)
-        s = e.channels(system.signal_labels)
-        zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
-        return Trajectory(
-            np.concatenate([x, zeta, s], axis=1),
-            e.grid_step,
-            e.shift,
-            system.state_labels + system.zeta_labels + system.signal_labels,
-        )
-
-    return MachineMorphism(beta, _ident, _ident, "straight", "port into extended")
+    return MachineMorphism(
+        lambda e: _enclosing_member(system, e, integral_sign),
+        _ident, _ident, "straight", "port into extended",
+    )
 
 
 def build_diagram(

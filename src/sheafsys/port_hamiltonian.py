@@ -50,7 +50,6 @@ from .port_diagram import (
     embed as embed_closed,
     enclosing_machine,
     entries,
-    extended_behavior,
     formula,
     gradient_gap,
     negative_eigenvalues,

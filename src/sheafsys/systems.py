@@ -13,7 +13,7 @@ document may give its "name", "length" and "residual_tolerance".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -422,46 +422,44 @@ def _matrix_from(doc: dict, key: str, rows: int, cols: int) -> np.ndarray:
     return matrix
 
 
-#: how an explicit document of each port kind is read: the family class, built
-#: as cls(n, m, *matrices, *generators, *gradients, labels); its matrices as (key, shape) pairs in argument order, the shape
-#: two dimension names out of "n" and "m"; the keys of its polynomial
-#: generators, in argument order; and the bundle's default name and description
+#: the explicit port documents: kind -> (family class, the bundle's default
+#: name and description); the class's formula fields give the keys
 EXPLICIT_KINDS = {
-    "ph": (
-        PHSystem,
-        (("J", "nn"), ("R", "nn"), ("B", "nm")),
-        ("H",),
-        "custom_ph",
-        "user-configured port system",
-    ),
-    "mp": (
-        MetriplecticSystem,
-        (("J", "nn"), ("G", "nn"), ("B", "nm"), ("A", "nm"), ("Jt", "mm"), ("Gt", "mm")),
-        ("H", "S"),
-        "custom_mp",
-        "user-configured two-generator system",
-    ),
+    "ph": (PHSystem, "custom_ph", "user-configured port system"),
+    "mp": (MetriplecticSystem, "custom_mp", "user-configured two-generator system"),
 }
 
 
 def _port_bundle_from_config(kind: str, doc: dict) -> SystemBundle:
     """Read an explicit document of a kind in EXPLICIT_KINDS: dimensions,
-    generators, matrices and labels, then the initial state and run defaults."""
-    cls, matrix_shapes, generator_keys, name, description = EXPLICIT_KINDS[kind]
+    generators, matrices and labels, then the initial state and run defaults.
+    Each formula of the family class is read from the key of its name: a
+    scalar one is a polynomial generator (zero when absent), a matrix a
+    dense matrix of its shape, and "grad X" the gradient of the generator X."""
+    cls, name, description = EXPLICIT_KINDS[kind]
     n, m = (_integer(doc.get(key), f"dimension {key}") for key in ("n", "m"))
     if n < 1 or m < 0:
         raise ConfigError(f"dimensions n={n}, m={m} out of range")
     dims = {"n": n, "m": m}
-    generators = [parse_polynomial(doc.get(key, {"terms": []}), n) for key in generator_keys]
-    matrices = [_matrix_from(doc, key, dims[r], dims[c]) for key, (r, c) in matrix_shapes]
-    gradients = [g.gradient for g in generators]
+    formulas = [(f.name, *f.metadata["formula"]) for f in fields(cls) if "formula" in f.metadata]
+    generators = {
+        key: parse_polynomial(doc.get(key, {"terms": []}), n) for _, key, shape in formulas if not shape
+    }
+    values = {}
+    for attr, key, shape in formulas:
+        if len(shape) == 2:
+            values[attr] = _matrix_from(doc, key, dims[shape[0]], dims[shape[1]])
+        elif shape:  # "grad X"
+            values[attr] = generators[key.removeprefix("grad ")].gradient
+        else:
+            values[attr] = generators[key]
     labels = doc.get("labels")
     if labels is not None and not (
         isinstance(labels, list) and all(isinstance(a, str) for a in labels)
     ):
         raise ConfigError(f"labels must be a list of strings, got {labels!r}")
     try:
-        sys_ = cls(n, m, *matrices, *generators, *gradients, labels)
+        sys_ = cls(n=n, m=m, state_labels=labels, **values)
     except DimensionMismatch as exc:  # the labels: the shapes were checked above
         raise ConfigError(str(exc)) from exc
     name, length, tolerance = _run_keys(doc, name, 10.0, 1e-4)

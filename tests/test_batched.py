@@ -397,6 +397,54 @@ def test_driven_runs_check_the_shapes_of_inputs_and_dynamics():
         integrate_batch(field, [[0.0, 0.0], [1.0, 0.0]], 0.01, H, inputs=wrong_rows)
 
 
+def test_inputs_of_the_wrong_width_fail_before_the_first_step():
+    # two input channels for the one of mass_spring, on the 151 stage times
+    # of a 0.05-unit run: the width of the constant port map fixes the width
+    calls = []
+
+    @batched
+    def wide(t):
+        calls.append(len(t))
+        return np.zeros((len(t), 2))
+
+    with pytest.raises(DimensionMismatch, match="width 2 given to a field that takes 1"):
+        integrate_batch(port_field(mass_spring_system()), [[0.0, 0.0]], 0.05, inputs=wide)
+    assert calls == [151]
+    # rigid_body's port map depends on the state: the labels fix the width
+    rb = rigid_body_system()
+    with pytest.raises(DimensionMismatch, match="width 3 given to a field that takes 2"):
+        integrate_batch(
+            port_field(rb), [[1.0, 0.5, 0.5]], 0.05, H, labels=rb.state_labels + rb.signal_labels,
+            inputs=batched(lambda t: np.zeros((len(t), 3))),
+        )
+
+
+@pytest.mark.parametrize("name", sorted(PORT_SYSTEMS))
+def test_per_row_curves_drive_each_row_as_it_runs_alone(name):
+    system = PORT_SYSTEMS[name]
+    k = len(system.signal_labels)
+    behavior = port_machine(system, H).behavior
+    starts = np.array([[0.4, -0.3, 0.2][: system.n], [-0.2, 0.1, 0.5][: system.n]])
+    gains = np.array([1.0, -0.5])
+    per_row = batched(lambda t: np.sin(t)[:, np.newaxis, np.newaxis] * gains[:, np.newaxis] * np.ones(k))
+    runs = behavior.sampler(starts, per_row, 0.05)
+    assert not np.array_equal(runs[0].values[:, system.n:], runs[1].values[:, system.n:])
+    for x0, gain, run in zip(starts, gains, runs):
+        alone = batched(lambda t, gain=gain: np.sin(t)[:, np.newaxis] * gain * np.ones(k))
+        assert identical(run, behavior.sampler(x0, alone, 0.05))
+
+
+def test_per_row_curves_neither_mix_with_shared_ones_nor_miss_a_row():
+    rb = rigid_body_system()
+    behavior = port_machine(rb, H).behavior
+    starts = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]]
+    shared = batched(lambda t: np.zeros((len(t), 1)))
+    for rows in (2, 3):
+        per_row = batched(lambda t, rows=rows: np.zeros((len(t), rows, 1)))
+        with pytest.raises(DimensionMismatch, match=r"each must be \(T, 2, w\)"):
+            behavior.sampler(starts, per_row, shared if rows == 2 else per_row, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # legs commute with restriction exactly
 

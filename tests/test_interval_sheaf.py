@@ -22,7 +22,7 @@ from sheafsys import (
     sup_distance,
     write_csv,
 )
-from sheafsys.interval_sheaf import CSV_CHUNK_ROWS
+from sheafsys.interval_sheaf import CSV_CHUNK_ROWS, require_member
 
 H = 2.0 ** -10  # dyadic step: node times are exact floats
 
@@ -364,8 +364,16 @@ def test_a_nan_shift_gap_is_a_nan_distance():
 
 def test_axiom_check_rejects_a_nan_membership():
     sheaf = BehaviorSheaf(membership=lambda e: float("nan"))
-    with pytest.raises(NotAMember):
+    with pytest.raises(NotAMember, match=r"^probe 0 not in the behavior \(residual nan\)$"):
         check_sheaf_axioms(sheaf, [dyadic_trajectory(33)], [8 * H])
+
+
+def test_require_member_returns_the_residual_or_names_the_failure():
+    e = dyadic_trajectory(9)
+    assert require_member(BehaviorSheaf(lambda e: 0.5, tolerance=0.5), e, "probe") == 0.5
+    for residual, shown in ((0.75, "7.500e-01"), (float("nan"), "nan"), (float("inf"), "inf")):
+        with pytest.raises(NotAMember, match=rf"^probe 3 is out \(residual {shown}\)$"):
+            require_member(BehaviorSheaf(lambda e: residual, tolerance=0.5), e, "probe 3 is out")
 
 
 def test_worst_glue_residual_is_infinite_at_a_nan():

@@ -132,8 +132,6 @@ def test_swapped_morphism_crosses_the_legs():
         behavior=m.behavior,
         a_leg=m.e_leg,
         e_leg=m.a_leg,
-        a_labels=m.e_labels,
-        e_labels=m.a_labels,
         name="crossed",
     )
     run = m.behavior.sampler([0.5], lambda t: np.array([np.sin(t)]), 0.3)
@@ -158,7 +156,7 @@ def test_compose_morphisms_variant_algebra():
 
 def test_composite_of_exact_morphisms_is_exact():
     m = decay_machine()
-    crossed = Machine(m.behavior, m.e_leg, m.a_leg, m.e_labels, m.a_labels, "crossed")
+    crossed = Machine(m.behavior, m.e_leg, m.a_leg, "crossed")
     run = m.behavior.sampler([0.5], lambda t: np.array([np.sin(t)]), 0.3)
     ident = lambda e: e
     into = MachineMorphism(ident, ident, ident, "swapped")
@@ -258,8 +256,6 @@ def closed_decay_machine():
         behavior=behavior,
         a_leg=state,
         e_leg=zeros,
-        a_labels=("y0",),
-        e_labels=("o0",),
         name="closed",
     )
 
@@ -300,8 +296,6 @@ def test_diagram_rejects_machines_that_are_not_closed():
         behavior=closed.behavior,
         a_leg=closed.a_leg,
         e_leg=closed.a_leg,  # output echoes the state: visibly not closed
-        a_labels=("y0",),
-        e_labels=("o0",),
         name="not closed",
     )
     ident = lambda e: e
@@ -344,7 +338,7 @@ def test_an_all_nan_constant_leg_is_not_closed():
     a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
     probes = closed_probe_runs(closed)
     for e_leg in (nan_leg, lambda e: nan_leg(e) if e is probes[1] else closed.e_leg(e)):
-        not_closed = Machine(closed.behavior, closed.a_leg, e_leg, ("y0",), ("o0",), "nan")
+        not_closed = Machine(closed.behavior, closed.a_leg, e_leg, "nan")
         with pytest.raises(NotClosed):
             verify_port_control_diagram(
                 not_closed, port, port, psi, identity_morphism(), a_phi, probes, tolerance=1e-9
@@ -359,7 +353,7 @@ def verify_with_constant_leg(leg, probes):
     machine's constant leg."""
     port = decay_machine()
     closed = closed_decay_machine()
-    closed = Machine(closed.behavior, closed.a_leg, leg, ("y0",), ("o0",), "closed")
+    closed = Machine(closed.behavior, closed.a_leg, leg, "closed")
     ident = lambda e: e
     psi = MachineMorphism(append_zero_input, ident, ident, "swapped")
     a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
@@ -405,7 +399,7 @@ def test_closedness_gate_on_constants_that_differ_between_probes(factor):
 def nan_membership(m):
     """``m`` with a behavior whose membership residual is NaN everywhere."""
     sheaf = BehaviorSheaf(lambda e: float("nan"), m.behavior.sampler, m.behavior.tolerance)
-    return Machine(sheaf, m.a_leg, m.e_leg, m.a_labels, m.e_labels, m.name)
+    return Machine(sheaf, m.a_leg, m.e_leg, m.name)
 
 
 def test_morphism_defect_rejects_a_nan_membership():
@@ -491,7 +485,7 @@ def test_an_output_leg_that_reads_the_shift_fails_the_diagram(monkeypatch, name,
             out = m.e_leg(e)
             return Trajectory(out.values + e.shift, out.grid_step, out.shift, out.labels)
 
-        return Machine(m.behavior, m.a_leg, e_leg, m.a_labels, m.e_labels, m.name)
+        return Machine(m.behavior, m.a_leg, e_leg, m.name)
 
     monkeypatch.setattr(port_diagram, f"{which}_machine", shifted)
     with pytest.raises(StructureViolation, match=f"machine '{which}': legs fail to commute"):
@@ -513,10 +507,10 @@ def test_the_enclosing_behavior_is_a_sheaf_on_driven_members(name):
     runs = port.sampler(seeded_initial_states(4, 3, system.n), *curves, 0.5)
     images = [xi.beta(run) for run in runs]
     assert all(np.max(np.abs(e.channels(system.input_labels))) > 0.2 for e in images)
+    enclosing = port_diagram.enclosing_machine(system, H, tol)
     report = check_sheaf_axioms(
-        port_diagram.extended_behavior(system, H, tol), images, [0.125, 0.25, 0.375]
+        enclosing.behavior, images, [0.125, 0.25, 0.375]
     )
     assert report.passed
     assert all(c.glue_exact for c in report.checks) and len(report.checks) == 9
-    enclosing = port_diagram.enclosing_machine(system, H, tol)
     assert leg_restriction_defect(enclosing, images) == 0.0

@@ -12,13 +12,13 @@ from sheafsys import (
     closed_metriplectic_behavior,
     degeneracy_audit,
     embed_metriplectic,
-    extended_behavior,
     rate_audit,
     seeded_initial_states,
     side_condition_residuals,
 )
 from sheafsys.metriplectic import (
     closed_metriplectic_machine,
+    enclosing_metriplectic_machine,
     port_metriplectic_machine,
     zeta_rate_along,
 )
@@ -230,7 +230,7 @@ def test_port_poisson_coupling_violates_its_side_condition():
 
 def test_extended_run_with_signal_channels_is_a_member():
     rb = sphere_entropy_system()
-    ext = extended_behavior(rb, H, 1e-3)
+    ext = enclosing_metriplectic_machine(rb, H, 1e-3).behavior
     run = ext.sampler(
         [1.0, 0.5, 0.5, 0.0], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 2.0
     )
@@ -250,7 +250,7 @@ def test_the_xi_image_of_a_port_member_is_an_enclosing_member():
     run = port.sampler([1.0, 0.0], lambda t: np.array([np.sin(t), 0.5]), lambda t: np.zeros(2), 0.5)
     assert all(r == 0.0 for r, _ in side_condition_residuals(cpl, run).values())
     assert port.membership(run) <= port.tolerance
-    ext = extended_behavior(cpl, H)
+    ext = enclosing_metriplectic_machine(cpl, H).behavior
     image = port_to_extended_morphism(cpl).beta(run)
     assert ext.membership(image) <= ext.tolerance
     assert_conditions(ext.side_residuals(image))  # should not raise
@@ -267,7 +267,7 @@ def test_the_enclosing_behavior_holds_the_extended_noninteraction_laws(coupling,
     # the bottom rows of Jext grad S_ext and Gext grad H_ext are
     # -B^T grad S + Jt tau and A^T grad H + Gt u (B = A = 0 here)
     cpl = coupled_port_system(**coupling)
-    ext = extended_behavior(cpl, H)
+    ext = enclosing_metriplectic_machine(cpl, H).behavior
     run = ext.sampler([1.0, 0.0, 0.0, 0.0], lambda t: np.array(u), lambda t: np.array(tau), 0.1)
     assert ext.membership(run) == np.inf
     with pytest.raises(ConstraintViolation) as info:
@@ -279,7 +279,7 @@ def test_friction_coupling_to_the_aux_entropy_is_allowed():
     # Gt tau is the zeta rate's own friction term, not a noninteraction
     # defect: with u = 0, Gt u = 0 and the member stands
     gts = coupled_port_system(Gt=np.eye(2))
-    ext = extended_behavior(gts, H)
+    ext = enclosing_metriplectic_machine(gts, H).behavior
     run = ext.sampler(
         [1.0, 0.0, 0.0, 0.0], lambda t: np.zeros(2), lambda t: np.array([1.0, 0.0]), 0.1
     )

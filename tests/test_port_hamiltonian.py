@@ -14,7 +14,6 @@ from sheafsys import (
     closed_energy_drift,
     dissipation_margin,
     embed_closed,
-    extended_behavior,
     output_stencil_defect,
     ph_iso_machine,
     power_balance,
@@ -115,7 +114,7 @@ def test_total_energy_with_the_linear_aux_is_conserved():
     # undamped, driven by a constant u: H(x) + u zeta is the extended
     # Hamiltonian of an antisymmetric extended field
     ms = mass_spring_system()
-    beh = extended_behavior(ms, H)
+    beh = enclosing_machine(ms, H).behavior
     run = beh.sampler([1.0, 0.0, 0.3], lambda t: np.array([0.7]), 10.0)
     assert run.labels == ("q", "p", "zeta0", "u0")
     assert beh.membership(run) <= beh.tolerance
@@ -127,7 +126,7 @@ def test_total_energy_with_the_linear_aux_is_conserved():
 
 def test_the_enclosing_behavior_reads_the_signal_channels():
     ms = mass_spring_system()
-    beh = extended_behavior(ms, H)
+    beh = enclosing_machine(ms, H).behavior
     run = beh.sampler([1.0, 0.0, 0.0], lambda t: np.array([np.sin(t)]), 2.0)
     assert beh.membership(run) <= beh.tolerance
     # the same state and zeta samples with the signals zeroed are not a member
@@ -151,6 +150,15 @@ def test_embed_closed_appends_the_integrated_port_channel():
     assert np.max(np.abs(zeta - (1.0 - np.cos(run.times)))) < 1e-6
     with pytest.raises(NotAMember):
         embed_closed(ms, Trajectory(np.ones((32, 2)), H, 0.0, ("q", "p")))
+
+
+def test_embed_checks_a_run_as_the_closed_behavior_on_its_own_grid_does():
+    ms = mass_spring_system()
+    fine = closed_behavior(ms, 0.5 * H).sampler([1.0, 0.0], 0.05)
+    assert embed_closed(ms, fine).grid_step == 0.5 * H
+    renamed = Trajectory(fine.values, fine.grid_step, fine.shift, ("x", "v"))
+    with pytest.raises(NotAMember, match=r"^trajectory is not a closed-system member \(residual inf\)$"):
+        embed_closed(ms, renamed)
 
 
 def test_embedding_windows_agree_after_reanchoring():
@@ -306,9 +314,9 @@ def test_audits_are_infinite_at_a_nan_node():
 
 
 def test_embed_rejects_a_nan_closed_residual(monkeypatch):
-    from sheafsys import port_diagram
+    from sheafsys import ode_behavior
 
     run = closed_behavior(mass_spring_system(), H).sampler([1.0, 0.0], 0.05)
-    monkeypatch.setattr(port_diagram, "membership_residual", lambda *args: float("nan"))
+    monkeypatch.setattr(ode_behavior, "membership_residual", lambda *args: float("nan"))
     with pytest.raises(NotAMember):
         embed_closed(mass_spring_system(), run)
