@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import BlowUp, ConfigError, MisalignedOffset, SheafSysError
 from .interval_sheaf import Trajectory, check_sheaf_axioms, grid_count, worst_defect, write_csv
-from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, batched, membership_residual
+from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, batched
 from .port_diagram import build_diagram, closed_behavior, port_machine
 from .port_hamiltonian import (
     dissipation_margin,
@@ -200,7 +200,7 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
         except BlowUp as exc:
             run = exc.trajectory
             notes.append(f"blow-up after t = {exc.t_star:.6g}; audited the truncated run")
-        residual = float(membership_residual(behavior.field, run))
+        residual = float(behavior.membership(run))
         residuals = {"membership": residual}
         passed = residual <= bundle.residual_tolerance
     _write_trajectory(config, "run.csv", run)

@@ -180,10 +180,11 @@ def worst_defect(defects) -> tuple[float, int]:
 
 
 def grid_count(x: float, h: float, what: str) -> int:
-    """Number of grid steps in x; MisalignedOffset off the grid, OutOfRange below 0."""
-    k = int(round(x / h))
-    if abs(k * h - x) > GRID_ALIGN_RTOL * max(1.0, abs(x)):
+    """Grid steps in x; MisalignedOffset off the grid or not finite, OutOfRange below 0."""
+    q = x / h
+    if not np.isfinite(q) or not abs(round(q) * h - x) <= GRID_ALIGN_RTOL * max(1.0, abs(x)):
         raise MisalignedOffset(f"{what} {x!r} is not a multiple of the grid step {h!r}")
+    k = int(round(q))
     if k < 0:
         raise OutOfRange(f"{what} must be nonnegative, got {x!r}")
     return k
@@ -215,7 +216,7 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
 
     The right piece must start where the left piece ends, both in value
     (within ``tolerance``) and in shift bookkeeping: right.shift must equal
-    left.shift - left.length.  A non-finite junction never matches.
+    left.shift - left.length.  A non-finite junction or shift never matches.
     """
     if left.grid_step != right.grid_step:
         raise GridMismatch(
@@ -226,7 +227,7 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
             f"channel layouts differ: {left.labels} vs {right.labels}"
         )
     shift_defect = abs(right.shift - (left.shift - left.length))
-    if shift_defect > tolerance:
+    if not shift_defect <= tolerance:
         raise ShiftMismatch(
             f"right shift {right.shift} vs expected {left.shift - left.length} "
             f"(defect {shift_defect:.3e})"

@@ -273,9 +273,9 @@ def injectivity_probe(
 class DiagramReport:
     """Outcome of a port-control diagram verification.
 
-    ``defects`` maps named checks to worst residuals over the probes,
-    ``collisions`` maps each behavior map to its injectivity evidence, and
-    ``passed`` is the conjunction at the stated tolerance.
+    ``defects`` and ``collisions`` hold the verifier's verdict rows (worst
+    residuals, injectivity evidence), ``notes`` the gate rows that failed
+    after the verdict had, and ``passed`` is whether every verdict row held.
     """
 
     tolerance: float
@@ -320,6 +320,18 @@ def _once(fn: Callable[[Trajectory], object]) -> Callable[[Trajectory], object]:
     return call
 
 
+@dataclass(frozen=True)
+class _Check:
+    """A row of :func:`verify_port_control_diagram`: it holds when ``measure()``, or its
+    collision count, is within ``tolerance``; a failing gate says ``name (label value)``."""
+
+    name: str
+    measure: Callable[[], object]
+    tolerance: float = 0.0
+    error: Optional[type] = None
+    label: str = ""
+
+
 def verify_port_control_diagram(
     closed: Machine,
     enclosing: Machine,
@@ -334,31 +346,26 @@ def verify_port_control_diagram(
 
     The three maps are psi: closed -> port, xi: port -> enclosing and
     a_phi: closed -> enclosing; the triangle asserts a_phi = xi . psi.
-    Probes must be members of the closed behavior, and the closed machine's
-    output leg must land in the one-point sheaf: node-constant values,
-    identical across all probes (raises NotClosed otherwise, and on any
-    non-finite value).
+    Probes must be members of the closed behavior (NotAMember otherwise).
 
-    Checks performed, all reported as named worst-case defects:
-
-    - membership of each probe and of each psi image in its source behavior
-      (preconditions, raise NotAMember);
-    - the leg laws of each machine on the members it holds: the closed
-      machine on the probes, the port machine on the psi images, the
-      enclosing machine on the a_phi and xi images (raise
-      StructureViolation when a leg changes the interval or the shift tag,
-      or fails to commute with restriction within ``LEG_COMMUTE_TOL``);
-    - leg squares of each of the three morphisms;
-    - the triangle on behaviors, beta legs compared pointwise;
-    - the triangle on the two leg sides against the composite variant;
-    - injectivity probes for all three behavior maps;
-    - membership of each a_phi and xi image in the enclosing behavior.  An
-      image outside it raises NotAMember when every other check passes;
-      when the diagram fails anyway, a note names the image instead.
-
-    Each image, leg and membership test the checks share is evaluated once.
+    The checks are one table of rows, evaluated in order under one rule: a
+    failing gate row raises its error while the verdict stands, and is a
+    note once the verdict has failed; a failing verdict row fails it.  The
+    gates come first: the closed output leg lands in the one-point sheaf,
+    finite, node-constant and the same on every probe (NotClosed, which a
+    NaN ``tolerance`` raises at once); xi . psi has a_phi's variant, and each
+    machine's legs commute with restriction within ``LEG_COMMUTE_TOL`` on
+    the members it holds: the probes, the psi images, or the a_phi and xi
+    images (StructureViolation, raised at once by a leg that changes the
+    interval or the shift tag).  The verdict rows are the leg squares of
+    each morphism and the triangle on behaviors and on both leg sides, as
+    ``defects`` (the xi square raises NotAMember on a psi image outside the
+    port behavior), then injectivity probes of the three behavior maps, as
+    ``collisions``.  The last gates hold each a_phi and xi image to the
+    enclosing behavior (NotAMember), so an image outside it raises only
+    when every verdict row holds.  Each image, leg and membership test the
+    rows share is evaluated once.
     """
-    notes = []
     for i, e in enumerate(probes):
         require_member(closed.behavior, e, f"probe {i} not in the closed behavior")
     closed, port, enclosing = (
@@ -366,76 +373,68 @@ def verify_port_control_diagram(
         for m in (closed, port, enclosing)
     )
     psi, xi, a_phi = (dataclasses.replace(phi, beta=_once(phi.beta)) for phi in (psi, xi, a_phi))
-    # closedness: the output leg must be constant in time and across probes
-    leg_values = []
-    for i, e in enumerate(probes):
-        out = closed.e_leg(e)
-        wiggle = worst_defect(np.abs(out.values - out.values[0]))[0]
-        if wiggle > tolerance:
-            raise NotClosed(
-                f"closed machine output varies in time on probe {i} "
-                f"(wiggle {wiggle:.3e})"
-            )
-        leg_values.append(out.values[0])
-    for i in range(1, len(leg_values)):
-        gap = worst_defect(np.abs(leg_values[i] - leg_values[0]))[0]
-        if gap > tolerance:
-            raise NotClosed(
-                f"closed machine output differs between probes 0 and {i} "
-                f"(gap {gap:.3e})"
-            )
     composite = compose_morphisms(xi, psi)
-    if composite.variant != a_phi.variant:
-        raise StructureViolation(
-            f"composite variant {composite.variant} does not match "
-            f"a_phi variant {a_phi.variant}"
-        )
-
-    psi_images = [psi.beta(e) for e in probes]
-    images = [a_phi.beta(e) for e in probes] + [xi.beta(e) for e in psi_images]
-    for m, members in ((closed, probes), (port, psi_images), (enclosing, images)):
-        defect = leg_restriction_defect(m, members)
-        if defect > LEG_COMMUTE_TOL:
-            raise StructureViolation(
-                f"machine '{m.name}': legs fail to commute with "
-                f"restriction (defect {defect:.3e})"
-            )
-    defects = {
-        "psi legs": morphism_defect(psi, closed, port, probes, check_membership=False),
-        "xi legs": morphism_defect(xi, port, enclosing, psi_images),
-        "a_phi legs": morphism_defect(a_phi, closed, enclosing, probes, check_membership=False),
-    }
-    triangle = {
-        "triangle beta": [sup_distance(composite.beta(e), a_phi.beta(e)) for e in probes],
-        "triangle eta": [
-            sup_distance(composite.eta(closed.e_leg(e)), a_phi.eta(closed.e_leg(e)))
-            for e in probes
-        ],
-        "triangle alpha": [
-            sup_distance(composite.alpha(closed.a_leg(e)), a_phi.alpha(closed.a_leg(e)))
-            for e in probes
-        ],
-    }
-    defects.update({name: worst_defect(gaps)[0] for name, gaps in triangle.items()})
-
     separation = _min_separation(probes)
-    collisions = {
-        "psi": injectivity_probe(psi.beta, probes, separation),
-        "xi": injectivity_probe(xi.beta, psi_images, separation),
-        "a_phi": injectivity_probe(a_phi.beta, probes, separation),
-    }
-    passed = all(v <= tolerance for v in defects.values()) and all(
-        r.injective_on_probes for r in collisions.values()
+    psi_images = lambda: [psi.beta(e) for e in probes]
+    images = lambda: [a_phi.beta(e) for e in probes] + [composite.beta(e) for e in probes]
+    constant = lambda i: closed.e_leg(probes[i]).values
+    worst = lambda gaps: worst_defect(np.abs(gaps))[0]
+    # the probes passed their membership gate above
+    from_closed = lambda phi, m: morphism_defect(phi, closed, m, probes, check_membership=False)
+    triangle = lambda via_psi, direct, leg: worst(
+        [sup_distance(via_psi(leg(e)), direct(leg(e))) for e in probes]
     )
-    for label, phi, sources in (("a_phi", a_phi, probes), ("xi", xi, psi_images)):
-        for i, e in enumerate(sources):
-            what = f"image of probe {i} under {label} not in the enclosing behavior"
-            try:
-                require_member(enclosing.behavior, phi.beta(e), what)
-            except NotAMember as stray:
-                if passed:
-                    raise
-                notes.append(str(stray))
+    checks = [
+        *(
+            _Check(f"closed machine output varies in time on probe {i}",
+                   lambda i=i: worst(constant(i) - constant(i)[0]), tolerance, NotClosed, "wiggle")
+            for i in range(len(probes))
+        ),
+        *(
+            _Check(f"closed machine output differs between probes 0 and {i}",
+                   lambda i=i: worst(constant(i)[0] - constant(0)[0]), tolerance, NotClosed, "gap")
+            for i in range(1, len(probes))
+        ),
+        _Check(
+            f"composite variant {composite.variant} does not match a_phi variant {a_phi.variant}",
+            lambda: float(composite.variant != a_phi.variant), 0.0, StructureViolation,
+        ),
+        *(
+            _Check(f"machine '{m.name}': legs fail to commute with restriction",
+                   lambda m=m, members=members: leg_restriction_defect(m, members()),
+                   LEG_COMMUTE_TOL, StructureViolation, "defect")
+            for m, members in ((closed, lambda: probes), (port, psi_images), (enclosing, images))
+        ),
+        _Check("psi legs", lambda: from_closed(psi, port), tolerance),
+        _Check("xi legs", lambda: morphism_defect(xi, port, enclosing, psi_images()), tolerance),
+        _Check("a_phi legs", lambda: from_closed(a_phi, enclosing), tolerance),
+        _Check("triangle beta", lambda: triangle(composite.beta, a_phi.beta, lambda e: e), tolerance),
+        _Check("triangle eta", lambda: triangle(composite.eta, a_phi.eta, closed.e_leg), tolerance),
+        _Check("triangle alpha", lambda: triangle(composite.alpha, a_phi.alpha, closed.a_leg), tolerance),
+        _Check("psi", lambda: injectivity_probe(psi.beta, probes, separation)),
+        _Check("xi", lambda: injectivity_probe(xi.beta, psi_images(), separation)),
+        _Check("a_phi", lambda: injectivity_probe(a_phi.beta, probes, separation)),
+        *(
+            _Check(f"image of probe {i} under {label} not in the enclosing behavior",
+                   lambda beta=beta, e=e: float(enclosing.behavior.membership(beta(e))),
+                   enclosing.behavior.tolerance, NotAMember, "residual")
+            for label, beta in (("a_phi", a_phi.beta), ("xi", composite.beta))
+            for i, e in enumerate(probes)
+        ),
+    ]
+    defects, collisions, notes, passed = {}, {}, [], True
+    for check in checks:
+        got = check.measure()
+        evidence = isinstance(got, ProbeResult)
+        value = len(got.collisions) if evidence else got
+        if check.error is None:
+            (collisions if evidence else defects)[check.name] = got
+            passed = passed and value <= check.tolerance
+        elif not value <= check.tolerance:
+            message = f"{check.name} ({check.label} {value:.3e})" if check.label else check.name
+            if passed:
+                raise check.error(message)
+            notes.append(message)
     if len(probes) < 2:
         notes.append("fewer than two probes: injectivity evidence is vacuous")
     return DiagramReport(tolerance, defects, collisions, passed, tuple(notes))

@@ -103,6 +103,15 @@ def test_restrict_rejects_misaligned_and_overrun():
         restrict(e, 16 * H, 2 * H)
 
 
+@pytest.mark.parametrize(
+    "length, offset",
+    [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (4 * H, np.nan), (4 * H, np.inf), (4 * H, -np.inf)],
+)
+def test_restrict_rejects_non_finite_windows(length, offset):
+    with pytest.raises(MisalignedOffset):
+        restrict(dyadic_trajectory(17), length, offset)
+
+
 def test_restrict_preserves_sampled_solution_values():
     # samples of 1/(1 - t) keep their absolute-time meaning after windowing
     h = 2.0 ** -8
@@ -166,6 +175,14 @@ def test_glue_rejects_non_finite_junctions(side, value):
     values[-1 if side == "left" else 0, 1] = value  # the junction node
     pieces[side] = Trajectory(values, piece.grid_step, piece.shift, piece.labels)
     with pytest.raises(JunctionMismatch):
+        glue(pieces["left"], pieces["right"])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_glue_rejects_a_nan_shift(side):
+    pieces = {which: Trajectory(np.zeros((3, 1)), 0.1, 0.0) for which in ("left", "right")}
+    pieces[side] = Trajectory(np.zeros((3, 1)), 0.1, np.nan)
+    with pytest.raises(ShiftMismatch):
         glue(pieces["left"], pieces["right"])
 
 

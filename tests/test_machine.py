@@ -348,12 +348,16 @@ def test_an_all_nan_constant_leg_is_not_closed():
 CLOSEDNESS_TOL = 1e-6
 
 
+def closed_with(e_leg):
+    closed = closed_decay_machine()
+    return Machine(closed.behavior, closed.a_leg, e_leg, "closed")
+
+
 def verify_with_constant_leg(leg, probes):
     """Verify the identity-interface diagram with ``leg`` as the closed
     machine's constant leg."""
     port = decay_machine()
-    closed = closed_decay_machine()
-    closed = Machine(closed.behavior, closed.a_leg, leg, "closed")
+    closed = closed_with(leg)
     ident = lambda e: e
     psi = MachineMorphism(append_zero_input, ident, ident, "swapped")
     a_phi = MachineMorphism(append_zero_input, ident, ident, "swapped")
@@ -441,6 +445,122 @@ def test_images_with_a_nan_shift_collide():
     assert result.collisions == ((0, 1),)
 
 
+def plus_shift(m, name=None):
+    """``m``, renamed to ``name`` if given, with an output leg that adds the
+    shift: it agrees with the true leg on shift-0 members, not on their windows."""
+
+    def e_leg(e):
+        out = m.e_leg(e)
+        return Trajectory(out.values + e.shift, out.grid_step, out.shift, out.labels)
+
+    return Machine(m.behavior, m.a_leg, e_leg, name or m.name)
+
+
+def refusing_psi_images():
+    """psi, and an enclosing machine whose behavior refuses exactly the psi
+    images, which the identity xi carries over unchanged."""
+    images = []
+
+    def into_port(e):
+        images.append(append_zero_input(e))
+        return images[-1]
+
+    refuse = lambda e: np.nan if any(e is image for image in images) else 0.0
+    legs = decay_machine()
+    enclosing = Machine(BehaviorSheaf(refuse, None, 1e-4), legs.a_leg, legs.e_leg, "enclosing")
+    return {"psi": MachineMorphism(into_port, lambda e: e, lambda e: e, "swapped"), "enclosing": enclosing}
+
+
+def plus_one(e):
+    return Trajectory(e.values + 1.0, e.grid_step, e.shift, e.labels)
+
+
+NAN_IMAGES = tuple(
+    f"image of probe {i} under {label} not in the enclosing behavior (residual nan)"
+    for label in ("a_phi", "xi")
+    for i in range(3)
+)
+# per case: the parts that replace those of the identity-interface diagram,
+# and the error raised with its full text, or None and the full notes
+VERIFIER_MESSAGES = {
+    "probe not a member": (
+        lambda: {"closed": nan_membership(closed_decay_machine())},
+        NotAMember,
+        "probe 0 not in the closed behavior (residual nan)",
+    ),
+    "varies in time": (
+        lambda: {"closed": closed_with(lambda e: Trajectory(
+            e.absolute_times[:, np.newaxis], e.grid_step, e.shift, ("o0",)
+        ))},
+        NotClosed,
+        "closed machine output varies in time on probe 0 (wiggle 3.000e-01)",
+    ),
+    "differs between probes": (
+        # each probe's initial state at every node
+        lambda: {"closed": closed_with(lambda e: Trajectory(
+            np.full((e.num_nodes, 1), e.values[0, 0]), e.grid_step, e.shift, ("o0",)
+        ))},
+        NotClosed,
+        "closed machine output differs between probes 0 and 1 (gap 7.500e-01)",
+    ),
+    "composite variant": (
+        lambda: {"a_phi": MachineMorphism(append_zero_input, lambda e: e, lambda e: e, "straight")},
+        StructureViolation,
+        "composite variant swapped does not match a_phi variant straight",
+    ),
+    **{
+        f"{which} legs fail to commute": (
+            lambda which=which: {which: plus_shift(
+                closed_decay_machine() if which == "closed" else decay_machine(), which
+            )},
+            StructureViolation,
+            f"machine '{which}': legs fail to commute with restriction (defect 1.500e-01)",
+        )
+        for which in ("closed", "port", "enclosing")
+    },
+    "a_phi image not a member": (
+        lambda: {"enclosing": nan_membership(decay_machine())},
+        NotAMember,
+        NAN_IMAGES[0],
+    ),
+    "xi image not a member": (refusing_psi_images, NotAMember, NAN_IMAGES[3]),
+    "images not members of a failing diagram": (
+        lambda: {
+            "enclosing": nan_membership(decay_machine()),
+            "a_phi": MachineMorphism(append_zero_input, plus_one, lambda e: e, "swapped"),
+        },
+        None,
+        NAN_IMAGES,
+    ),
+    "vacuous injectivity": (
+        lambda: {"probes": closed_probe_runs(closed_decay_machine(), count=1)},
+        None,
+        ("fewer than two probes: injectivity evidence is vacuous",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFIER_MESSAGES))
+def test_every_verifier_message_and_note_byte_for_byte(case):
+    replace, error, text = VERIFIER_MESSAGES[case]
+    closed = closed_decay_machine()
+    into = MachineMorphism(append_zero_input, lambda e: e, lambda e: e, "swapped")
+    parts = {
+        "closed": closed, "enclosing": decay_machine(), "port": decay_machine(),
+        "psi": into, "xi": identity_morphism(), "a_phi": into,
+        "probes": closed_probe_runs(closed), "tolerance": 1e-9,
+    }
+    parts.update(replace())
+    if error is None:
+        report = verify_port_control_diagram(**parts)
+        assert report.notes == text
+        assert report.passed == (case == "vacuous injectivity")
+    else:
+        with pytest.raises(error) as caught:
+            verify_port_control_diagram(**parts)
+        assert str(caught.value) == text
+
+
 DIAGRAMS = {"mass_spring": build_ph_diagram, "rigid_body": build_metriplectic_diagram}
 
 
@@ -477,17 +597,7 @@ def test_an_output_leg_that_reads_the_shift_fails_the_diagram(monkeypatch, name,
     build = getattr(port_diagram, f"{which}_machine")
     assert DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance).passed
 
-    def shifted(*args):
-        # agrees with the true leg on the shift-0 members, not on their windows
-        m = build(*args)
-
-        def e_leg(e):
-            out = m.e_leg(e)
-            return Trajectory(out.values + e.shift, out.grid_step, out.shift, out.labels)
-
-        return Machine(m.behavior, m.a_leg, e_leg, m.name)
-
-    monkeypatch.setattr(port_diagram, f"{which}_machine", shifted)
+    monkeypatch.setattr(port_diagram, f"{which}_machine", lambda *args: plus_shift(build(*args)))
     with pytest.raises(StructureViolation, match=f"machine '{which}': legs fail to commute"):
         DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
 

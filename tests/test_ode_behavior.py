@@ -9,6 +9,7 @@ from sheafsys import (
     ConstraintViolation,
     DimensionMismatch,
     GridMismatch,
+    MisalignedOffset,
     OdeBehavior,
     Trajectory,
     VectorField,
@@ -93,6 +94,12 @@ def test_integrate_rejects_bad_inputs():
         integrate(field, [1.0, 2.0], 1.0)
     with pytest.raises(GridMismatch):
         integrate(field, [1.0], 0.00037, 1e-3)
+
+
+@pytest.mark.parametrize("length, step", [(np.nan, 1e-3), (np.inf, 1e-3), (-np.inf, 1e-3), (1.0, np.inf)])
+def test_integrate_rejects_non_finite_lengths_and_steps(length, step):
+    with pytest.raises(MisalignedOffset):
+        integrate(linear_field(), [1.0], length, step)
 
 
 def test_blowup_reports_time_and_truncated_run():
