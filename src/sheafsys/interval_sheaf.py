@@ -18,6 +18,7 @@ and junction tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -88,8 +89,8 @@ class Trajectory:
             raise GridMismatch(f"values must be a (num_nodes, n) array, got shape {vals.shape}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if not (self.grid_step > 0.0):
-            raise GridMismatch(f"grid step must be positive, got {self.grid_step}")
+        if not 0.0 < self.grid_step < math.inf:
+            raise GridMismatch(f"grid step must be positive and finite, got {self.grid_step}")
         labels = self.labels
         if labels is None:
             labels = _default_labels(vals.shape[1])
@@ -146,7 +147,7 @@ def identical(a: Trajectory, b: Trajectory) -> bool:
         and a.shift == b.shift
         and a.labels == b.labels
         and a.values.shape == b.values.shape
-        and bool(np.all(a.values == b.values))
+        and bool((a.values == b.values).all())
     )
 
 
@@ -162,7 +163,7 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
         or a.values.shape != b.values.shape
     ):
         return float("inf")
-    return float(np.max(np.abs(a.values - b.values), initial=abs(a.shift - b.shift)))
+    return float(np.abs(a.values - b.values).max(initial=abs(a.shift - b.shift)))
 
 
 def worst_defect(defects) -> tuple[float, int]:
@@ -182,7 +183,7 @@ def worst_defect(defects) -> tuple[float, int]:
 def grid_count(x: float, h: float, what: str) -> int:
     """Grid steps in x; MisalignedOffset off the grid or not finite, OutOfRange below 0."""
     q = x / h
-    if not np.isfinite(q) or not abs(round(q) * h - x) <= GRID_ALIGN_RTOL * max(1.0, abs(x)):
+    if not math.isfinite(q) or not abs(round(q) * h - x) <= GRID_ALIGN_RTOL * max(1.0, abs(x)):
         raise MisalignedOffset(f"{what} {x!r} is not a multiple of the grid step {h!r}")
     k = int(round(q))
     if k < 0:
@@ -233,7 +234,7 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
             f"(defect {shift_defect:.3e})"
         )
     if left.dimension > 0:
-        junction = float(np.max(np.abs(left.values[-1] - right.values[0])))
+        junction = float(np.abs(left.values[-1] - right.values[0]).max())
     else:
         junction = 0.0
     if not junction <= tolerance:

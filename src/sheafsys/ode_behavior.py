@@ -20,6 +20,7 @@ of one node to it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,14 +121,16 @@ class VectorField:
         derivative.  A callable of one node, x of shape (n,) to shape (n,),
         is lifted with :func:`pointwise` at construction; a :func:`batched`
         one takes x of shape (N, n) with t (and u) shared or given per row
-        and returns shape (N, n).
+        and returns shape (N, n).  A call of the field checks the state and
+        the output's shape, and converts an output that is not a float
+        ndarray; :func:`integrate_batch` checks the output once per run
+        instead, at its first stage.
     affine : (callable, ndarray), optional
         For a field whose input enters through a constant matrix B: the
         drift, a :func:`batched` callable of (t, x) giving rates of the
         shape of x, and B, such that f(t, x, u) is drift(t, x) +
         matvec(B, u), bit for bit.  :func:`integrate_batch` then forms B u
-        once per run and calls the drift as it is, without the checks of a
-        call of the field.
+        once per run and calls the drift as it is.
     """
 
     dimension: int
@@ -146,12 +149,18 @@ class VectorField:
             raise DimensionMismatch(
                 f"state of shape {x.shape} given to a field of dimension {self.dimension}"
             )
-        out = self.rhs(t, x) if u is None else self.rhs(t, x, u)
-        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-            out = np.asarray(out, dtype=float)
-        if out.shape != x.shape:
-            raise DimensionMismatch(f"rhs returned shape {out.shape}, expected {x.shape}")
-        return out
+        return checked_rate(self.rhs(t, x) if u is None else self.rhs(t, x, u), x)
+
+
+def checked_rate(out, x: np.ndarray) -> np.ndarray:
+    """``out``, a field's value at the states ``x``, as a float ndarray of
+    x's shape, DimensionMismatch for any other shape; ``out`` itself when it
+    is one already."""
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+        out = np.asarray(out, dtype=float)
+    if out.shape != x.shape:
+        raise DimensionMismatch(f"rhs returned shape {out.shape}, expected {x.shape}")
+    return out
 
 
 def grid_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -236,6 +245,12 @@ def integrate_batch(
     after the state.  A field with an ``affine`` split takes B u on that
     whole stack, before the first step; each stage then adds its row of it
     to the drift, which gives the bits of f(t, x, u).
+
+    A stage's output is checked as a call of the field checks it, but only
+    at the first stage of a run and at the first stage after rows leave the
+    stack.  When that output needs no converting, the later stages use the
+    rhs's outputs as they are (an rhs keeps its output's type within a
+    run); otherwise every stage converts its output.
     """
     x = np.array(x0s, dtype=float)
     if x.ndim != 2 or x.shape[1] != field.dimension:
@@ -272,16 +287,26 @@ def integrate_batch(
     if count == 1:  # one run steps a single node, the cheapest call of a field
         x = x[0]
         u = u[:, 0] if u is not None and u.ndim == 3 else u
-    rate = field
-    if u is not None and field.affine is not None:
-        # B u at every stage time in one call, (T, [K,] n); a stage adds its
-        # row of it to the drift
+    # a stage as it is: the field's rhs, or its drift plus the stage's row of
+    # B u, taken at every stage time in one call, (T, [K,] n)
+    if u is None:
+        rhs = field.rhs
+
+        def stage(t, x, _):
+            return rhs(t, x)
+    elif field.affine is None:
+        stage = field.rhs
+    else:
         drift, port = field.affine
         u = matvec(port, u)
 
-        def rate(t, x, term):
+        def stage(t, x, term):
             return drift(t, x) + term
 
+    def checked(t, x, v):
+        return checked_rate(stage(t, x, v), x)
+
+    rate = None  # chosen by the first stage of a stack, from its checked output
     half = 0.5 * h
     # the factors of the stage products as 0-d arrays: numpy takes those as
     # they are, where it converts a Python float at every product
@@ -291,7 +316,12 @@ def integrate_batch(
             break
         t = i * h
         u1, u2, u4 = (None, None, None) if u is None else (u[3 * i], u[3 * i + 1], u[3 * i + 2])
-        k1 = rate(t - shift, x, u1)
+        if rate is None:  # an output that needs no converting is used as it is from here on
+            out = stage(t - shift, x, u1)
+            k1 = checked_rate(out, x)
+            rate = stage if k1 is out else checked
+        else:
+            k1 = rate(t - shift, x, u1)
         mid = t + half - shift
         k2 = rate(mid, x + by_half * k1, u2)
         k3 = rate(mid, x + by_half * k2, u2)
@@ -304,7 +334,7 @@ def integrate_batch(
             for row in rows[bad]:
                 truncated = Trajectory(nodes[: i + 1, row], h, shift, labels)
                 runs[row] = BlowUp(i * h, truncated)
-            x, rows = x.reshape(rows.size, -1)[~bad], rows[~bad]
+            x, rows, rate = x.reshape(rows.size, -1)[~bad], rows[~bad], None
             if u is not None and u.ndim == 3:
                 u = u[:, ~bad]
         if rows.size == count:
@@ -320,7 +350,7 @@ def node_defects(derivative: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Sup-norm gap between a sampled derivative and the field at every node."""
     if rates.shape != derivative.shape:
         raise DimensionMismatch(f"field gave shape {rates.shape}, expected {derivative.shape}")
-    return np.max(np.abs(derivative - rates), axis=1)
+    return np.abs(derivative - rates).max(axis=1)
 
 
 def membership_residual(
@@ -332,11 +362,11 @@ def membership_residual(
     """Worst-node defect between the sampled derivative and the field.
 
     Computes max_i || D(x)_i - f(t_i - shift, x_i) ||_inf with D the grid
-    stencils and x the state channels; a non-finite defect at any node
-    gives inf.  A driven member carries ``inputs`` input channels u after
-    its state, and the field is evaluated as f(t, x, u) on them.  When the
-    behavior's own step is given, the trajectory may be sampled on it or on
-    any integer multiple of it.
+    stencils and x the state channels; a non-finite defect at any node, or
+    a non-finite shift, gives inf.  A driven member carries ``inputs`` input
+    channels u after its state, and the field is evaluated as f(t, x, u) on
+    them.  When the behavior's own step is given, the trajectory may be
+    sampled on it or on any integer multiple of it.
     """
     n = field.dimension
     if e.dimension != n + inputs:
@@ -351,6 +381,8 @@ def membership_residual(
             )
     if e.num_nodes < 2:
         raise GridMismatch("need at least two nodes to test membership")
+    if not math.isfinite(e.shift):
+        return math.inf
     x = e.values[:, :n]
     rates = field(e.absolute_times, x, e.values[:, n:] if inputs else None)
     return worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]

@@ -1,8 +1,9 @@
 """The cheaper forms of the per-stage formulas give the bits of the plain
 formulas: single-node products, folded constant matrices, skipped zero port
 matrices, the compiled polynomial gradient, the rigid body's formulas, whole
-closed runs, the audits' two-row batches and driven runs whose constant port
-map is taken once per run.  Bits include the sign of a zero."""
+closed runs, the audits' two-row batches, driven runs whose constant port
+map is taken once per run, and runs that call the rhs without a check once
+its first output needs no converting.  Bits include the sign of a zero."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafsys import MetriplecticSystem, PHSystem, Polynomial, integrate
+from sheafsys import DimensionMismatch, MetriplecticSystem, PHSystem, Polynomial, VectorField, integrate
 from sheafsys.cli import RunConfig, _port_runs
 from sheafsys.ode_behavior import batched, dot, integrate_batch, matvec
 from sheafsys.port_diagram import closed_field, port_field
@@ -389,3 +390,69 @@ def test_a_driven_port_field_run_equals_rk4_calling_port_rhs_at_every_stage(name
         u = signals[:, row] if per_row else signals
         states = plain_rk4(system.port_rhs, x0, length, u)
         assert same_bits(run.values, np.concatenate([states, u[::3]], axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the field's output checked once per stack of states, at its first stage:
+# an output that needs converting is converted at every stage, and a wrong
+# shape fails at once, also after rows leave the stack
+
+
+LOOSE_OUTPUTS = {
+    "float32": lambda v: v.astype(np.float32),
+    "list": lambda v: v.tolist(),
+    "int": lambda v: np.floor(4.0 * v).astype(int),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("kind", sorted(LOOSE_OUTPUTS))
+def test_an_output_that_needs_converting_is_converted_at_every_stage(kind, rows):
+    loose = LOOSE_OUTPUTS[kind]
+    rhs = lambda x: loose(np.sin(x) - 0.5 * x)
+    x0s = [[0.3, -1.2], [2.0, 0.7], [-0.4, 0.0]][:rows]
+    runs = integrate_batch(VectorField(2, batched(lambda t, x: rhs(x))), x0s, 0.05, H)
+    for x0, run in zip(x0s, runs):
+        assert same_bits(run.values, plain_rk4(lambda x: np.asarray(rhs(x), dtype=float), x0, 0.05))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_first_output_of_the_wrong_shape_fails_before_a_second_stage(rows):
+    calls = []
+
+    @batched
+    def wide(t, x):
+        calls.append(t)
+        return np.zeros(x.shape[:-1] + (3,))
+
+    with pytest.raises(DimensionMismatch, match="rhs returned shape"):
+        integrate_batch(VectorField(2, wide), np.ones((rows, 2)), 0.05, H)
+    assert len(calls) == 1
+
+
+def test_an_rhs_that_keeps_the_old_row_count_after_a_blow_up_fails():
+    # x' = x^2: the row from 4.0 blows up near t = 0.25 and leaves the stack;
+    # the rhs pads its value back to the two rows of the start
+    rows = []
+
+    @batched
+    def stale(t, x):
+        rows.append(len(x))
+        return np.concatenate([x * x, np.zeros((2 - len(x), 1))])
+
+    with pytest.raises(DimensionMismatch, match=r"rhs returned shape \(2, 1\), expected \(1, 1\)"):
+        integrate_batch(VectorField(1, stale), [[0.5], [4.0]], 1.0, H)
+    assert rows.count(1) == 1 and rows[-1] == 1
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_a_closed_run_evaluates_its_rhs_four_times_a_step(rows):
+    calls = []
+
+    @batched
+    def decay(t, x):
+        calls.append(t)
+        return -x
+
+    integrate_batch(VectorField(2, decay), np.ones((rows, 2)), 0.05, H)
+    assert len(calls) == 4 * 50

@@ -153,6 +153,12 @@ def test_glue_rejects_incompatible_pieces():
         glue(left, coarse)
 
 
+@pytest.mark.parametrize("step", [0.0, -H, np.nan, np.inf, -np.inf])
+def test_a_trajectory_needs_a_positive_finite_grid_step(step):
+    with pytest.raises(GridMismatch, match="grid step must be positive and finite"):
+        Trajectory(np.zeros((3, 1)), step)
+
+
 def test_glue_tolerates_junction_noise_within_tolerance():
     e = dyadic_trajectory(21, seed=8)
     left = restrict(e, 10 * H, 0.0)

@@ -66,3 +66,13 @@ def test_a_single_node_bump_fails_membership_just_above_the_threshold(system, ma
     assert below <= behavior.tolerance
     assert above == pytest.approx(2.0 * TOL, rel=1e-2)
     assert below == pytest.approx(0.5 * TOL, rel=1e-2)
+
+
+@pytest.mark.parametrize("shift", [np.nan, np.inf])
+@pytest.mark.parametrize("machine", ["closed", "port", "enclosing"])
+def test_a_member_with_a_non_finite_shift_fails_membership(machine, shift):
+    # the field of the closed behavior is autonomous, so the shift reaches no
+    # node defect there: the non-finite shift itself gives inf
+    behavior, member = members("mass_spring")[machine]
+    retagged = Trajectory(member.values, member.grid_step, shift, member.labels)
+    assert behavior.membership(retagged) == np.inf

@@ -183,6 +183,8 @@ def test_membership_is_infinite_at_a_non_finite_node(node, channel, value):
 def test_worst_defect_gives_the_first_worst_node_and_inf_on_non_finite():
     assert worst_defect([0.1, 0.3, 0.2, 0.3]) == (0.3, 1)
     assert worst_defect([0.1, np.nan, np.inf]) == (np.inf, 1)
+    assert worst_defect([0.1, -np.inf, 0.3, np.nan]) == (np.inf, 1)
+    assert worst_defect([0.1, -np.inf, 0.3]) == (np.inf, 1)
     assert worst_defect([]) == (0.0, 0)
 
 
