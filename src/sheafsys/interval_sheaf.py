@@ -180,6 +180,27 @@ def worst_defect(defects) -> tuple[float, int]:
     return float(defects[node]), node
 
 
+def worst_row(values: np.ndarray) -> tuple[float, int]:
+    """:func:`worst_defect` of the sup norms of the rows of an (N, k) stack.
+
+    One flat pass, since numpy's reduction along a short last axis costs
+    far more than one flat ``argmax`` (27 µs against 1.5 µs on 501 rows of
+    3, on a 2-vCPU x86 VM).  The first largest |entry| lies in the first
+    row of largest norm, so that row is its flat index floor-divided by k.
+    An argmax that lands on a NaN or an inf looks up the first row holding
+    a non-finite entry.  No entries give (0.0, 0).
+    """
+    magnitudes = np.abs(values)
+    if not magnitudes.size:
+        return 0.0, 0
+    width = magnitudes.shape[-1]
+    index = int(magnitudes.argmax())
+    worst = float(magnitudes.flat[index])
+    if not math.isfinite(worst):
+        return float("inf"), int(np.flatnonzero(~np.isfinite(magnitudes))[0]) // width
+    return worst, index // width
+
+
 def grid_count(x: float, h: float, what: str) -> int:
     """Grid steps in x; MisalignedOffset off the grid or not finite, OutOfRange below 0."""
     q = x / h

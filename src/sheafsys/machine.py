@@ -364,7 +364,10 @@ def verify_port_control_diagram(
     ``collisions``.  The last gates hold each a_phi and xi image to the
     enclosing behavior (NotAMember), so an image outside it raises only
     when every verdict row holds.  Each image, leg and membership test the
-    rows share is evaluated once.
+    rows share is evaluated once per object: an a_phi image that is its
+    xi . psi image, as :func:`~sheafsys.port_diagram.build_diagram` forms
+    it, meets the enclosing leg laws and membership once, and images that
+    are distinct objects are each checked, however alike.
     """
     for i, e in enumerate(probes):
         require_member(closed.behavior, e, f"probe {i} not in the closed behavior")
@@ -376,7 +379,11 @@ def verify_port_control_diagram(
     composite = compose_morphisms(xi, psi)
     separation = _min_separation(probes)
     psi_images = lambda: [psi.beta(e) for e in probes]
-    images = lambda: [a_phi.beta(e) for e in probes] + [composite.beta(e) for e in probes]
+    # an a_phi image that is its xi . psi image, one object, is checked once
+    images = lambda: list({
+        id(image): image for beta in (a_phi.beta, composite.beta) for image in map(beta, probes)
+    }.values())
+    member = _once(enclosing.behavior.membership)
     constant = lambda i: closed.e_leg(probes[i]).values
     worst = lambda gaps: worst_defect(np.abs(gaps))[0]
     # the probes passed their membership gate above
@@ -416,7 +423,7 @@ def verify_port_control_diagram(
         _Check("a_phi", lambda: injectivity_probe(a_phi.beta, probes, separation)),
         *(
             _Check(f"image of probe {i} under {label} not in the enclosing behavior",
-                   lambda beta=beta, e=e: float(enclosing.behavior.membership(beta(e))),
+                   lambda beta=beta, e=e: float(member(beta(e))),
                    enclosing.behavior.tolerance, NotAMember, "residual")
             for label, beta in (("a_phi", a_phi.beta), ("xi", composite.beta))
             for i, e in enumerate(probes)

@@ -47,13 +47,12 @@ from typing import Callable
 
 import numpy as np
 
-from .interval_sheaf import Trajectory
+from .interval_sheaf import Trajectory, worst_defect
 from .ode_behavior import (
     dot,
     grid_derivative,
     matvec,
     transpose,
-    worst_defect,
 )
 from .port_diagram import (
     PortSystem,
@@ -170,8 +169,7 @@ class MetriplecticSystem(PortSystem):
                 "grad S inconsistent with finite differences": gradient_gap(
                     self.grad_entropy, self.entropy, x
                 ),
-            },
-            len(x),
+            }
         )
 
     def closed_rhs(self, x) -> np.ndarray:
@@ -255,7 +253,7 @@ def side_condition_residuals(sys: MetriplecticSystem, e: Trajectory) -> dict:
         matvec(sys.port_poisson(x), tau),
         matvec(sys.port_friction(x), u),
     )
-    return worst_per_condition(dict(zip(SIDE_CONDITIONS, values)), e.num_nodes)
+    return worst_per_condition(dict(zip(SIDE_CONDITIONS, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BlowUp, ConstraintViolation, DimensionMismatch, GridMismatch
-from .interval_sheaf import DEFAULT_STEP, Trajectory, grid_count, worst_defect
+from .interval_sheaf import DEFAULT_STEP, Trajectory, grid_count, worst_row
 
 #: magnitude beyond which an integration counts as blown up
 BLOWUP_THRESHOLD = 1e8
@@ -346,13 +346,6 @@ def integrate_batch(
     return runs
 
 
-def node_defects(derivative: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Sup-norm gap between a sampled derivative and the field at every node."""
-    if rates.shape != derivative.shape:
-        raise DimensionMismatch(f"field gave shape {rates.shape}, expected {derivative.shape}")
-    return np.abs(derivative - rates).max(axis=1)
-
-
 def membership_residual(
     field: VectorField,
     e: Trajectory,
@@ -384,8 +377,9 @@ def membership_residual(
     if not math.isfinite(e.shift):
         return math.inf
     x = e.values[:, :n]
+    # the field's call holds its rates to the shape of x
     rates = field(e.absolute_times, x, e.values[:, n:] if inputs else None)
-    return worst_defect(node_defects(grid_derivative(x, e.grid_step), rates))[0]
+    return worst_row(grid_derivative(x, e.grid_step) - rates)[0]
 
 
 def with_conditions(dynamics: float, residuals: dict) -> float:

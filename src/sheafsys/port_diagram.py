@@ -39,23 +39,25 @@ machine of the extended field [port_rhs(x, s), zeta_rate(x, s)] driven by s,
 with the port side conditions, which make the extended noninteraction laws
 hold (see :mod:`sheafsys.metriplectic`).  The port and enclosing machines
 are built by one function, and so are the port member (x, 0) of a closed
-run and the enclosing member (x, zeta, s) of a port run; the embedding is
-xi of the psi image, so the triangle closes bit-exactly.
+run and the enclosing member (x, zeta, s) of a port run.  A diagram's
+embedding a_phi is xi after psi, so a probe's a_phi image is its xi . psi
+image, one object, and the triangle closes bit-exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import field, fields
+from dataclasses import field, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NoninteractionViolation, NotAMember, StructureViolation
-from .interval_sheaf import DEFAULT_STEP, Trajectory, require_member, worst_defect
+from .interval_sheaf import DEFAULT_STEP, Trajectory, require_member, worst_row
 from .machine import (
     DiagramReport,
     Machine,
     MachineMorphism,
+    _once,
     iso_machine,
     verify_port_control_diagram,
 )
@@ -151,15 +153,13 @@ def default_probe_points(n: int) -> list:
     return points
 
 
-def worst_per_condition(conditions: dict, nodes: int) -> dict:
-    """(worst residual, node) over ``nodes`` nodes of each named condition, by
-    :func:`~sheafsys.interval_sheaf.worst_defect`: its value is an (N, k)
-    stack, or one (k,) value all nodes share, that vanishes where it holds,
-    and its residual at a node the largest entry in absolute value."""
-    return {
-        name: worst_defect(np.broadcast_to(np.max(np.abs(v), axis=-1, initial=0.0), (nodes,)))
-        for name, v in conditions.items()
-    }
+def worst_per_condition(conditions: dict) -> dict:
+    """(worst residual, node) of each named condition, by
+    :func:`~sheafsys.interval_sheaf.worst_row`: its value is an (N, k)
+    stack, or one (k,) value all nodes share (worst at node 0), that
+    vanishes where it holds, and its residual at a node the largest entry
+    in absolute value."""
+    return {name: worst_row(np.atleast_2d(v)) for name, v in conditions.items()}
 
 
 def entries(M: np.ndarray) -> np.ndarray:
@@ -334,7 +334,9 @@ def embed(
     run is enclosed with no auxiliary energy, as xi of its psi image.
 
     The run must be a member of the closed behavior on its own grid, its
-    labels the state labels (NotAMember otherwise).
+    labels the state labels (NotAMember otherwise).  :func:`build_diagram`
+    does not call this: its a_phi is xi after psi, and the verifier's probe
+    gate holds the probes to the closed behavior.
     """
     behavior = closed_behavior(system, e.grid_step, residual_tolerance)
     require_member(behavior, e, "trajectory is not a closed-system member")
@@ -478,11 +480,15 @@ def build_diagram(
 ) -> DiagramReport:
     """Assemble the three machines and morphisms and verify the triangle.
 
-    Probes must be closed-system members; their grid step fixes the
-    machines' grid.  ``integral_sign`` is passed to the port-to-extended
-    map so violation tests can corrupt the quadrature.  The builders and the
-    embedding are called through this module's names, at call time, so
-    whatever rebinds those names sees the calls.
+    Probes must be closed-system members, which the verifier's probe gate
+    holds them to; their grid step fixes the machines' grid.  The betas of
+    psi and xi are evaluated once per probe, and a_phi's beta is xi's after
+    psi's, so a probe's a_phi image is its xi . psi image, one object, and
+    the verifier checks it once.  ``integral_sign`` is passed to the
+    port-to-extended map so violation tests can corrupt the quadrature;
+    a_phi keeps the true one.  The machine builders are called through this
+    module's names, at call time, so whatever rebinds those names sees the
+    calls.
     """
     if not probes:
         raise NotAMember("need at least one closed-system probe")
@@ -490,17 +496,10 @@ def build_diagram(
     closed = closed_machine(system, h, residual_tolerance)
     port = port_machine(system, h, residual_tolerance)
     enclosing = enclosing_machine(system, h, residual_tolerance)
+    psi, xi = closed_to_port_morphism(system), port_to_extended_morphism(system, integral_sign)
+    psi, xi = (replace(phi, beta=_once(phi.beta)) for phi in (psi, xi))
+    into_enclosing = xi.beta if integral_sign == 1.0 else port_to_extended_morphism(system).beta
     embedding = MachineMorphism(
-        lambda e: embed(system, e, residual_tolerance),
-        _ident, _ident, "swapped", "closed into extended",
+        lambda e: into_enclosing(psi.beta(e)), _ident, _ident, "swapped", "closed into extended"
     )
-    return verify_port_control_diagram(
-        closed,
-        enclosing,
-        port,
-        closed_to_port_morphism(system),
-        port_to_extended_morphism(system, integral_sign),
-        embedding,
-        probes,
-        tolerance,
-    )
+    return verify_port_control_diagram(closed, enclosing, port, psi, xi, embedding, probes, tolerance)

@@ -32,13 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .interval_sheaf import Trajectory
+from .interval_sheaf import Trajectory, worst_defect
 from .ode_behavior import (
     dot,
     grid_derivative,
     matvec,
     transpose,
-    worst_defect,
 )
 from .port_diagram import (
     PortSystem,
@@ -125,8 +124,7 @@ class PHSystem(PortSystem):
                 "grad H inconsistent with finite differences": gradient_gap(
                     self.grad_hamiltonian, self.hamiltonian, x
                 ),
-            },
-            len(x),
+            }
         )
 
     def closed_rhs(self, x) -> np.ndarray:

@@ -15,6 +15,7 @@ from sheafsys import (
     OdeBehavior,
     PHSystem,
     Polynomial,
+    Trajectory,
     VectorField,
     identical,
     integrate,
@@ -252,6 +253,53 @@ def test_a_blown_up_row_leaves_the_batch_with_its_truncated_run():
         assert abs(run.t_star - 1.0 / x0) <= H
         assert run.trajectory.num_nodes == round(run.t_star / H) + 1
     assert runs[1].num_nodes == 1001
+
+
+# x' = u, with u = c at the stages of step KICK and 0 elsewhere: a state moves
+# only at that step, to x + (h / 6) (c + 2c + 2c + c)
+KICK = 4
+FOLLOWS_INPUT = VectorField(3, batched(lambda t, x, u: np.zeros_like(x) + u))
+
+
+def kicked(starts, kicks):
+    """Runs of FOLLOWS_INPUT over 10 steps from each row of ``starts``, the
+    row's input ``kicks[row]`` at every stage of step KICK."""
+    starts = np.array(starts, dtype=float)
+
+    @batched
+    def inputs(t):
+        u = np.zeros((len(t),) + starts.shape)
+        u[3 * KICK : 3 * KICK + 3] = np.array(kicks)[:, np.newaxis]
+        return u
+
+    return integrate_batch(FOLLOWS_INPUT, starts, 10 * H, H, inputs=inputs)
+
+
+def test_a_value_of_exactly_the_blowup_threshold_carries_on():
+    # the bound is inclusive, for one value at it and for two
+    for x0 in ([1e8, 0.0, 0.0], [1e8, -1e8, 5.0]):
+        (run,) = kicked([x0], [0.0])
+        assert isinstance(run, Trajectory) and (run.values[:, :3] == x0).all()
+
+
+def test_thirty_values_below_the_threshold_whose_squares_sum_above_it_carry_on():
+    starts = np.full((10, 3), 0.9e8)
+    # each value is under the bound though the stack's norm is over it
+    assert starts.ravel().dot(starts.ravel()) > 1e16
+    runs = kicked(starts, np.zeros(10))
+    assert all(isinstance(run, Trajectory) and run.num_nodes == 11 for run in runs)
+
+
+@pytest.mark.parametrize("kick", ["next above 1e8", "nan", "inf"])
+def test_a_value_past_the_blowup_threshold_blows_up_at_its_step(kick):
+    c = {"next above 1e8": 2.0 ** -26 / H, "nan": np.nan, "inf": np.inf}[kick]
+    if kick == "next above 1e8":
+        assert 1e8 + np.array(H / 6.0) * (c + (c + c) + (c + c) + c) == np.nextafter(1e8, np.inf)
+    # the other row is small and carries on to the end
+    runs = kicked([[1e8, 0.0, 0.0], [1.0, 0.0, 0.0]], [c, 0.0])
+    assert isinstance(runs[0], BlowUp) and isinstance(runs[1], Trajectory)
+    assert runs[0].t_star == KICK * H and runs[0].trajectory.num_nodes == KICK + 1
+    assert runs[1].num_nodes == 11
 
 
 def test_a_stacked_sampler_gives_each_row_its_own_run():

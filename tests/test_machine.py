@@ -9,6 +9,7 @@ from sheafsys import (
     MachineMorphism,
     NotAMember,
     NotClosed,
+    OdeBehavior,
     StructureViolation,
     Trajectory,
     VectorField,
@@ -569,6 +570,46 @@ def clean_probes(name):
     behavior = closed_behavior(bundle.instance, H, bundle.residual_tolerance)
     starts = seeded_initial_states(3, 2, bundle.instance.n)
     return bundle, [behavior.sampler(x0, 0.05) for x0 in starts]
+
+
+def counted_memberships(monkeypatch, system):
+    """The members each of the closed, port and enclosing behaviors of
+    ``system`` is asked about from here on, by behavior."""
+    seen = {"closed": [], "port": [], "enclosing": []}
+    which = {
+        system.state_labels: "closed",
+        system.state_labels + system.signal_labels: "port",
+        system.state_labels + system.zeta_labels + system.signal_labels: "enclosing",
+    }
+    membership = OdeBehavior.membership
+
+    def counting(self, e):
+        seen[which[self.labels]].append(e)  # held, so every id stays distinct
+        return membership(self, e)
+
+    monkeypatch.setattr(OdeBehavior, "membership", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_the_diagram_tests_each_membership_once_per_probe(monkeypatch, name):
+    bundle = resolve_builtin(name)
+    system, tol = bundle.instance, bundle.residual_tolerance
+    behavior = closed_behavior(system, H, tol)
+    probes = [behavior.sampler(x0, 0.05) for x0 in seeded_initial_states(3, 5, system.n)]
+    seen = counted_memberships(monkeypatch, system)
+    assert DIAGRAMS[name](system, probes, residual_tolerance=tol).passed
+    assert {k: len(v) for k, v in seen.items()} == {"closed": 5, "port": 5, "enclosing": 5}
+
+    # a corrupted quadrature gives xi images apart from the a_phi images
+    seen = counted_memberships(monkeypatch, system)
+    assert not DIAGRAMS[name](system, probes, residual_tolerance=tol, integral_sign=-1.0).passed
+    assert len({id(e) for e in seen["enclosing"]}) == len(seen["enclosing"]) == 10
+
+    # embed, which the diagram no longer calls, keeps its own gate
+    stranger = Trajectory(np.ones((32, system.n)), H, 0.0, system.state_labels)
+    with pytest.raises(NotAMember, match="^trajectory is not a closed-system member"):
+        port_diagram.embed(system, stranger, tol)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

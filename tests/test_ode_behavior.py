@@ -3,6 +3,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheafsys import (
     BlowUp,
@@ -19,7 +21,8 @@ from sheafsys import (
     membership_residual,
     restrict,
 )
-from sheafsys.ode_behavior import assert_conditions, node_defects, pointwise, with_conditions, worst_defect
+from sheafsys.interval_sheaf import worst_defect, worst_row
+from sheafsys.ode_behavior import assert_conditions, pointwise, with_conditions
 from sheafsys.port_diagram import closed_field, embed
 from sheafsys.systems import blowup_field, linear_field, mass_spring_system
 
@@ -188,6 +191,22 @@ def test_worst_defect_gives_the_first_worst_node_and_inf_on_non_finite():
     assert worst_defect([]) == (0.0, 0)
 
 
+# few distinct magnitudes, so maxima tie; the specials land where drawn
+ENTRIES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0, np.nan, np.inf, -np.inf]) | st.floats()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 5), st.booleans(), st.data())
+def test_worst_row_is_worst_defect_of_the_row_sup_norms(rows, width, transposed, data):
+    entries = data.draw(st.lists(ENTRIES, min_size=rows * width, max_size=rows * width))
+    values = np.array(entries, dtype=float).reshape(rows, width)
+    if transposed:  # the same stack, laid out column by column
+        values = np.array(values.T).T
+    reference = worst_defect(np.max(np.abs(values), axis=-1, initial=0.0))
+    got = worst_row(values)
+    assert got == reference and type(got[0]) is float and type(got[1]) is int
+
+
 def test_as_behavior_sheaf_samples_members():
     behavior = OdeBehavior(linear_field(), 1e-3, 1e-4)
     sheaf = behavior
@@ -225,7 +244,8 @@ def _order_errors(h: float) -> dict:
     system = mass_spring_system()
     run = closed_behavior(system, h).sampler([1.0, 0.0], 2.0)
     t = run.absolute_times
-    defects = node_defects(grid_derivative(run.values, h), closed_field(system)(t, run.values))
+    rates = closed_field(system)(t, run.values)
+    defects = np.abs(grid_derivative(run.values, h) - rates).max(axis=1)
     zeta = embed(system, run, residual_tolerance=1.0).channels(system.zeta_labels)[:, 0]
     return {
         "rk4": np.abs(run.values - np.column_stack([np.cos(t), -np.sin(t)])).max(),
