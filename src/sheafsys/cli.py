@@ -2,6 +2,9 @@
 
 The commands are ``list-examples`` and the lines of :data:`COMMANDS`, which
 gives each its driver, its default --tol and the system kinds it accepts.
+An audit runs the audit table of the system's family, or of an ode's
+behavior, through :func:`~sheafsys.ode_behavior.run_audit`: the table names
+the residuals and decides the verdict.
 Flags: --system, --config, --length, --step, --tol, --seed, --out.
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 Reports are deterministic for a fixed seed: no timestamps, sorted keys.
@@ -21,19 +24,9 @@ import numpy as np
 
 from . import __version__
 from .errors import BlowUp, ConfigError, MisalignedOffset, SheafSysError
-from .interval_sheaf import Trajectory, check_sheaf_axioms, grid_count, worst_defect, write_csv
-from .ode_behavior import SIDE_CONDITION_TOL, OdeBehavior, batched
+from .interval_sheaf import Trajectory, check_sheaf_axioms, grid_count, write_csv
+from .ode_behavior import OdeBehavior, batched, run_audit
 from .port_diagram import build_diagram, closed_behavior, port_machine
-from .port_hamiltonian import (
-    dissipation_margin,
-    closed_energy_drift,
-    power_balance,
-)
-from .metriplectic import (
-    degeneracy_audit,
-    rate_audit,
-    side_condition_residuals,
-)
 from .systems import (
     BUILTIN_SYSTEMS,
     SystemBundle,
@@ -147,16 +140,15 @@ def _simulate(config: RunConfig, bundle: SystemBundle) -> int:
 def _port_runs(bundle: SystemBundle, config: RunConfig) -> tuple:
     """The driven port run and the closed run from the bundle's initial
     state, sampled together as two rows of the port machine.  The driven
-    run has u = a sin(t) on every input (a = 1 for ph, 0.2 for mp) and every
-    other signal zero; the closed run has every signal zero and keeps only
-    its state channels.  The driven run's BlowUp is raised first."""
+    run has u = a sin(t) on every input, a the family's drive_amplitude, and
+    every other signal zero; the closed run has every signal zero and keeps
+    only its state channels.  The driven run's BlowUp is raised first."""
     system = bundle.instance
-    amplitude = 1.0 if bundle.kind == "ph" else 0.2
 
     @batched
     def signals(t):  # one row of signals per run
         out = np.zeros(t.shape + (2, len(system.signal_labels)))
-        out[:, 0, : system.m] = amplitude * np.sin(t)[:, np.newaxis]
+        out[:, 0, : system.m] = system.drive_amplitude * np.sin(t)[:, np.newaxis]
         return out
 
     behavior = port_machine(system, config.step, bundle.residual_tolerance).behavior
@@ -169,30 +161,13 @@ def _port_runs(bundle: SystemBundle, config: RunConfig) -> tuple:
 
 
 def _audit(config: RunConfig, bundle: SystemBundle) -> int:
+    """The audit table of the system's family on its driven and closed
+    runs, or of an ode's behavior on its one run (truncated at a blow-up)."""
     _node_guard(config.length, config.step)
-    system = bundle.instance
     notes = []
-    if bundle.kind == "ph":
-        run, closed_run = _port_runs(bundle, config)
-        residuals = {
-            "power_balance_defect": float(power_balance(system, run)),
-            "dissipation_excess": float(dissipation_margin(system, run)),
-            "closed_energy_drift": float(closed_energy_drift(system, closed_run)),
-        }
-        passed = residuals["power_balance_defect"] <= config.tolerance
-    elif bundle.kind == "mp":
-        run, closed_run = _port_runs(bundle, config)
-        residuals = {k: float(v) for k, v in rate_audit(system, run).items()}
-        worst_side = worst_defect([v for v, _ in side_condition_residuals(system, run).values()])[0]
-        residuals["side_conditions"] = float(worst_side)
-        audit = degeneracy_audit(system, closed_run)
-        residuals.update({k: float(v) for k, v in audit.items()})
-        passed = (
-            residuals["energy_rate_defect"] <= config.tolerance
-            and residuals["entropy_rate_defect"] <= config.tolerance
-            and worst_side <= SIDE_CONDITION_TOL
-            and audit["entropy_rate_min"] >= -SIDE_CONDITION_TOL
-        )
+    if bundle.kind in PORTS:
+        run, closed = _port_runs(bundle, config)
+        table = bundle.instance.audit_table
     else:
         behavior = _closed_behavior_for(bundle, config.step)
         try:
@@ -200,9 +175,8 @@ def _audit(config: RunConfig, bundle: SystemBundle) -> int:
         except BlowUp as exc:
             run = exc.trajectory
             notes.append(f"blow-up after t = {exc.t_star:.6g}; audited the truncated run")
-        residual = float(behavior.membership(run))
-        residuals = {"membership": residual}
-        passed = residual <= bundle.residual_tolerance
+        closed, table = run, behavior.audit_table
+    residuals, passed = run_audit(table, run, closed, config.tolerance)
     _write_trajectory(config, "run.csv", run)
     return _write_report(config, bundle.name, passed, residuals, notes)
 

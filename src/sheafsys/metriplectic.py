@@ -49,6 +49,8 @@ import numpy as np
 
 from .interval_sheaf import Trajectory, worst_defect
 from .ode_behavior import (
+    SIDE_CONDITION_TOL,
+    AuditRow,
     dot,
     grid_derivative,
     matvec,
@@ -118,6 +120,7 @@ class MetriplecticSystem(PortSystem):
     grad_energy: Callable = formula("grad H", "n")
     grad_entropy: Callable = formula("grad S", "n")
     state_labels: tuple = ()
+    drive_amplitude = 0.2  # a of the audit's drive u = a sin(t), not a field
 
     @property
     def tau_labels(self) -> tuple:
@@ -196,6 +199,26 @@ class MetriplecticSystem(PortSystem):
 
     def port_side_residuals(self, e: Trajectory) -> dict:
         return side_condition_residuals(self, e)
+
+    @property
+    def audit_table(self) -> tuple:
+        """The rows of :func:`~sheafsys.ode_behavior.run_audit`: the driven
+        run's rates and side conditions, and the closed run's H and S."""
+        rates = lambda driven, _: rate_audit(self, driven)
+        closed_rates = lambda _, closed: degeneracy_audit(self, closed)
+        side = lambda driven, _: worst_defect([r for r, _ in side_condition_residuals(self, driven).values()])[0]
+        return (
+            AuditRow("energy_rate_defect", rates),
+            AuditRow("entropy_rate_defect", rates),
+            AuditRow("side_conditions", side, SIDE_CONDITION_TOL),
+            AuditRow("entropy_rate_min", closed_rates, SIDE_CONDITION_TOL, floor=True),
+            AuditRow("energy_rate_max", closed_rates),
+            AuditRow(
+                "energy_drift", closed_rates,
+                informational="at most the length times energy_rate_max, plus integration error that "
+                "grows with the length: it holds no law of its own, and --tol would fail long runs",
+            ),
+        )
 
 
 def extended_friction_block(sys: MetriplecticSystem, x) -> np.ndarray:

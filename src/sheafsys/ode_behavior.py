@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -399,6 +399,38 @@ def assert_conditions(residuals: dict, tolerance: float = SIDE_CONDITION_TOL) ->
             raise ConstraintViolation(name, node, residual)
 
 
+class AuditRow(NamedTuple):
+    """A row of an audit table (see :func:`run_audit`): the report name, a
+    measure of (driven run, closed run), and a bound, --tol when None.  A
+    ``floor`` row holds at value >= -bound, any other at value <= bound, so
+    NaN fails either.  A row with an ``informational`` reason, which says why
+    it does not decide, is reported only; every other row decides."""
+
+    name: str
+    measure: Callable
+    bound: Optional[float] = None
+    floor: bool = False
+    informational: str = ""
+
+    def holds(self, value: float, tolerance: float) -> bool:
+        bound = tolerance if self.bound is None else self.bound
+        return value >= -bound if self.floor else value <= bound
+
+
+def run_audit(table, driven: Trajectory, closed: Trajectory, tolerance: float) -> tuple:
+    """Run an audit table on a driven and a closed run, with --tol =
+    ``tolerance``: returns (residuals by row name, whether every deciding row
+    holds).  Rows that share a measure share its one call; such a measure
+    gives the values of its rows by name."""
+    measured, residuals = {}, {}
+    for row in table:
+        if row.measure not in measured:
+            measured[row.measure] = row.measure(driven, closed)
+        value = measured[row.measure]
+        residuals[row.name] = float(value[row.name] if isinstance(value, dict) else value)
+    return residuals, all(row.holds(residuals[row.name], tolerance) for row in table if not row.informational)
+
+
 @dataclass(frozen=True)
 class OdeBehavior:
     """The behavior sheaf of a closed or driven vector field on a fixed
@@ -459,3 +491,8 @@ class OdeBehavior:
         if self.side_residuals is None:
             return dynamics
         return with_conditions(dynamics, self.side_residuals(e))
+
+    @property
+    def audit_table(self) -> tuple:
+        """One row: the driven run's membership, within the tolerance."""
+        return (AuditRow("membership", lambda run, _: self.membership(run), self.tolerance),)

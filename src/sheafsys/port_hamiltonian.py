@@ -15,7 +15,7 @@ constructor of a port-Hamiltonian system, supplies these node formulas to
 extended) and the three behavior maps between them and hands the triangle
 to the diagram verifier.  This module adds the
 structure-law table (J antisymmetric, R symmetric positive semidefinite,
-grad H consistent with H) and the energy audits; its names for the
+grad H consistent with H) and the audit table; its names for the
 diagram's pieces (``embed_closed``, ``closed_machine``, ``ph_iso_machine``,
 ``enclosing_machine``, ``build_ph_diagram``) are the port_diagram functions.
 
@@ -34,6 +34,7 @@ import numpy as np
 
 from .interval_sheaf import Trajectory, worst_defect
 from .ode_behavior import (
+    AuditRow,
     dot,
     grid_derivative,
     matvec,
@@ -96,6 +97,7 @@ class PHSystem(PortSystem):
     hamiltonian: Callable[[np.ndarray], float] = formula("H", "")
     grad_hamiltonian: Callable[[np.ndarray], np.ndarray] = formula("grad H", "n")
     state_labels: tuple = ()
+    drive_amplitude = 1.0  # a of the audit's drive u = a sin(t), not a field
 
     def __post_init__(self):
         super().__post_init__()
@@ -142,6 +144,19 @@ class PHSystem(PortSystem):
     def zeta_rate(self, x, s) -> np.ndarray:
         return -self.port_output(x)
 
+    @property
+    def audit_table(self) -> tuple:
+        """The rows of :func:`~sheafsys.ode_behavior.run_audit`: the power
+        balance and passivity (:func:`dissipation_margin`) decide."""
+        return (
+            AuditRow("power_balance_defect", lambda driven, _: power_balance(self, driven)),
+            AuditRow("dissipation_excess", lambda driven, _: dissipation_margin(self, driven)),
+            AuditRow(
+                "closed_energy_drift", lambda _, closed: closed_energy_drift(self, closed),
+                informational="R(x) != 0 drains the closed run's energy, so a drift is no defect",
+            ),
+        )
+
 
 # ---------------------------------------------------------------------------
 # audits
@@ -180,9 +195,11 @@ def power_balance(sys: PHSystem, e: Trajectory) -> float:
 
 
 def dissipation_margin(sys: PHSystem, e: Trajectory) -> float:
-    """Worst node excess of dH/dt over the supplied power y^T u.
-
-    Nonpositive (up to stencil error) whenever R is positive semidefinite.
+    """Worst node excess of dH/dt over the supplied power y^T u, the audit's
+    passivity row.  At most the power balance defect where R(x) is positive
+    semidefinite at every node: dH/dt - y^T u = (dH/dt - y^T u +
+    grad H^T R grad H) - grad H^T R grad H.  So passivity fails while the
+    power balance holds only where R(x) is indefinite at a visited state.
     A non-finite node gives inf.
     """
     x, u, rate = _port_run_rates(sys, e)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, RunConfig, _port_runs, build_parser, main, run
+from sheafsys.errors import ConfigError
 from sheafsys.interval_sheaf import read_csv
 from sheafsys.port_diagram import closed_behavior, port_machine
 from sheafsys.systems import bundle_from_config, resolve_builtin
@@ -594,3 +595,45 @@ def test_a_blowing_up_audit_reports_the_driven_run_first_and_writes_nothing(tmp_
         f"check failed: solution exceeded the blow-up threshold after t = {t_star}\n"
     )
     assert not out.exists()
+
+
+def test_an_unknown_command_line_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["ph", "audit"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith("sheafsys: error: unknown command 'ph audit'; see --help\n")
+    with pytest.raises(ConfigError, match="unknown command 'ph audit'"):  # the library entry point
+        run(RunConfig("ph audit", "mass_spring", 1.0, 1e-3, 1e-5, 0, str(tmp_path / "x")))
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_bare_invocation_prints_the_help_and_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sheafsys ") and "commands (default --tol; system kinds):" in captured.out
+    assert captured.err == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_output_directory_under_a_regular_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main(["simulate", "--system", "linear", "--length", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(out) in err
+    assert (tmp_path / "file").read_text() == ""
+
+
+def test_an_ode_audit_that_blows_up_audits_its_truncated_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["audit", "--system", "blowup", "--length", "1.5", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "")
+    doc = report(out)
+    assert doc["pass"] is False
+    assert doc["notes"] == ["blow-up after t = 1; audited the truncated run"]
+    # the last nodes sit at the singularity, where the grid cannot follow x = 1 / (1 - t)
+    assert doc["residuals"] == {"membership": pytest.approx(5.4533886260e7, rel=1e-9)}
+    run = read_csv(out / "run.csv")
+    assert run.num_nodes == 1001 and np.all(np.isfinite(run.values))

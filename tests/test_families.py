@@ -1,5 +1,5 @@
 """Random members of the port-Hamiltonian family, their laws holding by
-construction, against the diagram verifier and the power audit."""
+construction, against the diagram verifier and the family's audit table."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from sheafsys import (
     ph_iso_machine,
     power_balance,
 )
+from sheafsys.ode_behavior import run_audit
 
 H, LENGTH = 1e-3, 0.2
 
@@ -62,5 +63,10 @@ def test_a_random_ph_system_closes_its_diagram_and_balances_its_power(drawn):
         return out
 
     port = ph_iso_machine(system, H).behavior
-    for run in port.sampler(np.stack([starts[0]] * 2), signals, LENGTH):
-        assert power_balance(system, run) <= 1e-5
+    driven, still = port.sampler(np.stack([starts[0]] * 2), signals, LENGTH)
+    assert power_balance(system, still) <= 1e-5
+    residuals, passed = run_audit(system.audit_table, driven, probes[0], 1e-5)
+    assert passed
+    # R = L L^T is positive semidefinite, so passivity follows from the power
+    # balance (see dissipation_margin)
+    assert residuals["dissipation_excess"] <= residuals["power_balance_defect"]
