@@ -62,8 +62,9 @@ class Trajectory:
     Parameters
     ----------
     values : array, shape (num_nodes, n)
-        One state vector per grid node 0, h, 2h, ..., length.  The array is
-        copied and frozen; n = 0 is allowed.
+        One state vector per grid node 0, h, 2h, ..., length; n = 0 is
+        allowed.  Data from outside is copied, checked and frozen, so a
+        later change to the caller's array leaves the trajectory as it was.
     grid_step : float
         Uniform node spacing h > 0.
     shift : float
@@ -74,6 +75,11 @@ class Trajectory:
 
     The interval length is derived from the node count, so restriction and
     glue round trips reproduce lengths bit-exactly.
+
+    :func:`restrict` and :func:`glue` build their windows from values that
+    were checked and frozen here already, without a second check: a
+    restricted window shares its parent's read-only buffer, and a glued one
+    freezes the array it concatenates.
     """
 
     values: np.ndarray
@@ -100,6 +106,14 @@ class Trajectory:
                 f"{len(labels)} labels for {vals.shape[1]} channels"
             )
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _derived(cls, values: np.ndarray, grid_step, shift, labels) -> Trajectory:
+        """A trajectory of read-only float values, a step and labels taken
+        from trajectories that passed the checks of ``__post_init__``."""
+        e = object.__new__(cls)
+        vars(e).update(values=values, grid_step=grid_step, shift=shift, labels=labels)
+        return e
 
     @property
     def num_nodes(self) -> int:
@@ -218,6 +232,11 @@ def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
     The shift decreases by the offset, so the absolute times seen by the
     dynamics are preserved.  Offset and length must sit on the grid
     (MisalignedOffset otherwise).
+
+    The window's values are a read-only row slice of ``e``'s, with no copy.
+    Values that are not C-contiguous, such as channels concatenated side by
+    side, are copied as the public constructor copies them, so later
+    products see the memory layout they always saw and keep their bits.
     """
     k = grid_count(offset, e.grid_step, "offset")
     m = grid_count(new_length, e.grid_step, "new length")
@@ -225,12 +244,11 @@ def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
         raise OutOfRange(
             f"window offset {offset} + length {new_length} exceeds domain {e.length}"
         )
-    return Trajectory(
-        e.values[k : k + m + 1],
-        e.grid_step,
-        e.shift - k * e.grid_step,
-        e.labels,
-    )
+    values = e.values[k : k + m + 1]
+    if not values.flags.c_contiguous:
+        values = np.array(values)
+        values.setflags(write=False)
+    return Trajectory._derived(values, e.grid_step, e.shift - k * e.grid_step, e.labels)
 
 
 def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERANCE) -> Trajectory:
@@ -261,7 +279,8 @@ def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERAN
     if not junction <= tolerance:
         raise JunctionMismatch(f"junction defect {junction:.3e} exceeds {tolerance:.3e}")
     values = np.concatenate([left.values, right.values[1:]], axis=0)
-    return Trajectory(values, left.grid_step, left.shift, left.labels)
+    values.setflags(write=False)
+    return Trajectory._derived(values, left.grid_step, left.shift, left.labels)
 
 
 # ---------------------------------------------------------------------------

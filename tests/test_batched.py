@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sheafsys import (
     BlowUp,
     DimensionMismatch,
+    GridMismatch,
     MetriplecticSystem,
     OdeBehavior,
     PHSystem,
@@ -300,6 +301,74 @@ def test_a_value_past_the_blowup_threshold_blows_up_at_its_step(kick):
     assert isinstance(runs[0], BlowUp) and isinstance(runs[1], Trajectory)
     assert runs[0].t_star == KICK * H and runs[0].trajectory.num_nodes == KICK + 1
     assert runs[1].num_nodes == 11
+
+
+def landing(x0, c):
+    """Where kicked moves x0 at step KICK with the kick c, bit for bit as
+    the RK4 step computes it."""
+    return x0 + np.array(H / 6.0) * (c + (c + c) + (c + c) + c)
+
+
+def kick_to(x0, target):
+    """A kick that moves x0 exactly onto target at step KICK."""
+    c = (target - x0) / H
+    toward = np.inf if landing(x0, c) < target else -np.inf
+    for _ in range(1000):
+        if landing(x0, c) == target:
+            return c
+        c = np.nextafter(c, toward)
+    raise AssertionError(f"no kick moves {x0!r} onto {target!r}")
+
+
+@st.composite
+def kicked_rows(draw):
+    """A start of three values near +-0.9e8 or 0, and its row's kick: 0, a
+    value near +-0.9e8, NaN, +-inf, +-1e300 (whose squares overflow), or
+    one that lands the first value on +-1e8 or on the next float past it,
+    from a start near +-0.9e8, and may land the others on 0."""
+    near = st.floats(0.85e8, 0.95e8) | st.just(0.9e8)
+    start = draw(st.lists(st.just(0.0) | near | near.map(lambda v: -v), min_size=3, max_size=3))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    kind = draw(st.sampled_from(["zero", "near", "nan", "inf", "huge", "on", "past"]))
+    if kind in ("on", "past"):
+        # a start of the target's sign, so a kick's last bit moves the landing by under one ulp
+        target = sign * (1e8 if kind == "on" else np.nextafter(1e8, np.inf))
+        start[0] = sign * draw(near)
+        kick = kick_to(start[0], target)
+        # the kick moves 0 by d and -d by exactly d, onto 0: a stack of one
+        # value past the bound among zeros squares to just past 1e16
+        start[1:] = [-landing(0.0, kick) if draw(st.booleans()) else v for v in start[1:]]
+    else:
+        fixed = {"zero": 0.0, "nan": np.nan, "inf": np.inf, "huge": 1e300}
+        kick = sign * (fixed[kind] if kind in fixed else draw(near))
+    return start, kick
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(kicked_rows(), min_size=1, max_size=12))
+def test_a_kicked_row_blows_up_in_a_stack_exactly_as_alone(rows):
+    starts = np.array([start for start, _ in rows])
+    kicks = [kick for _, kick in rows]
+    for x0, c, run in zip(starts, kicks, kicked(starts, kicks)):
+        (alone,) = kicked([x0], [c])
+        moved = landing(x0, c)
+        if not (np.abs(moved) <= 1e8).all():  # NaN included
+            assert isinstance(run, BlowUp) and isinstance(alone, BlowUp)
+            assert run.t_star == alone.t_star == KICK * H
+            assert run.trajectory.num_nodes == alone.trajectory.num_nodes == KICK + 1
+            # a NaN kick sits in the input channels of the last node
+            assert np.array_equal(run.trajectory.values, alone.trajectory.values, equal_nan=True)
+        else:
+            assert identical(run, alone) and (run.values[KICK + 1 :, :3] == moved).all()
+
+
+def test_a_batch_checks_its_initial_states_and_step():
+    for x0s in ([0.0, 0.0, 0.0], [[0.0, 0.0]], np.zeros((2, 3, 1))):
+        with pytest.raises(DimensionMismatch, match="initial states shape"):
+            integrate_batch(FOLLOWS_INPUT, x0s, 10 * H, H)
+    for step in (0.0, -H):
+        with pytest.raises(GridMismatch, match="grid step must be positive"):
+            integrate_batch(FOLLOWS_INPUT, [[0.0, 0.0, 0.0]], 10 * H, step)
 
 
 def test_a_stacked_sampler_gives_each_row_its_own_run():

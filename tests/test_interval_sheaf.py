@@ -52,6 +52,26 @@ def test_trajectory_values_are_frozen():
         e.values[0, 0] = 99.0
 
 
+@pytest.mark.parametrize(
+    "values", [np.zeros((4, 2, 1)), np.zeros((0, 2)), np.zeros(0)], ids=["3-D", "no rows", "empty 1-D"]
+)
+def test_a_trajectory_needs_a_two_dimensional_array_with_rows(values):
+    with pytest.raises(GridMismatch, match=r"must be a \(num_nodes, n\) array"):
+        Trajectory(values, H)
+
+
+def test_a_trajectory_needs_one_label_per_channel():
+    with pytest.raises(GridMismatch, match="1 labels for 2 channels"):
+        Trajectory(np.zeros((3, 2)), H, 0.0, ("p",))
+
+
+def test_channel_indices_name_a_missing_channel():
+    e = Trajectory(np.zeros((3, 2)), H, 0.0, ("p", "q"))
+    assert e.channel_indices(("q", "p")) == (1, 0)
+    with pytest.raises(GridMismatch, match="channel not present"):
+        e.channel_indices(("p", "r"))
+
+
 def test_sup_distance_ignores_labels():
     a = Trajectory(np.ones((4, 1)), H, 0.0, ("p",))
     b = Trajectory(np.ones((4, 1)), H, 0.0, ("q",))
@@ -104,6 +124,19 @@ def test_restrict_rejects_misaligned_and_overrun():
 
 
 @pytest.mark.parametrize(
+    "length, offset, match",
+    [
+        (4 * H, -2 * H, "offset must be nonnegative"),
+        (-2 * H, 0.0, "new length must be nonnegative"),
+        (17 * H, 0.0, "exceeds domain"),
+    ],
+)
+def test_restrict_rejects_windows_outside_the_domain(length, offset, match):
+    with pytest.raises(OutOfRange, match=match):
+        restrict(dyadic_trajectory(17), length, offset)
+
+
+@pytest.mark.parametrize(
     "length, offset",
     [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (4 * H, np.nan), (4 * H, np.inf), (4 * H, -np.inf)],
 )
@@ -153,6 +186,26 @@ def test_glue_rejects_incompatible_pieces():
         glue(left, coarse)
 
 
+def test_glue_rejects_pieces_with_other_channels():
+    e = dyadic_trajectory(21, seed=6)
+    left = restrict(e, 10 * H, 0.0)
+    right = restrict(e, 10 * H, 10 * H)
+    renamed = Trajectory(right.values, right.grid_step, right.shift, ("a", "b"))
+    wider = Trajectory(np.column_stack([right.values, right.values[:, 0]]), right.grid_step, right.shift)
+    for other in (renamed, wider):
+        with pytest.raises(GridMismatch, match="channel layouts differ"):
+            glue(left, other)
+
+
+def test_glue_of_pieces_without_channels_checks_only_the_shift():
+    e = Trajectory(np.zeros((9, 0)), H, 3 * H)
+    left, right = restrict(e, 4 * H, 0.0), restrict(e, 4 * H, 4 * H)
+    glued = glue(left, right)
+    assert identical(glued, e) and glued.values.shape == (9, 0)
+    with pytest.raises(ShiftMismatch):
+        glue(left, Trajectory(np.zeros((5, 0)), H, right.shift + 0.5))
+
+
 @pytest.mark.parametrize("step", [0.0, -H, np.nan, np.inf, -np.inf])
 def test_a_trajectory_needs_a_positive_finite_grid_step(step):
     with pytest.raises(GridMismatch, match="grid step must be positive and finite"):
@@ -190,6 +243,49 @@ def test_glue_rejects_a_nan_shift(side):
     pieces[side] = Trajectory(np.zeros((3, 1)), 0.1, np.nan)
     with pytest.raises(ShiftMismatch):
         glue(pieces["left"], pieces["right"])
+
+
+@st.composite
+def windowed_arrays(draw):
+    """Values of 1-60 nodes and 0-4 channels, a random step and shift, and a
+    grid-aligned window (offset k, length m steps) and cut on them."""
+    nodes, dim = draw(st.integers(1, 60)), draw(st.integers(0, 4))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=nodes * dim, max_size=nodes * dim))
+    h, shift = draw(st.floats(1e-6, 10.0)), draw(st.floats(-100.0, 100.0))
+    k = draw(st.integers(0, nodes - 1))
+    m = draw(st.integers(0, nodes - 1 - k))
+    cut = draw(st.integers(0, nodes - 1))
+    return np.array(values).reshape(nodes, dim), h, shift, k, m, cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_arrays())
+def test_windows_are_read_only_views_that_match_the_checked_constructor(case):
+    data, h, shift, k, m, cut = case
+    e = Trajectory(data, h, shift, tuple(f"c{i}" for i in range(data.shape[1])))
+    window = restrict(e, m * h, k * h)
+    assert identical(window, Trajectory(e.values[k : k + m + 1], h, e.shift - k * h, e.labels))
+    with pytest.raises(ValueError):
+        window.values[...] = 0.0
+    assert window.values.size == 0 or np.shares_memory(window.values, e.values)
+    glued = glue(restrict(e, cut * h, 0.0), restrict(e, e.length - cut * h, cut * h))
+    assert identical(glued, e)
+    with pytest.raises(ValueError):
+        glued.values[...] = 0.0
+    # the constructor copied the caller's array: changing it moves nothing
+    kept = data.copy()
+    data[...] = np.nan
+    assert (e.values == kept).all() and (window.values == kept[k : k + m + 1]).all()
+
+
+def test_a_window_of_values_in_another_layout_is_the_copy_the_constructor_makes():
+    # column-major values, as concatenating channels side by side gives
+    e = Trajectory(np.asfortranarray(dyadic_trajectory(17, dim=3).values), H)
+    window = restrict(e, 8 * H, 4 * H)
+    expected = Trajectory(e.values[4:13], H, e.shift - 4 * H, e.labels)
+    assert identical(window, expected)
+    assert window.values.strides == expected.values.strides
+    assert not window.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------
