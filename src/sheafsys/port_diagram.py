@@ -280,7 +280,9 @@ def _enclosing_member(system: PortSystem, e: Trajectory, integral_sign: float) -
     s = e.channels(system.signal_labels)
     zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
     return Trajectory(
-        np.concatenate([x, zeta, s], axis=1),
+        # C order, as the channels side by side would be column-major, and
+        # every leg-law window restricted from the image would be a copy
+        np.ascontiguousarray(np.concatenate([x, zeta, s], axis=1)),
         e.grid_step,
         e.shift,
         system.state_labels + system.zeta_labels + system.signal_labels,

@@ -481,7 +481,79 @@ def _run_keys(doc: dict, name: str, length: float, tolerance: float) -> tuple:
     )
 
 
+# ---------------------------------------------------------------------------
+# probe starts: numpy's default_rng stream, without importing numpy.random
+
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seed: int) -> list:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``: the
+    seed's 32-bit words, least significant first, hashed into a pool of
+    four words, which is hashed again into eight words read as four
+    little-endian 64-bit ones."""
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = mix(pool[target], hashmix(pool[source]))
+    for word in entropy[4:]:
+        for target in range(4):
+            pool[target] = mix(pool[target], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64_doubles(seed: int):
+    """The doubles in [0, 1) of numpy's ``PCG64(seed)``, as its
+    ``next_double`` draws them: a 128-bit LCG seeded from the seed sequence
+    (state words 0-1, increment words 2-3, high word first), each step's
+    XSL-RR output shifted to 53 bits."""
+    high, low, inc_high, inc_low = _seed_sequence_words(seed)
+    increment = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+    # from state 0: one step (state = increment), add the seed, one step
+    state = ((increment + (high << 64 | low)) * _PCG64_MULTIPLIER + increment) & _MASK128
+    while True:
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        rotation, word = state >> 122, (state >> 64 ^ state) & _MASK64
+        word = (word >> rotation | word << (-rotation & 63)) & _MASK64
+        yield (word >> 11) * 2.0**-53
+
+
 def seeded_initial_states(seed: int, count: int, dimension: int) -> list:
-    """Deterministic probe starts, uniform in [-2, 2] per channel."""
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(-2.0, 2.0, size=dimension) for _ in range(count)]
+    """Deterministic probe starts, uniform in [-2, 2] per channel: bit for
+    bit the ``count`` draws of numpy's ``default_rng(seed).uniform(-2.0,
+    2.0, size=dimension)``, computed without importing numpy.random.
+    ConfigError for a negative seed, which a seed sequence cannot take."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    low, high = -2.0, 2.0
+    doubles = _pcg64_doubles(seed)
+    return [
+        np.array([low + (high - low) * next(doubles) for _ in range(dimension)])
+        for _ in range(count)
+    ]

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sheafsys
 from sheafsys.cli import COMMANDS, GROUP_SYSTEMS, RunConfig, _port_runs, build_parser, main, run
 from sheafsys.errors import ConfigError
 from sheafsys.interval_sheaf import read_csv
@@ -320,6 +323,42 @@ def test_mp_noninteraction_check(tmp_path):
     assert doc["pass"] is True
     assert doc["residuals"]["J_gradS"] < 1e-10
     assert doc["residuals"]["G_gradH"] < 1e-10
+
+
+SEEDED_LINES = [
+    "check-sheaf --system rigid_body --length 0.25",
+    "mp verify-diagram --length 0.5",
+    "mp check-noninteraction",
+]
+
+
+@pytest.mark.parametrize("line", SEEDED_LINES)
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, line):
+    out = tmp_path / "out"
+    assert main(line.split() + ["--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_seeded_commands_do_not_import_numpy_random(tmp_path):
+    # a fresh interpreter, as a CLI process starts: the probe starts are
+    # drawn without loading numpy's random module
+    script = (
+        "import sys\n"
+        "from sheafsys.cli import main\n"
+        "for i, line in enumerate(sys.argv[1:]):\n"
+        "    assert main(line.split() + ['--out', f'out{i}']) == 0, line\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sheafsys.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *SEEDED_LINES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_noninteraction_broken_off_the_default_points_fails_the_check(tmp_path):

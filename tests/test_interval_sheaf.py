@@ -436,6 +436,14 @@ def test_csv_round_trip_is_identical(tmp_path):
     assert path.read_text().splitlines()[1] == "t,q,p,zeta0"
 
 
+def test_a_csv_without_its_shift_and_step_line_is_a_grid_mismatch(tmp_path):
+    path = tmp_path / "run.csv"
+    write_csv(Trajectory(np.zeros((3, 1)), 1e-3), path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(GridMismatch, match="missing shift/step comment line"):
+        read_csv(path)
+
+
 def per_value_csv(e: Trajectory) -> bytes:
     """The CSV of ``e`` formatted one value at a time."""
     lines = [f"# shift={e.shift:.17g} step={e.grid_step:.17g}", ",".join(("t",) + e.labels)]

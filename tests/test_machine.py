@@ -23,6 +23,7 @@ from sheafsys import (
     iso_machine,
     leg_restriction_defect,
     morphism_defect,
+    restrict,
     sup_distance,
     verify_port_control_diagram,
 )
@@ -665,3 +666,16 @@ def test_the_enclosing_behavior_is_a_sheaf_on_driven_members(name):
     assert report.passed
     assert all(c.glue_exact for c in report.checks) and len(report.checks) == 9
     assert leg_restriction_defect(enclosing, images) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+def test_an_xi_image_is_c_contiguous_so_its_windows_are_views(name):
+    bundle = resolve_builtin(name)
+    system = bundle.instance
+    port = port_diagram.port_machine(system, H, bundle.residual_tolerance).behavior
+    zero = [lambda t: np.zeros(system.m)] * (len(system.signal_labels) // system.m)
+    run = port.sampler(seeded_initial_states(4, 1, system.n)[0], *zero, 0.05)
+    image = port_diagram.port_to_extended_morphism(system).beta(run)
+    assert image.values.flags.c_contiguous
+    window = restrict(image, 20 * H, 10 * H)
+    assert np.shares_memory(window.values, image.values)

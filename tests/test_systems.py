@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sheafsys import (
     BUILTIN_SYSTEMS,
@@ -12,7 +14,7 @@ from sheafsys import (
     resolve_builtin,
     seeded_initial_states,
 )
-from sheafsys.systems import blowup_field, hat, linear_field
+from sheafsys.systems import blowup_field, hat, linear_field, rigid_body_system
 
 
 def test_hat_matches_the_cross_product():
@@ -183,6 +185,35 @@ def test_a_builtin_parameter_of_the_wrong_rank_is_a_config_error(params):
         bundle_from_config({"system": "mass_spring", "params": params})
 
 
+@pytest.mark.parametrize("inertia", [(1.0, 0.0, 3.0), (1.0, -2.0, 3.0), (1.0, 2.0)])
+def test_an_inertia_that_is_not_three_positive_numbers_is_a_config_error(inertia):
+    with pytest.raises(ConfigError, match="inertia must be three positive numbers"):
+        rigid_body_system(inertia)
+    if len(inertia) == 3:
+        params = dict(zip(("I1", "I2", "I3"), inertia))
+        with pytest.raises(ConfigError, match="inertia must be three positive numbers"):
+            bundle_from_config({"system": "rigid_body", "params": params})
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 2.0]], [[1.0], [2.0]], [[[1.0]]]])
+def test_a_linear_field_matrix_that_is_not_square_is_a_config_error(matrix):
+    with pytest.raises(ConfigError, match="must be square"):
+        linear_field(matrix)
+
+
+def test_an_ode_document_with_a_non_square_matrix_is_a_config_error():
+    with pytest.raises(ConfigError, match="must be square"):
+        bundle_from_config({"kind": "ode", "matrix": [[1.0, 2.0]], "x0": [1.0]})
+
+
+@pytest.mark.parametrize("kind", ["ph", "mp"])
+@pytest.mark.parametrize("dims", [{"n": 0}, {"n": -1}, {"m": -1}])
+def test_explicit_dimensions_out_of_range_are_a_config_error(kind, dims):
+    doc = {"kind": kind, "n": 2, "m": 1, **dims}
+    with pytest.raises(ConfigError, match=r"dimensions n=-?\d+, m=-?\d+ out of range"):
+        bundle_from_config(doc)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
@@ -203,3 +234,30 @@ def test_seeded_initial_states_are_deterministic_and_bounded():
     assert all(np.all(np.abs(x) <= 2.0) for x in a)
     c = seeded_initial_states(10, 5, 3)
     assert not np.allclose(a[0], c[0])
+
+
+@settings(max_examples=150, deadline=None)
+@example(seed=0, count=12, dimension=6)
+@example(seed=2**32 - 1, count=12, dimension=6)
+@example(seed=2**32, count=12, dimension=6)
+@example(seed=2**64 - 1, count=12, dimension=6)
+@example(seed=2**64, count=12, dimension=6)
+@given(
+    seed=st.integers(0, 2**130 - 1),
+    count=st.integers(0, 12),
+    dimension=st.integers(1, 6),
+)
+def test_seeded_initial_states_are_numpys_default_rng_stream(seed, count, dimension):
+    # numpy's generator is the reference: each start is its draw, bit for bit
+    rng = np.random.default_rng(seed)
+    expected = [rng.uniform(-2.0, 2.0, size=dimension) for _ in range(count)]
+    starts = seeded_initial_states(seed, count, dimension)
+    assert len(starts) == count
+    for start, draw in zip(starts, expected):
+        assert start.dtype == draw.dtype and start.shape == draw.shape
+        assert start.tobytes() == draw.tobytes()
+
+
+def test_a_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        seeded_initial_states(-1, 5, 3)
