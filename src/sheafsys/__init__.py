@@ -1,5 +1,7 @@
 """Behaviors of dynamical systems as interval sheaves and machine diagrams."""
 
+import types as _types
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -50,35 +52,29 @@ from .machine import (
     compose_morphisms,
     leg_restriction_defect,
     injectivity_probe,
-    ProbeResult,
     DiagramReport,
     verify_port_control_diagram,
 )
-from .port_diagram import check_structure
+from .port_diagram import (
+    check_structure,
+    closed_behavior,
+    embed,
+    closed_machine,
+    port_machine,
+    enclosing_machine,
+    build_diagram,
+)
 from .port_hamiltonian import (
     PHSystem,
-    closed_behavior,
-    embed_closed,
     power_balance,
     dissipation_margin,
     closed_energy_drift,
-    output_stencil_defect,
-    closed_machine,
-    enclosing_machine,
-    ph_iso_machine,
-    build_ph_diagram,
 )
 from .metriplectic import (
     MetriplecticSystem,
-    closed_metriplectic_behavior,
-    embed_metriplectic,
     side_condition_residuals,
     degeneracy_audit,
     rate_audit,
-    port_metriplectic_machine,
-    closed_metriplectic_machine,
-    enclosing_metriplectic_machine,
-    build_metriplectic_diagram,
 )
 from .systems import (
     Polynomial,
@@ -95,4 +91,6 @@ from .systems import (
     seeded_initial_states,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# what the imports above bind, without the submodules they load
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

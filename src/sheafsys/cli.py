@@ -226,10 +226,9 @@ def _verify_diagram(config: RunConfig, bundle: SystemBundle) -> int:
     )
     for i, e in enumerate(probes):
         _write_trajectory(config, f"probe_{i}.csv", e)
-    doc = report.to_dict()
-    residuals = dict(doc["defects"])
-    residuals["injectivity_collisions"] = float(sum(map(len, doc["collisions"].values())))
-    return _write_report(config, bundle.name, report.passed, residuals, list(doc["notes"]))
+    residuals = {name: float(defect) for name, defect in report.defects.items()}
+    residuals["injectivity_collisions"] = float(sum(map(len, report.collisions.values())))
+    return _write_report(config, bundle.name, report.passed, residuals, list(report.notes))
 
 
 def _noninteraction(config: RunConfig, bundle: SystemBundle) -> int:

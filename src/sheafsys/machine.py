@@ -230,28 +230,17 @@ def compose_morphisms(outer: MachineMorphism, inner: MachineMorphism) -> Machine
     return MachineMorphism(beta, eta, alpha, variant, f"{outer.name} . {inner.name}")
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Injectivity evidence, not proof: colliding probe index pairs, if any."""
-
-    collisions: tuple
-
-    @property
-    def injective_on_probes(self) -> bool:
-        return not self.collisions
-
-
 def injectivity_probe(
     mapping: Callable[[Trajectory], Trajectory],
     probes: Sequence[Trajectory],
     separation: float,
-) -> ProbeResult:
-    """Check that distinct probes stay distinct under the map.
+) -> tuple:
+    """The index pairs (i, j), i < j, of distinct probes whose images collide.
 
     Two images collide when their sup distance falls below a thousandth of
     the probe separation or is NaN (images on different grids are
     infinitely far apart and do not).  Evidence, not proof: only the given
-    probes are examined.
+    probes are examined, and an empty tuple says none of them collide.
     """
     images = [mapping(e) for e in probes]
     threshold = separation * 1e-3
@@ -262,7 +251,7 @@ def injectivity_probe(
                 continue
             if not sup_distance(images[i], images[j]) >= threshold:
                 collisions.append((i, j))
-    return ProbeResult(tuple(collisions))
+    return tuple(collisions)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +263,15 @@ class DiagramReport:
     """Outcome of a port-control diagram verification.
 
     ``defects`` and ``collisions`` hold the verifier's verdict rows (worst
-    residuals, injectivity evidence), ``notes`` the gate rows that failed
-    after the verdict had, and ``passed`` is whether every verdict row held.
+    residuals by row name, and the colliding probe index pairs of each
+    injectivity probe), ``notes`` the gate rows that failed after the
+    verdict had, and ``passed`` is whether every verdict row held.
     """
 
-    tolerance: float
     defects: dict
     collisions: dict
     passed: bool
     notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "defects": {k: float(v) for k, v in sorted(self.defects.items())},
-            "collisions": {
-                k: [list(pair) for pair in v.collisions]
-                for k, v in sorted(self.collisions.items())
-            },
-            "pass": bool(self.passed),
-            "notes": list(self.notes),
-        }
 
 
 def _min_separation(probes: Sequence[Trajectory]) -> float:
@@ -432,8 +409,8 @@ def verify_port_control_diagram(
     defects, collisions, notes, passed = {}, {}, [], True
     for check in checks:
         got = check.measure()
-        evidence = isinstance(got, ProbeResult)
-        value = len(got.collisions) if evidence else got
+        evidence = isinstance(got, tuple)  # colliding pairs, from injectivity_probe
+        value = len(got) if evidence else got
         if check.error is None:
             (collisions if evidence else defects)[check.name] = got
             passed = passed and value <= check.tolerance
@@ -444,4 +421,4 @@ def verify_port_control_diagram(
             notes.append(message)
     if len(probes) < 2:
         notes.append("fewer than two probes: injectivity evidence is vacuous")
-    return DiagramReport(tolerance, defects, collisions, passed, tuple(notes))
+    return DiagramReport(defects, collisions, passed, tuple(notes))

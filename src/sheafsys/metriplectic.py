@@ -33,11 +33,7 @@ members to the same eight conditions as the port machine.  The port
 signals are (u, tau_in).  :class:`MetriplecticSystem`, the one constructor
 of a metriplectic system, supplies these node formulas, the side conditions
 and its structure-law table to :mod:`sheafsys.port_diagram`, which holds the
-laws and builds the machines, the embedding and the diagram; the names this
-module gives them (``closed_metriplectic_machine``,
-``port_metriplectic_machine``, ``enclosing_metriplectic_machine``,
-``embed_metriplectic``, ``build_metriplectic_diagram``) are the port_diagram
-functions.
+laws and builds the machines, the embedding and the diagram.
 """
 
 from __future__ import annotations
@@ -58,18 +54,21 @@ from .ode_behavior import (
 )
 from .port_diagram import (
     PortSystem,
-    build_diagram as build_metriplectic_diagram,
-    closed_behavior as closed_metriplectic_behavior,
-    closed_machine as closed_metriplectic_machine,
     constant_matrix,
-    embed as embed_metriplectic,
-    enclosing_machine as enclosing_metriplectic_machine,
     entries,
     formula,
     gradient_gap,
     negative_eigenvalues,
-    port_machine as port_metriplectic_machine,
     worst_per_condition,
+)
+
+# read by nothing here: the benchmark tracer, perfbench/tracing.py, looks
+# these names up in this module
+from .port_diagram import (
+    closed_machine as closed_metriplectic_machine,
+    embed as embed_metriplectic,
+    enclosing_machine as enclosing_metriplectic_machine,
+    port_machine as port_metriplectic_machine,
 )
 
 

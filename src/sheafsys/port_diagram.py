@@ -123,7 +123,7 @@ class PortSystem:
             name, dims = f.metadata["formula"]
             shape = tuple(getattr(self, d) for d in dims)
             value = getattr(self, f.name)
-            value = as_matrix_field(value, *shape, name) if len(shape) == 2 else pointwise(value)
+            value = as_matrix_field(value) if len(shape) == 2 else pointwise(value)
             object.__setattr__(self, f.name, value)
             for x, expected in ((points[0], shape), (points, (len(points),) + shape)):
                 got = np.shape(value(x))
@@ -207,22 +207,20 @@ def formula(name: str, dims: str):
     return field(metadata={"formula": (name, dims)})
 
 
-def as_matrix_field(value, rows: int, cols: int, name: str) -> Callable[[np.ndarray], np.ndarray]:
+def as_matrix_field(value) -> Callable[[np.ndarray], np.ndarray]:
     """Turn a constant matrix or a callable into a matrix field.
 
-    The field maps a state stack (N, n) to (N, rows, cols), or one state to
-    one matrix; a constant field gives its one matrix, shared by every node
-    of a stack, and its shape is checked here.  It carries that matrix as
-    its ``constant`` attribute (see :func:`constant_matrix`), so a family
-    can fold it into its formulas once.  A callable of one node is lifted
-    with :func:`~sheafsys.ode_behavior.pointwise`; its shape is checked when
-    the system is built.
+    The field maps a state stack (N, n) to a stack of matrices, or one state
+    to one matrix; a constant field gives its one matrix, shared by every
+    node of a stack.  It carries that matrix as its ``constant`` attribute
+    (see :func:`constant_matrix`), so a family can fold it into its formulas
+    once.  A callable of one node is lifted with
+    :func:`~sheafsys.ode_behavior.pointwise`.  The shape of either is
+    checked when the system is built.
     """
     if callable(value):
         return pointwise(value)
     constant = np.array(value, dtype=float)
-    if constant.shape != (rows, cols):
-        raise DimensionMismatch(f"{name} has shape {constant.shape}, expected ({rows}, {cols})")
     constant.setflags(write=False)
     matrix_field = batched(lambda x: constant)
     matrix_field.constant = constant

@@ -14,17 +14,16 @@ from sheafsys import (
     BlowUp,
     ConstraintViolation,
     OdeBehavior,
-    build_metriplectic_diagram,
-    build_ph_diagram,
+    build_diagram,
     closed_behavior,
     closed_energy_drift,
-    closed_metriplectic_behavior,
     degeneracy_audit,
     dissipation_margin,
-    embed_closed,
+    embed,
     glue,
     identical,
     integrate,
+    port_machine,
     power_balance,
     rate_audit,
     restrict,
@@ -33,9 +32,7 @@ from sheafsys import (
     sup_distance,
 )
 from sheafsys.cli import main
-from sheafsys.metriplectic import port_metriplectic_machine
 from sheafsys.ode_behavior import assert_conditions
-from sheafsys.port_hamiltonian import ph_iso_machine
 from sheafsys.systems import blowup_field, mass_spring_system, rigid_body_system
 
 H = 1e-3
@@ -63,7 +60,7 @@ def test_criterion_01_sheaf_laws_bit_exact():
             behavior = closed_behavior(mass_spring_system(), h, 1e-3)
             dim = 2
         else:
-            behavior = closed_metriplectic_behavior(rigid_body_system(), h, 1e-3)
+            behavior = closed_behavior(rigid_body_system(), h, 1e-3)
             dim = 3
         probes = [
             behavior.sampler(x0, length, shift=(i + 1) * 8 * h)
@@ -156,7 +153,7 @@ def test_criterion_04_oscillator_energy_and_embedding():
     ms = mass_spring_system()
     run = closed_behavior(ms, H).sampler([1.0, 0.0], 10.0)
     drift = closed_energy_drift(ms, run)
-    zeta = embed_closed(ms, run).channels(("zeta0",))[:, 0]
+    zeta = embed(ms, run).channels(("zeta0",))[:, 0]
     # closed form: zeta(t) = integral of sin = 1 - cos t for this start
     gap = float(np.max(np.abs(zeta - (1.0 - np.cos(run.times)))))
     ok = drift <= 1e-6 and gap <= 1e-6
@@ -168,10 +165,10 @@ def test_criterion_04_oscillator_energy_and_embedding():
 def test_criterion_05_power_balance():
     drive = lambda t: np.array([np.sin(t)])
     ms = mass_spring_system()
-    run = ph_iso_machine(ms, H).behavior.sampler([1.0, 0.0], drive, 10.0)
+    run = port_machine(ms, H).behavior.sampler([1.0, 0.0], drive, 10.0)
     lossless = power_balance(ms, run)
     msd = mass_spring_system(damping=0.1)
-    rund = ph_iso_machine(msd, H).behavior.sampler([1.0, 0.0], drive, 10.0)
+    rund = port_machine(msd, H).behavior.sampler([1.0, 0.0], drive, 10.0)
     damped = power_balance(msd, rund)
     margin = dissipation_margin(msd, rund)
     ok = lossless <= 1e-5 and damped <= 1e-5 and margin <= 1e-5
@@ -190,8 +187,8 @@ def test_criterion_06_port_hamiltonian_diagram():
     ms = mass_spring_system()
     beh = closed_behavior(ms, H)
     probes = [beh.sampler(x0, 2.0) for x0 in seeded_initial_states(11, 5, 2)]
-    report = build_ph_diagram(ms, probes, tolerance=1e-5)
-    flipped = build_ph_diagram(ms, probes, tolerance=1e-5, integral_sign=-1.0)
+    report = build_diagram(ms, probes, tolerance=1e-5)
+    flipped = build_diagram(ms, probes, tolerance=1e-5, integral_sign=-1.0)
     elapsed = time.monotonic() - started
     worst = max(report.defects.values())
     ok = report.passed and not flipped.passed and elapsed <= 60.0
@@ -209,7 +206,7 @@ def test_criterion_07_metriplectic_degeneracy():
     rb = rigid_body_system()
     laws = rb.structure_residuals(np.array(seeded_initial_states(7, 100, 3)))
     worst_js, worst_gh = laws["J grad S"][0], laws["G grad H"][0]
-    beh = closed_metriplectic_behavior(rb, H, 1e-3)
+    beh = closed_behavior(rb, H, 1e-3)
     drift = 0.0
     rate_min = np.inf
     for run in beh.sampler(np.array(seeded_initial_states(3, 5, 3)), 10.0):
@@ -232,7 +229,7 @@ def test_criterion_07_metriplectic_degeneracy():
 
 def test_criterion_08_side_condition_enforcement():
     rb = rigid_body_system()
-    port = port_metriplectic_machine(rb, H, 1e-3)
+    port = port_machine(rb, H, 1e-3)
     drive = lambda t: np.array([0.2 * np.sin(t)])
     compliant = port.behavior.sampler([1.0, 0.5, 0.5], drive, lambda t: np.zeros(1), 3.0)
     residual = port.behavior.membership(compliant)
@@ -265,10 +262,10 @@ def test_criterion_08_side_condition_enforcement():
 
 def test_criterion_09_metriplectic_diagram():
     rb = rigid_body_system()
-    beh = closed_metriplectic_behavior(rb, H, 1e-3)
+    beh = closed_behavior(rb, H, 1e-3)
     probes = [beh.sampler(x0, 2.0) for x0 in seeded_initial_states(11, 5, 3)]
-    report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
-    flipped = build_metriplectic_diagram(
+    report = build_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
+    flipped = build_diagram(
         rb, probes, 1e-5, residual_tolerance=1e-3, integral_sign=-1.0
     )
     worst = max(report.defects.values())

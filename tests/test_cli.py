@@ -48,6 +48,13 @@ def test_unknown_system_exits_2_and_lists_builtins(tmp_path, capsys):
         assert name in err
 
 
+def test_a_command_given_no_system_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["simulate", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: no system given; use --system")
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["audit", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "x")])
     assert code == 2
@@ -390,6 +397,22 @@ def test_failing_tolerance_exits_1(tmp_path):
     ])
     assert code == 1
     assert report(out)["pass"] is False
+
+
+def test_a_diagram_probe_that_blows_up_fails_the_check(tmp_path, capsys):
+    # H = p^2 / 2 - q^3 / 3: a probe from seed 0 escapes the cubic well
+    cfg = tmp_path / "cubic.json"
+    cfg.write_text(json.dumps({
+        "kind": "ph", "name": "cubic", "n": 2, "m": 1, "J": [[0.0, 1.0], [-1.0, 0.0]],
+        "R": [[0.0, 0.0], [0.0, 0.0]], "B": [[0.0], [1.0]],
+        "H": {"terms": [{"coeff": 0.5, "powers": [0, 2]}, {"coeff": -1.0 / 3.0, "powers": [3, 0]}]},
+        "x0": [1.0, 0.0], "length": 1.0,
+    }))
+    out = tmp_path / "out"
+    assert main(["verify-diagram", "--config", str(cfg), "--length", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "check failed: solution exceeded the blow-up threshold after t = 2.061\n"
+    assert not out.exists()
 
 
 def test_verify_diagram_needs_a_port_structure(tmp_path, capsys):

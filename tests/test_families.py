@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from sheafsys import (
     PHSystem,
     batched,
-    build_ph_diagram,
+    build_diagram,
     closed_behavior,
-    ph_iso_machine,
+    port_machine,
     power_balance,
 )
 from sheafsys.ode_behavior import run_audit
@@ -50,11 +50,11 @@ def ph_systems(draw):
 def test_a_random_ph_system_closes_its_diagram_and_balances_its_power(drawn):
     system, starts = drawn
     probes = closed_behavior(system, H).sampler(starts, LENGTH)
-    report = build_ph_diagram(system, probes)
+    report = build_diagram(system, probes)
     assert report.passed
     assert all(defect == 0.0 for defect in report.defects.values())
-    assert not any(evidence.collisions for evidence in report.collisions.values())
-    assert not build_ph_diagram(system, probes, integral_sign=-1.0).passed
+    assert not any(report.collisions.values())
+    assert not build_diagram(system, probes, integral_sign=-1.0).passed
 
     @batched
     def signals(t):  # the driven row, u = 0.5 sin t on every input, and the closed row
@@ -62,7 +62,7 @@ def test_a_random_ph_system_closes_its_diagram_and_balances_its_power(drawn):
         out[:, 0] = 0.5 * np.sin(t)[:, np.newaxis]
         return out
 
-    port = ph_iso_machine(system, H).behavior
+    port = port_machine(system, H).behavior
     driven, still = port.sampler(np.stack([starts[0]] * 2), signals, LENGTH)
     assert power_balance(system, still) <= 1e-5
     residuals, passed = run_audit(system.audit_table, driven, probes[0], 1e-5)

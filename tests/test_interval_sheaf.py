@@ -44,6 +44,7 @@ def test_trajectory_basics():
     assert e.labels == ("x0",)
     assert np.allclose(e.times, 0.5 * np.arange(6))
     assert np.allclose(e.absolute_times, e.times - 1.0)
+    assert repr(e) == "Trajectory(nodes=6, dim=1, step=0.5, shift=1, labels=('x0',))"
 
 
 def test_trajectory_values_are_frozen():

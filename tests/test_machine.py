@@ -13,8 +13,6 @@ from sheafsys import (
     StructureViolation,
     Trajectory,
     VectorField,
-    build_metriplectic_diagram,
-    build_ph_diagram,
     check_sheaf_axioms,
     closed_behavior,
     compose_morphisms,
@@ -27,7 +25,7 @@ from sheafsys import (
     sup_distance,
     verify_port_control_diagram,
 )
-from sheafsys import port_diagram
+from sheafsys import build_diagram, port_diagram
 from sheafsys.machine import LEG_COMMUTE_TOL
 from sheafsys.systems import mass_spring_system, resolve_builtin, seeded_initial_states
 
@@ -97,6 +95,12 @@ def test_leg_laws_reject_anchored_and_shifted_legs():
 
     with pytest.raises(StructureViolation, match="shift tag"):
         leg_restriction_defect(Machine(m.behavior, shifty, m.e_leg), [probe])
+
+    def short(e):  # drops the last node
+        return Trajectory(e.values[:-1, :1], e.grid_step, e.shift, ("y0",))
+
+    with pytest.raises(StructureViolation, match="^machine 'integrator': output leg changed the interval$"):
+        leg_restriction_defect(Machine(m.behavior, m.a_leg, short, "integrator"), [probe])
 
 
 def test_identity_morphism_has_zero_defect():
@@ -175,7 +179,7 @@ def test_injectivity_threshold_is_a_thousandth_of_the_separation(scale, collisio
     runs = [m.behavior.sampler([x0], lambda t: np.zeros(1), 0.2) for x0 in (1.0, 2.0, 5.0)]
     separation = sup_distance(runs[0], runs[1])
     shrink = lambda e: Trajectory(scale * e.values, e.grid_step, e.shift, e.labels)
-    assert injectivity_probe(shrink, runs, separation).collisions == collisions
+    assert injectivity_probe(shrink, runs, separation) == collisions
 
 
 def test_injectivity_probe_flags_collapsed_maps():
@@ -189,11 +193,17 @@ def test_injectivity_probe_flags_collapsed_maps():
         for i in range(3)
         for j in range(i + 1, 3)
     )
-    good = injectivity_probe(lambda e: e, runs, separation)
-    assert good.injective_on_probes and not good.collisions
-    squash = injectivity_probe(lambda e: runs[0], runs, separation)
-    assert not squash.injective_on_probes
-    assert (0, 1) in squash.collisions
+    assert injectivity_probe(lambda e: e, runs, separation) == ()
+    assert (0, 1) in injectivity_probe(lambda e: runs[0], runs, separation)
+
+
+def test_injectivity_probe_skips_probes_closer_than_its_threshold():
+    m = decay_machine()
+    runs = [m.behavior.sampler([x0], lambda t: np.zeros(1), 0.2) for x0 in (1.0, 2.0)]
+    separation = sup_distance(*runs)
+    # the twin of probe 0 is no distinct probe: its equal image is no collision
+    assert injectivity_probe(lambda e: e, [runs[0], runs[0], runs[1]], separation) == ()
+    assert injectivity_probe(lambda e: runs[0], [runs[0], runs[0], runs[1]], separation) == ((0, 2), (1, 2))
 
 
 def oscillator_probes():
@@ -221,10 +231,10 @@ def test_nan_legs_and_images_never_pass_for_small():
     assert morphism_defect(nan_eta, m, m, probes) == np.inf
     assert leg_restriction_defect(Machine(m.behavior, ident, nan_at), probes) == np.inf
     separation = sup_distance(*probes)
-    assert injectivity_probe(nan_at, probes, separation).collisions == ((0, 1),)
+    assert injectivity_probe(nan_at, probes, separation) == ((0, 1),)
     # images on different grids are infinitely far apart, not colliding
     uneven = [probes[0], Trajectory(probes[1].values[:30], H, 0.0, probes[1].labels)]
-    assert injectivity_probe(ident, uneven, separation).collisions == ()
+    assert injectivity_probe(ident, uneven, separation) == ()
 
 
 @settings(max_examples=25, deadline=None)
@@ -235,8 +245,7 @@ def test_a_nan_in_an_image_gives_an_inf_defect_and_a_collision(node, channel):
     poison = lambda e: nan_at(e, node, channel)
     image_defect = morphism_defect(MachineMorphism(poison, ident, ident), m, m, probes)
     assert image_defect == np.inf
-    result = injectivity_probe(poison, probes, sup_distance(*probes))
-    assert result.collisions == ((0, 1),)
+    assert injectivity_probe(poison, probes, sup_distance(*probes)) == ((0, 1),)
 
 
 def closed_decay_machine():
@@ -287,8 +296,8 @@ def test_port_control_diagram_with_identity_interface():
     )
     assert report.passed
     assert all(v <= 1e-9 for v in report.defects.values())
-    doc = report.to_dict()
-    assert doc["pass"] is True and "triangle beta" in doc["defects"]
+    assert "triangle beta" in report.defects
+    assert report.collisions == {"psi": (), "xi": (), "a_phi": ()}
 
 
 def test_diagram_rejects_machines_that_are_not_closed():
@@ -443,8 +452,7 @@ def test_diagram_rejects_images_with_a_nan_enclosing_membership():
 def test_images_with_a_nan_shift_collide():
     _, probes = oscillator_probes()
     nan_shift = lambda e: Trajectory(e.values, e.grid_step, float("nan"), e.labels)
-    result = injectivity_probe(nan_shift, probes, sup_distance(*probes))
-    assert result.collisions == ((0, 1),)
+    assert injectivity_probe(nan_shift, probes, sup_distance(*probes)) == ((0, 1),)
 
 
 def plus_shift(m, name=None):
@@ -563,7 +571,13 @@ def test_every_verifier_message_and_note_byte_for_byte(case):
         assert str(caught.value) == text
 
 
-DIAGRAMS = {"mass_spring": build_ph_diagram, "rigid_body": build_metriplectic_diagram}
+DIAGRAMS = ("mass_spring", "rigid_body")  # a built-in of each family
+
+
+@pytest.mark.parametrize("name", DIAGRAMS)
+def test_a_diagram_needs_a_probe(name):
+    with pytest.raises(NotAMember, match="^need at least one closed-system probe$"):
+        build_diagram(resolve_builtin(name).instance, [])
 
 
 def clean_probes(name):
@@ -592,19 +606,19 @@ def counted_memberships(monkeypatch, system):
     return seen
 
 
-@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@pytest.mark.parametrize("name", DIAGRAMS)
 def test_the_diagram_tests_each_membership_once_per_probe(monkeypatch, name):
     bundle = resolve_builtin(name)
     system, tol = bundle.instance, bundle.residual_tolerance
     behavior = closed_behavior(system, H, tol)
     probes = [behavior.sampler(x0, 0.05) for x0 in seeded_initial_states(3, 5, system.n)]
     seen = counted_memberships(monkeypatch, system)
-    assert DIAGRAMS[name](system, probes, residual_tolerance=tol).passed
+    assert build_diagram(system, probes, residual_tolerance=tol).passed
     assert {k: len(v) for k, v in seen.items()} == {"closed": 5, "port": 5, "enclosing": 5}
 
     # a corrupted quadrature gives xi images apart from the a_phi images
     seen = counted_memberships(monkeypatch, system)
-    assert not DIAGRAMS[name](system, probes, residual_tolerance=tol, integral_sign=-1.0).passed
+    assert not build_diagram(system, probes, residual_tolerance=tol, integral_sign=-1.0).passed
     assert len({id(e) for e in seen["enclosing"]}) == len(seen["enclosing"]) == 10
 
     # embed, which the diagram no longer calls, keeps its own gate
@@ -616,7 +630,7 @@ def test_the_diagram_tests_each_membership_once_per_probe(monkeypatch, name):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from(sorted(DIAGRAMS)),
+    st.sampled_from(DIAGRAMS),
     st.integers(0, 1),
     st.integers(0, 50),
     st.integers(0, 2),
@@ -629,22 +643,22 @@ def test_a_poisoned_probe_never_passes_the_diagram(name, probe, node, channel, v
     values[node, channel % e.dimension] = value
     probes[probe] = Trajectory(values, e.grid_step, e.shift, e.labels)
     with pytest.raises(NotAMember, match=f"probe {probe} "):
-        DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
+        build_diagram(bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
 
 
-@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@pytest.mark.parametrize("name", DIAGRAMS)
 @pytest.mark.parametrize("which", ["closed", "port", "enclosing"])
 def test_an_output_leg_that_reads_the_shift_fails_the_diagram(monkeypatch, name, which):
     bundle, probes = clean_probes(name)
     build = getattr(port_diagram, f"{which}_machine")
-    assert DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance).passed
+    assert build_diagram(bundle.instance, probes, residual_tolerance=bundle.residual_tolerance).passed
 
     monkeypatch.setattr(port_diagram, f"{which}_machine", lambda *args: plus_shift(build(*args)))
     with pytest.raises(StructureViolation, match=f"machine '{which}': legs fail to commute"):
-        DIAGRAMS[name](bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
+        build_diagram(bundle.instance, probes, residual_tolerance=bundle.residual_tolerance)
 
 
-@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@pytest.mark.parametrize("name", DIAGRAMS)
 def test_the_enclosing_behavior_is_a_sheaf_on_driven_members(name):
     # xi images of port runs driven by u = 0.5 sin t (tau = 0) glue back
     # bit-exactly at every cut, and the enclosing legs commute with restrict
@@ -668,7 +682,7 @@ def test_the_enclosing_behavior_is_a_sheaf_on_driven_members(name):
     assert leg_restriction_defect(enclosing, images) == 0.0
 
 
-@pytest.mark.parametrize("name", sorted(DIAGRAMS))
+@pytest.mark.parametrize("name", DIAGRAMS)
 def test_an_xi_image_is_c_contiguous_so_its_windows_are_views(name):
     bundle = resolve_builtin(name)
     system = bundle.instance

@@ -7,21 +7,19 @@ from sheafsys import (
     NoninteractionViolation,
     NotAMember,
     Trajectory,
-    build_metriplectic_diagram,
+    build_diagram,
     check_structure,
-    closed_metriplectic_behavior,
+    closed_behavior,
+    closed_machine,
     degeneracy_audit,
-    embed_metriplectic,
+    embed,
+    enclosing_machine,
+    port_machine,
     rate_audit,
     seeded_initial_states,
     side_condition_residuals,
 )
-from sheafsys.metriplectic import (
-    closed_metriplectic_machine,
-    enclosing_metriplectic_machine,
-    port_metriplectic_machine,
-    zeta_rate_along,
-)
+from sheafsys.metriplectic import zeta_rate_along
 from sheafsys.ode_behavior import assert_conditions
 from sheafsys.port_diagram import port_to_extended_morphism
 from sheafsys.systems import hat, rigid_body_system
@@ -105,7 +103,7 @@ def test_structure_check_rejects_indefinite_friction():
 
 def test_closed_run_conserves_energy_and_produces_entropy():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 5.0)
+    run = closed_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 5.0)
     audit = degeneracy_audit(rb, run)
     assert audit["energy_drift"] < 1e-12
     assert audit["entropy_rate_min"] >= -1e-8
@@ -115,7 +113,7 @@ def test_closed_run_conserves_energy_and_produces_entropy():
 
 def test_frictionless_variant_freezes_both_generators():
     rb0 = sphere_entropy_system(gamma=0.0)
-    run = closed_metriplectic_behavior(rb0, H, 1e-3).sampler([1.0, 0.5, 0.5], 5.0)
+    run = closed_behavior(rb0, H, 1e-3).sampler([1.0, 0.5, 0.5], 5.0)
     audit = degeneracy_audit(rb0, run)
     assert audit["energy_drift"] < 1e-12
     entropy = 0.5 * np.sum(run.values ** 2, axis=1)
@@ -124,7 +122,7 @@ def test_frictionless_variant_freezes_both_generators():
 
 def test_extended_friction_stays_psd_along_runs():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
+    run = closed_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
     laws = rb.structure_residuals(run.values)
     assert laws["[[G, A], [A^T, Gt]] not positive semidefinite"][0] < 1e-12
 
@@ -135,7 +133,7 @@ def test_extended_friction_stays_psd_along_runs():
 
 def test_compliant_driven_run_is_accepted():
     rb = sphere_entropy_system()
-    port = port_metriplectic_machine(rb, H, 1e-3)
+    port = port_machine(rb, H, 1e-3)
     run = port.behavior.sampler(
         [1.0, 0.5, 0.5],
         lambda t: np.array([0.2 * np.sin(t)]),
@@ -153,7 +151,7 @@ def test_the_noninteraction_side_conditions_are_the_structure_laws_on_a_run():
     # one name and one value each: as side conditions of a port run and as
     # structure laws at its states
     rb = sphere_entropy_system()
-    run = port_metriplectic_machine(rb, H).behavior.sampler(
+    run = port_machine(rb, H).behavior.sampler(
         [1.0, 0.5, 0.5], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 1.0
     )
     sides = side_condition_residuals(rb, run)
@@ -164,7 +162,7 @@ def test_the_noninteraction_side_conditions_are_the_structure_laws_on_a_run():
 
 def test_rate_audit_and_side_conditions_are_infinite_at_a_nan_node():
     rb = sphere_entropy_system()
-    port = port_metriplectic_machine(rb, H, 1e-3)
+    port = port_machine(rb, H, 1e-3)
     run = port.behavior.sampler(
         [1.0, 0.5, 0.5], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 0.5
     )
@@ -178,7 +176,7 @@ def test_rate_audit_and_side_conditions_are_infinite_at_a_nan_node():
 
 def test_entropy_port_drive_outside_kernel_is_rejected():
     rb = sphere_entropy_system()
-    port = port_metriplectic_machine(rb, H, 1e-3)
+    port = port_machine(rb, H, 1e-3)
     run = port.behavior.sampler(
         [1.0, 0.5, 0.5],
         lambda t: np.array([0.2 * np.sin(t)]),
@@ -200,7 +198,7 @@ def test_a_port_run_is_a_member_only_within_the_side_condition_tolerance(tau, me
     # the dynamics residual of the run stays far inside the membership
     # tolerance; 'B tau' alone, held to SIDE_CONDITION_TOL, decides
     rb = sphere_entropy_system()
-    port = port_metriplectic_machine(rb, H)
+    port = port_machine(rb, H)
     run = port.behavior.sampler(
         [1.0, 0.5, 0.5], lambda t: np.zeros(1), lambda t: np.full(1, tau), 0.5
     )
@@ -215,7 +213,7 @@ def test_a_port_run_is_a_member_only_within_the_side_condition_tolerance(tau, me
 def test_port_poisson_coupling_violates_its_side_condition():
     cpl = coupled_port_system(Jt=[[0.0, 1.0], [-1.0, 0.0]])
     check_structure(cpl)
-    port = port_metriplectic_machine(cpl, H)
+    port = port_machine(cpl, H)
     run = port.behavior.sampler(
         [1.0, 0.0], lambda t: np.zeros(2), lambda t: np.array([0.2, 0.0]), 0.1
     )
@@ -230,7 +228,7 @@ def test_port_poisson_coupling_violates_its_side_condition():
 
 def test_extended_run_with_signal_channels_is_a_member():
     rb = sphere_entropy_system()
-    ext = enclosing_metriplectic_machine(rb, H, 1e-3).behavior
+    ext = enclosing_machine(rb, H, 1e-3).behavior
     run = ext.sampler(
         [1.0, 0.5, 0.5, 0.0], lambda t: np.array([0.2 * np.sin(t)]), lambda t: np.zeros(1), 2.0
     )
@@ -246,11 +244,11 @@ def test_extended_run_with_signal_channels_is_a_member():
 def test_the_xi_image_of_a_port_member_is_an_enclosing_member():
     # Jt couples u to the zeta rate only; every port side condition holds
     cpl = coupled_port_system(Jt=[[0.0, 1.0], [-1.0, 0.0]])
-    port = port_metriplectic_machine(cpl, H).behavior
+    port = port_machine(cpl, H).behavior
     run = port.sampler([1.0, 0.0], lambda t: np.array([np.sin(t), 0.5]), lambda t: np.zeros(2), 0.5)
     assert all(r == 0.0 for r, _ in side_condition_residuals(cpl, run).values())
     assert port.membership(run) <= port.tolerance
-    ext = enclosing_metriplectic_machine(cpl, H).behavior
+    ext = enclosing_machine(cpl, H).behavior
     image = port_to_extended_morphism(cpl).beta(run)
     assert ext.membership(image) <= ext.tolerance
     assert_conditions(ext.side_residuals(image))  # should not raise
@@ -267,7 +265,7 @@ def test_the_enclosing_behavior_holds_the_extended_noninteraction_laws(coupling,
     # the bottom rows of Jext grad S_ext and Gext grad H_ext are
     # -B^T grad S + Jt tau and A^T grad H + Gt u (B = A = 0 here)
     cpl = coupled_port_system(**coupling)
-    ext = enclosing_metriplectic_machine(cpl, H).behavior
+    ext = enclosing_machine(cpl, H).behavior
     run = ext.sampler([1.0, 0.0, 0.0, 0.0], lambda t: np.array(u), lambda t: np.array(tau), 0.1)
     assert ext.membership(run) == np.inf
     with pytest.raises(ConstraintViolation) as info:
@@ -279,7 +277,7 @@ def test_friction_coupling_to_the_aux_entropy_is_allowed():
     # Gt tau is the zeta rate's own friction term, not a noninteraction
     # defect: with u = 0, Gt u = 0 and the member stands
     gts = coupled_port_system(Gt=np.eye(2))
-    ext = enclosing_metriplectic_machine(gts, H).behavior
+    ext = enclosing_machine(gts, H).behavior
     run = ext.sampler(
         [1.0, 0.0, 0.0, 0.0], lambda t: np.zeros(2), lambda t: np.array([1.0, 0.0]), 0.1
     )
@@ -293,8 +291,8 @@ def test_friction_coupling_to_the_aux_entropy_is_allowed():
 
 def test_embed_metriplectic_appends_zero_signals_and_integrates():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
-    emb = embed_metriplectic(rb, run)
+    run = closed_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 2.0)
+    emb = embed(rb, run)
     assert emb.labels == ("x1", "x2", "x3", "zeta0", "u0", "tau_in0")
     assert np.all(emb.values[:, 4:] == 0.0)
     assert emb.values[0, 3] == 0.0  # anchored at zero
@@ -305,12 +303,12 @@ def test_embed_metriplectic_appends_zero_signals_and_integrates():
     expect = 0.5 * H * (rate[:-1, 0] + rate[1:, 0])
     assert np.max(np.abs(increments - expect)) < 1e-15
     with pytest.raises(NotAMember):
-        embed_metriplectic(rb, Trajectory(np.ones((16, 3)), H, 0.0, run.labels))
+        embed(rb, Trajectory(np.ones((16, 3)), H, 0.0, run.labels))
 
 
 def test_closed_machine_output_is_constant():
     rb = sphere_entropy_system()
-    closed = closed_metriplectic_machine(rb, H, 1e-3)
+    closed = closed_machine(rb, H, 1e-3)
     run = closed.behavior.sampler([1.0, 0.5, 0.5], 0.5)
     o = closed.e_leg(run)
     assert o.dimension == 2 and np.all(o.values == 0.0)
@@ -320,21 +318,21 @@ def test_closed_machine_output_is_constant():
 
 def test_diagram_embeds_at_its_own_residual_tolerance():
     rb = sphere_entropy_system()
-    beh = closed_metriplectic_behavior(rb, 0.01, 1e-3)
+    beh = closed_behavior(rb, 0.01, 1e-3)
     probes = [beh.sampler(x0, 0.5) for x0 in ([2.0, 2.0, -2.0], [1.0, 0.5, 0.5])]
     assert 1e-4 < beh.membership(probes[0]) <= 1e-3  # above the embedding's default
-    report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
+    report = build_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
     assert report.passed
 
 
 def test_metriplectic_diagram_passes_and_detects_corruption():
     rb = sphere_entropy_system()
-    beh = closed_metriplectic_behavior(rb, H, 1e-3)
+    beh = closed_behavior(rb, H, 1e-3)
     probes = [beh.sampler(x0, 2.0) for x0 in seeded_initial_states(11, 5, 3)]
-    report = build_metriplectic_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
+    report = build_diagram(rb, probes, 1e-5, residual_tolerance=1e-3)
     assert report.passed
     assert max(report.defects.values()) <= 1e-5
-    flipped = build_metriplectic_diagram(
+    flipped = build_diagram(
         rb, probes, 1e-5, residual_tolerance=1e-3, integral_sign=-1.0
     )
     assert not flipped.passed
@@ -343,7 +341,7 @@ def test_metriplectic_diagram_passes_and_detects_corruption():
 
 def test_degeneracy_audit_fails_at_a_nan_node():
     rb = sphere_entropy_system()
-    run = closed_metriplectic_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 1.0)
+    run = closed_behavior(rb, H, 1e-3).sampler([1.0, 0.5, 0.5], 1.0)
     values = np.array(run.values)
     values[500, 2] = np.nan
     audit = degeneracy_audit(rb, Trajectory(values, H, run.shift, run.labels))

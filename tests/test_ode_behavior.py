@@ -52,6 +52,13 @@ def test_pointwise_rejects_stacks_of_different_lengths(times, states):
     assert lifted(times[:2], states[:2]).shape == (2, 2)
 
 
+def test_pointwise_rejects_node_values_of_different_shapes():
+    lifted = pointwise(lambda x: np.ones(int(x[0])))
+    with pytest.raises(DimensionMismatch, match="^node values do not stack"):
+        lifted(np.array([[1.0], [2.0]]))
+    assert lifted(np.array([[2.0], [2.0]])).shape == (2, 2)
+
+
 def test_grid_derivative_exact_on_cubics():
     # the endpoint stencils are third order, so cubics differentiate exactly
     h = 0.01
@@ -73,6 +80,8 @@ def test_grid_derivative_short_inputs():
     assert np.allclose(two[:, 0], [2.0, 2.0])
     three = grid_derivative(np.array([[0.0], [1.0], [4.0]]), h)
     assert three.shape == (3, 1)
+    with pytest.raises(GridMismatch, match="^need at least two nodes to differentiate$"):
+        grid_derivative(np.array([[1.0]]), h)
 
 
 def test_integrate_matches_exponential_decay():
@@ -156,6 +165,8 @@ def test_membership_residual_grid_rules():
     wrong_dim = Trajectory(np.zeros((8, 2)), 1e-3, 0.0)
     with pytest.raises(DimensionMismatch):
         membership_residual(field, wrong_dim)
+    with pytest.raises(GridMismatch, match="^need at least two nodes to test membership$"):
+        membership_residual(field, Trajectory(e.values[:1], 1e-3, 0.0))
 
 
 def test_time_varying_membership_uses_absolute_time():
