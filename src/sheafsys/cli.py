@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys as _sys
@@ -291,10 +292,12 @@ COMMANDS = {
 GROUP_SYSTEMS = {"ph": "mass_spring", "mp": "rigid_body"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every command: the command words, which join to
     ``list-examples`` or a COMMANDS line, and the seven flags; the help
-    lists every line from the table."""
+    lists every line from the table.  It is built once per process and
+    shared, so callers parse with it and change nothing on it."""
     rows = [f"  {'list-examples':<25}show the built-in systems"] + [
         f"  {line:<25}{command.help} (--tol {command.tolerance:g}; {', '.join(command.kinds)})"
         for line, command in COMMANDS.items()

@@ -18,6 +18,7 @@ and junction tests).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -244,11 +245,17 @@ def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
         raise OutOfRange(
             f"window offset {offset} + length {new_length} exceeds domain {e.length}"
         )
-    values = e.values[k : k + m + 1]
+    return _window(e, k, m)
+
+
+def _window(e: Trajectory, first: int, steps: int) -> Trajectory:
+    """:func:`restrict` to the nodes ``first`` to ``first + steps``, which must
+    lie in ``e``: the window given by node indices, with no check."""
+    values = e.values[first : first + steps + 1]
     if not values.flags.c_contiguous:
         values = np.array(values)
         values.setflags(write=False)
-    return Trajectory._derived(values, e.grid_step, e.shift - k * e.grid_step, e.labels)
+    return Trajectory._derived(values, e.grid_step, e.shift - first * e.grid_step, e.labels)
 
 
 def glue(left: Trajectory, right: Trajectory, tolerance: float = DEFAULT_TOLERANCE) -> Trajectory:
@@ -380,14 +387,27 @@ def check_sheaf_axioms(
 
 def write_csv(e: Trajectory, path) -> None:
     """Write the trajectory with 17 significant digits (bit-exact round trip)."""
-    row = ",".join(["%.17g"] * (e.dimension + 1)) + "\n"
-    table = np.column_stack([e.times, e.values])
+    chunks = _csv_rows(e.num_nodes, e.grid_step, e.dimension)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# shift={e.shift:.17g} step={e.grid_step:.17g}\n")
         fh.write(",".join(["t", *e.labels]) + "\n")
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunk = table[start : start + CSV_CHUNK_ROWS]
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for start, rows in zip(range(0, e.num_nodes, CSV_CHUNK_ROWS), chunks):
+            fh.write(rows % tuple(e.values[start : start + CSV_CHUNK_ROWS].ravel().tolist()))
+
+
+@functools.lru_cache(maxsize=1)
+def _csv_rows(num_nodes: int, grid_step: float, width: int) -> tuple[str, ...]:
+    """The rows of each :func:`write_csv` chunk on one grid, the node times
+    formatted and a ``%.17g`` for each of ``width`` values; one grid is kept,
+    so the probes of one check format their times once."""
+    row = "%.17g" + ",%%.17g" * width + "\n"
+    # each chunk's node times as Trajectory.times forms them; no list of all
+    # of them, which raised the peak memory of a 10001-node write by 0.2 MiB
+    chunks = (
+        (np.arange(start, min(start + CSV_CHUNK_ROWS, num_nodes)) * grid_step).tolist()
+        for start in range(0, num_nodes, CSV_CHUNK_ROWS)
+    )
+    return tuple((row * len(chunk)) % tuple(chunk) for chunk in chunks)
 
 
 def read_csv(path) -> Trajectory:

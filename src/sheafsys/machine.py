@@ -31,8 +31,8 @@ from .errors import NotAMember, NotClosed, StructureViolation
 from .interval_sheaf import (
     BehaviorSheaf,
     Trajectory,
+    _window,
     require_member,
-    restrict,
     sup_distance,
     worst_defect,
 )
@@ -85,19 +85,16 @@ def leg_restriction_defect(m: Machine, probes: Sequence[Trajectory]) -> float:
     """
     gaps = []
     for e in probes:
-        k = (e.num_nodes - 1) // 2
-        windows = [] if e.num_nodes < 5 else [
-            (k * e.grid_step, 0.0),
-            ((e.num_nodes - 1 - k) * e.grid_step, k * e.grid_step),
-            ((e.num_nodes - 1 - 2 * (k // 2)) * e.grid_step, (k // 2) * e.grid_step),
-        ]
-        pieces = [restrict(e, length, offset) for length, offset in windows]
+        n, k = e.num_nodes - 1, (e.num_nodes - 1) // 2
+        # (first node, steps) of the halves and of the interior window
+        windows = [] if n < 4 else [(0, k), (k, n - k), (k // 2, n - 2 * (k // 2))]
+        pieces = [_window(e, first, steps) for first, steps in windows]
         for leg, which in ((m.a_leg, "input"), (m.e_leg, "output")):
             out = leg(e)
             _check_leg_shape(m, e, out, which)
             gaps.extend(
-                sup_distance(leg(piece), restrict(out, length, offset))
-                for piece, (length, offset) in zip(pieces, windows)
+                sup_distance(leg(piece), _window(out, first, steps))
+                for piece, (first, steps) in zip(pieces, windows)
             )
     return worst_defect(gaps)[0]
 
@@ -140,7 +137,10 @@ def iso_machine(
     )
 
     def a_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(e.channels(input_labels), e.grid_step, e.shift, input_labels)
+        # a fresh pick of checked channels: frozen, not copied and checked again
+        values = e.channels(input_labels)
+        values.setflags(write=False)
+        return Trajectory._derived(values, e.grid_step, e.shift, input_labels)
 
     def e_leg(e: Trajectory) -> Trajectory:
         x, u = e.channels(state_labels), e.channels(input_labels)

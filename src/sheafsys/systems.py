@@ -193,8 +193,8 @@ def rigid_body_system(
         return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
 
     @batched
-    def gradS(x):
-        return np.array(x, dtype=float)
+    def gradS(x):  # x itself when it is a C-contiguous float array, which no caller writes
+        return np.ascontiguousarray(x, dtype=float)
 
     identity, gamma = np.eye(3), np.array(float(gamma))  # 0-d: no conversion per product
 

@@ -104,6 +104,19 @@ def test_an_absent_length_runs_the_system_default(tmp_path):
     assert report(out)["config"]["length"] == 5.0
 
 
+def test_a_second_run_in_one_process_writes_the_same_bytes(tmp_path):
+    # the parser is built once, and the second run's probe CSVs take their
+    # formatted times from the first run's grid
+    assert build_parser() is build_parser()
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["mp", "verify-diagram", "--length", "0.05", "--out", str(out)]) == 0
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert "probe_0.csv" in names and names == sorted(path.name for path in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_blowup_simulation_truncates_and_reports(tmp_path):
     out = tmp_path / "blow"
     code = main([

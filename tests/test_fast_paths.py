@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sheafsys import DimensionMismatch, MetriplecticSystem, PHSystem, Polynomial, VectorField, integrate
 from sheafsys.cli import RunConfig, _port_runs
 from sheafsys.ode_behavior import batched, dot, integrate_batch, matvec
-from sheafsys.port_diagram import closed_field, port_field
+from sheafsys.port_diagram import closed_field, port_field, port_machine
 from sheafsys.systems import (
     bundle_from_config,
     mass_spring_system,
@@ -234,13 +234,13 @@ def test_compiled_polynomial_gradient_equals_the_term_loop(data, n, rows):
 
 
 def plain_rigid_body(x):
-    """hat(x), G(x) and B(x) of the default rigid body at one node, entry by
-    entry as the formulas read."""
+    """hat(x), G(x), B(x) and grad S(x) of the default rigid body at one
+    node, entry by entry as the formulas read."""
     x0, x1, x2 = x
     g = x / np.array([1.0, 2.0, 3.0])
     hat = np.array([[0.0, -x2, x1], [x2, 0.0, -x0], [-x1, x0, 0.0]])
     friction = 0.1 * (float(g @ g) * np.eye(3) - np.outer(g, g))
-    return hat, friction, np.array([[-x1], [x0], [0.0]])
+    return hat, friction, np.array([[-x1], [x0], [0.0]]), np.array([x0, x1, x2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -249,11 +249,42 @@ def test_rigid_body_formulas_equal_the_plain_ones(data, rows):
     sys_ = MP_SYSTEMS["rigid_body"]
     x, stack = data.draw(arrays((3,))), data.draw(arrays((rows, 3)))
     per_row = [plain_rigid_body(row) for row in stack]
-    for i, formula in enumerate((sys_.poisson, sys_.friction, sys_.energy_port)):
+    for i, formula in enumerate((sys_.poisson, sys_.friction, sys_.energy_port, sys_.grad_entropy)):
         assert same_bits(formula(x), plain_rigid_body(x)[i])
         assert same_bits(formula(stack), np.stack([plain[i] for plain in per_row]))
     # matvec sums a stack in one order only when it is C-contiguous
     assert sys_.poisson(x).flags.c_contiguous and sys_.poisson(stack).flags.c_contiguous
+
+
+def test_rigid_body_grad_entropy_copies_only_a_stack_that_is_not_c_contiguous():
+    sys_ = MP_SYSTEMS["rigid_body"]
+    stack = np.random.default_rng(3).standard_normal((7, 3))
+    grad = sys_.grad_entropy(stack)
+    assert same_bits(grad, np.array(stack, dtype=float))  # the bits of the copy it made before
+    assert np.shares_memory(grad, stack)
+    # the state columns of a driven member, as the extended field slices its stage states
+    bundle = resolve_builtin("rigid_body")
+    port = port_machine(bundle.instance, H, bundle.residual_tolerance).behavior
+    member = port.sampler([1.0, -0.5, 0.25], lambda t: np.array([np.sin(t)]), lambda t: np.zeros(1), 0.05)
+    assert member.dimension == 5
+    columns = member.values[:, :3]
+    grad = sys_.grad_entropy(columns)
+    assert same_bits(grad, columns) and grad.flags.c_contiguous
+    assert not np.shares_memory(grad, member.values)
+
+
+def test_rigid_body_formulas_read_grad_entropy_without_writing_into_it():
+    # grad S of a read-only stack is that stack, so a formula that wrote
+    # into its grad S would raise here
+    sys_ = MP_SYSTEMS["rigid_body"]
+    frozen = np.random.default_rng(4).standard_normal((6, 3))
+    frozen.setflags(write=False)
+    assert sys_.grad_entropy(frozen) is frozen
+    s = np.ones((6, 2))
+    for formula in (sys_.closed_rhs, sys_.structure_residuals):
+        formula(frozen)
+    for formula in (sys_.port_rhs, sys_.zeta_rate):
+        formula(frozen, s)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +322,8 @@ def plain_runs():
         return closed, lambda x, s: closed(x) + sys_.port_map(x) @ s
 
     def rigid_body(x):
-        hat, friction, _ = plain_rigid_body(x)
-        return hat @ (x / np.array([1.0, 2.0, 3.0])) + friction @ x
+        hat, friction, _, grad_s = plain_rigid_body(x)
+        return hat @ (x / np.array([1.0, 2.0, 3.0])) + friction @ grad_s
 
     def rigid_body_port(x, s):  # the whole sum, the zero A's product too
         return rigid_body(x) + plain_rigid_body(x)[2] @ s[:1] + np.zeros((3, 1)) @ s[1:]

@@ -22,7 +22,7 @@ from sheafsys import (
     sup_distance,
     write_csv,
 )
-from sheafsys.interval_sheaf import CSV_CHUNK_ROWS, require_member
+from sheafsys.interval_sheaf import CSV_CHUNK_ROWS, _csv_rows, _window, require_member
 
 H = 2.0 ** -10  # dyadic step: node times are exact floats
 
@@ -279,6 +279,32 @@ def test_windows_are_read_only_views_that_match_the_checked_constructor(case):
     assert (e.values == kept).all() and (window.values == kept[k : k + m + 1]).all()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_window_by_node_index_is_the_restriction_to_those_nodes(data):
+    nodes, dim = data.draw(st.integers(2, 40)), data.draw(st.integers(0, 4))
+    first = data.draw(st.integers(0, nodes - 1))
+    steps = data.draw(st.integers(0, nodes - 1 - first))
+    h, shift = data.draw(st.floats(1e-6, 10.0)), data.draw(st.floats(-100.0, 100.0))
+    labels = data.draw(st.lists(st.text(max_size=3), min_size=dim, max_size=dim))
+    values = np.array(
+        data.draw(st.lists(st.floats(-1e6, 1e6), min_size=nodes * dim, max_size=nodes * dim))
+    ).reshape(nodes, dim)
+    if data.draw(st.booleans(), label="column-major"):
+        values = np.asfortranarray(values)
+    e = Trajectory(values, h, shift, tuple(labels))
+    window = _window(e, first, steps)
+    assert identical(window, restrict(e, steps * h, first * h))
+    rows = e.values[first : first + steps + 1]
+    assert identical(window, Trajectory(rows, h, e.shift - first * h, e.labels))
+    assert not window.values.flags.writeable
+    if e.values.flags.c_contiguous:
+        assert window.values.flags.c_contiguous
+        assert window.values.size == 0 or np.shares_memory(window.values, e.values)
+    else:  # the layout the public constructor gives these rows
+        assert window.values.strides == Trajectory(rows, h).values.strides
+
+
 def test_a_window_of_values_in_another_layout_is_the_copy_the_constructor_makes():
     # column-major values, as concatenating channels side by side gives
     e = Trajectory(np.asfortranarray(dyadic_trajectory(17, dim=3).values), H)
@@ -476,6 +502,40 @@ def test_write_csv_bytes_across_chunks_match_the_per_value_format(tmp_path):
     path = tmp_path / "e.csv"
     write_csv(e, path)
     assert path.read_bytes() == per_value_csv(e)
+
+
+def test_write_csv_keeps_one_grid_of_formatted_times_and_the_bytes(tmp_path):
+    from sheafsys import BlowUp, integrate
+    from sheafsys.systems import blowup_field
+
+    rng = np.random.default_rng(11)
+    narrow = Trajectory(rng.standard_normal((150, 1)), 1e-3, 0.0, ("q",))
+    wide = Trajectory(rng.standard_normal((90, 3)), 4e-3, -0.5, ("a", "b", "c"))
+    with pytest.raises(BlowUp) as info:
+        integrate(blowup_field(), [2.0], 1.0)
+    specials = rng.standard_normal((2 * CSV_CHUNK_ROWS + 3, 4))
+    specials[CSV_CHUNK_ROWS - 1 : CSV_CHUNK_ROWS + 3, :] = [-0.0, np.inf, np.nan, 5e-324]
+    specials[-1] = [5e-324, np.nan, np.inf, -0.0]
+    cases = [
+        narrow,
+        narrow,  # the same grid again: its times come from the memo
+        wide,
+        narrow,  # two grids in turn
+        Trajectory(rng.standard_normal((150, 2)), 1e-3, 0.0),  # the narrow grid, wider
+        Trajectory(rng.standard_normal((150, 1)), 4e-3, 0.0),  # its nodes, another step
+        Trajectory(np.array([[1.0, -0.0]]), 0.01, 0.5),  # one node
+        Trajectory(np.zeros((70, 0)), 1e-3, 0.25),  # no channels
+        info.value.trajectory,  # a run cut short by a blow-up
+        Trajectory(specials, 1e-3, 0.0),
+    ]
+    _csv_rows.cache_clear()
+    for i, e in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
+        write_csv(e, path)
+        assert path.read_bytes() == per_value_csv(e), i
+        assert _csv_rows.cache_info().currsize <= 1
+    assert _csv_rows.cache_info().hits == 1  # the narrow grid written twice in a row
+    assert info.value.trajectory.num_nodes % CSV_CHUNK_ROWS  # the last chunk is short
 
 
 # ---------------------------------------------------------------------------

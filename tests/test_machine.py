@@ -16,6 +16,7 @@ from sheafsys import (
     check_sheaf_axioms,
     closed_behavior,
     compose_morphisms,
+    identical,
     identity_morphism,
     injectivity_probe,
     iso_machine,
@@ -54,6 +55,9 @@ def test_iso_machine_sampler_and_legs():
     assert np.all(a.values == 1.0)
     assert np.max(np.abs(e.values[:, 0] - run.times)) < 1e-13
     assert a.shift == run.shift and e.grid_step == run.grid_step
+    # the input leg freezes its own pick of the channels, as the constructor would
+    assert identical(a, Trajectory(run.channels(("u0",)), run.grid_step, run.shift, ("u0",)))
+    assert not a.values.flags.writeable and not np.shares_memory(a.values, run.values)
 
 
 def test_iso_machine_membership_and_input_recovery():

@@ -242,6 +242,7 @@ def test_seeded_initial_states_are_deterministic_and_bounded():
 @example(seed=2**32, count=12, dimension=6)
 @example(seed=2**64 - 1, count=12, dimension=6)
 @example(seed=2**64, count=12, dimension=6)
+@example(seed=2**128, count=12, dimension=6)  # a fifth word, mixed into the pool
 @given(
     seed=st.integers(0, 2**130 - 1),
     count=st.integers(0, 12),
