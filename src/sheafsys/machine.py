@@ -2,8 +2,8 @@
 
 A machine is a span: a behavior sheaf together with two leg maps sending
 each member to an input-side trajectory and an output-side trajectory over
-the same interval.  Legs must preserve length and shift and commute with
-restriction; the diagram verifier checks both on the members it holds.
+the same interval.  Legs preserve length and shift and commute with
+restriction, :func:`node_map` legs by construction; the verifier checks others.
 
 Morphisms between machines come in two variants.  A straight morphism pairs
 input with input and output with output; a swapped morphism crosses them,
@@ -50,11 +50,10 @@ class Machine:
     behavior : BehaviorSheaf or OdeBehavior
         The total behavior; members are the runs of the machine.
     a_leg, e_leg : callable
-        Maps from members to input-side / output-side trajectories.  Legs
-        must preserve the interval (length, grid step) and the shift tag,
-        and must commute with restriction within ``LEG_COMMUTE_TOL``;
-        :func:`verify_port_control_diagram` checks this on the members it
-        holds, and :func:`leg_restriction_defect` on any others.
+        Maps from members to input-side / output-side trajectories.  They
+        preserve the interval (length, grid step) and the shift tag and
+        commute with restriction within ``LEG_COMMUTE_TOL``, by construction
+        for :func:`node_map` legs; :func:`leg_restriction_defect` checks others.
     name : str
         Used in reports.
     """
@@ -99,6 +98,26 @@ def leg_restriction_defect(m: Machine, probes: Sequence[Trajectory]) -> float:
     return worst_defect(gaps)[0]
 
 
+def node_map(formula: Callable, groups: Sequence, labels: tuple, name: str, which: str = "output"):
+    """The ``which`` leg of machine ``name``: ``formula(t, *stacks)``, evaluated
+    once on a member's absolute times and the stacks of its channel ``groups``
+    picked by name, as channels ``labels`` on the member's grid step and shift.
+    It commutes with restriction by construction and carries ``node_wise``.  A
+    formula that returns another number of rows raises StructureViolation."""
+    def leg(e: Trajectory) -> Trajectory:
+        stacks = [e.channels(group) for group in groups]
+        values = formula(e.absolute_times, *stacks)
+        if np.shape(values)[:1] != (e.num_nodes,):
+            raise StructureViolation(f"machine '{name}': {which} leg changed the interval")
+        # a fresh pick of checked channels: frozen, not copied and checked again
+        if any(values is stack for stack in stacks) and values.shape[1] == len(labels):
+            values.setflags(write=False)
+            return Trajectory._derived(values, e.grid_step, e.shift, labels)
+        return Trajectory(values, e.grid_step, e.shift, labels)
+    leg.node_wise = True
+    return leg
+
+
 def iso_machine(
     dynamics: VectorField,
     readout: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
@@ -119,34 +138,21 @@ def iso_machine(
     driven field: members are (n + m)-channel trajectories holding state and
     input samples together, ``side_residuals`` adds algebraic conditions to
     membership, and the sampler takes one input curve per input group,
-    ``sampler(x0, curve, ..., length, shift=0.0)``.  The input leg extracts
-    the input channels; the output leg evaluates the readout at every node.
-    A ``readout`` of one node is lifted with
-    :func:`~sheafsys.ode_behavior.pointwise`.  The legs read channels by
-    name, since the leg laws are probed on non-members too.
+    ``sampler(x0, curve, ..., length, shift=0.0)``.  Its :func:`node_map` legs
+    pick the input channels and evaluate the readout, which is lifted with
+    :func:`~sheafsys.ode_behavior.pointwise` if it takes one node.
     """
     n = dynamics.dimension
     m = int(num_inputs)
     state_labels = tuple(state_labels) if state_labels else tuple(f"x{i}" for i in range(n))
     input_labels = tuple(input_labels) if input_labels else tuple(f"u{i}" for i in range(m))
     output_labels = tuple(output_labels) if output_labels else tuple(f"y{i}" for i in range(num_outputs))
-    readout = pointwise(readout, 0, 1, 1)
     behavior = OdeBehavior(
         dynamics, grid_step, residual_tolerance, state_labels + input_labels,
         side_residuals=side_residuals,
     )
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        # a fresh pick of checked channels: frozen, not copied and checked again
-        values = e.channels(input_labels)
-        values.setflags(write=False)
-        return Trajectory._derived(values, e.grid_step, e.shift, input_labels)
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        x, u = e.channels(state_labels), e.channels(input_labels)
-        y = np.asarray(readout(e.absolute_times, x, u), dtype=float)
-        return Trajectory(y, e.grid_step, e.shift, output_labels)
-
+    a_leg = node_map(lambda t, u: u, [input_labels], input_labels, name, "input")
+    e_leg = node_map(pointwise(readout, 0, 1, 1), [state_labels, input_labels], output_labels, name)
     return Machine(behavior, a_leg, e_leg, name)
 
 
@@ -330,24 +336,26 @@ def verify_port_control_diagram(
     note once the verdict has failed; a failing verdict row fails it.  The
     gates come first: the closed output leg lands in the one-point sheaf,
     finite, node-constant and the same on every probe (NotClosed, which a
-    NaN ``tolerance`` raises at once); xi . psi has a_phi's variant, and each
-    machine's legs commute with restriction within ``LEG_COMMUTE_TOL`` on
-    the members it holds: the probes, the psi images, or the a_phi and xi
-    images (StructureViolation, raised at once by a leg that changes the
-    interval or the shift tag).  The verdict rows are the leg squares of
-    each morphism and the triangle on behaviors and on both leg sides, as
-    ``defects`` (the xi square raises NotAMember on a psi image outside the
-    port behavior), then injectivity probes of the three behavior maps, as
-    ``collisions``.  The last gates hold each a_phi and xi image to the
-    enclosing behavior (NotAMember), so an image outside it raises only
-    when every verdict row holds.  Each image, leg and membership test the
-    rows share is evaluated once per object: an a_phi image that is its
-    xi . psi image, as :func:`~sheafsys.port_diagram.build_diagram` forms
-    it, meets the enclosing leg laws and membership once, and images that
-    are distinct objects are each checked, however alike.
+    NaN ``tolerance`` raises at once); xi . psi has a_phi's variant, and
+    each machine's legs, unless both are :func:`node_map` legs, commute with
+    restriction within ``LEG_COMMUTE_TOL`` on the members it holds: the
+    probes, the psi images, or the a_phi and xi images (StructureViolation,
+    raised at once by a leg that changes the interval or the shift tag).
+    The verdict rows are the leg squares of each morphism and the triangle
+    on behaviors and on both leg sides, as ``defects`` (the xi square raises
+    NotAMember on a psi image outside the port behavior), then injectivity
+    probes of the three behavior maps, as ``collisions``.  The last gates
+    hold each a_phi and xi image to the enclosing behavior (NotAMember), so
+    an image outside it raises only when every verdict row holds.  Each
+    image, leg and membership test the rows share is evaluated once per
+    object: an a_phi image that is its xi . psi image, as
+    :func:`~sheafsys.port_diagram.build_diagram` forms it, is tested once,
+    and images that are distinct objects are each checked, however alike.
     """
     for i, e in enumerate(probes):
         require_member(closed.behavior, e, f"probe {i} not in the closed behavior")
+    node_wise = lambda leg: getattr(leg, "node_wise", False)
+    gated = [not (node_wise(m.a_leg) and node_wise(m.e_leg)) for m in (closed, port, enclosing)]
     closed, port, enclosing = (
         dataclasses.replace(m, a_leg=_once(m.a_leg), e_leg=_once(m.e_leg))
         for m in (closed, port, enclosing)
@@ -387,7 +395,8 @@ def verify_port_control_diagram(
             _Check(f"machine '{m.name}': legs fail to commute with restriction",
                    lambda m=m, members=members: leg_restriction_defect(m, members()),
                    LEG_COMMUTE_TOL, StructureViolation, "defect")
-            for m, members in ((closed, lambda: probes), (port, psi_images), (enclosing, images))
+            for m, members, gate in zip((closed, port, enclosing), (lambda: probes, psi_images, images), gated)
+            if gate
         ),
         _Check("psi legs", lambda: from_closed(psi, port), tolerance),
         _Check("xi legs", lambda: morphism_defect(xi, port, enclosing, psi_images()), tolerance),

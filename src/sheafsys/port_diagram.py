@@ -59,6 +59,7 @@ from .machine import (
     MachineMorphism,
     _once,
     iso_machine,
+    node_map,
     verify_port_control_diagram,
 )
 from .ode_behavior import (
@@ -260,13 +261,9 @@ def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _zero_signals(system: PortSystem, e: Trajectory) -> np.ndarray:
-    return np.zeros((e.num_nodes, len(system.signal_labels)))
-
-
 def _port_member(system: PortSystem, e: Trajectory) -> Trajectory:
     """The port member (x, 0) of a closed run x: zero signals after the state."""
-    values = np.concatenate([e.values, _zero_signals(system, e)], axis=1)
+    values = np.concatenate([e.values, np.zeros((e.num_nodes, len(system.signal_labels)))], axis=1)
     return Trajectory(values, e.grid_step, e.shift, e.labels + system.signal_labels)
 
 
@@ -278,8 +275,7 @@ def _enclosing_member(system: PortSystem, e: Trajectory, integral_sign: float) -
     s = e.channels(system.signal_labels)
     zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
     return Trajectory(
-        # C order, as the channels side by side would be column-major, and
-        # every leg-law window restricted from the image would be a copy
+        # C order, not the concatenation's column-major, so its windows are views
         np.ascontiguousarray(np.concatenate([x, zeta, s], axis=1)),
         e.grid_step,
         e.shift,
@@ -354,20 +350,15 @@ def closed_machine(
 ) -> Machine:
     """The closed system as a machine.
 
-    The port leg is the port output with zero signals; the constant leg
-    lands in the one-point sheaf (one zero channel per port signal), which
-    is what the diagram verifier checks for closedness.
+    The port leg (the port output at zero signals) and the constant leg, in
+    the one-point sheaf (one zero channel per port signal) as the diagram
+    verifier's closedness gate checks, are :func:`~sheafsys.machine.node_map` legs.
     """
     behavior = closed_behavior(system, grid_step, residual_tolerance)
-    constant_labels = tuple(f"o{i}" for i in range(len(system.signal_labels)))
-
-    def a_leg(e: Trajectory) -> Trajectory:
-        y = -system.zeta_rate(e.values, _zero_signals(system, e))
-        return Trajectory(y, e.grid_step, e.shift, system.output_labels)
-
-    def e_leg(e: Trajectory) -> Trajectory:
-        return Trajectory(_zero_signals(system, e), e.grid_step, e.shift, constant_labels)
-
+    zeros = lambda t: np.zeros((len(t), len(system.signal_labels)))
+    a_leg = node_map(lambda t, x: -system.zeta_rate(x, zeros(t)), [system.state_labels],
+                     system.output_labels, "closed", "input")
+    e_leg = node_map(zeros, [], tuple(f"o{i}" for i in range(len(system.signal_labels))), "closed")
     return Machine(behavior, a_leg, e_leg, "closed")
 
 

@@ -17,8 +17,8 @@ to the diagram verifier.  This module adds the
 structure-law table (J antisymmetric, R symmetric positive semidefinite,
 grad H consistent with H) and the audit table.
 
-Leg maps are computed node-locally from the trajectory channels, so they
-commute with restriction bit-exactly.
+Leg maps are :func:`~sheafsys.machine.node_map` legs: they commute with
+restriction bit-exactly by construction, so the diagram verifier skips them.
 """
 
 from __future__ import annotations

@@ -712,3 +712,14 @@ def test_an_ode_audit_that_blows_up_audits_its_truncated_run(tmp_path, capsys):
     assert doc["residuals"] == {"membership": pytest.approx(5.4533886260e7, rel=1e-9)}
     run = read_csv(out / "run.csv")
     assert run.num_nodes == 1001 and np.all(np.isfinite(run.values))
+
+
+def test_the_module_runs_as_a_program(tmp_path):
+    # the __main__ guard, which no in-process call runs
+    src = os.path.dirname(os.path.dirname(sheafsys.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "sheafsys.cli", "list-examples"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "mass_spring" in done.stdout

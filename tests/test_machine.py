@@ -13,6 +13,7 @@ from sheafsys import (
     StructureViolation,
     Trajectory,
     VectorField,
+    batched,
     check_sheaf_axioms,
     closed_behavior,
     compose_morphisms,
@@ -105,6 +106,16 @@ def test_leg_laws_reject_anchored_and_shifted_legs():
 
     with pytest.raises(StructureViolation, match="^machine 'integrator': output leg changed the interval$"):
         leg_restriction_defect(Machine(m.behavior, m.a_leg, short, "integrator"), [probe])
+
+
+def test_a_node_wise_leg_that_drops_a_node_raises_at_its_first_call():
+    # the message leg_restriction_defect gives a hand-written leg that drops a node
+    dyn = VectorField(1, lambda t, x, u: u)
+    m = iso_machine(dyn, batched(lambda t, x, u: x[:-1]), 1, 1, H, name="integrator")
+    probe = m.behavior.sampler([0.3], lambda t: np.ones(1), 0.2)
+    assert m.a_leg(probe).num_nodes == probe.num_nodes
+    with pytest.raises(StructureViolation, match="^machine 'integrator': output leg changed the interval$"):
+        m.e_leg(probe)
 
 
 def test_identity_morphism_has_zero_defect():
@@ -697,3 +708,44 @@ def test_an_xi_image_is_c_contiguous_so_its_windows_are_views(name):
     assert image.values.flags.c_contiguous
     window = restrict(image, 20 * H, 10 * H)
     assert np.shares_memory(window.values, image.values)
+
+
+@pytest.mark.parametrize("name", DIAGRAMS)
+def test_the_diagram_checks_no_leg_law_of_node_wise_legs(monkeypatch, name):
+    bundle, probes = clean_probes(name)
+    system, tol = bundle.instance, bundle.residual_tolerance
+    for which in ("closed", "port", "enclosing"):
+        m = getattr(port_diagram, f"{which}_machine")(system, H, tol)
+        assert m.a_leg.node_wise and m.e_leg.node_wise
+    calls = []
+    defect = leg_restriction_defect
+
+    def spy(m, members):
+        calls.append(m.name)
+        return defect(m, members)
+
+    monkeypatch.setattr("sheafsys.machine.leg_restriction_defect", spy)
+    assert build_diagram(system, probes, residual_tolerance=tol).passed
+    assert calls == []
+    # a hand-written leg is checked still, on the members its machine holds
+    build = port_diagram.port_machine
+    monkeypatch.setattr(port_diagram, "port_machine", lambda *args: plus_shift(build(*args)))
+    with pytest.raises(StructureViolation, match="machine 'port': legs fail to commute"):
+        build_diagram(system, probes, residual_tolerance=tol)
+    assert calls == ["port"]
+
+
+def test_a_non_finite_node_wise_leg_fails_the_square_that_reads_it():
+    # NaN at node 3 of every member: the leg commutes with restriction, so
+    # no leg law blames it, and the psi and xi squares that read it fail
+    nan_at_node_3 = batched(lambda t, x, u: np.where(np.arange(len(t))[:, np.newaxis] == 3, np.nan, x))
+    port = iso_machine(VectorField(1, lambda t, x, u: -x + u), nan_at_node_3, 1, 1, H, name="port")
+    closed = closed_decay_machine()
+    into = MachineMorphism(append_zero_input, lambda e: e, lambda e: e, "swapped")
+    report = verify_port_control_diagram(
+        closed, decay_machine(), port, into, identity_morphism(), into,
+        closed_probe_runs(closed), tolerance=1e-9,
+    )
+    assert report.defects["psi legs"] == np.inf and report.defects["xi legs"] == np.inf
+    assert report.defects["a_phi legs"] == 0.0
+    assert not report.passed
