@@ -102,8 +102,10 @@ def node_map(formula: Callable, groups: Sequence, labels: tuple, name: str, whic
     """The ``which`` leg of machine ``name``: ``formula(t, *stacks)``, evaluated
     once on a member's absolute times and the stacks of its channel ``groups``
     picked by name, as channels ``labels`` on the member's grid step and shift.
-    It commutes with restriction by construction and carries ``node_wise``.  A
-    formula that returns another number of rows raises StructureViolation."""
+    It carries ``node_wise`` and commutes with restriction by construction,
+    bit for bit on windows of two or more nodes (numpy may round an
+    ``np.matmul`` formula on one row unlike on a longer stack).  A formula
+    that returns another number of rows raises StructureViolation."""
     def leg(e: Trajectory) -> Trajectory:
         stacks = [e.channels(group) for group in groups]
         values = formula(e.absolute_times, *stacks)

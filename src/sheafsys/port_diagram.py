@@ -275,8 +275,8 @@ def _enclosing_member(system: PortSystem, e: Trajectory, integral_sign: float) -
     s = e.channels(system.signal_labels)
     zeta = integral_sign * cumulative_trapezoid(system.zeta_rate(x, s), e.grid_step)
     return Trajectory(
-        # C order, not the concatenation's column-major, so its windows are views
-        np.ascontiguousarray(np.concatenate([x, zeta, s], axis=1)),
+        # column-major, as concatenated: the formulas read it faster than C order
+        np.concatenate([x, zeta, s], axis=1),
         e.grid_step,
         e.shift,
         system.state_labels + system.zeta_labels + system.signal_labels,

@@ -18,7 +18,8 @@ structure-law table (J antisymmetric, R symmetric positive semidefinite,
 grad H consistent with H) and the audit table.
 
 Leg maps are :func:`~sheafsys.machine.node_map` legs: they commute with
-restriction bit-exactly by construction, so the diagram verifier skips them.
+restriction by construction, bit-exactly on windows of two or more nodes, so
+the diagram verifier skips them.
 """
 
 from __future__ import annotations

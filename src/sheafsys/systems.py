@@ -47,8 +47,18 @@ def hat(v) -> np.ndarray:
 _ZERO = np.array(0.0)
 
 
-def _power(v, p: int):
-    return v if p == 1 else np.power(v, p)
+def _sum(terms, columns, stack: bool):
+    """A compiled table's sum: its terms in order, factors in column order."""
+    # numbers as Python floats for a point, whose coordinates are numpy
+    # scalars, and as 0-d arrays for a stack, which numpy takes without
+    # a conversion per product: the same float64 arithmetic either way
+    total = _ZERO if stack else 0.0  # from +0.0, in order, as += on a zero column
+    for coeff, coeff_array, factors in terms:
+        term = coeff_array if stack else coeff
+        for j, e in factors:
+            term = term * (columns[j] if e == 1 else np.power(columns[j], e))
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -66,51 +76,36 @@ class Polynomial:
     terms: tuple  # of (coeff, powers-tuple)
 
     def __post_init__(self):
-        # the gradient's terms per component i with any, in the order of i:
-        # (i, ((c, c as a 0-d array, ((j, exponent), ...)), ...)) with
-        # c = coeff * p_i, the terms in order
+        # the value's terms, c = coeff, and the gradient's per component i with
+        # any, in the order of i: (i, ((c, c as a 0-d array, ((j, exponent),
+        # ...)), ...)) with c = coeff * p_i, the terms in order
+        def compiled(c, exponents):
+            return c, np.array(c), tuple((j, e) for j, e in enumerate(exponents) if e)
+
         gradient_terms = {}
         for coeff, powers in self.terms:
             for i, p in enumerate(powers):
                 if p:
                     exponents = list(powers)
                     exponents[i] -= 1
-                    factors = tuple((j, e) for j, e in enumerate(exponents) if e)
-                    c = coeff * p
-                    gradient_terms.setdefault(i, []).append((c, np.array(c), factors))
+                    gradient_terms.setdefault(i, []).append(compiled(coeff * p, exponents))
         grouped = tuple((i, tuple(gradient_terms[i])) for i in sorted(gradient_terms))
+        object.__setattr__(self, "_value_terms", tuple(compiled(*term) for term in self.terms))
         object.__setattr__(self, "_gradient_terms", grouped)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        columns = x.T
-        total = 0.0
-        for coeff, powers in self.terms:
-            term = coeff
-            for i, p in enumerate(powers):
-                if p:
-                    term = term * _power(columns[i], p)
-            total = total + term
+        total = _sum(self._value_terms, x.T, x.ndim > 1)
         return float(total) if x.ndim == 1 else total + np.zeros(len(x))
 
     @batched
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        columns = x.T
+        columns, stack = x.T, x.ndim > 1
         out = np.zeros(x.shape)
         out_columns = out.T
-        # numbers as Python floats for a point, whose coordinates are numpy
-        # scalars, and as 0-d arrays for a stack, which numpy takes without
-        # a conversion per product: the same float64 arithmetic either way
-        stack = x.ndim > 1
         for i, terms in self._gradient_terms:
-            total = _ZERO if stack else 0.0  # from +0.0, in order, as += on a zero column
-            for coeff, coeff_array, factors in terms:
-                term = coeff_array if stack else coeff
-                for j, e in factors:
-                    term = term * _power(columns[j], e)
-                total = total + term
-            out_columns[i] = total
+            out_columns[i] = _sum(terms, columns, stack)
         return out
 
     batched = True  # after the methods, whose decorator this name would hide
@@ -193,8 +188,8 @@ def rigid_body_system(
         return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
 
     @batched
-    def gradS(x):  # x itself when it is a C-contiguous float array, which no caller writes
-        return np.ascontiguousarray(x, dtype=float)
+    def gradS(x):  # x itself when it is a float array, in its layout, which no caller writes
+        return np.asarray(x, dtype=float)
 
     identity, gamma = np.eye(3), np.array(float(gamma))  # 0-d: no conversion per product
 

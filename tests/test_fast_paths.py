@@ -1,10 +1,13 @@
 """The cheaper forms of the per-stage formulas give the bits of the plain
 formulas: single-node products, folded constant matrices, skipped zero port
-matrices, the compiled polynomial gradient, the rigid body's formulas, whole
-closed runs, the audits' two-row batches, driven runs whose constant port
-map is taken once per run, and runs that call the rhs without a check once
-its first output needs no converting.  Bits include the sign of a zero."""
+matrices, the compiled polynomial value and gradient, the rigid body's
+formulas, every built-in formula on C, column-major and strided stacks,
+whole closed runs, the audits' two-row batches, driven runs whose constant
+port map is taken once per run, and runs that call the rhs without a check
+once its first output needs no converting.  Bits include the sign of a
+zero."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -222,6 +225,34 @@ def polynomials(n):
     return st.lists(term, max_size=5).map(lambda terms: Polynomial(n, tuple(terms)))
 
 
+def term_loop_value(poly, x):
+    """The polynomial as a loop over the terms, each coefficient times its
+    powers in column order, summed from +0.0: a float at a point, an array
+    of one value per row on a stack."""
+    x = np.asarray(x, dtype=float)
+    columns = x.T
+    total = 0.0
+    for coeff, powers in poly.terms:
+        term = coeff
+        for i, p in enumerate(powers):
+            if p:
+                term = term * (columns[i] if p == 1 else np.power(columns[i], p))
+        total = total + term
+    return total + np.zeros(len(x)) if x.ndim > 1 else float(total)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), rows=st.integers(1, 4))
+def test_compiled_polynomial_value_equals_the_term_loop(data, n, rows):
+    # a stack gives each row's bits as the point alone does
+    poly = data.draw(polynomials(n))
+    x, stack = data.draw(arrays((n,))), data.draw(arrays((rows, n)))
+    assert type(poly(x)) is float
+    assert same_bits(poly(x), term_loop_value(poly, x))
+    assert same_bits(poly(stack), term_loop_value(poly, stack))
+    assert same_bits(poly(stack), [term_loop_value(poly, row) for row in stack])
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), rows=st.integers(1, 4))
 def test_compiled_polynomial_gradient_equals_the_term_loop(data, n, rows):
@@ -256,21 +287,74 @@ def test_rigid_body_formulas_equal_the_plain_ones(data, rows):
     assert sys_.poisson(x).flags.c_contiguous and sys_.poisson(stack).flags.c_contiguous
 
 
-def test_rigid_body_grad_entropy_copies_only_a_stack_that_is_not_c_contiguous():
+def stack_layouts(stack):
+    """The values of a stack as a C array, a column-major array and a view
+    of every other row and column of a larger array."""
+    rows, cols = stack.shape
+    wide = np.full((2 * rows, 2 * cols), np.nan)
+    wide[::2, ::2] = stack
+    return np.ascontiguousarray(stack), np.asfortranarray(stack), wide[::2, ::2]
+
+
+def test_rigid_body_grad_entropy_is_its_stack_in_every_layout():
     sys_ = MP_SYSTEMS["rigid_body"]
     stack = np.random.default_rng(3).standard_normal((7, 3))
-    grad = sys_.grad_entropy(stack)
-    assert same_bits(grad, np.array(stack, dtype=float))  # the bits of the copy it made before
-    assert np.shares_memory(grad, stack)
-    # the state columns of a driven member, as the extended field slices its stage states
+    for layout in stack_layouts(stack):
+        assert sys_.grad_entropy(layout) is layout
+    # the state columns of a driven member, as the extended field slices its
+    # stage states, and as Trajectory.channels picks them (column-major)
     bundle = resolve_builtin("rigid_body")
     port = port_machine(bundle.instance, H, bundle.residual_tolerance).behavior
     member = port.sampler([1.0, -0.5, 0.25], lambda t: np.array([np.sin(t)]), lambda t: np.zeros(1), 0.05)
     assert member.dimension == 5
-    columns = member.values[:, :3]
-    grad = sys_.grad_entropy(columns)
-    assert same_bits(grad, columns) and grad.flags.c_contiguous
-    assert not np.shares_memory(grad, member.values)
+    picked = member.channels(sys_.state_labels)
+    assert picked.flags.f_contiguous
+    for columns in (member.values[:, :3], picked):
+        assert sys_.grad_entropy(columns) is columns
+
+
+def layout_formulas(system):
+    """Name -> a callable of a state stack and a signal stack, for every
+    formula of a built-in system or explicit document."""
+    if isinstance(system, VectorField):
+        return {"field": lambda x, s: system(0.0, x)}
+    names = [f.name for f in dataclasses.fields(system) if callable(getattr(system, f.name))]
+    formulas = {name: (lambda x, s, f=getattr(system, name): f(x)) for name in names}
+    formulas.update(
+        closed_rhs=lambda x, s: system.closed_rhs(x),
+        port_rhs=system.port_rhs,
+        zeta_rate=system.zeta_rate,
+        structure_residuals=lambda x, s: system.structure_residuals(x),
+    )
+    return formulas
+
+
+LAYOUT_SYSTEMS = {
+    **{name: resolve_builtin(name).instance for name in ("blowup", "linear", "mass_spring", "rigid_body")},
+    "duffing": bundle_from_config(DUFFING).instance,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5))
+def test_built_in_formulas_give_the_same_bits_on_every_stack_layout(name, data, rows):
+    # column-major picks and strided windows reach the formulas uncopied
+    system = LAYOUT_SYSTEMS[name]
+    n = system.dimension if isinstance(system, VectorField) else system.n
+    k = 0 if isinstance(system, VectorField) else len(system.signal_labels)
+    x, s = data.draw(arrays((rows, n))), data.draw(arrays((rows, k)))
+    for formula in layout_formulas(system).values():
+        expected = formula(np.ascontiguousarray(x), np.ascontiguousarray(s))
+        for x_layout, s_layout in zip(stack_layouts(x), stack_layouts(s)):
+            got = formula(x_layout, s_layout)
+            if isinstance(expected, dict):  # (residual, node) per law
+                assert got.keys() == expected.keys()
+                for key in expected:
+                    assert got[key][1] == expected[key][1]
+                    assert same_bits(got[key][0], expected[key][0])
+            else:
+                assert same_bits(got, expected)
 
 
 def test_rigid_body_formulas_read_grad_entropy_without_writing_into_it():
