@@ -234,10 +234,8 @@ def restrict(e: Trajectory, new_length: float, offset: float) -> Trajectory:
     dynamics are preserved.  Offset and length must sit on the grid
     (MisalignedOffset otherwise).
 
-    The window's values are a read-only row slice of ``e``'s, with no copy.
-    Values that are not C-contiguous, such as channels concatenated side by
-    side, are copied as the public constructor copies them, so later
-    products see the memory layout they always saw and keep their bits.
+    The window's values are a read-only row slice of ``e``'s, with no copy,
+    in whatever memory layout ``e``'s values have.
     """
     k = grid_count(offset, e.grid_step, "offset")
     m = grid_count(new_length, e.grid_step, "new length")
@@ -252,9 +250,6 @@ def _window(e: Trajectory, first: int, steps: int) -> Trajectory:
     """:func:`restrict` to the nodes ``first`` to ``first + steps``, which must
     lie in ``e``: the window given by node indices, with no check."""
     values = e.values[first : first + steps + 1]
-    if not values.flags.c_contiguous:
-        values = np.array(values)
-        values.setflags(write=False)
     return Trajectory._derived(values, e.grid_step, e.shift - first * e.grid_step, e.labels)
 
 

@@ -111,10 +111,6 @@ def node_map(formula: Callable, groups: Sequence, labels: tuple, name: str, whic
         values = formula(e.absolute_times, *stacks)
         if np.shape(values)[:1] != (e.num_nodes,):
             raise StructureViolation(f"machine '{name}': {which} leg changed the interval")
-        # a fresh pick of checked channels: frozen, not copied and checked again
-        if any(values is stack for stack in stacks) and values.shape[1] == len(labels):
-            values.setflags(write=False)
-            return Trajectory._derived(values, e.grid_step, e.shift, labels)
         return Trajectory(values, e.grid_step, e.shift, labels)
     leg.node_wise = True
     return leg
@@ -195,7 +191,6 @@ def morphism_defect(
     source: Machine,
     target: Machine,
     probes: Sequence[Trajectory],
-    check_membership: bool = True,
 ) -> float:
     """Worst failure of the two leg squares on the probe members.
 
@@ -207,8 +202,7 @@ def morphism_defect(
     """
     gaps = []
     for i, e in enumerate(probes):
-        if check_membership:
-            require_member(source.behavior, e, f"probe {i} not in the source behavior of '{phi.name}'")
+        require_member(source.behavior, e, f"probe {i} not in the source behavior of '{phi.name}'")
         image = phi.beta(e)
         if phi.variant == "straight":
             pairs = (
@@ -344,24 +338,29 @@ def verify_port_control_diagram(
     probes, the psi images, or the a_phi and xi images (StructureViolation,
     raised at once by a leg that changes the interval or the shift tag).
     The verdict rows are the leg squares of each morphism and the triangle
-    on behaviors and on both leg sides, as ``defects`` (the xi square raises
-    NotAMember on a psi image outside the port behavior), then injectivity
-    probes of the three behavior maps, as ``collisions``.  The last gates
-    hold each a_phi and xi image to the enclosing behavior (NotAMember), so
-    an image outside it raises only when every verdict row holds.  Each
-    image, leg and membership test the rows share is evaluated once per
-    object: an a_phi image that is its xi . psi image, as
+    on behaviors and on both leg sides, as ``defects`` (each square holds
+    its members to the source behavior, so the xi square raises NotAMember
+    on a psi image outside the port behavior), then injectivity probes of
+    the three behavior maps, as ``collisions``.  The last gates hold each
+    a_phi and xi image to the enclosing behavior (NotAMember), so an image
+    outside it raises only when every verdict row holds.  Each image, leg
+    and membership test is evaluated once per object and machine: the
+    squares from the closed machine meet the probes' gate results, and an
+    a_phi image that is its xi . psi image, as
     :func:`~sheafsys.port_diagram.build_diagram` forms it, is tested once,
     and images that are distinct objects are each checked, however alike.
     """
-    for i, e in enumerate(probes):
-        require_member(closed.behavior, e, f"probe {i} not in the closed behavior")
     node_wise = lambda leg: getattr(leg, "node_wise", False)
     gated = [not (node_wise(m.a_leg) and node_wise(m.e_leg)) for m in (closed, port, enclosing)]
     closed, port, enclosing = (
-        dataclasses.replace(m, a_leg=_once(m.a_leg), e_leg=_once(m.e_leg))
+        dataclasses.replace(
+            m, behavior=BehaviorSheaf(_once(m.behavior.membership), tolerance=m.behavior.tolerance),
+            a_leg=_once(m.a_leg), e_leg=_once(m.e_leg),
+        )
         for m in (closed, port, enclosing)
     )
+    for i, e in enumerate(probes):
+        require_member(closed.behavior, e, f"probe {i} not in the closed behavior")
     psi, xi, a_phi = (dataclasses.replace(phi, beta=_once(phi.beta)) for phi in (psi, xi, a_phi))
     composite = compose_morphisms(xi, psi)
     separation = _min_separation(probes)
@@ -370,11 +369,8 @@ def verify_port_control_diagram(
     images = lambda: list({
         id(image): image for beta in (a_phi.beta, composite.beta) for image in map(beta, probes)
     }.values())
-    member = _once(enclosing.behavior.membership)
     constant = lambda i: closed.e_leg(probes[i]).values
     worst = lambda gaps: worst_defect(np.abs(gaps))[0]
-    # the probes passed their membership gate above
-    from_closed = lambda phi, m: morphism_defect(phi, closed, m, probes, check_membership=False)
     triangle = lambda via_psi, direct, leg: worst(
         [sup_distance(via_psi(leg(e)), direct(leg(e))) for e in probes]
     )
@@ -400,9 +396,9 @@ def verify_port_control_diagram(
             for m, members, gate in zip((closed, port, enclosing), (lambda: probes, psi_images, images), gated)
             if gate
         ),
-        _Check("psi legs", lambda: from_closed(psi, port), tolerance),
+        _Check("psi legs", lambda: morphism_defect(psi, closed, port, probes), tolerance),
         _Check("xi legs", lambda: morphism_defect(xi, port, enclosing, psi_images()), tolerance),
-        _Check("a_phi legs", lambda: from_closed(a_phi, enclosing), tolerance),
+        _Check("a_phi legs", lambda: morphism_defect(a_phi, closed, enclosing, probes), tolerance),
         _Check("triangle beta", lambda: triangle(composite.beta, a_phi.beta, lambda e: e), tolerance),
         _Check("triangle eta", lambda: triangle(composite.eta, a_phi.eta, closed.e_leg), tolerance),
         _Check("triangle alpha", lambda: triangle(composite.alpha, a_phi.alpha, closed.a_leg), tolerance),
@@ -411,7 +407,7 @@ def verify_port_control_diagram(
         _Check("a_phi", lambda: injectivity_probe(a_phi.beta, probes, separation)),
         *(
             _Check(f"image of probe {i} under {label} not in the enclosing behavior",
-                   lambda beta=beta, e=e: float(member(beta(e))),
+                   lambda beta=beta, e=e: float(enclosing.behavior.membership(beta(e))),
                    enclosing.behavior.tolerance, NotAMember, "residual")
             for label, beta in (("a_phi", a_phi.beta), ("xi", composite.beta))
             for i, e in enumerate(probes)

@@ -41,9 +41,6 @@ DEFAULT_RESIDUAL_TOL = 1e-4
 #: tolerance of the algebraic side conditions of a membership
 SIDE_CONDITION_TOL = 1e-8
 
-# the dtype of every state and rate, native float64
-_FLOAT = np.dtype(float)
-
 
 def batched(fn: Callable) -> Callable:
     """Mark ``fn`` as following the stack contract; returns ``fn``."""
@@ -146,8 +143,7 @@ class VectorField:
     def __call__(self, t, x: np.ndarray, u=None) -> np.ndarray:
         """The field at one node (x of shape (n,)) or a stack of nodes.  A
         float ndarray, given or returned, is used as it is."""
-        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-            x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dimension,):
             raise DimensionMismatch(
                 f"state of shape {x.shape} given to a field of dimension {self.dimension}"
@@ -159,8 +155,7 @@ def checked_rate(out, x: np.ndarray) -> np.ndarray:
     """``out``, a field's value at the states ``x``, as a float ndarray of
     x's shape, DimensionMismatch for any other shape; ``out`` itself when it
     is one already."""
-    if type(out) is not np.ndarray or out.dtype is not _FLOAT:
-        out = np.asarray(out, dtype=float)
+    out = np.asarray(out, dtype=float)
     if out.shape != x.shape:
         raise DimensionMismatch(f"rhs returned shape {out.shape}, expected {x.shape}")
     return out

@@ -180,8 +180,17 @@ def negative_eigenvalues(M: np.ndarray) -> np.ndarray:
 
 def gradient_gap(grad: Callable, energy: Callable, x: np.ndarray) -> np.ndarray:
     """A gradient minus central differences of its energy, relative to
-    max(1, the largest |entry| of the differences), at every node."""
-    reference = fd_gradient(energy, x.shape[-1])(x)
+    max(1, the largest |entry| of the differences), at every node.  The
+    differences run over the axes in order, with step 1e-6 (1 + |x_i|) on
+    axis i; both formulas follow the stack contract."""
+    points = np.asarray(x, dtype=float)
+    reference = np.empty(points.shape)
+    for i in range(points.shape[-1]):
+        step = 1e-6 * (1.0 + np.abs(points[..., i]))
+        plus, minus = points.copy(), points.copy()
+        plus[..., i] += step
+        minus[..., i] -= step
+        reference[..., i] = (energy(plus) - energy(minus)) / (2.0 * step)
     scale = np.maximum(1.0, np.max(np.abs(reference), axis=-1, keepdims=True))
     return (grad(x) - reference) / scale
 
@@ -231,26 +240,6 @@ def as_matrix_field(value) -> Callable[[np.ndarray], np.ndarray]:
 def constant_matrix(matrix_field) -> Optional[np.ndarray]:
     """The read-only matrix of a constant matrix field, None for any other."""
     return getattr(matrix_field, "constant", None)
-
-
-def fd_gradient(h_fn: Callable[[np.ndarray], float], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Central-difference gradient with step 1e-6 * (1 + |x_i|) per axis."""
-    h_fn = pointwise(h_fn)
-
-    @batched
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i in range(n):
-            step = 1e-6 * (1.0 + np.abs(x[..., i]))
-            plus = x.copy()
-            minus = x.copy()
-            plus[..., i] += step
-            minus[..., i] -= step
-            out[..., i] = (h_fn(plus) - h_fn(minus)) / (2.0 * step)
-        return out
-
-    return grad
 
 
 def cumulative_trapezoid(w: np.ndarray, h: float) -> np.ndarray:
@@ -404,6 +393,11 @@ def port_machine(
     sampler takes one input curve per signal group:
     ``sampler(x0, u_curve, length, shift=0.0)``, or
     ``sampler(x0, u_curve, tau_curve, length, shift=0.0)``.
+
+    Its behavior is the sheaf of runs with continuous inputs: a run sampled
+    from another's end node, with that run's shift minus its length and the
+    same input curve, glues to it within rounding of the whole run, while
+    pieces whose signals jump at the junction do not glue (JunctionMismatch).
     """
     return _signal_machine(
         system, port_field(system), system.state_labels, "port", grid_step, residual_tolerance

@@ -8,15 +8,20 @@ it removes the mark, so a case leaves this ledger only by becoming a passing
 regular test.  The numbers in the comments are what the library gives today.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sheafsys import (
+    NotAMember,
     PHSystem,
     StructureViolation,
+    Trajectory,
     batched,
     build_diagram,
     closed_behavior,
+    port_diagram,
     restrict,
     sup_distance,
 )
@@ -119,3 +124,34 @@ def test_every_note_of_a_corrupted_quadrature_names_a_node():
     # "image of probe 0 under xi not in the enclosing behavior (residual
     # 2.142e+00)" today
     assert report.notes and all("node" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("name", ["mass_spring", "rigid_body"])
+@known(4, "the diagram never drives the port machine")
+def test_xi_images_with_signals_shifted_by_one_node_fail_the_diagram(monkeypatch, name):
+    true_xi = port_diagram.port_to_extended_morphism
+
+    def shifted_xi(system, integral_sign=1.0):
+        phi = true_xi(system, integral_sign)
+
+        def beta(e):
+            image = phi.beta(e)
+            values = np.array(image.values)
+            columns = list(image.channel_indices(system.signal_labels))
+            values[1:, columns] = image.values[:-1, columns]
+            return Trajectory(values, image.grid_step, image.shift, image.labels)
+
+        return dataclasses.replace(phi, beta=beta)
+
+    # build_diagram looks the map up in its module at call time
+    monkeypatch.setattr(port_diagram, "port_to_extended_morphism", shifted_xi)
+    bundle = resolve_builtin(name)
+    system, tol = bundle.instance, bundle.residual_tolerance
+    probes = closed_behavior(system, H, tol).sampler(seeded_initial_states(0, 5, system.n), 0.5)
+    # passes today, every defect 0.0: the closed probes' signals are all zero
+    try:
+        report = build_diagram(system, probes, residual_tolerance=tol)
+    except NotAMember:
+        pass
+    else:
+        assert not report.passed

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sheafsys import (
     BehaviorSheaf,
+    JunctionMismatch,
     Machine,
     MachineMorphism,
     NotAMember,
@@ -17,6 +18,7 @@ from sheafsys import (
     check_sheaf_axioms,
     closed_behavior,
     compose_morphisms,
+    glue,
     identical,
     identity_morphism,
     injectivity_probe,
@@ -56,7 +58,7 @@ def test_iso_machine_sampler_and_legs():
     assert np.all(a.values == 1.0)
     assert np.max(np.abs(e.values[:, 0] - run.times)) < 1e-13
     assert a.shift == run.shift and e.grid_step == run.grid_step
-    # the input leg freezes its own pick of the channels, as the constructor would
+    # the input leg's output is the constructor's frozen copy of the channel pick
     assert identical(a, Trajectory(run.channels(("u0",)), run.grid_step, run.shift, ("u0",)))
     assert not a.values.flags.writeable and not np.shares_memory(a.values, run.values)
 
@@ -143,8 +145,6 @@ def test_morphism_defect_requires_membership():
     stranger = Trajectory(values, H, 0.0, ("x0", "u0"))
     with pytest.raises(NotAMember):
         morphism_defect(identity_morphism(), m, m, [stranger])
-    # the check can be disabled for leg-only experiments
-    assert morphism_defect(identity_morphism(), m, m, [stranger], check_membership=False) == 0.0
 
 
 def test_swapped_morphism_crosses_the_legs():
@@ -697,10 +697,30 @@ def test_the_enclosing_behavior_is_a_sheaf_on_driven_members(name):
     assert leg_restriction_defect(enclosing, images) == 0.0
 
 
+@pytest.mark.parametrize("cut", [0.25, 0.5, 0.731])
+def test_driven_port_pieces_glue_where_their_inputs_are_continuous(cut):
+    # the right piece is sampled from the left piece's end node, shifted by
+    # -cut and driven by the same curve, so the two glue to the whole run
+    system = mass_spring_system()
+    port = port_diagram.port_machine(system, H).behavior
+    drive = lambda t: np.array([0.5 * np.sin(t)])
+    x0 = np.array([1.0, 0.0])
+    left = port.sampler(x0, drive, cut)
+    end = left.channels(system.state_labels)[-1]
+    right = port.sampler(end, drive, 1.0 - cut, shift=-cut)
+    glued = glue(left, right)
+    assert sup_distance(glued, port.sampler(x0, drive, 1.0)) <= 1e-15
+    assert port.membership(glued) <= port.tolerance
+    # an input that jumps at the cut leaves no run to glue to
+    jumped = port.sampler(end, lambda t: drive(t) + 0.1, 1.0 - cut, shift=-cut)
+    with pytest.raises(JunctionMismatch, match="junction defect 1.000e-01"):
+        glue(left, jumped)
+
+
 @pytest.mark.parametrize("name", DIAGRAMS)
 def test_an_xi_image_keeps_the_column_major_layout_of_its_channels(name):
-    # no C-order copy of every image: the product path cuts no window of it,
-    # and a window restrict cuts is a copy with the same values
+    # no C-order copy of every image, and a window restrict cuts is a
+    # read-only view of it
     bundle = resolve_builtin(name)
     system = bundle.instance
     port = port_diagram.port_machine(system, H, bundle.residual_tolerance).behavior
@@ -710,7 +730,7 @@ def test_an_xi_image_keeps_the_column_major_layout_of_its_channels(name):
     assert image.values.flags.f_contiguous
     window = restrict(image, 20 * H, 10 * H)
     assert np.array_equal(window.values, image.values[10:31])
-    assert not window.values.flags.writeable
+    assert not window.values.flags.writeable and np.shares_memory(window.values, image.values)
 
 
 @pytest.mark.parametrize("name", DIAGRAMS)

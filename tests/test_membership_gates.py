@@ -14,9 +14,12 @@ at zero, so its side conditions hold.
 The side conditions of a metriplectic port run are held to
 SIDE_CONDITION_TOL node by node: a signal moved at one node to put one
 condition at 0.5x the tolerance there leaves the dynamics residual as the
-membership, and at 2x makes it inf.
+membership, and at 2x makes it inf.  The four conditions on the state's
+gradients are moved the same way by one state channel, whose move also
+raises the dynamics residual, though not past its tolerance.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafsys import Trajectory, bundle_from_config, resolve_builtin
+from sheafsys import MetriplecticSystem, Trajectory, batched, bundle_from_config, resolve_builtin
 from sheafsys.metriplectic import side_condition_residuals
 from sheafsys.ode_behavior import SIDE_CONDITION_TOL, with_conditions
 from sheafsys.port_diagram import (
@@ -150,3 +153,82 @@ def test_one_side_condition_moved_at_one_node_decides_membership_at_its_toleranc
     expected = dynamics if factor < 1.0 else np.inf
     assert with_conditions(dynamics, residuals) == expected
     assert port.membership(moved) == expected
+
+
+# the gradient products: one state channel, x2, moved at one node of a run
+# that rests at (2, 1, 0), with H = (x1^2 + x2^2) / 2 and S = x2^2 / 2, so
+# grad H = (0, x1, x2) and grad S = (0, 0, x2); every matrix is zero but the
+# one live formula that puts x2 in its condition.  Those of J, G and A carry
+# the factor p(x) = x0 x1 (x0 - 0.3)(x0 + 0.7), which vanishes at every
+# default probe point, so the structure laws hold there (for A, the PSD
+# block [[G, A], [A^T, Gt]] with G = Gt = 0 needs A = 0 there, since a PSD
+# block has A^T v = 0 for every v in ker G); p = 9.18 on the run.  B needs
+# no factor: B^T grad S is no structure law.
+REST = (2.0, 1.0, 0.0)
+
+
+@batched
+def gate(x):
+    return x[..., 0] * x[..., 1] * (x[..., 0] - 0.3) * (x[..., 0] + 0.7)
+
+
+def unit(n: int, m: int, i: int, j: int) -> np.ndarray:
+    matrix = np.zeros((n, m))
+    matrix[i, j] = 1.0
+    return matrix
+
+
+def gated(matrix: np.ndarray, power: int = 1):
+    """``matrix`` times p(x) ** power at every node."""
+    return batched(lambda x: (gate(x) ** power)[..., np.newaxis, np.newaxis] * matrix)
+
+
+# per condition: the live formula, and the factor of x2 in the condition
+GRADIENT_CONTROLS = {
+    "J grad S": ({"poisson": gated(unit(3, 3, 0, 2) - unit(3, 3, 2, 0))}, gate),
+    "G grad H": ({"friction": gated(unit(3, 3, 2, 2), power=2)}, lambda x: gate(x) ** 2),
+    "B^T grad S": ({"energy_port": unit(3, 1, 2, 0)}, lambda x: 1.0),
+    "A^T grad H": ({"entropy_port": gated(unit(3, 1, 2, 0))}, gate),
+}
+
+
+@functools.cache
+def gradient_member(condition: str):
+    """The system, its port behavior and its run from REST with zero
+    signals, which rests there, every side condition 0."""
+    formulas = dict(
+        poisson=np.zeros((3, 3)), friction=np.zeros((3, 3)), energy_port=np.zeros((3, 1)),
+        entropy_port=np.zeros((3, 1)), port_poisson=np.zeros((1, 1)), port_friction=np.zeros((1, 1)),
+        energy=batched(lambda x: 0.5 * (x[..., 1] ** 2 + x[..., 2] ** 2)),
+        entropy=batched(lambda x: 0.5 * x[..., 2] ** 2),
+        grad_energy=batched(lambda x: x * [0.0, 1.0, 1.0]),
+        grad_entropy=batched(lambda x: x * [0.0, 0.0, 1.0]),
+    )
+    system = MetriplecticSystem(3, 1, **{**formulas, **GRADIENT_CONTROLS[condition][0]})
+    port = port_machine(system, H).behavior
+    member = port.sampler(REST, lambda t: np.zeros(1), lambda t: np.zeros(1), LENGTH)
+    return system, port, member
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("condition", sorted(GRADIENT_CONTROLS))
+@settings(max_examples=20, deadline=None)
+@given(node=st.integers(0, round(LENGTH / H)))
+def test_one_state_channel_moved_at_one_node_decides_a_gradient_condition_at_its_tolerance(
+    condition, factor, node
+):
+    system, port, member = gradient_member(condition)
+    assert (member.values == np.array(REST + (0.0, 0.0))).all()
+    assert port.membership(member) == 0.0
+    weight = GRADIENT_CONTROLS[condition][1](np.array(REST))
+    values = member.values.copy()
+    values[node, 2] = factor * SIDE_CONDITION_TOL / weight
+    moved = Trajectory(values, member.grid_step, member.shift, member.labels)
+    residuals = side_condition_residuals(system, moved)
+    assert residuals[condition][0] == pytest.approx(factor * SIDE_CONDITION_TOL, rel=1e-12)
+    assert residuals[condition][1] == node
+    assert all(residuals[name][0] == 0.0 for name in residuals if name != condition)
+    # the move reaches the dynamics too, within their tolerance
+    dynamics = dataclasses.replace(port, side_residuals=None).membership(moved)
+    assert 0.0 < dynamics <= port.tolerance
+    assert port.membership(moved) == (dynamics if factor < 1.0 else np.inf)
